@@ -190,12 +190,15 @@ def chain_plan(spec: ChainSpec) -> CompositionPlan:
     parts: list[PartSpec] = [spec.left]
     parts += [PartSpec(spacer, label=spacer.name) for _ in range(spec.spacer_count)]
     parts.append(spec.right)
+    n = spec.spacer_count
+    exits = [_facing_slots(spec.left.graph, exit_side=True)]
+    exits += [_facing_slots(spacer, exit_side=True)] * n
+    entries = [_facing_slots(spacer, exit_side=False)] * n
+    entries.append(_facing_slots(spec.right.graph, exit_side=False))
     idents: list[tuple[int, int, int, int]] = []
     for t in range(len(parts) - 1):
-        left_slots = _facing_slots(parts[t].graph, exit_side=True)
-        right_slots = _facing_slots(parts[t + 1].graph, exit_side=False)
-        idents.append((t, left_slots[0], t + 1, right_slots[0]))
-        idents.append((t, left_slots[1], t + 1, right_slots[1]))
+        idents.append((t, exits[t][0], t + 1, entries[t][0]))
+        idents.append((t, exits[t][1], t + 1, entries[t][1]))
     name = (
         f"chain({spec.left.display_label},"
         f"{spec.spacer_count} spacers,{spec.right.display_label})"
@@ -647,33 +650,34 @@ def _layout_chain(
         raise RealizationFailedError("unsupported plan topology (not a two-ended chain)")
 
     # order the parts end-to-end following double identifications
+    doubles: dict[int, list[int]] = {i: [] for i in range(k)}
+    for (a, b), pairs in neighbor_idents.items():
+        if len(pairs) == 2:
+            doubles[a].append(b)
     order = [ends[0]]
+    seen = {ends[0]}
     while True:
-        current = order[-1]
-        nexts = {
-            b
-            for (a, b), pairs in neighbor_idents.items()
-            if a == current and len(pairs) == 2 and b not in order
-        }
+        nexts = {b for b in doubles[order[-1]] if b not in seen}
         if not nexts:
             break
         if len(nexts) != 1:
             raise RealizationFailedError("unsupported plan topology (branched chain)")
         order.append(nexts.pop())
+        seen.add(order[-1])
     if len(order) != k or order[-1] != ends[1]:
         raise RealizationFailedError("unsupported plan topology (chain does not span parts)")
     for t in range(k - 1):
         if len(neighbor_idents.get((order[t], order[t + 1]), [])) != 2:
             raise RealizationFailedError("chain neighbors must share exactly two joints")
-    for i in mids:
-        _spacer_port_pairs(parts[i])  # raises PlanError on unsupported interior parts
+    # raises PlanError on unsupported interior parts
+    port_pairs = {i: _spacer_port_pairs(parts[i]) for i in mids}
 
     def pair_gap(i: int, facing_next: bool) -> float:
         g = parts[i]
         if port_counts[i] == 2:
             a, b = degree2_vertices(g)
             return float(np.hypot(*(g.vertices[a] - g.vertices[b])))
-        pairs = _spacer_port_pairs(g)
+        pairs = port_pairs[i]
         pair = pairs[1] if facing_next else pairs[0]
         return float(np.hypot(*(g.vertices[pair[0]] - g.vertices[pair[1]])))
 
@@ -700,8 +704,7 @@ def _layout_chain(
     for t in range(1, k - 1):  # spacers
         i = order[t]
         g = parts[i]
-        pairs = _spacer_port_pairs(g)
-        entry_pair, exit_pair = pairs
+        entry_pair, exit_pair = port_pairs[i]
         width = float(
             np.hypot(
                 *(

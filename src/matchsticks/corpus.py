@@ -47,7 +47,10 @@ def corpus_names() -> tuple[str, ...]:
 
 def load_segments(name: str) -> SegmentFile:
     """The raw segment file for a corpus graph."""
-    override = _override_dir()
+    return _read_segments(_override_dir(), name)
+
+
+def _read_segments(override: Path | None, name: str) -> SegmentFile:
     if override is not None:
         path = override / f"{name}.seg"
         if not path.exists():
@@ -64,16 +67,24 @@ def load_graph(name: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
     return build_graph(load_segments(name), policy)
 
 
-@lru_cache(maxsize=None)
 def refined_graph(name: str) -> EmbeddedGraph:
     """The corpus graph refined to unit edge lengths (unit = 1), cached.
 
+    The cache is keyed on the active corpus directory as well as the name, so
+    changing MATCHSTICKS_CORPUS never serves a graph from the previous one.
     Raises RuntimeError if the corpus data does not converge, which would mean
     the bundled files are corrupt.
     """
+    override = _override_dir()
+    return _refined_graph(None if override is None else override.resolve(), name)
+
+
+@lru_cache(maxsize=None)
+def _refined_graph(override: Path | None, name: str) -> EmbeddedGraph:
     from .refine import RefineOptions, refine  # deferred to keep imports acyclic
 
-    result = refine(load_graph(name), RefineOptions())
+    graph = build_graph(_read_segments(override, name), MergePolicy())
+    result = refine(graph, RefineOptions())
     if not result.converged:
         raise RuntimeError(
             f"corpus graph {name} did not refine "

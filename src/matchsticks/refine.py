@@ -5,12 +5,21 @@ gaps at their glue points; this module drives both to near machine precision
 with a damped Gauss-Newton iteration on the stacked residual vector
 (edge lengths minus one, plus optional coincidence and distance constraints).
 The edge-length Jacobian built here doubles as the rigidity matrix.
+
+The solver never forms the dense Jacobian.  Every residual row touches at
+most two vertices, so ordering the free coordinates along the drawing's
+principal axis makes the normal matrix J^T J banded: unit edges keep
+neighbours within one unit of each other along the axis.  It is scattered
+straight into block-tridiagonal storage and each damped step is a block LU
+solve, so memory and time grow linearly in the vertex count for drawings of
+bounded width, such as long chains.  The solver needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +79,7 @@ class RefineResult:
 def residuals(g: EmbeddedGraph) -> np.ndarray:
     """Edge length minus one, per edge, in matchstick units."""
     coords = normalize(g).vertices
-    return _edge_residuals(coords, g.edge_array())
+    return _lengths(coords, g.edge_array())[1] - 1.0
 
 
 def residual_jacobian(g: EmbeddedGraph) -> np.ndarray:
@@ -82,7 +91,10 @@ def residual_jacobian(g: EmbeddedGraph) -> np.ndarray:
     Euclidean norm sqrt(2) regardless of edge length.
     """
     coords = normalize(g).vertices
-    return _edge_jacobian(coords, g.edge_array(), 2 * g.vertex_count)
+    eidx = g.edge_array()
+    J = np.zeros((len(eidx), 2 * g.vertex_count))
+    np.put_along_axis(J, _link_columns(eidx), _link_values(coords, eidx), axis=1)
+    return J
 
 
 def default_pins(g: EmbeddedGraph) -> tuple[Pin, ...]:
@@ -120,12 +132,15 @@ def refine(
     """
     coords = normalize(g).vertices.copy()
     n2 = 2 * g.vertex_count
-    eidx = g.edge_array()
+    e = g.edge_count
     pairs = np.array([(int(i), int(j)) for i, j in coincidences], dtype=int).reshape(-1, 2)
-    dcons = [(int(i), int(j), float(t)) for i, j, t in distance_constraints]
     for i, j in pairs:
         if not (0 <= i < g.vertex_count and 0 <= j < g.vertex_count) or i == j:
             raise ValueError(f"bad coincidence pair ({i}, {j})")
+    # edges and distance constraints share one row form: |p_i - p_j| - target
+    distance_ends = [(int(i), int(j)) for i, j, _ in distance_constraints]
+    links = np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])
+    targets = np.concatenate([np.ones(e), [float(t) for _, _, t in distance_constraints]])
 
     pins = opts.pinned if opts.pinned is not None else default_pins(g)
     free = np.ones(n2, dtype=bool)
@@ -134,55 +149,56 @@ def refine(
             raise ValueError(f"bad pin ({vi}, {ci})")
         free[2 * vi + ci] = False
 
+    m = len(links)
+
     def full_residual(c: np.ndarray) -> np.ndarray:
-        parts = [_edge_residuals(c, eidx)]
+        r = _lengths(c, links)[1] - targets
         if len(pairs):
-            parts.append((c[pairs[:, 0]] - c[pairs[:, 1]]).ravel())
-        if dcons:
-            parts.append(_distance_residuals(c, dcons))
-        return np.concatenate(parts)
+            r = np.concatenate([r, (c[pairs[:, 0]] - c[pairs[:, 1]]).ravel()])
+        return r
 
-    def blocks(c: np.ndarray) -> tuple[float, float]:
-        """(max |edge residual|, max constraint violation)."""
-        edge_max = float(np.max(np.abs(_edge_residuals(c, eidx)))) if len(eidx) else 0.0
-        extra = 0.0
+    def maxima(r: np.ndarray) -> tuple[float, float, float]:
+        """(max |edge residual|, max constraint violation, max coincidence gap)."""
+        lengths = np.abs(r[:m])
+        edge_max = float(np.max(lengths[:e])) if e else 0.0
+        extra = float(np.max(lengths[e:])) if m > e else 0.0
+        coin = 0.0
         if len(pairs):
-            gap = c[pairs[:, 0]] - c[pairs[:, 1]]
-            extra = float(np.max(np.hypot(gap[:, 0], gap[:, 1])))
-        if dcons:
-            extra = max(extra, float(np.max(np.abs(_distance_residuals(c, dcons)))))
-        return edge_max, extra
+            gap = r[m:].reshape(-1, 2)
+            coin = float(np.max(np.hypot(gap[:, 0], gap[:, 1])))
+        return edge_max, max(extra, coin), coin
 
-    initial_residual, extra0 = blocks(coords)
-    best = coords.copy()
-    best_norm = float(np.linalg.norm(full_residual(coords)))
+    r = full_residual(coords)
+    initial_residual, extra0, _ = maxima(r)
+    best, best_r = coords, r
+    best_norm = float(np.linalg.norm(r))
     lam = opts.damping
     iterations = 0
     converged = max(initial_residual, extra0) <= opts.target_residual
+    system: _NormalEquations | None = None  # built on the first iteration only
 
     while not converged and iterations < opts.max_iterations:
-        r = full_residual(coords)
-        J = _full_jacobian(coords, eidx, pairs, dcons, n2)[:, free]
-        grad = J.T @ r
-        hess = J.T @ J
+        if system is None:
+            system = _NormalEquations(coords, links, pairs, free)
+        system.assemble(coords, r)
         norm = float(np.linalg.norm(r))
         stepped = False
         while lam <= _DAMPING_CEIL:
             try:
-                dx = np.linalg.solve(hess + lam * np.eye(hess.shape[0]), -grad)
+                dx = system.step(lam)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             candidate = coords.copy()
-            flat = candidate.reshape(-1)
-            flat[free] += dx
+            candidate.reshape(-1)[system.unknowns] += dx
             try:
-                new_norm = float(np.linalg.norm(full_residual(candidate)))
+                candidate_r = full_residual(candidate)
             except ZeroLengthEdgeError:
                 lam *= 10
                 continue
+            new_norm = float(np.linalg.norm(candidate_r))
             if new_norm < norm:
-                coords = candidate
+                coords, r = candidate, candidate_r
                 lam = max(lam / 3, _DAMPING_FLOOR)
                 stepped = True
                 break
@@ -191,20 +207,14 @@ def refine(
             break  # no acceptable step at any damping: give up
         iterations += 1
         if new_norm < best_norm:
-            best_norm = new_norm
-            best = coords.copy()
-        edge_max, extra = blocks(coords)
+            best_norm, best, best_r = new_norm, coords, r
+        edge_max, extra, _ = maxima(r)
         converged = max(edge_max, extra) <= opts.target_residual
 
-    out_coords = coords if converged else best
-    final_edge, _ = blocks(out_coords)
-    result_graph = EmbeddedGraph(out_coords, g.edges, 1.0, g.name)
-    coin = 0.0
-    if len(pairs):
-        gap = out_coords[pairs[:, 0]] - out_coords[pairs[:, 1]]
-        coin = float(np.max(np.hypot(gap[:, 0], gap[:, 1])))
+    out_coords, out_r = (coords, r) if converged else (best, best_r)
+    final_edge, _, coin = maxima(out_r)
     return RefineResult(
-        graph=result_graph,
+        graph=EmbeddedGraph(out_coords, g.edges, 1.0, g.name),
         iterations=iterations,
         initial_residual=initial_residual,
         final_residual=final_edge,
@@ -213,11 +223,12 @@ def refine(
     )
 
 
-# -- residual / Jacobian assembly ---------------------------------------------
+# -- residual rows ------------------------------------------------------------
 
 
-def _edge_vectors(coords: np.ndarray, eidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = coords[eidx[:, 0]] - coords[eidx[:, 1]]
+def _lengths(coords: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Difference vectors p_i - p_j and their lengths, one per (i, j) row."""
+    diff = coords[links[:, 0]] - coords[links[:, 1]]
     lengths = np.hypot(diff[:, 0], diff[:, 1])
     if len(lengths) and float(lengths.min()) < _TINY:
         raise ZeroLengthEdgeError(
@@ -226,58 +237,127 @@ def _edge_vectors(coords: np.ndarray, eidx: np.ndarray) -> tuple[np.ndarray, np.
     return diff, lengths
 
 
-def _edge_residuals(coords: np.ndarray, eidx: np.ndarray) -> np.ndarray:
-    if len(eidx) == 0:
-        return np.zeros(0)
-    _, lengths = _edge_vectors(coords, eidx)
-    return lengths - 1.0
-
-
-def _distance_residuals(coords: np.ndarray, dcons: list[tuple[int, int, float]]) -> np.ndarray:
-    out = np.zeros(len(dcons))
-    for k, (i, j, target) in enumerate(dcons):
-        out[k] = np.hypot(*(coords[i] - coords[j])) - target
-    return out
-
-
-def _edge_jacobian(coords: np.ndarray, eidx: np.ndarray, n2: int) -> np.ndarray:
-    J = np.zeros((len(eidx), n2))
-    if len(eidx) == 0:
-        return J
-    diff, lengths = _edge_vectors(coords, eidx)
+def _link_values(coords: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """Jacobian values of the length rows at ``_link_columns``: (u, -u)."""
+    diff, lengths = _lengths(coords, links)
     unit = diff / lengths[:, None]
-    rows = np.arange(len(eidx))
-    for c in (0, 1):
-        J[rows, 2 * eidx[:, 0] + c] = unit[:, c]
-        J[rows, 2 * eidx[:, 1] + c] = -unit[:, c]
-    return J
+    return np.hstack([unit, -unit])
 
 
-def _full_jacobian(
-    coords: np.ndarray,
-    eidx: np.ndarray,
-    pairs: np.ndarray,
-    dcons: list[tuple[int, int, float]],
-    n2: int,
-) -> np.ndarray:
-    parts = [_edge_jacobian(coords, eidx, n2)]
-    if len(pairs):
-        C = np.zeros((2 * len(pairs), n2))
-        for k, (i, j) in enumerate(pairs):
-            for c in (0, 1):
-                C[2 * k + c, 2 * i + c] = 1.0
-                C[2 * k + c, 2 * j + c] = -1.0
-        parts.append(C)
-    if dcons:
-        D = np.zeros((len(dcons), n2))
-        for k, (i, j, _target) in enumerate(dcons):
-            diff = coords[i] - coords[j]
-            length = np.hypot(*diff)
-            if length < _TINY:
-                raise ZeroLengthEdgeError(f"distance constraint {k} endpoints coincide")
-            u = diff / length
-            for c in (0, 1):
-                D[k, 2 * i + c] = u[c]
-                D[k, 2 * j + c] = -u[c]
-        parts.append(D)
-    return np.vstack(parts)
+def _link_columns(links: np.ndarray) -> np.ndarray:
+    """Flat coordinates (x_i, y_i, x_j, y_j) each length row touches."""
+    i2, j2 = 2 * links[:, 0:1], 2 * links[:, 1:2]
+    return np.hstack([i2, i2 + 1, j2, j2 + 1])
+
+
+# -- banded normal equations --------------------------------------------------
+
+
+class _NormalEquations:
+    """(J^T J + lam I) dx = -J^T r over the free coordinates, block tridiagonal.
+
+    The unknowns are the free coordinates ordered by their vertex's projection
+    on the principal axis of the drawing.  The block size is the bandwidth of
+    that ordering measured on the row pattern, so every nonzero lies in a
+    diagonal block or in the sub-diagonal block below it (the matrix is
+    symmetric; the super-diagonal blocks are their transposes).  When fewer
+    than two full blocks fit, a single block holds the whole matrix and the
+    step is one dense solve.  Otherwise the last block is padded with zero
+    rows whose damping term keeps it nonsingular.
+
+    Length rows touch four coordinates, coincidence rows two, with constant
+    values (1, -1).  The pattern is fixed at construction; ``assemble``
+    scatters the current values and ``step`` solves for one damping.
+    """
+
+    def __init__(
+        self, coords: np.ndarray, links: np.ndarray, pairs: np.ndarray, free: np.ndarray
+    ) -> None:
+        centered = coords - coords.mean(axis=0)
+        (sxx, sxy), (_, syy) = centered.T @ centered
+        angle = 0.5 * math.atan2(2 * sxy, sxx - syy)  # direction of largest spread
+        along = np.argsort(centered @ [math.cos(angle), math.sin(angle)], kind="stable")
+        flat = (2 * along[:, None] + np.array([0, 1])).ravel()
+        self.unknowns = flat[free[flat]]  # flat coordinate of each unknown
+        n = len(self.unknowns)
+        pos = np.full(free.size, -1)
+        pos[self.unknowns] = np.arange(n)
+
+        self._links = links
+        link_pos = pos[_link_columns(links)]
+        # one row per pair and coordinate, in the residual's order
+        coin_pos = pos[2 * pairs[:, None, :] + np.array([[0], [1]])].reshape(-1, 2)
+        bandwidth = 1
+        for rows in (link_pos, coin_pos):
+            if len(rows):
+                span = rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)
+                bandwidth = max(bandwidth, int(span.max()))
+        self.size, self.count = bandwidth, -(-n // bandwidth)
+        if n // bandwidth < 2:
+            self.size, self.count = n, 1
+        self._cells = (2 * self.count - 1) * self.size * self.size
+
+        self._link_scatter = self._scatter_pattern(link_pos)
+        self._coin_hessian = 0.0
+        if len(pairs):
+            index, keep = self._scatter_pattern(coin_pos)
+            products = np.tile([1.0, -1.0, -1.0, 1.0], len(coin_pos))[keep]
+            self._coin_hessian = np.bincount(index, products, minlength=self._cells)
+        # J^T r: unknown of each (row, column) entry, over length then coincidence rows
+        row_pos = np.concatenate([link_pos.ravel(), coin_pos.ravel()])
+        self._grad_keep = np.flatnonzero(row_pos >= 0)
+        self._grad_index = row_pos[self._grad_keep]
+
+    def _scatter_pattern(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Storage index of each kept row product, and which products are kept.
+
+        Storage holds diagonal block k at slot 2k and the block below it at
+        slot 2k + 1.  Products touching a pinned coordinate or falling above
+        the diagonal blocks are dropped.
+        """
+        width = rows.shape[1]
+        p = np.repeat(rows, width, axis=1).ravel()
+        q = np.tile(rows, width).ravel()
+        bp, bq = p // self.size, q // self.size
+        keep = (p >= 0) & (q >= 0) & ((bp == bq) | (bp == bq + 1))
+        slot = bq + bp  # 2k on the diagonal, 2k + 1 below it
+        index = (slot * self.size + p % self.size) * self.size + q % self.size
+        return index[keep], np.flatnonzero(keep)
+
+    def assemble(self, coords: np.ndarray, r: np.ndarray) -> None:
+        """Scatter J^T J and J^T r at ``coords`` with residual vector ``r``."""
+        vals = _link_values(coords, self._links)
+        index, keep = self._link_scatter
+        products = (vals[:, :, None] * vals[:, None, :]).reshape(-1)[keep]
+        self._hessian = self._coin_hessian + np.bincount(index, products, minlength=self._cells)
+        m = len(vals)
+        weights = (vals * r[:m, None]).ravel()
+        if len(r) > m:
+            weights = np.concatenate([weights, np.outer(r[m:], [1.0, -1.0]).ravel()])
+        self._rhs = -np.bincount(
+            self._grad_index, weights[self._grad_keep], minlength=self.count * self.size
+        )
+
+    def step(self, lam: float) -> np.ndarray:
+        """The damped Gauss-Newton step, one entry per unknown.
+
+        Raises LinAlgError when a pivot block is singular.
+        """
+        s, nb = self.size, self.count
+        blocks = self._hessian.reshape(2 * nb - 1, s, s)
+        damp = lam * np.eye(s)
+        below = blocks[1::2]
+        y = self._rhs.reshape(nb, s).copy()
+        gains = []
+        pivot = blocks[0] + damp
+        for k in range(nb - 1):
+            solved = np.linalg.solve(pivot, np.column_stack([below[k].T, y[k]]))
+            gains.append(solved[:, :s])
+            y[k] = solved[:, s]
+            update = below[k] @ solved
+            pivot = blocks[2 * k + 2] + damp - update[:, :s]
+            y[k + 1] -= update[:, s]
+        y[-1] = np.linalg.solve(pivot, y[-1])
+        for k in range(nb - 2, -1, -1):
+            y[k] -= gains[k] @ y[k + 1]
+        return y.ravel()[: len(self.unknowns)]

@@ -212,14 +212,10 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
             for i, j, d in zip(ci[bad], cj[bad], dists[bad]):
                 crossing.append((int(i), int(j), float(d)))
         # adjacent pairs: overlap beyond the shared vertex
-        for i, j in zip(iu[near[iu, ju] & shares], ju[near[iu, ju] & shares]):
-            shared = _shared_ends(eidx[i], eidx[j])
-            if shared is None:
-                continue  # edges sharing both endpoints cannot occur (no duplicates)
-            seg_i = (*coords[eidx[i, 0]], *coords[eidx[i, 1]])
-            seg_j = (*coords[eidx[j, 0]], *coords[eidx[j, 1]])
-            if segments_conflict(seg_i, seg_j, shared, tol.eps_separation):
-                crossing.append((int(i), int(j), 0.0))
+        adjacent = near[iu, ju] & shares
+        ai, aj = iu[adjacent], ju[adjacent]
+        overlap = _adjacent_overlaps(coords, eidx[ai], eidx[aj], tol.eps_separation)
+        crossing += [(int(i), int(j), 0.0) for i, j in zip(ai[overlap], aj[overlap])]
     crossing.sort()
     crossing_ok = not crossing
 
@@ -267,13 +263,27 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
     )
 
 
-def _shared_ends(ea: np.ndarray, eb: np.ndarray) -> tuple[int, int] | None:
-    """Which endpoint indices (0|1 within each edge) name the common vertex."""
-    for ia in (0, 1):
-        for ib in (0, 1):
-            if ea[ia] == eb[ib]:
-                return ia, ib
-    return None
+def _adjacent_overlaps(
+    coords: np.ndarray, ea: np.ndarray, eb: np.ndarray, eps: float
+) -> np.ndarray:
+    """``segments_conflict`` for many pairs of edges sharing an endpoint.
+
+    ``ea`` and ``eb`` are (k, 2) vertex-index rows.  The common vertex is
+    ``ea``'s first endpoint when that one is shared, else its second; each
+    edge's other endpoint gives its direction.  Returns a bool per pair.
+    """
+    a_at_0 = (ea[:, 0] == eb[:, 0]) | (ea[:, 0] == eb[:, 1])
+    common = np.where(a_at_0, ea[:, 0], ea[:, 1])
+    rows = np.arange(len(ea))
+    shared = coords[common]
+    u = coords[ea[rows, a_at_0.astype(int)]] - shared
+    v = coords[eb[rows, (common == eb[:, 0]).astype(int)]] - shared
+    nu, nv = np.hypot(u[:, 0], u[:, 1]), np.hypot(v[:, 0], v[:, 1])
+    degenerate = (nu == 0) | (nv == 0)  # degenerate stick: treat as overlapping
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]) / (nu * nv)
+        sin = np.abs(_cross(u, v)) / (nu * nv)
+    return degenerate | ((cos > 0) & (sin < min(eps, 1.0)))
 
 
 def min_clearances(g: EmbeddedGraph) -> tuple[float, float, float]:

@@ -25,7 +25,7 @@ from matchsticks.construct import (
     realize,
     ring_plan,
 )
-from matchsticks.model import EmbeddedGraph, degree_profile
+from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
 from matchsticks.refine import refine
 from matchsticks.verify import verify_matchstick
 
@@ -244,6 +244,16 @@ def test_longer_chains(n, expected):
     g5a = corpus.refined_graph("fig5a")
     g = certified(chain_extend(ChainSpec(PartSpec(g5a), PartSpec(g5a), n)))
     assert g.vertex_count == expected
+
+
+def test_long_chain_glues_to_unit_edges():
+    # 1,597 vertices before merging: the glue solve must stay banded to be quick
+    spec = ChainSpec(
+        PartSpec(corpus.refined_graph("fig5a")), PartSpec(corpus.refined_graph("fig5c")), 300
+    )
+    g = chain_extend(spec)  # raises RealizationFailedError unless the glue solve converged
+    assert g.vertex_count == 995
+    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
 def test_chain_rejects_non_spacer_interior():

@@ -199,3 +199,22 @@ def test_corpus_directory_override(tmp_path, monkeypatch):
     monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
     assert corpus.corpus_names() == ("custom",)
     assert corpus.load_graph("custom").vertex_count == 4
+
+
+def test_refined_graph_cache_follows_corpus_directory(tmp_path, monkeypatch):
+    square, triangle = tmp_path / "square", tmp_path / "triangle"
+    square.mkdir()
+    triangle.mkdir()
+    (square / "shape.seg").write_text(GOOD)
+    (triangle / "shape.seg").write_text(
+        "! name triangle\n0 0 1 0\n1 0 0.5 0.8660254\n0.5 0.8660254 0 0\n"
+    )
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(square))
+    assert corpus.refined_graph("shape").vertex_count == 4
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(triangle))
+    assert corpus.refined_graph("shape").vertex_count == 3
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(square))
+    assert corpus.refined_graph("shape").vertex_count == 4
+    monkeypatch.delenv(corpus.CORPUS_ENV)
+    with pytest.raises(corpus.CorpusError):
+        corpus.refined_graph("shape")

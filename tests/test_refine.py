@@ -1,16 +1,23 @@
 """Gauss-Newton refinement: Jacobian correctness, convergence, idempotence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
+import matchsticks
 from matchsticks import corpus
-from matchsticks.model import EmbeddedGraph, edge_lengths
+from matchsticks.model import EmbeddedGraph, edge_lengths, normalize
 from matchsticks.refine import (
     RefineOptions,
     ZeroLengthEdgeError,
+    _NormalEquations,
     default_pins,
     refine,
     residual_jacobian,
@@ -154,9 +161,158 @@ def test_coincidence_constraints_bring_points_together_without_merging():
     np.testing.assert_allclose(edge_lengths(result.graph), 1.0, atol=1e-11)
 
 
+def test_refine_imports_numpy_only():
+    # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package
+    code = (
+        "import sys, matchsticks; from matchsticks import corpus, refine; "
+        "refine(corpus.load_graph('fig5a')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(matchsticks.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_corpus_refines_fast_and_tight():
     for name in ("fig1a", "fig2a", "fig5b"):
         result = refine(corpus.load_graph(name))
         assert result.converged
         assert result.iterations <= 10
         assert result.final_residual <= 1e-12
+
+
+# -- the banded solve against dense linear algebra ----------------------------
+
+
+def solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count):
+    """A perturbed graph with pins, coincidences and distance constraints.
+
+    Strips are long and thin, so their normal matrix splits into several
+    blocks; random graphs are compact and give a single block.  Extra
+    constraints join vertices a few steps apart along the strip.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "strip":
+        g = triangle_strip(n)
+        g = g.with_vertices(g.vertices + rng.uniform(-0.05, 0.05, g.vertices.shape))
+    else:
+        g = random_connected_graph(rng, n)
+    v = g.vertex_count
+    pins = default_pins(g)
+    if middle_pin:
+        pins += ((v // 2, 0), (v // 2, 1))
+    starts = rng.integers(0, v - 3, size=coincidence_count + distance_count)
+    coincidences = [(int(i), int(i) + 3) for i in starts[:coincidence_count]]
+    distances = [
+        (int(i), int(i) + 2, float(rng.uniform(0.8, 2.0))) for i in starts[coincidence_count:]
+    ]
+    return g, pins, coincidences, distances
+
+
+def dense_first_step(g, pins, coincidences, distances, damping):
+    """Coordinates after refine's first iteration, from dense linear algebra.
+
+    Solves (J^T J + lam I) dx = -J^T r over the free coordinates in their
+    natural order, for the first damping lam = damping * 10^k whose step
+    lowers the residual norm (None when no damping does).
+    """
+    coords = normalize(g).vertices
+    links = list(g.edges) + [(i, j) for i, j, _ in distances]
+    targets = [1.0] * g.edge_count + [t for _, _, t in distances]
+
+    def residual(c):
+        rows = [np.hypot(*(c[i] - c[j])) - t for (i, j), t in zip(links, targets)]
+        rows += [d for i, j in coincidences for d in c[i] - c[j]]
+        return np.array(rows)
+
+    J = np.zeros((len(links) + 2 * len(coincidences), 2 * g.vertex_count))
+    for row, (i, j) in enumerate(links):
+        u = (coords[i] - coords[j]) / np.hypot(*(coords[i] - coords[j]))
+        J[row, 2 * i : 2 * i + 2] = u
+        J[row, 2 * j : 2 * j + 2] = -u
+    for k, (i, j) in enumerate(coincidences):
+        for d in (0, 1):
+            J[len(links) + 2 * k + d, 2 * i + d] = 1.0
+            J[len(links) + 2 * k + d, 2 * j + d] = -1.0
+    free = np.ones(2 * g.vertex_count, dtype=bool)
+    for vi, ci in pins:
+        free[2 * vi + ci] = False
+    Jf, r = J[:, free], residual(coords)
+    lam = damping
+    while lam <= 1e14:
+        dx = np.linalg.solve(Jf.T @ Jf + lam * np.eye(Jf.shape[1]), -Jf.T @ r)
+        trial = coords.ravel().copy()
+        trial[free] += dx
+        trial = trial.reshape(-1, 2)
+        if np.linalg.norm(residual(trial)) < np.linalg.norm(r):
+            return trial
+        lam *= 10
+    return None
+
+
+SOLVER_EXAMPLES = [
+    # (kind, n, seed, middle_pin, coincidences, distances)
+    ("random", 6, 1, False, 1, 1),  # one block
+    ("strip", 30, 2, True, 2, 1),  # several blocks, a pin mid-ordering
+    ("strip", 33, 3, False, 0, 2),  # several blocks, the last one padded
+]
+
+
+def banded_system(g, pins, coincidences, distances):
+    links = np.array(list(g.edges) + [(i, j) for i, j, _ in distances])
+    free = np.ones(2 * g.vertex_count, dtype=bool)
+    for vi, ci in pins:
+        free[2 * vi + ci] = False
+    pairs = np.array(coincidences, dtype=int).reshape(-1, 2)
+    return _NormalEquations(normalize(g).vertices, links, pairs, free)
+
+
+def test_solver_examples_cover_block_layouts():
+    one, pinned, padded = (banded_system(*solver_case(*case)) for case in SOLVER_EXAMPLES)
+    assert one.count == 1
+    assert pinned.count >= 3
+    # the strip's middle vertex is pinned; its neighbour sits mid-way through the ordering
+    mid = solver_case(*SOLVER_EXAMPLES[1])[0].vertex_count // 2
+    vertices = list(pinned.unknowns // 2)
+    assert mid not in vertices
+    assert 0.3 < vertices.index(mid - 1) / len(vertices) < 0.7
+    assert padded.count >= 3 and padded.count * padded.size > len(padded.unknowns)
+
+
+@given(
+    st.sampled_from(["strip", "random"]),
+    st.integers(4, 40),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([1e-4, 1e-2, 1.0]),
+)
+@example(*SOLVER_EXAMPLES[0], 1e-4)
+@example(*SOLVER_EXAMPLES[1], 1e-4)
+@example(*SOLVER_EXAMPLES[2], 1e-2)
+@settings(max_examples=60)
+def test_refine_step_matches_dense_normal_equations(
+    kind, n, seed, middle_pin, coincidence_count, distance_count, damping
+):
+    if kind == "random":
+        n = min(n, 9)
+    g, pins, coincidences, distances = solver_case(
+        kind, n, seed, middle_pin, coincidence_count, distance_count
+    )
+    expected = dense_first_step(g, pins, coincidences, distances, damping)
+    result = refine(
+        g,
+        RefineOptions(max_iterations=1, damping=damping, pinned=pins),
+        coincidences=coincidences,
+        distance_constraints=distances,
+    )
+    if expected is None:
+        assert result.iterations == 0
+        return
+    assert result.iterations == 1
+    start = normalize(g).vertices
+    want, got = expected - start, result.graph.vertices - start
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())

@@ -13,6 +13,7 @@ from matchsticks.model import EmbeddedGraph
 from matchsticks.refine import refine
 from matchsticks.verify import (
     Tolerances,
+    _adjacent_overlaps,
     min_clearances,
     segment_pair_distance,
     segment_pair_intersects,
@@ -124,6 +125,47 @@ def test_adjacent_conflict_matches_shared_endpoint_position():
     a = seg(0, 0, 1, 0)
     b = seg(math.cos(5e-5), math.sin(5e-5), 0, 0)
     assert segments_conflict(a, b, shared=(0, 1), eps=1e-4)
+
+
+def scalar_adjacent_overlaps(coords, ea, eb, eps):
+    """Reference: one ``segments_conflict`` call per adjacent edge pair."""
+    out = []
+    for a, b in zip(ea, eb):
+        shared = next((ia, ib) for ia in (0, 1) for ib in (0, 1) if a[ia] == b[ib])
+        seg_a = (*coords[a[0]], *coords[a[1]])
+        seg_b = (*coords[b[0]], *coords[b[1]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # underflowing lengths
+            out.append(segments_conflict(seg_a, seg_b, shared, eps))
+    return out
+
+
+# a small grid makes coincident points (degenerate sticks) and exact
+# collinear or perpendicular pairs likely; free floats cover the rest
+grid_or_free = st.one_of(st.integers(-2, 2).map(float), coord)
+
+
+@given(
+    st.lists(st.tuples(grid_or_free, grid_or_free), min_size=3, max_size=6),
+    st.data(),
+    st.sampled_from([1e-4, 0.05, 0.5, 1.0, 3.0]),
+)
+@settings(max_examples=200)
+def test_adjacent_overlaps_match_scalar_segments_conflict(points, data, eps):
+    coords = np.array(points)
+    n = len(coords)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = np.array([(j, i) if f else (i, j) for (i, j), f in zip(edges, flips)])
+    pairs = [
+        (a, b)
+        for a in range(len(edges))
+        for b in range(a + 1, len(edges))
+        if len(set(edges[a]) & set(edges[b])) == 1
+    ]
+    ea = edges[[a for a, _ in pairs]]
+    eb = edges[[b for _, b in pairs]]
+    got = _adjacent_overlaps(coords, ea, eb, eps)
+    assert got.tolist() == scalar_adjacent_overlaps(coords, ea, eb, eps)
 
 
 def test_triangle_verifies():
