@@ -95,11 +95,7 @@ class EmbeddedGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int array of length v."""
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array().ravel(), minlength=self.vertex_count)
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (e, 2) int array (empty graphs give shape (0, 2))."""

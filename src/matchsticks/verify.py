@@ -7,6 +7,12 @@ of non-adjacent edges at least eps_separation apart (adjacent pairs must not
 overlap beyond their shared endpoint), and no two vertices or vertex/edge
 pairs closer than eps_separation.  Violations are reported as data, never
 raised.
+
+Candidate pairs for the separation checks come from a uniform-grid broad
+phase over axis-aligned boxes (edges and vertices, with an eps margin); only
+candidates reach the exact distance kernels.  Every stick has unit length, so
+cells are about one unit wide and, for drawings of bounded density, time and
+memory grow linearly with the size of the graph.
 """
 
 from __future__ import annotations
@@ -175,11 +181,11 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
     gn = normalize(g)
     coords = gn.vertices
     eidx = gn.edge_array()
-    v, e = gn.vertex_count, gn.edge_count
+    eps = tol.eps_separation
     profile = degree_profile(gn)
 
     # 1. unit lengths
-    if e:
+    if gn.edge_count:
         diff = coords[eidx[:, 0]] - coords[eidx[:, 1]]
         deviations = np.abs(np.hypot(diff[:, 0], diff[:, 1]) - 1.0)
         worst = int(np.argmax(deviations))
@@ -188,55 +194,22 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
         worst, worst_dev = None, 0.0
     unit_ok = worst_dev <= tol.eps_length
 
-    # 2. edge pairs
-    crossing: list[tuple[int, int, float]] = []
-    if e >= 2:
-        s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-        lo = np.minimum(s0, s1)
-        hi = np.maximum(s0, s1)
-        # axis-aligned box prefilter with an eps margin
-        gap_ok = (lo[:, None, :] <= hi[None, :, :] + tol.eps_separation) & (
-            lo[None, :, :] <= hi[:, None, :] + tol.eps_separation
-        )
-        near = gap_ok.all(axis=2)
-        iu, ju = np.triu_indices(e, k=1)
-        shares = (
-            (eidx[iu, 0][:, None] == eidx[ju][:, None].reshape(-1, 2)).any(axis=1)
-            | (eidx[iu, 1][:, None] == eidx[ju][:, None].reshape(-1, 2)).any(axis=1)
-        )
-        candidates = near[iu, ju] & ~shares
-        ci, cj = iu[candidates], ju[candidates]
-        if len(ci):
-            dists = segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj])
-            bad = dists < tol.eps_separation
-            for i, j, d in zip(ci[bad], cj[bad], dists[bad]):
-                crossing.append((int(i), int(j), float(d)))
-        # adjacent pairs: overlap beyond the shared vertex
-        adjacent = near[iu, ju] & shares
-        ai, aj = iu[adjacent], ju[adjacent]
-        overlap = _adjacent_overlaps(coords, eidx[ai], eidx[aj], tol.eps_separation)
-        crossing += [(int(i), int(j), 0.0) for i, j in zip(ai[overlap], aj[overlap])]
+    apart, adjacent, vertex_pairs, vertex_edge = _pair_distances(coords, eidx, eps)
+
+    # 2. edge pairs; adjacent ones must not overlap beyond the shared vertex
+    crossing = [(int(i), int(j), float(d)) for i, j, d in zip(*_below(apart, eps))]
+    ai, aj = adjacent
+    overlap = _adjacent_overlaps(coords, eidx[ai], eidx[aj], eps)
+    crossing += [(int(i), int(j), 0.0) for i, j in zip(ai[overlap], aj[overlap])]
     crossing.sort()
     crossing_ok = not crossing
 
     # 3. vertex clearance
-    clearance: list[tuple[str, int, int, float]] = []
-    if v >= 2:
-        dv = coords[:, None, :] - coords[None, :, :]
-        vv = np.hypot(dv[..., 0], dv[..., 1])
-        ii, jj = np.triu_indices(v, k=1)
-        bad = vv[ii, jj] < tol.eps_separation
-        for i, j, d in zip(ii[bad], jj[bad], vv[ii, jj][bad]):
-            clearance.append(("vertex-vertex", int(i), int(j), float(d)))
-    if e and v:
-        s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-        pv = _point_segment_distance(coords[:, None, :], s0[None, :, :], s1[None, :, :])
-        incident = (np.arange(v)[:, None] == eidx[:, 0][None, :]) | (
-            np.arange(v)[:, None] == eidx[:, 1][None, :]
-        )
-        pv = np.where(incident, np.inf, pv)
-        for i, k in zip(*np.nonzero(pv < tol.eps_separation)):
-            clearance.append(("vertex-edge", int(i), int(k), float(pv[i, k])))
+    clearance = [
+        (kind, int(a), int(b), float(d))
+        for kind, pairs in (("vertex-vertex", vertex_pairs), ("vertex-edge", vertex_edge))
+        for a, b, d in zip(*_below(pairs, eps))
+    ]
     clearance.sort()
     clearance_ok = not clearance
 
@@ -261,6 +234,91 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
         profile=profile,
         classification=classification,
     )
+
+
+def _below(pairs: tuple[np.ndarray, np.ndarray, np.ndarray], eps: float):
+    """The ``(i, j, distance)`` rows of ``pairs`` closer than eps."""
+    bad = pairs[2] < eps
+    return tuple(x[bad] for x in pairs)
+
+
+def _box_pairs(
+    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) whose boxes a[i] and b[j] come within margin on both axes.
+
+    Boxes are (n, 2) arrays of lower and upper corners; a point is a box of
+    zero extent.  The broad phase is a uniform grid: each box of ``b`` is
+    keyed by the cell of its lower corner, and each box of ``a`` looks up the
+    3x3 cells around its own.  A cell is at least the largest box extent plus
+    the margin, so boxes within the margin of each other have lower corners
+    in the same or adjacent cells, and the exact box test on those
+    candidates selects every such pair.  For drawings of bounded density the work and memory are
+    linear in the number of boxes.  Pairs come in no particular order.
+    """
+    if not len(lo_a) or not len(lo_b):
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    lo = np.concatenate([lo_a, lo_b])
+    hi = np.concatenate([hi_a, hi_b])
+    origin = lo.min(axis=0)
+    span = float((hi.max(axis=0) - origin).max())
+    extent = float((hi - lo).max())
+    scale = float(np.maximum(np.abs(lo), np.abs(hi)).max())
+    # The slack covers rounding in the box test, which grows with the
+    # coordinates, and in the keys, which grows with the span.  The floor
+    # at span / 2**20 keeps cell indices, and so the int64 keys, small.
+    cell = max(extent + margin, span / 2**20) * (1 + 2**-20) + scale * 2**-40
+    if math.isfinite(cell):
+        ka = np.floor((lo_a - origin) / cell).astype(np.int64) + 1
+        kb = np.floor((lo_b - origin) / cell).astype(np.int64) + 1
+    else:  # an infinite margin, or a span beyond the float range: one cell
+        ka = np.ones(lo_a.shape, dtype=np.int64)
+        kb = np.ones(lo_b.shape, dtype=np.int64)
+    width = int(max(ka[:, 1].max(), kb[:, 1].max())) + 2
+    keys_b = kb[:, 0] * width + kb[:, 1]
+    order = np.argsort(keys_b, kind="stable")
+    keys_b = keys_b[order]
+    offsets = np.add.outer(np.arange(-1, 2) * width, np.arange(-1, 2)).ravel()
+    queries = ((ka[:, 0] * width + ka[:, 1])[:, None] + offsets).ravel()
+    start = np.searchsorted(keys_b, queries, side="left")
+    count = np.searchsorted(keys_b, queries, side="right") - start
+    i = np.repeat(np.arange(len(queries)) // len(offsets), count)
+    first = np.repeat(start - np.cumsum(count) + count, count)
+    j = order[first + np.arange(len(first))]
+    near = ((lo_a[i] <= hi_b[j] + margin) & (lo_b[j] <= hi_a[i] + margin)).all(axis=1)
+    return i[near], j[near]
+
+
+def _pair_distances(coords: np.ndarray, eidx: np.ndarray, margin: float):
+    """Candidate pairs of the clearance checks, with exact distances.
+
+    Returns ``(apart, adjacent, vertex_pairs, vertex_edge)``: non-adjacent
+    edge pairs ``(i, j, distance)`` with i < j; edge pairs ``(i, j)`` with
+    i < j that share an endpoint; vertex pairs ``(i, j, distance)`` with
+    i < j; and ``(vertex, edge, distance)`` for edges not incident to the
+    vertex.  A pair is a candidate when the boxes of its two elements come
+    within ``margin`` of each other; ``margin = inf`` selects every pair.
+    """
+    s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
+    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+
+    ci, cj = _box_pairs(lo, hi, lo, hi, margin)
+    ci, cj = ci[ci < cj], cj[ci < cj]
+    shares = (eidx[ci][:, :, None] == eidx[cj][:, None, :]).any(axis=(1, 2))
+    ci, cj, ai, aj = ci[~shares], cj[~shares], ci[shares], cj[shares]
+    apart = (ci, cj, segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj]))
+
+    vi, vj = _box_pairs(coords, coords, coords, coords, margin)
+    vi, vj = vi[vi < vj], vj[vi < vj]
+    dv = coords[vi] - coords[vj]
+    vertex_pairs = (vi, vj, np.hypot(dv[:, 0], dv[:, 1]))
+
+    pi, pk = _box_pairs(coords, coords, lo, hi, margin)
+    not_incident = (eidx[pk, 0] != pi) & (eidx[pk, 1] != pi)
+    pi, pk = pi[not_incident], pk[not_incident]
+    vertex_edge = (pi, pk, _point_segment_distance(coords[pi], s0[pk], s1[pk]))
+    return apart, (ai, aj), vertex_pairs, vertex_edge
 
 
 def _adjacent_overlaps(
@@ -293,31 +351,9 @@ def min_clearances(g: EmbeddedGraph) -> tuple[float, float, float]:
     category is empty.
     """
     gn = normalize(g)
-    coords = gn.vertices
-    eidx = gn.edge_array()
-    v, e = gn.vertex_count, gn.edge_count
-    edge_min = vv_min = ve_min = math.inf
-    if e >= 2:
-        s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-        iu, ju = np.triu_indices(e, k=1)
-        shares = (
-            (eidx[iu, 0][:, None] == eidx[ju][:, None].reshape(-1, 2)).any(axis=1)
-            | (eidx[iu, 1][:, None] == eidx[ju][:, None].reshape(-1, 2)).any(axis=1)
-        )
-        ci, cj = iu[~shares], ju[~shares]
-        if len(ci):
-            edge_min = float(segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj]).min())
-    if v >= 2:
-        dv = coords[:, None, :] - coords[None, :, :]
-        vv = np.hypot(dv[..., 0], dv[..., 1])
-        ii, jj = np.triu_indices(v, k=1)
-        vv_min = float(vv[ii, jj].min())
-    if e and v:
-        s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-        pv = _point_segment_distance(coords[:, None, :], s0[None, :, :], s1[None, :, :])
-        incident = (np.arange(v)[:, None] == eidx[:, 0][None, :]) | (
-            np.arange(v)[:, None] == eidx[:, 1][None, :]
-        )
-        pv = np.where(incident, np.inf, pv)
-        ve_min = float(pv.min())
-    return edge_min, vv_min, ve_min
+    apart, _, vertex_pairs, vertex_edge = _pair_distances(
+        gn.vertices, gn.edge_array(), math.inf
+    )
+    return tuple(
+        float(pairs[2].min(initial=math.inf)) for pairs in (apart, vertex_pairs, vertex_edge)
+    )

@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
+from matchsticks import corpus
+from matchsticks.construct import ChainSpec, PartSpec, chain_extend
 from matchsticks.model import EmbeddedGraph
 
 settings.register_profile(
@@ -54,3 +57,16 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return EmbeddedGraph(coords, tuple(sorted(edges)), 1.0, "random")
+
+
+@pytest.fixture(scope="session")
+def long_chain() -> EmbeddedGraph:
+    """fig5a + 300 spacers + fig5c: 995 vertices, built once per session.
+
+    ``chain_extend`` raises RealizationFailedError unless the glue solve
+    converged.
+    """
+    spec = ChainSpec(
+        PartSpec(corpus.refined_graph("fig5a")), PartSpec(corpus.refined_graph("fig5c")), 300
+    )
+    return chain_extend(spec)

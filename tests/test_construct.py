@@ -246,14 +246,10 @@ def test_longer_chains(n, expected):
     assert g.vertex_count == expected
 
 
-def test_long_chain_glues_to_unit_edges():
+def test_long_chain_glues_to_unit_edges(long_chain):
     # 1,597 vertices before merging: the glue solve must stay banded to be quick
-    spec = ChainSpec(
-        PartSpec(corpus.refined_graph("fig5a")), PartSpec(corpus.refined_graph("fig5c")), 300
-    )
-    g = chain_extend(spec)  # raises RealizationFailedError unless the glue solve converged
-    assert g.vertex_count == 995
-    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
+    assert long_chain.vertex_count == 995
+    assert np.abs(edge_lengths(long_chain) - 1.0).max() <= 1e-12
 
 
 def test_chain_rejects_non_spacer_interior():

@@ -1,19 +1,23 @@
 """Matchstick verification: segment predicates, clearances, classifications."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_rhombus, unit_triangle
 from matchsticks import corpus
-from matchsticks.model import EmbeddedGraph
+from matchsticks.model import EmbeddedGraph, degree_profile
 from matchsticks.refine import refine
 from matchsticks.verify import (
     Tolerances,
+    VerificationReport,
     _adjacent_overlaps,
+    _box_pairs,
+    _point_segment_distance,
     min_clearances,
     segment_pair_distance,
     segment_pair_intersects,
@@ -249,3 +253,169 @@ def test_report_json_schema():
     for key in ("unit_length_ok", "worst_deviation", "crossing_ok",
                 "vertex_clearance_ok", "profile", "classification"):
         assert key in payload
+
+
+# -- the grid broad phase against all pairs -----------------------------------
+
+
+def all_pairs_reference(g: EmbeddedGraph, tol: Tolerances = Tolerances()):
+    """Reference for ``verify_matchstick`` and ``min_clearances`` over dense pair arrays.
+
+    Edge pairs are selected from all (e, e) pairs by the box test with an
+    eps margin; vertex pairs and vertex-edge pairs are all tested.  Returns
+    the report and the three minima.
+    """
+    coords = g.vertices / g.unit
+    eidx = g.edge_array()
+    v, e = g.vertex_count, g.edge_count
+    eps = tol.eps_separation
+    s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
+    lengths = np.hypot(*(s0 - s1).T)
+    worst = int(np.argmax(np.abs(lengths - 1.0))) if e else None
+    worst_dev = float(np.abs(lengths[worst] - 1.0)) if e else 0.0
+
+    iu, ju = np.triu_indices(e, k=1)
+    shares = (eidx[iu][:, :, None] == eidx[ju][:, None, :]).any(axis=(1, 2))
+    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+    near = (
+        (lo[:, None, :] <= hi[None, :, :] + eps) & (lo[None, :, :] <= hi[:, None, :] + eps)
+    ).all(axis=2)[iu, ju]
+    ci, cj = iu[~shares], ju[~shares]
+    ee = segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj])
+    bad = near[~shares] & (ee < eps)
+    crossing = [(int(i), int(j), float(d)) for i, j, d in zip(ci[bad], cj[bad], ee[bad])]
+    ai, aj = iu[near & shares], ju[near & shares]
+    overlap = _adjacent_overlaps(coords, eidx[ai], eidx[aj], eps)
+    crossing += [(int(i), int(j), 0.0) for i, j in zip(ai[overlap], aj[overlap])]
+
+    ii, jj = np.triu_indices(v, k=1)
+    vv = np.hypot(*(coords[ii] - coords[jj]).T)
+    pv = _point_segment_distance(coords[:, None, :], s0[None, :, :], s1[None, :, :])
+    incident = (np.arange(v)[:, None] == eidx[:, 0]) | (np.arange(v)[:, None] == eidx[:, 1])
+    pv = np.where(incident, np.inf, pv)
+    clearance = [("vertex-vertex", int(i), int(j), float(d))
+                 for i, j, d in zip(ii[vv < eps], jj[vv < eps], vv[vv < eps])]
+    clearance += [("vertex-edge", int(i), int(k), float(pv[i, k]))
+                  for i, k in zip(*np.nonzero(pv < eps))]
+
+    profile = degree_profile(g)
+    ok = worst_dev <= tol.eps_length and not crossing and not clearance
+    if not ok:
+        classification = "not-a-matchstick-graph"
+    elif profile.is_4_regular():
+        classification = "4-regular matchstick"
+    elif profile.is_24_regular():
+        classification = f"(2,4)-regular matchstick with {profile.degree2_count()} degree-2 vertices"
+    else:
+        classification = "matchstick (other profile)"
+    report = VerificationReport(
+        worst_dev <= tol.eps_length, worst, worst_dev, not crossing, tuple(sorted(crossing)),
+        not clearance, tuple(sorted(clearance)), profile, classification,
+    )
+    minima = tuple(float(d.min(initial=math.inf)) for d in (ee, vv, pv))
+    return report, minima
+
+
+@st.composite
+def crowded_drawings(draw):
+    """Small drawings on a half-unit lattice with jitter near the separation margin.
+
+    Lattice points make coincident, collinear and crossing sticks likely, the
+    jitter turns them into near-violations of every kind, and a random rigid
+    motion moves the pairs across cell boundaries in every direction.
+    """
+    n = draw(st.integers(0, 9))
+    lattice = st.integers(0, 6).map(lambda k: k / 2)
+    jitter = st.sampled_from([0.0, 0.0, 5e-5, -5e-5, 1e-4, -2e-4, 0.03])
+    points = np.array(
+        [[draw(lattice) + draw(jitter), draw(lattice) + draw(jitter)] for _ in range(n)]
+    ).reshape(n, 2)
+    angle = draw(st.floats(0, 2 * math.pi))
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    shift = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    return EmbeddedGraph(points @ rot.T + shift, tuple(edges), 1.0)
+
+
+margins = st.sampled_from([Tolerances(), Tolerances(eps_separation=0.05),
+                           Tolerances(eps_separation=0.3)])
+huge = np.array([[1e300, 1e300], [1e300, 1e300], [-1e300, 1e300], [1e300, -5e299],
+                 [-1e300, -1e300]])
+# vertices 1 and 2 are nearest, but only 1 is within the float range of vertex 0
+beyond_range = np.array([[-1e308, 0.0], [7.976931348623157e307, 0.0], [8e307, 0.0],
+                         [0.0, 1.5e308]])
+
+
+@given(crowded_drawings(), margins)
+@example(EmbeddedGraph(np.zeros((3, 2))), Tolerances())  # no edges, coincident vertices
+@example(EmbeddedGraph(np.zeros((0, 2))), Tolerances())  # nothing at all
+@example(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4)), 1.0), Tolerances())
+@example(EmbeddedGraph(beyond_range, ((0, 3),), 1.0), Tolerances())
+@settings(max_examples=300)
+def test_grid_broad_phase_matches_all_pairs(g, tol):
+    with np.errstate(over="ignore", invalid="ignore"):  # sticks ~1e300 long overflow
+        expected, minima = all_pairs_reference(g, tol)
+        report = verify_matchstick(g, tol)
+        got_minima = min_clearances(g)
+    assert report == expected
+    np.testing.assert_equal(got_minima, minima)
+
+
+@pytest.mark.parametrize(
+    "origin, t",
+    [(0.0, 1.0000999999999998), (0.0, 2.0001999999999995), (1e11, 100000000002.0002)],
+)
+def test_box_pairs_at_the_margin_stay_one_cell_apart(origin, t):
+    # box 2 starts exactly at the margin past box 1, which starts just below
+    # origin + k (1 + margin): a cell of exactly the extent plus the margin
+    # would round their lower corners two cells apart
+    lo = np.array([[origin, 0.0], [t, 0.0], [t + 1.0 + 1e-4, 0.0]])
+    hi = lo + [1.0, 0.0]
+    i, j = _box_pairs(lo, hi, lo, hi, 1e-4)
+    assert (1, 2) in zip(i.tolist(), j.tolist())
+
+
+def test_huge_coordinates_keep_their_pairs():
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_matchstick(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4)), 1.0))
+    assert ("vertex-vertex", 0, 1, 0.0) in report.clearance_violations
+    assert ("vertex-edge", 1, 0, 0.0) in report.clearance_violations
+
+
+# Each pair is shifted in steps smaller than its gap over more than one
+# vertex cell (about eps wide), so some shifts place it across a boundary.
+SHIFTS = [0.5 + k * 2e-5 for k in range(10)]
+
+
+@pytest.mark.parametrize("x", SHIFTS)
+def test_vertices_too_close_fail(x):
+    coords = np.array([[0.0, 0.0], [x, 0.3], [x + 3e-5, 0.3 + 4e-5]])
+    report = verify_matchstick(EmbeddedGraph(coords))
+    assert not report.vertex_clearance_ok
+    ((kind, a, b, d),) = report.clearance_violations
+    assert (kind, a, b) == ("vertex-vertex", 1, 2)
+    assert d == pytest.approx(5e-5)
+    assert report.classification == "not-a-matchstick-graph"
+
+
+@pytest.mark.parametrize("x", SHIFTS)
+def test_folded_adjacent_sticks_cross_at_zero(x):
+    # sticks 0-1 and 0-2 leave vertex 0 in the same direction; vertex 2 lies 5e-5 past 1
+    coords = np.array([[x - 1.0, 0.2], [x, 0.2], [x + 5e-5, 0.2]])
+    report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (0, 2)), 1.0))
+    assert report.crossing_violations == ((0, 1, 0.0),)
+    assert ("vertex-vertex", 1, 2) in [c[:3] for c in report.clearance_violations]
+    assert report.classification == "not-a-matchstick-graph"
+
+
+def test_verify_memory_is_linear_on_a_long_chain(long_chain):
+    # all-pairs arrays over 995 vertices and 1,990 sticks peak above 200 MB
+    tracemalloc.start()
+    try:
+        report = verify_matchstick(long_chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_matchstick
+    assert peak < 20e6
