@@ -37,7 +37,6 @@ from .counting import (
     CoverageSources,
     CoverageTable,
     Inventory,
-    RealizableSet,
     below_63_catalog,
     combinations_table,
     theorem1_coverage,

@@ -28,15 +28,9 @@ from .construct import (
     realize,
     ring_plan,
 )
-from .counting import (
-    DEFAULT_COVERAGE,
-    Inventory,
-    below_63_catalog,
-    combinations_table,
-    theorem1_coverage,
-)
+from .counting import Inventory, combinations_table, theorem1_coverage
 from .ingest import emit_segments, graph_from_text
-from .model import EmbeddedGraph, ModelError, degree_profile, edge_count_identity
+from .model import EmbeddedGraph, ModelError, degree_profile
 from .refine import RefineOptions, ZeroLengthEdgeError, refine
 from .rigidity import DisconnectedGraphError, analyze_rigidity
 from .verify import Tolerances, verify_matchstick

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, normalize
+from .model import EmbeddedGraph, _components, normalize
 from .refine import RefineOptions, refine
 
 _PREFLEX_TOL = 1e-9  # port-gap mismatches below this need no pre-flexing
@@ -102,7 +102,6 @@ def validate_plan(plan: CompositionPlan) -> None:
         raise PlanError("plan has no parts")
     ports = [degree2_vertices(spec.graph) for spec in plan.parts]
     used: set[tuple[int, int]] = set()
-    links: list[list[int]] = [[] for _ in range(k)]
     for a, sa, b, sb in plan.identifications:
         for part, slot in ((a, sa), (b, sb)):
             if not 0 <= part < k:
@@ -116,18 +115,9 @@ def validate_plan(plan: CompositionPlan) -> None:
             used.add((part, slot))
         if a == b:
             raise PlanError(f"identification joins part {a} to itself")
-        links[a].append(b)
-        links[b].append(a)
-    if k > 1:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for other in links[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        if len(seen) != k:
-            raise PlanError("identification graph over parts is not connected")
+    links = np.array(plan.identifications, dtype=np.intp).reshape(-1, 4)
+    if _components(k, links[:, 0], links[:, 2]).any():
+        raise PlanError("identification graph over parts is not connected")
 
 
 def predicted_vertex_count(plan: CompositionPlan) -> int:
@@ -585,35 +575,18 @@ def _spacer_port_pairs(g: EmbeddedGraph) -> tuple[tuple[int, int], tuple[int, in
     """Group a 5-vertex spacer's four ports into its two facing pairs.
 
     The spacer is two triangles sharing a hub vertex; deleting the hub leaves
-    one two-port component per triangle, and each facing pair takes one port
-    from each triangle (the pairing minimizing the within-pair distances).
+    one edge per triangle, joining its two ports, and each facing pair takes
+    one port from each triangle (the pairing minimizing the within-pair
+    distances).
     """
     deg = g.degrees()
     ports = degree2_vertices(g)
     hubs = [int(i) for i in np.nonzero(deg == 4)[0]]
     if g.vertex_count != 5 or g.edge_count != 6 or len(ports) != 4 or len(hubs) != 1:
         raise PlanError("interior chain parts must be the 5-vertex two-triangle spacer")
-    hub = hubs[0]
-    components: list[set[int]] = []
-    remaining = set(range(g.vertex_count)) - {hub}
-    adjacency = {i: set() for i in remaining}
-    for u, v in g.edges:
-        if u != hub and v != hub:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    while remaining:
-        stack = [remaining.pop()]
-        comp = {stack[0]}
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb in remaining:
-                    remaining.remove(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        components.append(comp)
-    if len(components) != 2 or any(len(c) != 2 for c in components):
-        raise PlanError("spacer does not split into two port pairs around its hub")
-    (p1, p2), (q1, q2) = (sorted(c) for c in components)
+    # The hub meets all four ports, so the two other edges pair each port
+    # with its triangle's other port; sorted, the smallest vertex comes first.
+    (p1, p2), (q1, q2) = sorted(edge for edge in g.edges if hubs[0] not in edge)
 
     def dist(i: int, j: int) -> float:
         return float(np.hypot(*(g.vertices[i] - g.vertices[j])))
@@ -809,26 +782,15 @@ def _solve_and_merge(
 
 
 def _merge_pairs(g: EmbeddedGraph, pairs: Sequence[tuple[int, int]]) -> EmbeddedGraph:
-    v = g.vertex_count
-    target = list(range(v))
-    for i, j in pairs:  # each vertex is in at most one pair, so one hop suffices
-        keep, drop = (i, j) if i < j else (j, i)
-        target[drop] = keep
-    new_index: dict[int, int] = {}
-    coords: list[np.ndarray] = []
-    for i in range(v):
-        if target[i] == i:
-            new_index[i] = len(coords)
-            coords.append(g.vertices[i])
-    # merged position: average the (already coincident) pair members
-    position = np.array(coords)
-    counts = np.ones(len(coords))
-    for i, j in pairs:
-        keep, drop = (i, j) if i < j else (j, i)
-        position[new_index[keep]] += g.vertices[drop]
-        counts[new_index[keep]] += 1
-    position /= counts[:, None]
-    edges = tuple(
-        tuple(sorted((new_index[target[u]], new_index[target[v_]]))) for u, v_ in g.edges
-    )
-    return EmbeddedGraph(position, edges, 1.0, g.name)
+    """Merge joined vertices into one at the average of the (coincident) members.
+
+    Vertices keep their order, a merged one at the place of its smallest member.
+    """
+    joints = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    label = _components(g.vertex_count, joints[:, 0], joints[:, 1])
+    keep = label == np.arange(g.vertex_count)
+    target = (np.cumsum(keep) - 1)[label]
+    position = g.vertices[keep]
+    np.add.at(position, target[~keep], g.vertices[~keep])  # in vertex order
+    position /= np.bincount(target)[:, None]
+    return EmbeddedGraph(position, target[g.edge_array()].tolist(), 1.0, g.name)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
+from typing import Mapping
 
 _TABLE_COLUMN_ROWS = 8  # text layout: column-major blocks of 8 rows
 
@@ -68,9 +68,6 @@ class CoverageTable:
     def total(self) -> int:
         return sum(self.rows.values())
 
-    def nonzero_counts(self) -> tuple[int, ...]:
-        return tuple(v for v, g in sorted(self.rows.items()) if g > 0)
-
     def to_text(self) -> str:
         """Aligned text: column-major blocks of 8 (v, g) pairs per line."""
         items = sorted(self.rows.items())
@@ -96,31 +93,6 @@ class CoverageTable:
             "rows": {str(v): g for v, g in sorted(self.rows.items())},
             "total": self.total(),
         }
-
-
-@dataclass(frozen=True)
-class RealizableSet:
-    """Explicitly reachable counts plus arithmetic families {offset + stride*n}."""
-
-    explicit: frozenset[int]
-    arithmetic_families: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "explicit", frozenset(int(v) for v in self.explicit))
-        families = tuple(
-            (int(offset), int(stride)) for offset, stride in self.arithmetic_families
-        )
-        if any(stride < 1 for _offset, stride in families):
-            raise ValueError("family strides must be >= 1")
-        object.__setattr__(self, "arithmetic_families", families)
-
-    def __contains__(self, v: int) -> bool:
-        if v in self.explicit:
-            return True
-        return any(
-            v >= offset and (v - offset) % stride == 0
-            for offset, stride in self.arithmetic_families
-        )
 
 
 def combinations_table(inv: Inventory, parts: int) -> CoverageTable:
@@ -222,19 +194,6 @@ class CoverageCertificate:
         }
 
 
-def realizable_set(sources: CoverageSources = DEFAULT_COVERAGE) -> RealizableSet:
-    """Collapse the manifest into explicit counts plus arithmetic families."""
-    table = combinations_table(sources.inventory, sources.ring_size)
-    explicit = set(table.nonzero_counts())
-    explicit |= set(sources.mirror_doubles)
-    explicit |= set(sources.corpus_graphs)
-    explicit |= set(sources.extra_rings)
-    return RealizableSet(
-        frozenset(explicit),
-        tuple((f.offset, f.stride) for f in sources.families),
-    )
-
-
 def theorem1_coverage(
     max_check: int, sources: CoverageSources = DEFAULT_COVERAGE
 ) -> CoverageCertificate:
@@ -247,7 +206,6 @@ def theorem1_coverage(
     """
     if max_check < 63:
         raise ValueError("max_check must be >= 63")
-    table = combinations_table(sources.inventory, sources.ring_size)
     ring_witness: dict[int, str] = {}
     for combo in combinations_with_replacement(
         sources.inventory.part_sizes, sources.ring_size
@@ -256,7 +214,6 @@ def theorem1_coverage(
         if v not in ring_witness:
             parts = "+".join(str(s) for s in combo)
             ring_witness[v] = f"ring of {sources.ring_size} parts ({parts} vertices)"
-    assert set(ring_witness) == set(table.nonzero_counts())
 
     witnesses: dict[int, str] = {}
     missing: list[int] = []

@@ -5,17 +5,21 @@ metadata, and data lines of four reals ``x1 y1 x2 y2`` (one drawn segment
 each).  Figure drawings repeat each vertex once per incident segment with
 coordinates rounded to 4 decimals, so building a graph means clustering
 endpoints that agree to within a merge radius and estimating which drawing
-length counts as one matchstick.
+length counts as one matchstick.  Endpoint pairs within the merge radius
+come from verify's uniform-grid broad phase, and clusters are the connected
+components of those pairs, so for drawings of bounded density time and
+memory grow linearly with the number of segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .model import EmbeddedGraph, edge_lengths
+from .model import EmbeddedGraph, _components
+from .verify import _box_pairs
 
 METADATA_KEYS = ("name", "claimed_vertices", "claimed_profile", "claimed_rigidity")
 _PROFILES = ("4-regular", "(2,4)-regular")
@@ -144,41 +148,17 @@ def max_unit_deviation(segments: np.ndarray, unit: float) -> float:
 
 
 def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
-    """Union points within eps of each other; returns a cluster label per point.
+    """Join points within eps of each other; returns a cluster label per point.
 
-    Uses a grid hash with cell size eps so only the 3x3 neighborhood needs
-    pairwise checks.  Transitive chains are possible in principle; the caller
-    rejects any clustering whose centroids end up suspiciously close.
+    Candidates come from verify's grid broad phase with margin eps, and the
+    label is the smallest point index in the cluster.  Transitive chains are
+    possible in principle; the caller rejects any clustering whose centroids
+    end up suspiciously close.
     """
-    n = len(points)
-    parent = np.arange(n)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(points / eps).astype(np.int64)
-    for i, (cx, cy) in enumerate(keys):
-        cells.setdefault((int(cx), int(cy)), []).append(i)
-    for (cx, cy), members in cells.items():
-        neighborhood = list(members)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if (dx, dy) != (0, 0):
-                    neighborhood.extend(cells.get((cx + dx, cy + dy), ()))
-        for i in members:
-            for j in neighborhood:
-                if j > i and np.hypot(*(points[i] - points[j])) <= eps:
-                    union(i, j)
-    return np.array([find(i) for i in range(n)])
+    i, j = _box_pairs(points, points, points, points, eps)
+    d = points[i] - points[j]
+    close = np.hypot(d[:, 0], d[:, 1]) <= eps
+    return _components(len(points), i[close], j[close])
 
 
 def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
@@ -191,59 +171,45 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     trusted), and DegenerateSegmentError when a segment's endpoints coincide.
     """
     segs = sf.segments
+    s = len(segs)
+    eps = policy.epsilon_merge
     unit = estimate_unit(segs)
-    if not policy.epsilon_merge < 0.1 * unit:
-        raise AmbiguousMergeError(
-            f"epsilon_merge {policy.epsilon_merge} is not small against the unit {unit:.6g}"
-        )
+    if not eps < 0.1 * unit:
+        raise AmbiguousMergeError(f"epsilon_merge {eps} is not small against the unit {unit:.6g}")
     endpoints = np.concatenate([segs[:, 0:2], segs[:, 2:4]])  # (2s, 2): starts then ends
-    labels = _cluster_endpoints(endpoints, policy.epsilon_merge)
+    labels = _cluster_endpoints(endpoints, eps)
 
     # vertex ids in order of first appearance along the segment list
-    order: dict[int, int] = {}
-    for s in range(len(segs)):
-        for label in (labels[s], labels[s + len(segs)]):
-            if label not in order:
-                order[label] = len(order)
-    centroids = np.zeros((len(order), 2))
-    counts = np.zeros(len(order))
-    for point, label in zip(endpoints, labels):
-        i = order[label]
-        centroids[i] += point
-        counts[i] += 1
-    centroids /= counts[:, None]
+    walk = labels.reshape(2, s).T.ravel()
+    found, first = np.unique(walk, return_index=True)
+    vertex_of = np.empty(2 * s, dtype=np.intp)
+    vertex_of[found[np.argsort(first)]] = np.arange(len(found))
+    ends = vertex_of[labels]
+    centroids = np.zeros((len(found), 2))
+    np.add.at(centroids, ends, endpoints)  # summed in endpoint order
+    centroids /= np.bincount(ends)[:, None]
 
-    mind = _min_pairwise_distance(centroids)
-    if mind < 2 * policy.epsilon_merge:
+    ci, cj = _box_pairs(centroids, centroids, centroids, centroids, 2 * eps)
+    d = centroids[ci] - centroids[cj]
+    mind = float(np.hypot(d[:, 0], d[:, 1])[ci != cj].min(initial=np.inf))
+    if mind < 2 * eps:
         raise AmbiguousMergeError(
             f"two merged vertices are only {mind:.6g} apart "
-            f"(< 2 x epsilon_merge = {2 * policy.epsilon_merge:.6g})"
+            f"(< 2 x epsilon_merge = {2 * eps:.6g})"
         )
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for s in range(len(segs)):
-        u = order[labels[s]]
-        v = order[labels[s + len(segs)]]
-        if u == v:
-            raise DegenerateSegmentError(f"segment {s} endpoints merged into vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
+    u, v = ends[:s], ends[s:]
+    degenerate = np.flatnonzero(u == v)
+    if len(degenerate):
+        k = degenerate[0]
+        raise DegenerateSegmentError(f"segment {k} endpoints merged into vertex {u[k]}")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _, first = np.unique(lo * len(found) + hi, return_index=True)
+    keep = np.sort(first)
+    edges = tuple(zip(lo[keep].tolist(), hi[keep].tolist()))
 
     name = sf.metadata.get("name")
-    return EmbeddedGraph(centroids, tuple(edges), unit, str(name) if name is not None else None)
-
-
-def _min_pairwise_distance(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return np.inf
-    # a few hundred points at most; the quadratic broadcast is fine
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    return EmbeddedGraph(centroids, edges, unit, str(name) if name is not None else None)
 
 
 def graph_from_text(text: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:

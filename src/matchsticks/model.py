@@ -195,6 +195,30 @@ def edge_lengths(g: EmbeddedGraph) -> np.ndarray:
     return np.hypot(diff[:, 0], diff[:, 1]) / g.unit
 
 
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """For each of n nodes, the smallest node index in its component.
+
+    The graph's edges are the pairs ``(i[k], j[k])``.  Each round hooks the
+    larger label of every edge whose ends disagree onto the smaller one and
+    then jumps pointers until every label is a root; labels only decrease,
+    so the rounds stop with each component labelled by its smallest member.
+    """
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        split = li != lj
+        if not split.any():
+            return label
+        np.minimum.at(label, np.maximum(li, lj)[split], np.minimum(li, lj)[split])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+
+
 def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
     """Rescale coordinates so that unit = 1 (a pure change of scale)."""
     if g.unit == 1.0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph
+from .model import EmbeddedGraph, _components
 from .refine import residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
@@ -66,23 +66,10 @@ def rigidity_matrix(g: EmbeddedGraph) -> np.ndarray:
 
 def is_connected(g: EmbeddedGraph) -> bool:
     """Connectivity over the edge list; isolated vertices disconnect a graph."""
-    v = g.vertex_count
-    if v == 0:
+    if g.vertex_count == 0:
         return False
-    adjacency: list[list[int]] = [[] for _ in range(v)]
-    for a, b in g.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = np.zeros(v, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other in adjacency[node]:
-            if not seen[other]:
-                seen[other] = True
-                stack.append(other)
-    return bool(seen.all())
+    e = g.edge_array()
+    return not _components(g.vertex_count, e[:, 0], e[:, 1]).any()
 
 
 def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL) -> RigidityReport:

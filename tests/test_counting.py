@@ -15,10 +15,8 @@ from matchsticks.counting import (
     CoverageSources,
     CoverageTable,
     Inventory,
-    RealizableSet,
     below_63_catalog,
     combinations_table,
-    realizable_set,
     theorem1_coverage,
 )
 
@@ -151,7 +149,7 @@ def test_table_vertex_range_endpoints(inv, parts):
     assert table.rows[lo] == 1 and table.rows[hi] == 1
 
 
-# -- realizable sets and families ---------------------------------------------
+# -- arithmetic families ------------------------------------------------------
 
 
 def test_arithmetic_family_member_index():
@@ -160,21 +158,6 @@ def test_arithmetic_family_member_index():
     assert family.member_index(97) == 1
     assert family.member_index(95) is None
     assert family.member_index(91) is None
-
-
-def test_realizable_set_membership():
-    s = RealizableSet(frozenset({10}), ((94, 3),))
-    assert 10 in s
-    assert 94 in s and 97 in s and 9400 in s
-    assert 95 not in s and 11 not in s and 91 not in s
-    with pytest.raises(ValueError):
-        RealizableSet(frozenset(), ((94, 0),))
-
-
-def test_default_realizable_set_has_no_gap_above_63():
-    s = realizable_set(DEFAULT_COVERAGE)
-    assert all(v in s for v in range(63, 5000))
-    assert 62 not in s
 
 
 # -- coverage certificates ----------------------------------------------------

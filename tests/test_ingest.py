@@ -1,8 +1,10 @@
 """Segment file parsing, endpoint merging, and the bundled corpus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchsticks import corpus
@@ -10,6 +12,7 @@ from matchsticks.ingest import (
     AmbiguousMergeError,
     DegenerateSegmentError,
     MergePolicy,
+    SegmentFile,
     SegmentFileError,
     build_graph,
     emit_segments,
@@ -156,6 +159,134 @@ def test_emit_records_name():
     assert "! name square" in emit_segments(g)
 
 
+# -- clustering against a cell-loop reference ----------------------------------
+
+
+def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph:
+    """Reference for ``build_graph``: a dict of eps-wide cells, union-find, dense check.
+
+    Endpoints within eps (``hypot``) of each other are unioned, each union
+    rooted at the smaller index; vertices are cluster centroids summed in
+    endpoint order and numbered by first appearance along the segment list;
+    any two centroids closer than 2 eps (all v x v distances) are ambiguous.
+    """
+    segs = sf.segments
+    eps = policy.epsilon_merge
+    unit = estimate_unit(segs)
+    if not eps < 0.1 * unit:
+        raise AmbiguousMergeError(f"epsilon_merge {eps} is not small against the unit {unit:.6g}")
+    points = np.concatenate([segs[:, 0:2], segs[:, 2:4]])
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    cells = {}
+    for i, key in enumerate(np.floor(points / eps).astype(np.int64).tolist()):
+        cells.setdefault(tuple(key), []).append(i)
+    for (cx, cy), members in cells.items():
+        near = [
+            j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
+        ]
+        for i in members:
+            for j in near:
+                if j > i and np.hypot(*(points[i] - points[j])) <= eps:
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)
+    labels = [find(i) for i in range(len(points))]
+
+    order = {}
+    for s in range(len(segs)):
+        for label in (labels[s], labels[s + len(segs)]):
+            order.setdefault(label, len(order))
+    centroids = np.zeros((len(order), 2))
+    counts = np.zeros(len(order))
+    for point, label in zip(points, labels):
+        centroids[order[label]] += point
+        counts[order[label]] += 1
+    centroids /= counts[:, None]
+    if len(centroids) > 1:
+        diff = centroids[:, None, :] - centroids[None, :, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        np.fill_diagonal(dist, np.inf)
+        mind = float(dist.min())
+        if mind < 2 * eps:
+            raise AmbiguousMergeError(
+                f"two merged vertices are only {mind:.6g} apart "
+                f"(< 2 x epsilon_merge = {2 * eps:.6g})"
+            )
+    edges = []
+    for s in range(len(segs)):
+        u, v = order[labels[s]], order[labels[s + len(segs)]]
+        if u == v:
+            raise DegenerateSegmentError(f"segment {s} endpoints merged into vertex {u}")
+        if (min(u, v), max(u, v)) not in edges:
+            edges.append((min(u, v), max(u, v)))
+    return EmbeddedGraph(centroids, tuple(edges), unit, sf.name)
+
+
+def build_outcome(build, sf: SegmentFile, policy: MergePolicy):
+    try:
+        g = build(sf, policy)
+    except (AmbiguousMergeError, DegenerateSegmentError) as exc:
+        return type(exc).__name__, str(exc)
+    return g.vertices.tobytes(), g.edges, g.unit
+
+
+def drawing(segments, eps: float = 1e-2):
+    return SegmentFile({"name": "drawing"}, np.array(segments, dtype=float)), MergePolicy(eps)
+
+
+@st.composite
+def merge_drawings(draw):
+    """Drawings whose endpoints scatter around their vertices by about epsilon_merge.
+
+    ``spread`` scales each endpoint's offset so that endpoints of one vertex
+    end up just inside or just outside eps of each other; ``snap`` puts the
+    vertices on multiples of eps, so their endpoints straddle cell
+    boundaries; ``chain`` adds segments whose starts step 0.9 eps apart (a
+    transitive cluster); ``near_miss`` adds a cluster 1-2.2 eps from a vertex
+    (ambiguous); ``loop`` adds a segment from a vertex to itself (degenerate).
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    eps = draw(st.sampled_from([5e-3, 1e-2, 2e-2]))
+    spread = draw(st.sampled_from([0.0, 0.2, 0.45, 0.6, 0.7, 1.0, 1.3]))
+    snap, near_miss, loop = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    chain = draw(st.integers(min_value=0, max_value=6))
+    n = int(rng.integers(2, 10))
+    spots = rng.choice(36, size=n, replace=False)
+    vertices = np.column_stack([spots // 6, spots % 6]) + rng.uniform(-0.2, 0.2, (n, 2))
+    if snap:
+        vertices = np.round(vertices / eps) * eps
+    ends = rng.integers(0, n, size=(int(rng.integers(1, 16)), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    ends = np.vstack([[[0, 1]], ends] + ([[[1, 1]]] if loop else []))
+    segments = vertices[ends].reshape(-1, 4)
+    segments += rng.uniform(-1, 1, segments.shape) * spread * eps / 2
+    x, y = vertices[0]
+    steps = 0.9 * eps * np.arange(1, chain + 1)
+    extra = [[x + t, y, x + 1 + t, y + 0.5] for t in steps]
+    if near_miss:
+        d = rng.uniform(1.0, 2.2) * eps
+        extra.append([x + d, y, x + d + 1, y + 0.3])
+    return drawing(np.vstack([segments] + extra if extra else [segments]), eps)
+
+
+@given(merge_drawings())
+@example(drawing([[0, 0, 1, 0], [2, 2, 2.001, 2]]))  # degenerate
+@example(drawing([[0, 0, 1, 0], [0, 0.015, 1, 1]]))  # ambiguous
+# endpoints straddling the cell boundaries at multiples of 0.01
+@example(drawing([[0.009, 0, 1, 0], [0.0101, 0.5, 0.0099, 1.5], [0.02, 0.001, 1, 0.7]]))
+@example(drawing([[0.009 * k, 0, 1 + 0.009 * k, 1] for k in range(6)]))  # transitive chains
+@settings(max_examples=300)
+def test_build_graph_matches_cell_loop_reference(case):
+    sf, policy = case
+    expected = build_outcome(cell_loop_build_graph, sf, policy)
+    assert build_outcome(build_graph, sf, policy) == expected
+
+
 # -- bundled corpus -----------------------------------------------------------
 
 
@@ -218,3 +349,15 @@ def test_refined_graph_cache_follows_corpus_directory(tmp_path, monkeypatch):
     monkeypatch.delenv(corpus.CORPUS_ENV)
     with pytest.raises(corpus.CorpusError):
         corpus.refined_graph("shape")
+
+
+def test_build_graph_memory_is_linear_on_a_long_chain(long_chain):
+    # a dense v x v centroid check over these 995 vertices peaks above 20 MB
+    tracemalloc.start()
+    try:
+        g = graph_from_text(emit_segments(long_chain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.vertex_count, g.edge_count) == (long_chain.vertex_count, long_chain.edge_count)
+    assert peak < 8e6

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import unit_rhombus, unit_triangle
@@ -15,6 +15,7 @@ from matchsticks.model import (
     edge_count_identity,
     edge_length,
     edge_lengths,
+    _components,
     normalize,
 )
 
@@ -151,3 +152,46 @@ def test_with_vertices_checks_shape():
         g.with_vertices(np.zeros((3, 3)))
     with pytest.raises(ModelError):
         g.with_vertices(np.zeros((2, 2)))  # edges would dangle
+
+
+def smallest_in_component_reference(n, pairs):
+    """Plain depth-first search: the smallest node index of each node's component."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] < 0:
+            label[start] = start
+            stack = [start]
+            while stack:
+                for other in adjacency[stack.pop()]:
+                    if label[other] < 0:
+                        label[other] = start
+                        stack.append(other)
+    return label
+
+
+@st.composite
+def pair_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    if n == 0:
+        return 0, []
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    return n, pairs + repeats
+
+
+@given(pair_lists())
+@example((0, []))
+@example((5, []))
+@example((4, [(3, 2), (3, 2), (2, 3), (1, 1)]))
+@example((8, [(k + 1, k) for k in reversed(range(7))]))  # a path, largest node first
+@example((6, [(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]))  # a star around the largest node
+def test_components_match_depth_first_search(case):
+    n, pairs = case
+    i = np.array([a for a, _ in pairs], dtype=int)
+    j = np.array([b for _, b in pairs], dtype=int)
+    assert _components(n, i, j).tolist() == smallest_in_component_reference(n, pairs)
