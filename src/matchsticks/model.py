@@ -8,6 +8,7 @@ value: transformations return new graphs and never mutate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -75,9 +76,13 @@ class EmbeddedGraph:
                 raise ModelError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
         coords.setflags(write=False)
+        flat = itertools.chain.from_iterable(edges)
+        edge_array = np.fromiter(flat, int, 2 * len(edges)).reshape(-1, 2)
+        edge_array.setflags(write=False)
         object.__setattr__(self, "vertices", coords)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "unit", float(self.unit))
+        object.__setattr__(self, "_edge_array", edge_array)
 
     # -- elementary accessors -------------------------------------------------
 
@@ -98,10 +103,11 @@ class EmbeddedGraph:
         return np.bincount(self.edge_array().ravel(), minlength=self.vertex_count)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (e, 2) int array (empty graphs give shape (0, 2))."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=int)
-        return np.array(self.edges, dtype=int)
+        """Edges as a read-only (e, 2) int array (empty graphs give shape (0, 2)).
+
+        Built once per graph; every call returns the same array.
+        """
+        return self._edge_array
 
     def with_vertices(self, coords: np.ndarray, unit: float | None = None) -> "EmbeddedGraph":
         """Same combinatorics, new coordinates (and optionally a new unit)."""

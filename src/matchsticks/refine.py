@@ -10,9 +10,10 @@ The solver never forms the dense Jacobian.  Every residual row touches at
 most two vertices, so ordering the free coordinates along the drawing's
 principal axis makes the normal matrix J^T J banded: unit edges keep
 neighbours within one unit of each other along the axis.  It is scattered
-straight into block-tridiagonal storage and each damped step is a block LU
-solve, so memory and time grow linearly in the vertex count for drawings of
-bounded width, such as long chains.  The solver needs numpy only.
+straight into block-tridiagonal storage and each damped step is a block
+LDL^T solve, so memory and time grow linearly in the vertex count for
+drawings of bounded width, such as long chains.  The rigidity module factors
+the same storage with other shifts.  The solver needs numpy only.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def refine(
         stepped = False
         while lam <= _DAMPING_CEIL:
             try:
-                dx = system.step(lam)
+                dx = system.factor(lam).solve(system.rhs)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
@@ -267,7 +268,9 @@ class _NormalEquations:
 
     Length rows touch four coordinates, coincidence rows two, with constant
     values (1, -1).  The pattern is fixed at construction; ``assemble``
-    scatters the current values and ``step`` solves for one damping.
+    scatters the current values and ``factor`` factors the matrix for one
+    damping, or any other shift of the diagonal.  ``position`` maps each flat
+    coordinate to its place in the ordering (-1 when pinned).
     """
 
     def __init__(
@@ -280,7 +283,7 @@ class _NormalEquations:
         flat = (2 * along[:, None] + np.array([0, 1])).ravel()
         self.unknowns = flat[free[flat]]  # flat coordinate of each unknown
         n = len(self.unknowns)
-        pos = np.full(free.size, -1)
+        self.position = pos = np.full(free.size, -1)
         pos[self.unknowns] = np.arange(n)
 
         self._links = links
@@ -334,30 +337,86 @@ class _NormalEquations:
         weights = (vals * r[:m, None]).ravel()
         if len(r) > m:
             weights = np.concatenate([weights, np.outer(r[m:], [1.0, -1.0]).ravel()])
-        self._rhs = -np.bincount(
-            self._grad_index, weights[self._grad_keep], minlength=self.count * self.size
+        self.rhs = -np.bincount(
+            self._grad_index, weights[self._grad_keep], minlength=len(self.unknowns)
         )
 
-    def step(self, lam: float) -> np.ndarray:
-        """The damped Gauss-Newton step, one entry per unknown.
+    def bounds(self) -> tuple[float, float]:
+        """Largest diagonal entry and largest absolute row sum of J^T J.
 
-        Raises LinAlgError when a pivot block is singular.
+        Both bound the largest eigenvalue, from below and from above
+        (Gershgorin).  Padding rows are zero and change neither.
         """
         s, nb = self.size, self.count
         blocks = self._hessian.reshape(2 * nb - 1, s, s)
-        damp = lam * np.eye(s)
-        below = blocks[1::2]
-        y = self._rhs.reshape(nb, s).copy()
-        gains = []
-        pivot = blocks[0] + damp
+        top = float(blocks[0::2].diagonal(axis1=1, axis2=2).max())
+        sums = np.abs(blocks[0::2]).sum(axis=2)
+        below = np.abs(blocks[1::2])
+        sums[1:] += below.sum(axis=2)
+        sums[:-1] += below.sum(axis=1)
+        return top, float(sums.max())
+
+    def factor(self, shift: float) -> "_BlockFactor":
+        """J^T J + shift I, to be solved or to have its inertia counted."""
+        s, nb = self.size, self.count
+        return _BlockFactor(self._hessian.reshape(2 * nb - 1, s, s), shift, len(self.unknowns))
+
+
+class _BlockFactor:
+    """L D L^T of a shifted block-tridiagonal matrix.
+
+    D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
+    the gain G_k = P_k^-1 B_k^T.  The first solve forms them, carrying its
+    right-hand sides through the same elimination; later solves reuse them.
+    Pivots are only ever applied with ``np.linalg.solve``: with a shift near
+    an eigenvalue a pivot is nearly singular, and an explicit inverse would
+    lose the small eigenvalues that rank decisions rest on.
+    """
+
+    def __init__(self, blocks: np.ndarray, shift: float, n: int) -> None:
+        self._diagonal = blocks[0::2] + shift * np.eye(blocks.shape[1])
+        self._below = blocks[1::2]
+        self._n = n
+        # padded rows hold the shift alone, so they sit below zero when it does
+        padding = len(self._diagonal) * blocks.shape[1] - n
+        self._negative_padding = padding if shift < 0 else 0
+        self._pivots: list[np.ndarray] = []
+        self._gains: list[np.ndarray] = []
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """The solution for one right-hand side (n,) or several (n, p).
+
+        Raises LinAlgError when a pivot block is singular.
+        """
+        nb, s = self._diagonal.shape[:2]
+        q = x.shape[1] if x.ndim > 1 else 1
+        y = np.zeros((nb * s, q))
+        y[: self._n] = x.reshape(self._n, q)
+        y = y.reshape(nb, s, q)
+        eliminate = not self._pivots
+        pivot = self._diagonal[0]
         for k in range(nb - 1):
-            solved = np.linalg.solve(pivot, np.column_stack([below[k].T, y[k]]))
-            gains.append(solved[:, :s])
-            y[k] = solved[:, s]
-            update = below[k] @ solved
-            pivot = blocks[2 * k + 2] + damp - update[:, :s]
-            y[k + 1] -= update[:, s]
-        y[-1] = np.linalg.solve(pivot, y[-1])
+            if eliminate:
+                solved = np.linalg.solve(pivot, np.concatenate([self._below[k].T, y[k]], axis=1))
+                self._pivots.append(pivot)
+                self._gains.append(solved[:, :s])
+                y[k] = solved[:, s:]
+                update = self._below[k] @ solved
+                pivot = self._diagonal[k + 1] - update[:, :s]
+                y[k + 1] -= update[:, s:]
+            else:
+                y[k] = np.linalg.solve(self._pivots[k], y[k])
+                y[k + 1] -= self._below[k] @ y[k]
+        if eliminate:
+            self._pivots.append(pivot)
+        y[-1] = np.linalg.solve(self._pivots[-1], y[-1])
         for k in range(nb - 2, -1, -1):
-            y[k] -= gains[k] @ y[k + 1]
-        return y.ravel()[: len(self.unknowns)]
+            y[k] -= self._gains[k] @ y[k + 1]
+        return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
+
+    def negative_count(self) -> int:
+        """How many eigenvalues are negative (Sylvester's law of inertia)."""
+        if not self._pivots:
+            self.solve(np.zeros((self._n, 0)))
+        eigenvalues = np.linalg.eigvalsh(np.stack(self._pivots))
+        return int(np.count_nonzero(eigenvalues < 0)) - self._negative_padding

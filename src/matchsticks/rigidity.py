@@ -7,19 +7,33 @@ motions are removed; it is infinitesimally rigid exactly when the matrix
 reaches that rank.  Rank is decided numerically from the singular values, so
 refined input (edges near unit length) is recommended: figure-accuracy
 coordinates blur the small singular values that separate flexes from noise.
+
+Only the smallest singular values and the largest one matter to the rank.
+Small graphs take a dense SVD.  From ``_BANDED_FROM`` vertices on, where the
+dense SVD's cubic cost overtakes it, they come from block inverse iteration
+on J^T J in the block-tridiagonal storage of ``refine``'s solver, with
+Sylvester inertia counts on the same factorization to make sure no small
+singular value is missed and to bracket the largest.  Memory and time then
+grow linearly in the vertex count for long, thin drawings such as chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, _components
-from .refine import residual_jacobian
+from .model import EmbeddedGraph, _components, normalize
+from .refine import _link_columns, _link_values, _NormalEquations, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
+_BANDED_FROM = 150  # vertices; measured crossover of the dense and banded paths
+_SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
+_MAX_SWEEPS = 50
+_SETTLED = 1e-15  # Ritz values moving less than this times the sigma_max bound have settled
+_MAX_BISECTIONS = 60
 
 
 class DisconnectedGraphError(ValueError):
@@ -38,7 +52,7 @@ class RigidityReport:
     dof_bound: int
     internal_flexes: int
     classification: str  # "rigid" | "flexible"
-    singular_values: tuple[float, ...]  # descending
+    smallest_singular_values: tuple[float, ...]  # ascending; at least min(10, all) of them
 
     @property
     def rigid(self) -> bool:
@@ -46,7 +60,7 @@ class RigidityReport:
 
     def singular_tail(self, count: int = 10) -> tuple[float, ...]:
         """The smallest ``count`` singular values (ascending), for audit."""
-        return tuple(sorted(self.singular_values)[:count])
+        return self.smallest_singular_values[:count]
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,9 +99,12 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         raise ValueError("rigidity analysis needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    matrix = rigidity_matrix(g)
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(sigma > rank_tol_factor * sigma[0])) if len(sigma) else 0
+    if g.vertex_count < _BANDED_FROM:
+        sigma = np.linalg.svd(rigidity_matrix(g), compute_uv=False)
+        rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
+        tail = sigma[::-1]
+    else:
+        rank, tail = _banded_rank(g, rank_tol_factor)
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -95,8 +112,69 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         dof_bound=dof_bound,
         internal_flexes=flexes,
         classification="rigid" if flexes == 0 else "flexible",
-        singular_values=tuple(float(s) for s in sigma),
+        smallest_singular_values=tuple(float(s) for s in tail),
     )
+
+
+def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndarray]:
+    """Rank and the smallest singular values (ascending), without a dense matrix.
+
+    J^T J is assembled in the block-tridiagonal form that ``refine`` solves
+    with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a seeded
+    block of p vectors V towards the eigenvectors of the smallest
+    eigenvalues; the Ritz values are the singular values of the e x p product
+    J V, taken without squaring, and the iteration stops once they settle.
+    Every singular value below mu must be among them: Sylvester's law of
+    inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
+    as many Ritz values lie below mu.  sigma_max lies between the square
+    roots of the largest diagonal entry and of the Gershgorin bound; that
+    bracket is bisected (are all eigenvalues below m^2?) only while a small
+    singular value could fall on either side of rank_tol_factor * sigma_max.
+    """
+    coords = normalize(g).vertices
+    links = g.edge_array()
+    n, e = 2 * g.vertex_count, len(links)
+    system = _NormalEquations(coords, links, np.zeros((0, 2), dtype=int), np.ones(n, dtype=bool))
+    system.assemble(coords, np.zeros(e))
+    rows = system.position[_link_columns(links)]
+    values = _link_values(coords, links)
+    top, gershgorin = system.bounds()
+    lo, hi = math.sqrt(top), math.sqrt(gershgorin)
+    mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
+    small = system.factor(-mu * mu).negative_count()
+    inverse = system.factor(_SHIFT * top)
+    structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
+
+    def ritz(v: np.ndarray) -> np.ndarray:
+        found = np.linalg.svd(np.einsum("rk,rkp->rp", values, v[rows]), compute_uv=False)
+        return np.concatenate([np.zeros(v.shape[1] - len(found)), found[::-1]])
+
+    rng = np.random.default_rng(0)
+    p = min(n, structural + 3 + 10 + 8)  # rigid motions, reported values, spares
+    while True:
+        v = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        theta = np.full(p, np.inf)
+        watch = min(p, max(small, structural + 10))  # the values reported or counted
+        for _ in range(_MAX_SWEEPS):
+            v = np.linalg.qr(inverse.solve(v))[0]
+            previous, theta = theta, ritz(v)
+            settled = np.max(np.abs(theta[:watch] - previous[:watch])) <= _SETTLED * hi
+            if settled:
+                break
+        if p == n or (settled and np.count_nonzero(theta < mu) == small):
+            break
+        p = min(2 * p, n)
+    tail = theta[structural:watch]
+    for _ in range(_MAX_BISECTIONS):
+        if not np.any((rank_tol_factor * lo <= tail) & (tail <= rank_tol_factor * hi)):
+            break
+        m = (lo + hi) / 2
+        if system.factor(-m * m).negative_count() == n:
+            hi = m
+        else:
+            lo = m
+    rank = min(e, n) - int(np.count_nonzero(tail <= rank_tol_factor * hi))
+    return rank, tail
 
 
 @dataclass(frozen=True)

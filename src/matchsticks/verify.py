@@ -93,25 +93,46 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Distance from point(s) to segment(s), broadcasting over leading axes."""
+def _scale(*points: np.ndarray) -> np.ndarray:
+    """Per pair, the power of two just above the largest |coordinate|, (..., 1).
+
+    Dividing by a power of two is exact and changes no rounding, yet squares
+    and cross products of coordinates near the float range cannot overflow.
+    """
+    largest = np.abs(points[0]).max(axis=-1)
+    for x in points[1:]:
+        largest = np.maximum(largest, np.abs(x).max(axis=-1))
+    return np.ldexp(1.0, np.frexp(largest)[1])[..., None]
+
+
+def _gap(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """p minus its nearest point on segment s0-s1, for scaled coordinates."""
     d = s1 - s0
     dd = np.sum(d * d, axis=-1)
     t = np.sum((p - s0) * d, axis=-1) / np.where(dd > 0, dd, 1.0)
     t = np.clip(t, 0.0, 1.0)
-    proj = s0 + t[..., None] * d
-    return np.linalg.norm(p - proj, axis=-1)
+    return p - (s0 + t[..., None] * d)
+
+
+def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Distance from point(s) to segment(s), broadcasting over leading axes."""
+    scale = _scale(p, s0, s1)
+    gap = _gap(p / scale, s0 / scale, s1 / scale)
+    return np.hypot(gap[..., 0], gap[..., 1]) * scale[..., 0]
 
 
 def segment_pair_intersects(a0, a1, b0, b1) -> np.ndarray:
     """Strict proper crossing (interiors cross); touching does not count."""
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
+    scale = _scale(a0, a1, b0, b1)
+    a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
     d1, d2 = a1 - a0, b1 - b0
     s1 = _cross(d1, b0 - a0)
     s2 = _cross(d1, b1 - a0)
     s3 = _cross(d2, a0 - b0)
     s4 = _cross(d2, a1 - b0)
-    return (s1 * s2 < 0) & (s3 * s4 < 0)
+    # signs, not products: products of tiny scaled cross terms would underflow to 0
+    return (np.sign(s1) * np.sign(s2) < 0) & (np.sign(s3) * np.sign(s4) < 0)
 
 
 def segment_pair_distance(a0, a1, b0, b1) -> np.ndarray:
@@ -122,14 +143,10 @@ def segment_pair_distance(a0, a1, b0, b1) -> np.ndarray:
     exact; proper crossings are detected separately and give 0.
     """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
-    dist = np.minimum.reduce(
-        [
-            _point_segment_distance(b0, a0, a1),
-            _point_segment_distance(b1, a0, a1),
-            _point_segment_distance(a0, b0, b1),
-            _point_segment_distance(a1, b0, b1),
-        ]
-    )
+    scale = _scale(a0, a1, b0, b1)
+    a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
+    gaps = [_gap(b0, a0, a1), _gap(b1, a0, a1), _gap(a0, b0, b1), _gap(a1, b0, b1)]
+    dist = np.minimum.reduce([np.hypot(g[..., 0], g[..., 1]) for g in gaps]) * scale[..., 0]
     return np.where(segment_pair_intersects(a0, a1, b0, b1), 0.0, dist)
 
 

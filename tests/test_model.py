@@ -40,6 +40,17 @@ def test_vertices_array_is_read_only():
         g.vertices[0, 0] = 99.0
 
 
+def test_edge_array_is_built_once_and_read_only():
+    g = unit_triangle()
+    edges = g.edge_array()
+    assert g.edge_array() is edges
+    assert edges.tolist() == [list(e) for e in g.edges]
+    assert not edges.flags.writeable
+    with pytest.raises(ValueError):
+        edges[0, 0] = 2
+    assert EmbeddedGraph(np.zeros((2, 2))).edge_array().shape == (0, 2)
+
+
 @pytest.mark.parametrize(
     "edges",
     [((0, 0),), ((0, 1), (1, 0)), ((0, 3),), ((-1, 1),)],

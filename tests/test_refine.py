@@ -162,10 +162,16 @@ def test_coincidence_constraints_bring_points_together_without_merging():
 
 
 def test_refine_imports_numpy_only():
-    # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package
+    # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package;
+    # the chain (215 vertices) takes the banded rigidity path
     code = (
-        "import sys, matchsticks; from matchsticks import corpus, refine; "
+        "import sys, matchsticks; from matchsticks import corpus, refine, rigidity; "
+        "from matchsticks.construct import ChainSpec, PartSpec, chain_extend; "
         "refine(corpus.load_graph('fig5a')); "
+        "parts = [PartSpec(corpus.refined_graph(n)) for n in ('fig5a', 'fig5c')]; "
+        "g = chain_extend(ChainSpec(*parts, 40)); "
+        "assert g.vertex_count >= rigidity._BANDED_FROM; "
+        "assert rigidity.analyze_rigidity(g).internal_flexes == 1; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(matchsticks.__file__).parents[1])}
@@ -211,6 +217,22 @@ def solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count):
     return g, pins, coincidences, distances
 
 
+def dense_jacobian(g, coincidences, distances):
+    """Rows for edges, then distance constraints, then coincidences; 2v columns."""
+    coords = normalize(g).vertices
+    links = list(g.edges) + [(i, j) for i, j, _ in distances]
+    J = np.zeros((len(links) + 2 * len(coincidences), 2 * g.vertex_count))
+    for row, (i, j) in enumerate(links):
+        u = (coords[i] - coords[j]) / np.hypot(*(coords[i] - coords[j]))
+        J[row, 2 * i : 2 * i + 2] = u
+        J[row, 2 * j : 2 * j + 2] = -u
+    for k, (i, j) in enumerate(coincidences):
+        for d in (0, 1):
+            J[len(links) + 2 * k + d, 2 * i + d] = 1.0
+            J[len(links) + 2 * k + d, 2 * j + d] = -1.0
+    return J
+
+
 def dense_first_step(g, pins, coincidences, distances, damping):
     """Coordinates after refine's first iteration, from dense linear algebra.
 
@@ -227,15 +249,7 @@ def dense_first_step(g, pins, coincidences, distances, damping):
         rows += [d for i, j in coincidences for d in c[i] - c[j]]
         return np.array(rows)
 
-    J = np.zeros((len(links) + 2 * len(coincidences), 2 * g.vertex_count))
-    for row, (i, j) in enumerate(links):
-        u = (coords[i] - coords[j]) / np.hypot(*(coords[i] - coords[j]))
-        J[row, 2 * i : 2 * i + 2] = u
-        J[row, 2 * j : 2 * j + 2] = -u
-    for k, (i, j) in enumerate(coincidences):
-        for d in (0, 1):
-            J[len(links) + 2 * k + d, 2 * i + d] = 1.0
-            J[len(links) + 2 * k + d, 2 * j + d] = -1.0
+    J = dense_jacobian(g, coincidences, distances)
     free = np.ones(2 * g.vertex_count, dtype=bool)
     for vi, ci in pins:
         free[2 * vi + ci] = False
@@ -316,3 +330,41 @@ def test_refine_step_matches_dense_normal_equations(
     start = normalize(g).vertices
     want, got = expected - start, result.graph.vertices - start
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+@given(
+    st.sampled_from(["strip", "random"]),
+    st.integers(4, 40),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([-1.0, -0.05, 1e-8, 1.0]),
+    st.sampled_from([None, 1, 5]),
+)
+@example(*SOLVER_EXAMPLES[1], -0.05, 5)
+@example(*SOLVER_EXAMPLES[2], -1.0, None)  # padded last block, negative shift
+@settings(max_examples=60)
+def test_block_factor_matches_dense_linear_algebra(
+    kind, n, seed, middle_pin, coincidence_count, distance_count, shift, columns
+):
+    if kind == "random":
+        n = min(n, 9)
+    case = solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count)
+    g, pins, coincidences, distances = case
+    system = banded_system(*case)
+    system.assemble(normalize(g).vertices, np.zeros(g.edge_count + len(distances) + 2 * len(coincidences)))
+    J = dense_jacobian(g, coincidences, distances)[:, system.unknowns]
+    matrix = J.T @ J + shift * np.eye(J.shape[1])
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    factor = system.factor(shift)
+    # the inertia needs no solve first
+    assert factor.negative_count() == int(np.count_nonzero(eigenvalues < 0))
+    rhs = np.random.default_rng(seed).standard_normal(
+        (J.shape[1],) if columns is None else (J.shape[1], columns)
+    )
+    got = factor.solve(rhs)
+    assert got.shape == rhs.shape
+    # a backward-error check: it holds however close to singular the matrix is
+    scale = np.abs(matrix).max() * np.abs(got).max()
+    np.testing.assert_allclose(matrix @ got, rhs, rtol=0, atol=1e-10 * scale)

@@ -1,12 +1,17 @@
 """First-order rigidity: rank computation, invariances, composition checks."""
 
+import math
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
-from matchsticks import corpus
+from matchsticks import corpus, rigidity
+from matchsticks.construct import ChainSpec, PartSpec, chain_extend, realize, ring_plan
 from matchsticks.model import EmbeddedGraph
 from matchsticks.refine import residual_jacobian
 from matchsticks.rigidity import (
@@ -169,3 +174,108 @@ def test_composition_rigidity_not_applicable_for_four_parts():
     part = analyze_rigidity(corpus.refined_graph("fig2a"))
     verdict = check_composition_rigidity(triangle_strip(2), [part] * 4)
     assert not verdict.applicable
+
+
+# -- the banded path against the dense SVD ------------------------------------
+
+
+def dense_and_banded(g):
+    """Reports from the dense SVD and from the banded path, whatever g's size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_BANDED_FROM", math.inf)
+        dense = analyze_rigidity(g)
+        mp.setattr(rigidity, "_BANDED_FROM", 0)
+        banded = analyze_rigidity(g)
+    return dense, banded
+
+
+def assert_paths_agree(g):
+    dense, banded = dense_and_banded(g)
+    assert (banded.rank, banded.internal_flexes, banded.classification) == (
+        dense.rank, dense.internal_flexes, dense.classification
+    )
+    assert len(banded.singular_tail(10)) == min(10, g.edge_count, 2 * g.vertex_count)
+    np.testing.assert_allclose(banded.singular_tail(10), dense.singular_tail(10), rtol=0, atol=1e-12)
+    return banded
+
+
+@lru_cache(maxsize=None)
+def chain(left: str, right: str, spacers: int) -> EmbeddedGraph:
+    parts = (PartSpec(corpus.refined_graph(left)), PartSpec(corpus.refined_graph(right)))
+    return chain_extend(ChainSpec(*parts, spacers))
+
+
+def flat_rhombus_ladder(k: int) -> EmbeddedGraph:
+    """k unit rhombi in a row, folded flat onto the x axis.
+
+    Rails 0..k and k+1..2k+1 are joined by rungs of length 1/2.  Every
+    stick is horizontal, so the rank is only v - 1 and the flexes (v - 2)
+    outnumber the initial block of 2v - e + 21 vectors once k > 24.
+    """
+    coords = [[i, 0.0] for i in range(k + 1)] + [[i + 0.5, 0.0] for i in range(k + 1)]
+    rails = [(i, i + 1) for i in range(k)] + [(k + 1 + i, k + 2 + i) for i in range(k)]
+    rungs = [(i, k + 1 + i) for i in range(k + 1)]
+    return EmbeddedGraph(np.array(coords), tuple(rails + rungs), 1.0, f"flat-ladder{k}")
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_banded_rank_matches_dense_on_the_corpus(name):
+    assert_paths_agree(corpus.refined_graph(name))
+
+
+@pytest.mark.parametrize("name", ["fig2g", "fig2h"])
+def test_banded_path_keeps_the_near_threshold_flex(name):
+    # the second singular value sits within the bracket on sigma_max times
+    # the rank tolerance, so the verdict needs the bisection
+    banded = assert_paths_agree(corpus.refined_graph(name))
+    assert banded.internal_flexes == 1
+    assert 1e-9 < banded.singular_tail(2)[1] < 1e-7
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [("fig2g",) * 3, ("fig2h",) * 3, ("fig2a", "fig2g", "fig2h"), ("fig2f", "fig2g", "fig2g")],
+)
+def test_banded_rank_matches_dense_on_rings(parts):
+    assert_paths_agree(realize(ring_plan([PartSpec(corpus.refined_graph(p)) for p in parts])))
+
+
+@given(
+    st.sampled_from([("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c")]),
+    st.integers(0, 50),
+)
+@settings(max_examples=25)
+def test_banded_rank_matches_dense_on_chains(ends, spacers):
+    assert_paths_agree(chain(*ends, spacers))
+
+
+@given(st.integers(1, 80))
+@settings(max_examples=15)
+def test_banded_rank_matches_dense_on_strips(n):
+    assert_paths_agree(triangle_strip(n))
+
+
+def test_banded_rank_matches_dense_on_the_rhombus():
+    assert assert_paths_agree(unit_rhombus()).internal_flexes == 1
+
+
+@given(st.integers(25, 45))
+@settings(max_examples=8)
+def test_banded_rank_doubles_its_block_for_many_flexes(k):
+    g = flat_rhombus_ladder(k)
+    banded = assert_paths_agree(g)
+    assert banded.internal_flexes == g.vertex_count - 2
+    assert banded.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
+
+
+def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
+    # a dense SVD of the 1,990 x 1,990 rigidity matrix peaks above 30 MB
+    assert long_chain.vertex_count >= rigidity._BANDED_FROM
+    tracemalloc.start()
+    try:
+        report = analyze_rigidity(long_chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.internal_flexes == 1
+    assert peak < 12e6

@@ -383,6 +383,18 @@ def test_huge_coordinates_keep_their_pairs():
     assert ("vertex-edge", 1, 0, 0.0) in report.clearance_violations
 
 
+def test_vertex_near_a_stick_of_huge_extent_is_reported():
+    # the stick's squared length (4e600) is past the float range; the vertex
+    # lies 5e-5 above its middle
+    coords = np.array([[-1e300, 0.0], [1e300, 0.0], [0.0, 5e-5], [0.0, 1.0]])
+    with np.errstate(over="raise", invalid="raise"):
+        report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (2, 3)), 1.0))
+        distance = segment_pair_distance(coords[0], coords[1], coords[2], coords[3])
+        point = _point_segment_distance(coords[2], coords[0], coords[1])
+    assert ("vertex-edge", 2, 0, 5e-5) in report.clearance_violations
+    assert float(distance) == float(point) == 5e-5
+
+
 # Each pair is shifted in steps smaller than its gap over more than one
 # vertex cell (about eps wide), so some shifts place it across a boundary.
 SHIFTS = [0.5 + k * 2e-5 for k in range(10)]
