@@ -14,15 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from matchsticks import corpus
-from matchsticks.ingest import estimate_unit, max_unit_deviation
+from matchsticks.ingest import build_graph, estimate_unit, max_unit_deviation
 from matchsticks.model import (
     ProfileNotApplicableError,
     degree_profile,
     edge_count_identity,
 )
-from matchsticks.refine import refine
-from matchsticks.rigidity import analyze_rigidity
-from matchsticks.verify import min_clearances, verify_matchstick
+from matchsticks.pipeline import certify
+from matchsticks.verify import min_clearances
 
 
 def main() -> None:
@@ -36,15 +35,14 @@ def main() -> None:
     worst = ("", np.inf)
     for name in corpus.corpus_names():
         sf = corpus.load_segments(name)
-        raw = corpus.load_graph(name)
+        raw = build_graph(sf)
         segments = sf.segments
         unit = estimate_unit(segments)
         raw_dev = max_unit_deviation(segments, unit) / unit
 
-        result = refine(raw)
-        g = result.graph
-        report = verify_matchstick(g)
-        assert report.is_matchstick, f"{name} failed verification"
+        cert = certify(raw)
+        g, result = cert.graph, cert.refinement
+        assert cert.certified, f"{name} failed verification"
         try:
             assert edge_count_identity(g).holds, f"{name} edge identity broken"
         except ProfileNotApplicableError:
@@ -55,7 +53,7 @@ def main() -> None:
         if smallest < worst[1]:
             worst = (name, smallest)
 
-        rig = analyze_rigidity(g)
+        rig = cert.rigidity
         sigma4 = rig.singular_tail(4)[-1] if g.vertex_count > 3 else float("nan")
         print(
             f"{name:8s} {g.vertex_count:4d} {g.edge_count:4d} "

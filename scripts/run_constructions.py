@@ -4,8 +4,9 @@
 Runs every constructive family once: the five mirror doubles, the smallest
 and largest three-part rings, the ring of four, the two-part chains at 94,
 95, and 96 vertices, and spacer chains for the first few members of each
-stride-3 family.  Each result is refined and fully verified; the script
-fails loudly if any construction does not certify.
+stride-3 family.  Each result goes through ``certify`` (refine, then
+verify) and its vertex count and degrees are checked; the script fails
+loudly if any construction does not certify.
 
 Usage: python scripts/run_constructions.py [--out DIR]
 """
@@ -28,26 +29,20 @@ from matchsticks.construct import (
 )
 from matchsticks.ingest import emit_segments
 from matchsticks.model import EmbeddedGraph, degree_profile
-from matchsticks.refine import refine
-from matchsticks.verify import verify_matchstick
+from matchsticks.pipeline import Certificate, certify
 
 
-def certify(g: EmbeddedGraph, expected_vertices: int) -> str:
-    result = refine(g)
-    refined = result.graph
-    report = verify_matchstick(refined)
-    ok = (
-        result.converged
-        and report.is_matchstick
-        and refined.vertex_count == expected_vertices
-        and degree_profile(refined).is_4_regular()
-    )
-    if not ok:
+def summary(cert: Certificate, expected_vertices: int) -> str:
+    """One report line for a certified 4-regular graph; exits on any failure."""
+    g, result = cert.graph, cert.refinement
+    if not (cert.certified and g.vertex_count == expected_vertices
+            and degree_profile(g).is_4_regular()):
         raise SystemExit(
-            f"FAILED: {g.name}: v={refined.vertex_count} (want {expected_vertices}), "
-            f"converged={result.converged}, classification={report.classification}"
+            f"FAILED: {g.name}: v={g.vertex_count} (want {expected_vertices}), "
+            f"converged={result.converged}, "
+            f"classification={cert.verification.classification}"
         )
-    return f"{refined.vertex_count:4d} vertices  residual {result.final_residual:.2e}  ok"
+    return f"{g.vertex_count:4d} vertices  residual {result.final_residual:.2e}  ok"
 
 
 def main() -> None:
@@ -97,10 +92,11 @@ def main() -> None:
 
     width = max(len(tag) for tag, _g, _e in built)
     for tag, g, expected in built:
-        print(f"{tag:{width}s}  {certify(g, expected)}")
+        cert = certify(g)
+        print(f"{tag:{width}s}  {summary(cert, expected)}")
         if out_dir:
             safe = tag.replace(" ", "_").replace("+", "-")
-            (out_dir / f"{safe}.seg").write_text(emit_segments(g))
+            (out_dir / f"{safe}.seg").write_text(emit_segments(cert.graph))
 
     print(f"\n{len(built)} constructions certified in {time.time() - start:.2f}s")
 

@@ -66,6 +66,7 @@ from .model import (
     edge_lengths,
     normalize,
 )
+from .pipeline import Certificate, certify
 from .refine import (
     RefineOptions,
     RefineResult,
@@ -76,11 +77,9 @@ from .refine import (
     residuals,
 )
 from .rigidity import (
-    CompositionRigidityVerdict,
     DisconnectedGraphError,
     RigidityReport,
     analyze_rigidity,
-    check_composition_rigidity,
     is_connected,
     rigidity_matrix,
 )

@@ -1,6 +1,8 @@
 """Command-line front end: verify, refine, rigidity, construct, enumerate,
 coverage, and catalog subcommands over segment files and the bundled corpus.
 
+``catalog`` and the ``construct`` subcommands certify through ``pipeline.certify``.
+
 Output is deterministic (no timestamps, floats at 12 significant digits) so
 runs are reproducible and diffable.  Exit codes: 0 success, 1 domain failure
 (verification or coverage failed), 2 usage or input parse error, 3 numerical
@@ -29,9 +31,10 @@ from .construct import (
     ring_plan,
 )
 from .counting import Inventory, combinations_table, theorem1_coverage
-from .ingest import emit_segments, graph_from_text
+from .ingest import build_graph, emit_segments, graph_from_text
 from .model import EmbeddedGraph, ModelError, degree_profile
-from .refine import RefineOptions, ZeroLengthEdgeError, refine
+from .pipeline import certify
+from .refine import RefineOptions, RefineResult, ZeroLengthEdgeError, refine
 from .rigidity import DisconnectedGraphError, analyze_rigidity
 from .verify import Tolerances, verify_matchstick
 
@@ -59,15 +62,15 @@ def _load_graph(ref: str) -> EmbeddedGraph:
     if path.exists():
         try:
             return graph_from_text(path.read_text())
-        except (ValueError, ModelError) as exc:
+        except (OSError, ValueError, ModelError) as exc:
             raise _UsageError(f"{ref}: {exc}")
     if ref in corpus.corpus_names():
         return corpus.load_graph(ref)
     raise _UsageError(f"{ref}: no such file or corpus graph")
 
 
-def _refined(g: EmbeddedGraph) -> EmbeddedGraph:
-    result = refine(g)
+def _converged(result: RefineResult) -> EmbeddedGraph:
+    """The refined graph, or exit 3 if the refinement did not converge."""
     if not result.converged:
         raise _NumericalError(
             f"refinement did not converge (residual {_fmt(result.final_residual)})"
@@ -85,17 +88,12 @@ def _print_json(payload: dict) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if not args.raw:
-        g = _refined(g)
-    if args.eps_length is not None or args.eps_separation is not None:
-        base = Tolerances.raw() if args.raw else Tolerances()
-        tol = Tolerances(
-            args.eps_length if args.eps_length is not None else base.eps_length,
-            args.eps_separation
-            if args.eps_separation is not None
-            else base.eps_separation,
-        )
-    else:
-        tol = Tolerances.raw() if args.raw else Tolerances()
+        g = _converged(refine(g))
+    base = Tolerances.raw() if args.raw else Tolerances()
+    tol = Tolerances(
+        base.eps_length if args.eps_length is None else args.eps_length,
+        base.eps_separation if args.eps_separation is None else args.eps_separation,
+    )
     report = verify_matchstick(g, tol)
     label = f"{report.classification}, {g.vertex_count} vertices"
     if args.json:
@@ -155,17 +153,14 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         Path(args.output).write_text(emit_segments(result.graph))
         if not args.json:
             print(f"wrote {args.output}")
-    if not result.converged:
-        raise _NumericalError(
-            f"refinement did not converge (residual {_fmt(result.final_residual)})"
-        )
+    _converged(result)
     return EXIT_OK
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if not args.raw:
-        g = _refined(g)
+        g = _converged(refine(g))
     report = analyze_rigidity(g, args.rank_tol)
     if args.json:
         payload = report.to_json_dict()
@@ -183,19 +178,20 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_or_print(g: EmbeddedGraph, output: str | None, as_json: bool) -> dict:
-    report = verify_matchstick(g)
-    summary = {
-        "name": g.name,
-        "vertices": g.vertex_count,
-        "edges": g.edge_count,
-        "classification": report.classification,
-        "is_matchstick": report.is_matchstick,
-    }
+def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> int:
+    """Certify a built graph, report it, and write it to ``output`` if given."""
+    cert = certify(g)
+    g, report = _converged(cert.refinement), cert.verification
     if output:
         Path(output).write_text(emit_segments(g))
     if as_json:
-        payload = dict(summary)
+        payload = {
+            "name": g.name,
+            "vertices": g.vertex_count,
+            "edges": g.edge_count,
+            "classification": report.classification,
+            "is_matchstick": report.is_matchstick,
+        }
         if output:
             payload["output"] = output
         _print_json(payload)
@@ -204,12 +200,11 @@ def _write_or_print(g: EmbeddedGraph, output: str | None, as_json: bool) -> dict
         print(f"classification: {report.classification}, {g.vertex_count} vertices")
         if output:
             print(f"wrote {output}")
-    summary["exit"] = EXIT_OK if report.is_matchstick else EXIT_DOMAIN
-    return summary
+    return EXIT_OK if cert.certified else EXIT_DOMAIN
 
 
 def _cmd_construct_mirror(args: argparse.Namespace) -> int:
-    g = _refined(_load_graph(args.graph))
+    g = _converged(refine(_load_graph(args.graph)))
     if args.ports:
         try:
             a, b = (int(x) for x in args.ports.split(","))
@@ -223,21 +218,20 @@ def _cmd_construct_mirror(args: argparse.Namespace) -> int:
             )
         a, b = ports
     doubled = mirror_double(g, a, b, args.mode)
-    return _write_or_print(_refined(doubled), args.output, args.json)["exit"]
+    return _certify_and_write(doubled, args.output, args.json)
 
 
 def _cmd_construct_ring(args: argparse.Namespace) -> int:
     parts = [PartSpec(_load_graph(ref), label=ref) for ref in args.graphs]
-    built = realize(ring_plan(parts))
-    return _write_or_print(built, args.output, args.json)["exit"]
+    return _certify_and_write(realize(ring_plan(parts)), args.output, args.json)
 
 
 def _cmd_construct_chain(args: argparse.Namespace) -> int:
     left = PartSpec(_load_graph(args.left), label=args.left)
     right = PartSpec(_load_graph(args.right), label=args.right)
-    spacer = _refined(_load_graph(args.spacer)) if args.spacer else None
-    built = realize(chain_plan(ChainSpec(left, right, args.spacers, spacer)))
-    return _write_or_print(built, args.output, args.json)["exit"]
+    spacer = _load_graph(args.spacer) if args.spacer else None
+    plan = chain_plan(ChainSpec(left, right, args.spacers, spacer))
+    return _certify_and_write(realize(plan), args.output, args.json)
 
 
 def _cmd_construct_from_plan(args: argparse.Namespace) -> int:
@@ -245,13 +239,8 @@ def _cmd_construct_from_plan(args: argparse.Namespace) -> int:
         text = Path(args.plan).read_text()
     except OSError as exc:
         raise _UsageError(f"{args.plan}: {exc}")
-    plan = plan_from_json(text, _resolver)
-    built = realize(plan)
-    return _write_or_print(built, args.output, args.json)["exit"]
-
-
-def _resolver(ref: str) -> EmbeddedGraph:
-    return _refined(_load_graph(ref))
+    plan = plan_from_json(text, _load_graph)
+    return _certify_and_write(realize(plan), args.output, args.json)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -287,19 +276,14 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     rows = []
-    all_verified = True
     for name in corpus.corpus_names():
-        g = corpus.load_graph(name)
         sf = corpus.load_segments(name)
+        g = build_graph(sf)
         claimed_rigidity = sf.metadata.get("claimed_rigidity", "unknown")
-        result = refine(g)
-        refined = result.graph if result.converged else g
-        report = verify_matchstick(refined)
-        rig = analyze_rigidity(refined)
-        verified = result.converged and report.is_matchstick
-        all_verified &= verified
+        cert = certify(g)
+        rig = cert.rigidity
         deviations = []
-        if not verified:
+        if not cert.certified:
             deviations.append("verification failed")
         if claimed_rigidity == "rigid" and not rig.rigid:
             deviations.append(f"{rig.internal_flexes} flex(es) at first order")
@@ -312,8 +296,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                 "edges": g.edge_count,
                 "profile": str(degree_profile(g)),
                 "claimed_rigidity": claimed_rigidity,
-                "residual": result.final_residual,
-                "verified": verified,
+                "residual": cert.refinement.final_residual,
+                "verified": cert.certified,
                 "internal_flexes": rig.internal_flexes,
                 "status": "ok" if not deviations else "; ".join(deviations),
             }
@@ -330,7 +314,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                   f"{r['profile']:18s} {r['claimed_rigidity']:9s} "
                   f"{r['residual']:10.2e} {'yes' if r['verified'] else 'NO':8s} "
                   f"{r['internal_flexes']:6d} {r['status']}")
-    return EXIT_OK if all_verified else EXIT_DOMAIN
+    return EXIT_OK if all(r["verified"] for r in rows) else EXIT_DOMAIN
 
 
 # -- argument parsing ---------------------------------------------------------

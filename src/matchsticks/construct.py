@@ -7,14 +7,15 @@ rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
 between two end parts.  A composition is described by a declarative plan,
 realized by placing each part with a rigid motion and solving the glue gaps
 closed (coincidence constraints), and only then merging vertex indices.
-Certification is deliberately separate: callers run verify on the result.
+Certification is deliberately separate: callers pass the result to
+``pipeline.certify``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,7 +220,7 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
 
 
 def default_part_resolver(name: str) -> EmbeddedGraph:
-    """Resolve a part reference: corpus name, else a path to a segment file."""
+    """Resolve a part reference: corpus name, else a segment file (realize refines it)."""
     from . import corpus
     from .ingest import graph_from_text
 
@@ -231,10 +232,7 @@ def default_part_resolver(name: str) -> EmbeddedGraph:
 
     path = Path(name)
     if path.exists():
-        result = refine(graph_from_text(path.read_text()))
-        if not result.converged:
-            raise RealizationFailedError(f"part file {name} did not refine")
-        return result.graph
+        return graph_from_text(path.read_text())
     raise PlanError(f"unknown part {name!r} (not a corpus name or readable file)")
 
 
@@ -252,19 +250,22 @@ def plan_to_json_dict(plan: CompositionPlan) -> dict:
 def plan_from_json_dict(
     data: dict, resolver: Callable[[str], EmbeddedGraph] = default_part_resolver
 ) -> CompositionPlan:
+    """Build a plan from its JSON form; PlanError if the document is malformed."""
+    fields = ("parts", "identifications")
+    if not isinstance(data, dict) or not all(isinstance(data.get(f), list) for f in fields):
+        raise PlanError("plan document needs the list fields 'parts' and 'identifications'")
+    entries = [{"part": e} if isinstance(e, str) else e for e in data["parts"]]
+    if not all(isinstance(e, dict) and isinstance(e.get("part"), str) for e in entries):
+        raise PlanError("each part must be a name or an object with a string 'part'")
     try:
-        raw_parts = data["parts"]
-        raw_idents = data["identifications"]
-    except (KeyError, TypeError) as exc:
-        raise PlanError(f"plan document missing field: {exc}")
-    parts = []
-    for entry in raw_parts:
-        if isinstance(entry, str):
-            entry = {"part": entry}
-        label = entry["part"]
-        parts.append(PartSpec(resolver(label), bool(entry.get("reflect", False)), label))
-    idents = tuple(tuple(int(x) for x in ident) for ident in raw_idents)
-    return CompositionPlan(tuple(parts), idents, data.get("name"))
+        idents = tuple(tuple(int(x) for x in ident) for ident in data["identifications"])
+    except (TypeError, ValueError) as exc:
+        raise PlanError(f"identifications must be lists of integers ({exc})") from None
+    parts = tuple(
+        PartSpec(resolver(e["part"]), bool(e.get("reflect", False)), e["part"])
+        for e in entries
+    )
+    return CompositionPlan(parts, idents, data.get("name"))
 
 
 def plan_from_json(
@@ -353,8 +354,12 @@ def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> Emb
     constraints cannot be closed; the result is otherwise exact to the
     refinement target but deliberately unverified.
     """
-    validate_plan(plan)
-    prepared = [_prepare_part(spec) for spec in plan.parts]
+    # Identical inputs share one refine, here and in the layouts' pre-flexing;
+    # the caches live for this call only and keep every keyed graph alive.
+    specs = {(id(spec.graph), spec.reflect): spec for spec in plan.parts}
+    by_input = {key: _prepare_part(spec) for key, spec in specs.items()}
+    prepared = [by_input[id(spec.graph), spec.reflect] for spec in plan.parts]
+    preflexed: dict[tuple, EmbeddedGraph] = {}
     ports = [degree2_vertices(g) for g in prepared]
     idents = [
         (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
@@ -366,9 +371,9 @@ def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> Emb
         port_counts[b] += 1
 
     if all(c == 2 for c in port_counts):
-        placed = _layout_cycle(prepared, idents, opts)
+        placed = _layout_cycle(prepared, idents, opts, preflexed)
     else:
-        placed = _layout_chain(prepared, idents, opts)
+        placed = _layout_chain(prepared, idents, opts, preflexed)
 
     return _solve_and_merge(plan, placed, idents, opts)
 
@@ -393,20 +398,27 @@ def _preflex(
     g: EmbeddedGraph,
     constraints: Sequence[tuple[int, int, float]],
     opts: RefineOptions,
+    preflexed: dict[tuple, EmbeddedGraph],
 ) -> EmbeddedGraph:
-    """Best-effort flex of a part toward prescribed port gaps (initialization only)."""
+    """Best-effort flex of a part toward prescribed port gaps (initialization only).
+
+    Results are kept in ``preflexed`` under the part and the gaps, so a chain's
+    identical spacers share one flex per distinct gap.
+    """
+    key = (id(g), tuple(constraints))
+    if key in preflexed:
+        return preflexed[key]
     needed = [
         (i, j, t)
         for i, j, t in constraints
         if abs(np.hypot(*(g.vertices[i] - g.vertices[j])) - t) > _PREFLEX_TOL
     ]
-    if not needed:
-        return g
-    result = refine(g, RefineOptions(max_iterations=opts.max_iterations,
-                                     target_residual=opts.target_residual,
-                                     damping=opts.damping),
-                    distance_constraints=needed)
-    return result.graph  # non-convergence is fine here; the joint solve decides
+    if needed:
+        # the default gauge: pins chosen for the whole composition do not apply
+        result = refine(g, replace(opts, pinned=None), distance_constraints=needed)
+        g = result.graph  # non-convergence is fine here; the joint solve decides
+    preflexed[key] = g
+    return g
 
 
 # -- cycle layout -------------------------------------------------------------
@@ -416,6 +428,7 @@ def _layout_cycle(
     parts: list[EmbeddedGraph],
     idents: list[tuple[int, int, int, int]],
     opts: RefineOptions,
+    preflexed: dict[tuple, EmbeddedGraph],
 ) -> list[np.ndarray]:
     """Place a cycle of two-port parts around a closed joint polygon."""
     k = len(parts)
@@ -471,7 +484,7 @@ def _layout_cycle(
         g = parts[i]
         entry, exit_ = entry_vertex_of[i], exit_vertex_of[i]
         target_gap = float(np.hypot(*(targets[i][1] - targets[i][0])))
-        g = _preflex(g, [(entry, exit_, target_gap)], opts)
+        g = _preflex(g, [(entry, exit_, target_gap)], opts, preflexed)
         placed[i] = _place_two_ports(
             g.vertices, entry, exit_, targets[i][0], targets[i][1], sides[i]
         )
@@ -607,6 +620,7 @@ def _layout_chain(
     parts: list[EmbeddedGraph],
     idents: list[tuple[int, int, int, int]],
     opts: RefineOptions,
+    preflexed: dict[tuple, EmbeddedGraph],
 ) -> list[np.ndarray]:
     """Place end parts and spacers along a horizontal spine."""
     k = len(parts)
@@ -668,7 +682,7 @@ def _layout_chain(
     # left end: ports at (0, +-h/2), body toward -x
     left = order[0]
     (v_top, w_top), (v_bot, w_bot) = neighbor_idents[(left, order[1])]
-    g = _preflex(parts[left], [(v_top, v_bot, heights[0])], opts)
+    g = _preflex(parts[left], [(v_top, v_bot, heights[0])], opts, preflexed)
     top = np.array([0.0, heights[0] / 2])
     bot = np.array([0.0, -heights[0] / 2])
     placed[left] = _place_two_ports(g.vertices, v_top, v_bot, top, bot, body_side=-1.0)
@@ -693,6 +707,7 @@ def _layout_chain(
                 (exit_pair[0], exit_pair[1], heights[t]),
             ],
             opts,
+            preflexed,
         )
         entry_top, entry_bot = assignment[t - 1]
         if {entry_top, entry_bot} != set(entry_pair):
@@ -727,7 +742,7 @@ def _layout_chain(
     # right end: ports at (x, +-h/2), body toward +x
     right = order[-1]
     r_top, r_bot = assignment[k - 2]
-    g = _preflex(parts[right], [(r_top, r_bot, heights[-1])], opts)
+    g = _preflex(parts[right], [(r_top, r_bot, heights[-1])], opts, preflexed)
     top = np.array([x, heights[-1] / 2])
     bot = np.array([x, -heights[-1] / 2])
     placed[right] = _place_two_ports(g.vertices, r_top, r_bot, top, bot, body_side=+1.0)

@@ -29,11 +29,13 @@ CORPUS_NAMES = (
 
 
 class CorpusError(KeyError):
-    """Unknown corpus graph name."""
+    """Unknown corpus graph name, or a corpus override that is not a directory."""
 
 
 def _override_dir() -> Path | None:
     path = os.environ.get(CORPUS_ENV)
+    if path and not Path(path).is_dir():
+        raise CorpusError(f"{CORPUS_ENV}={path} is not a directory")
     return Path(path) if path else None
 
 

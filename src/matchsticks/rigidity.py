@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -94,7 +93,10 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     flex, so "flexible" claims are certified; a symmetric framework can be
     rigid yet still show an infinitesimal flex, so a nonzero flex count for a
     supposedly rigid graph warrants looking at the singular-value tail.
+    rank_tol_factor must lie strictly between 0 and 1 (ValueError otherwise).
     """
+    if not 0.0 < rank_tol_factor < 1.0:  # also refuses NaN
+        raise ValueError(f"rank tolerance must lie in (0, 1), got {rank_tol_factor}")
     if g.vertex_count < 2:
         raise ValueError("rigidity analysis needs at least 2 vertices")
     if not is_connected(g):
@@ -175,49 +177,3 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
             lo = m
     rank = min(e, n) - int(np.count_nonzero(tail <= rank_tol_factor * hi))
     return rank, tail
-
-
-@dataclass(frozen=True)
-class CompositionRigidityVerdict:
-    """Consistency of a realized composition with the 2-or-3-part rule.
-
-    The rule: a cycle composition of 2 or 3 rigid parts (each with two
-    degree-2 join vertices) is rigid.  ``applicable`` is False when the
-    premise does not hold (more parts, or some part flexible); ``consistent``
-    is None in that case.
-    """
-
-    applicable: bool
-    consistent: bool | None
-    whole: RigidityReport
-    part_classifications: tuple[str, ...]
-    note: str
-
-
-def check_composition_rigidity(
-    realized: EmbeddedGraph,
-    part_reports: Sequence[RigidityReport],
-    rank_tol_factor: float = DEFAULT_RANK_TOL,
-) -> CompositionRigidityVerdict:
-    """Check a realized composition against the 2-or-3-rigid-parts rule."""
-    whole = analyze_rigidity(realized, rank_tol_factor)
-    k = len(part_reports)
-    classes = tuple(r.classification for r in part_reports)
-    all_rigid = all(r.rigid for r in part_reports)
-    if k not in (2, 3):
-        return CompositionRigidityVerdict(
-            False, None, whole, classes, f"rule covers 2 or 3 parts, composition has {k}"
-        )
-    if not all_rigid:
-        return CompositionRigidityVerdict(
-            False, None, whole, classes, "rule requires all parts rigid"
-        )
-    if whole.rigid:
-        note = "consistent: all parts rigid and composition rigid"
-    else:
-        note = (
-            f"inconsistent: {k} rigid parts composed, but whole reports "
-            f"{whole.internal_flexes} internal flexes "
-            f"(rank {whole.rank} of {whole.dof_bound})"
-        )
-    return CompositionRigidityVerdict(True, whole.rigid, whole, classes, note)

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from matchsticks import corpus
+from matchsticks import corpus, pipeline
 from matchsticks.cli import main
 from matchsticks.construct import PartSpec, plan_to_json_dict, ring_plan
 
@@ -90,6 +91,36 @@ def test_verify_unparseable_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def _plan_file(tmp_path, text):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,corpus_dir",
+    [
+        (lambda tmp: ["construct", "from-plan",
+                      _plan_file(tmp, '{"parts": [1, 2], "identifications": []}')], None),
+        (lambda tmp: ["construct", "from-plan",
+                      _plan_file(tmp, '{"parts": [{"reflect": true}], "identifications": []}')],
+         None),
+        (lambda tmp: ["construct", "from-plan",
+                      _plan_file(tmp, '{"parts": ["fig2a"], "identifications": 5}')], None),
+        (lambda tmp: ["verify", str(tmp)], None),
+        (lambda tmp: ["catalog"], "no-such-dir"),
+    ],
+    ids=["parts-not-objects", "part-without-name", "identifications-not-a-list",
+         "directory-as-graph", "missing-corpus-directory"],
+)
+def test_hostile_input_is_a_usage_error(argv, corpus_dir, tmp_path, monkeypatch, capsys):
+    if corpus_dir is not None:
+        monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path / corpus_dir))
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_unknown_command_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -136,6 +167,14 @@ def test_rigidity_flexible_graph(capsys):
     assert "classification: flexible" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "nan"])
+def test_rigidity_rejects_rank_tolerance_outside_the_unit_interval(tol, capsys):
+    code, out, err = run(capsys, "rigidity", "fig2a", "--rank-tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "rank tolerance" in err
+
+
 def test_rigidity_json(capsys):
     code, out, _ = run(capsys, "rigidity", "--json", "fig2a")
     assert code == 0
@@ -175,6 +214,29 @@ def test_construct_ring(capsys):
     assert code == 0
     assert "63 vertices" in out
     assert "ring(fig2a,fig2a,fig2a)" in out
+
+
+def test_construct_never_analyzes_rigidity(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct must not analyze rigidity")
+
+    monkeypatch.setattr(pipeline, "analyze_rigidity", refuse)
+    code, out, _ = run(capsys, "construct", "ring", "fig2a", "fig2a", "fig2a")
+    assert code == 0
+    assert "63 vertices" in out
+
+
+def test_construct_mirror_unconverged_is_numerical_failure(monkeypatch, capsys):
+    real_refine = pipeline.refine
+
+    def stalled(g):
+        return dataclasses.replace(real_refine(g), converged=False)
+
+    monkeypatch.setattr(pipeline, "refine", stalled)
+    code, out, err = run(capsys, "construct", "mirror", "fig2d")
+    assert code == 3
+    assert out == ""
+    assert "refinement did not converge" in err
 
 
 def test_construct_ring_mismatched_parts_is_numerical_failure(capsys):
@@ -277,6 +339,17 @@ def test_catalog_json(capsys):
     by_name = {row["name"]: row for row in payload["corpus"]}
     assert by_name["fig1a"]["verified"] is True
     assert by_name["fig5b"]["claimed_rigidity"] == "flexible"
+
+
+def test_catalog_rows_agree_with_certify(capsys):
+    _, out, _ = run(capsys, "catalog", "--json")
+    rows = json.loads(out)["corpus"]
+    assert [row["name"] for row in rows] == list(corpus.corpus_names())
+    for row in rows:
+        cert = pipeline.certify(corpus.load_graph(row["name"]))
+        assert row["residual"] == cert.refinement.final_residual
+        assert row["verified"] is cert.certified
+        assert row["internal_flexes"] == cert.rigidity.internal_flexes
 
 
 # -- module entry point -------------------------------------------------------

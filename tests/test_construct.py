@@ -1,12 +1,13 @@
 """Composition planning, mirror doubling, and geometric realization."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import triangle_strip, unit_triangle
-from matchsticks import corpus
+from matchsticks import construct, corpus
 from matchsticks.construct import (
     ChainSpec,
     CompositionPlan,
@@ -25,17 +26,15 @@ from matchsticks.construct import (
     realize,
     ring_plan,
 )
+from matchsticks.ingest import emit_segments
 from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
-from matchsticks.refine import refine
-from matchsticks.verify import verify_matchstick
+from matchsticks.pipeline import certify
 
 
 def certified(g: EmbeddedGraph) -> EmbeddedGraph:
-    result = refine(g)
-    assert result.converged
-    report = verify_matchstick(result.graph)
-    assert report.is_matchstick, report.classification
-    return result.graph
+    cert = certify(g)
+    assert cert.certified, cert.verification.classification
+    return cert.graph
 
 
 def test_degree2_vertices_finds_ports():
@@ -252,6 +251,30 @@ def test_long_chain_glues_to_unit_edges(long_chain):
     assert np.abs(edge_lengths(long_chain) - 1.0).max() <= 1e-12
 
 
+def test_chain_refines_each_distinct_part_and_gap_once(monkeypatch):
+    calls = Counter()
+    real_refine = construct.refine
+
+    def counting_refine(g, opts=construct.RefineOptions(), coincidences=(),
+                        distance_constraints=()):
+        if len(coincidences):
+            calls["glue"] += 1
+        elif len(distance_constraints):
+            calls["preflex"] += 1
+        else:
+            calls["part"] += 1
+        return real_refine(g, opts, coincidences, distance_constraints)
+
+    monkeypatch.setattr(construct, "refine", counting_refine)
+    g5a, g5c = corpus.refined_graph("fig5a"), corpus.refined_graph("fig5c")
+    g = chain_extend(ChainSpec(PartSpec(g5a), PartSpec(g5c), 20))
+    assert g.vertex_count == 48 + 49 + 3 * 20 - 2
+    # left end, first spacer, the interior spacers, last spacer, right end
+    assert calls["preflex"] <= 5
+    assert calls["part"] == 3  # fig5a, fig5c and the one spacer graph
+    assert calls["glue"] == 1
+
+
 def test_chain_rejects_non_spacer_interior():
     g5a = corpus.refined_graph("fig5a")
     with pytest.raises(PlanError):
@@ -283,11 +306,36 @@ def test_plan_json_round_trip():
     assert g.vertex_count == 63
 
 
+def test_plan_json_part_files_are_refined_by_realize(tmp_path):
+    path = tmp_path / "part.seg"
+    path.write_text(emit_segments(corpus.load_graph("fig2a")))
+    doc = {"parts": [str(path)] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
+    plan = plan_from_json(json.dumps(doc))
+    assert plan.parts[0].graph.unit != 1.0  # resolved as drawn
+    assert certified(realize(plan)).vertex_count == 63
+
+
 def test_plan_json_rejects_malformed_documents():
     with pytest.raises(PlanError):
         plan_from_json("{}")
     with pytest.raises(PlanError):
         plan_from_json('{"parts": ["no-such-part"], "identifications": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"parts": [1, 2], "identifications": []}',
+        '{"parts": [{"reflect": true}], "identifications": []}',
+        '{"parts": [{"part": 7}], "identifications": []}',
+        '{"parts": ["fig2a"], "identifications": 5}',
+        '{"parts": ["fig2a"], "identifications": [[0, "x", 0, 1]]}',
+    ],
+)
+def test_plan_json_rejects_documents_of_the_wrong_shape(text):
+    with pytest.raises(PlanError):
+        plan_from_json(text)
 
 
 def test_realized_graph_is_named_after_the_plan():

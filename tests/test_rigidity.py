@@ -1,4 +1,4 @@
-"""First-order rigidity: rank computation, invariances, composition checks."""
+"""First-order rigidity: rank computation, invariances, realized compositions."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from matchsticks.refine import residual_jacobian
 from matchsticks.rigidity import (
     DisconnectedGraphError,
     analyze_rigidity,
-    check_composition_rigidity,
     is_connected,
     rigidity_matrix,
 )
@@ -148,32 +147,15 @@ def test_report_json_schema():
         assert key in payload
 
 
-def test_composition_rigidity_ring_of_three_rigid_parts():
-    from matchsticks.construct import PartSpec, realize, ring_plan
-
-    part = corpus.refined_graph("fig2a")
-    part_reports = [analyze_rigidity(part)] * 3
-    whole = realize(ring_plan([PartSpec(part)] * 3))
-    verdict = check_composition_rigidity(whole, part_reports)
-    assert verdict.applicable
-    assert verdict.consistent is True
-    assert verdict.whole.rigid
+def test_ring_of_three_rigid_parts_is_rigid():
+    part = PartSpec(corpus.refined_graph("fig2a"))
+    assert analyze_rigidity(realize(ring_plan([part] * 3))).rigid
 
 
-def test_composition_rigidity_not_applicable_for_flexible_part():
-    part_reports = [
-        analyze_rigidity(corpus.refined_graph("fig2a")),
-        analyze_rigidity(corpus.refined_graph("fig5a")),  # flexible
-    ]
-    verdict = check_composition_rigidity(triangle_strip(2), part_reports)
-    assert not verdict.applicable
-    assert verdict.consistent is None
-
-
-def test_composition_rigidity_not_applicable_for_four_parts():
-    part = analyze_rigidity(corpus.refined_graph("fig2a"))
-    verdict = check_composition_rigidity(triangle_strip(2), [part] * 4)
-    assert not verdict.applicable
+@pytest.mark.parametrize("factor", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+def test_rank_tolerance_outside_the_unit_interval_is_rejected(factor):
+    with pytest.raises(ValueError, match="rank tolerance"):
+        analyze_rigidity(unit_triangle(), factor)
 
 
 # -- the banded path against the dense SVD ------------------------------------
