@@ -6,7 +6,8 @@ graphs: mirror doubling (a part plus its reflected or half-turned copy),
 rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
 between two end parts.  A composition is described by a declarative plan,
 realized by placing each part with a rigid motion and solving the glue gaps
-closed (coincidence constraints), and only then merging vertex indices.
+closed (``refine`` moves each glued group of vertices as one), and only then
+merging vertex indices.
 Certification is deliberately separate: callers pass the result to
 ``pipeline.certify``.
 """
@@ -318,28 +319,22 @@ def mirror_double(
                 )
         along = (rel @ u)[:, None] * u
         copy = A + 2 * along - rel
-        image_of = {a: a, b: b}
+        images = (a, b)
     elif mode == "point":
         mid = (A + B) / 2
         copy = 2 * mid - coords
-        image_of = {a: b, b: a}  # the half turn swaps the join vertices
+        images = (b, a)  # the half turn swaps the join vertices
     else:
         raise ValueError(f"mode must be 'line' or 'point', got {mode!r}")
 
     v = g.vertex_count
-    new_index: dict[int, int] = {}
-    new_coords = list(coords)
-    for i in range(v):
-        if i in image_of:
-            new_index[i] = image_of[i]
-        else:
-            new_index[i] = len(new_coords)
-            new_coords.append(copy[i])
-    edges = list(g.edges) + [
-        tuple(sorted((new_index[p], new_index[q]))) for p, q in g.edges
-    ]
-    name = f"mirror({g.name or 'graph'},{mode})"
-    return EmbeddedGraph(np.array(new_coords), tuple(edges), g.unit, name)
+    union = EmbeddedGraph(
+        np.vstack([coords, copy]),
+        g.edges + tuple((p + v, q + v) for p, q in g.edges),
+        g.unit,
+        f"mirror({g.name or 'graph'},{mode})",
+    )
+    return _merge_pairs(union, [(a, v + images[0]), (b, v + images[1])])
 
 
 # -- realization --------------------------------------------------------------
@@ -783,8 +778,7 @@ def _solve_and_merge(
     result = refine(union, opts, coincidences=pairs)
     if not result.converged:
         raise RealizationFailedError(
-            f"glue constraints did not close (edge residual "
-            f"{result.final_residual:.3e}, joint gap {result.final_coincidence:.3e})"
+            f"glue constraints did not close (edge residual {result.final_residual:.3e})"
         )
 
     merged = _merge_pairs(result.graph, pairs)
@@ -797,15 +791,13 @@ def _solve_and_merge(
 
 
 def _merge_pairs(g: EmbeddedGraph, pairs: Sequence[tuple[int, int]]) -> EmbeddedGraph:
-    """Merge joined vertices into one at the average of the (coincident) members.
+    """Merge each group of joined vertices into its smallest member.
 
-    Vertices keep their order, a merged one at the place of its smallest member.
+    Vertices keep their order; a merged one keeps its smallest member's place
+    and coordinates, which callers have made those of every member.
     """
     joints = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     label = _components(g.vertex_count, joints[:, 0], joints[:, 1])
     keep = label == np.arange(g.vertex_count)
     target = (np.cumsum(keep) - 1)[label]
-    position = g.vertices[keep]
-    np.add.at(position, target[~keep], g.vertices[~keep])  # in vertex order
-    position /= np.bincount(target)[:, None]
-    return EmbeddedGraph(position, target[g.edge_array()].tolist(), 1.0, g.name)
+    return EmbeddedGraph(g.vertices[keep], target[g.edge_array()].tolist(), g.unit, g.name)

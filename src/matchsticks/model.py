@@ -113,9 +113,6 @@ class EmbeddedGraph:
         """Same combinatorics, new coordinates (and optionally a new unit)."""
         return EmbeddedGraph(coords, self.edges, self.unit if unit is None else unit, self.name)
 
-    def with_name(self, name: str | None) -> "EmbeddedGraph":
-        return EmbeddedGraph(self.vertices, self.edges, self.unit, name)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

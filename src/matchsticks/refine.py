@@ -2,9 +2,11 @@
 
 Figure data is rounded to 4 decimals and composed graphs start with small
 gaps at their glue points; this module drives both to near machine precision
-with a damped Gauss-Newton iteration on the stacked residual vector
-(edge lengths minus one, plus optional coincidence and distance constraints).
-The edge-length Jacobian built here doubles as the rigidity matrix.
+with a damped Gauss-Newton iteration on one kind of residual row, a distance
+minus its target: edge lengths minus one, plus optional distance constraints.
+Glue points that must coincide are not rows: each group of them is one
+vertex while solving (elimination of a linear equality constraint).  The
+edge-length Jacobian built here doubles as the rigidity matrix.
 
 The solver never forms the dense Jacobian.  Every residual row touches at
 most two vertices, so ordering the free coordinates along the drawing's
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, normalize
+from .model import EmbeddedGraph, _components, normalize
 
 _TINY = 1e-12  # lengths below this count as degenerate
 _DAMPING_FLOOR = 1e-12
@@ -65,8 +67,7 @@ class RefineResult:
     """Best iterate found, with convergence bookkeeping.
 
     Residuals are max |edge length - 1| in matchstick units; the output graph
-    always has unit = 1.  ``final_coincidence`` is the largest remaining
-    distance over coincidence pairs (0 when none were requested).
+    always has unit = 1.
     """
 
     graph: EmbeddedGraph
@@ -74,7 +75,6 @@ class RefineResult:
     initial_residual: float
     final_residual: float
     converged: bool
-    final_coincidence: float = 0.0
 
 
 def residuals(g: EmbeddedGraph) -> np.ndarray:
@@ -121,9 +121,12 @@ def refine(
 ) -> RefineResult:
     """Damped Gauss-Newton on edge lengths plus optional extra constraints.
 
-    ``coincidences`` are vertex-index pairs required to coincide (two
-    coordinate-difference residuals each); they are solved, not merged --
-    index merging is the construct module's job.  ``distance_constraints``
+    ``coincidences`` are vertex-index pairs required to coincide.  They are
+    eliminated, not solved for: each group of coincident vertices starts at
+    its members' average and moves as its smallest member, whose position
+    every member takes in the output.  Indices are kept -- merging them is
+    the construct module's job.  An edge or distance constraint between two
+    coincident vertices raises ZeroLengthEdgeError.  ``distance_constraints``
     are (i, j, target) triples holding two vertices at a prescribed distance,
     used by construction initializers to pre-flex parts.
 
@@ -132,45 +135,41 @@ def refine(
     the best iterate comes back with ``converged=False``.
     """
     coords = normalize(g).vertices.copy()
-    n2 = 2 * g.vertex_count
-    e = g.edge_count
+    v, e = g.vertex_count, g.edge_count
     pairs = np.array([(int(i), int(j)) for i, j in coincidences], dtype=int).reshape(-1, 2)
     for i, j in pairs:
-        if not (0 <= i < g.vertex_count and 0 <= j < g.vertex_count) or i == j:
+        if not (0 <= i < v and 0 <= j < v) or i == j:
             raise ValueError(f"bad coincidence pair ({i}, {j})")
+    label = _components(v, pairs[:, 0], pairs[:, 1])
+    if len(pairs):
+        total = np.zeros_like(coords)
+        np.add.at(total, label, coords)  # in vertex order, smallest member first
+        coords = total[label] / np.bincount(label, minlength=v)[label, None]
     # edges and distance constraints share one row form: |p_i - p_j| - target
     distance_ends = [(int(i), int(j)) for i, j, _ in distance_constraints]
-    links = np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])
+    links = label[np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])]
     targets = np.concatenate([np.ones(e), [float(t) for _, _, t in distance_constraints]])
 
     pins = opts.pinned if opts.pinned is not None else default_pins(g)
-    free = np.ones(n2, dtype=bool)
+    free = np.repeat(label == np.arange(v), 2)  # only a group's smallest member moves
     for vi, ci in pins:
-        if not (0 <= vi < g.vertex_count and ci in (0, 1)):
+        if not (0 <= vi < v and ci in (0, 1)):
             raise ValueError(f"bad pin ({vi}, {ci})")
-        free[2 * vi + ci] = False
-
-    m = len(links)
+        free[2 * label[vi] + ci] = False
 
     def full_residual(c: np.ndarray) -> np.ndarray:
-        r = _lengths(c, links)[1] - targets
-        if len(pairs):
-            r = np.concatenate([r, (c[pairs[:, 0]] - c[pairs[:, 1]]).ravel()])
-        return r
+        return _lengths(c, links)[1] - targets
 
-    def maxima(r: np.ndarray) -> tuple[float, float, float]:
-        """(max |edge residual|, max constraint violation, max coincidence gap)."""
-        lengths = np.abs(r[:m])
-        edge_max = float(np.max(lengths[:e])) if e else 0.0
-        extra = float(np.max(lengths[e:])) if m > e else 0.0
-        coin = 0.0
-        if len(pairs):
-            gap = r[m:].reshape(-1, 2)
-            coin = float(np.max(np.hypot(gap[:, 0], gap[:, 1])))
-        return edge_max, max(extra, coin), coin
+    def maxima(r: np.ndarray) -> tuple[float, float]:
+        """(max |edge residual|, max distance-constraint violation)."""
+        size = np.abs(r)
+        return (
+            float(np.max(size[:e])) if e else 0.0,
+            float(np.max(size[e:])) if len(r) > e else 0.0,
+        )
 
     r = full_residual(coords)
-    initial_residual, extra0, _ = maxima(r)
+    initial_residual, extra0 = maxima(r)
     best, best_r = coords, r
     best_norm = float(np.linalg.norm(r))
     lam = opts.damping
@@ -180,7 +179,7 @@ def refine(
 
     while not converged and iterations < opts.max_iterations:
         if system is None:
-            system = _NormalEquations(coords, links, pairs, free)
+            system = _NormalEquations(coords, links, free)
         system.assemble(coords, r)
         norm = float(np.linalg.norm(r))
         stepped = False
@@ -209,18 +208,15 @@ def refine(
         iterations += 1
         if new_norm < best_norm:
             best_norm, best, best_r = new_norm, coords, r
-        edge_max, extra, _ = maxima(r)
-        converged = max(edge_max, extra) <= opts.target_residual
+        converged = max(maxima(r)) <= opts.target_residual
 
     out_coords, out_r = (coords, r) if converged else (best, best_r)
-    final_edge, _, coin = maxima(out_r)
     return RefineResult(
-        graph=EmbeddedGraph(out_coords, g.edges, 1.0, g.name),
+        graph=EmbeddedGraph(out_coords[label], g.edges, 1.0, g.name),
         iterations=iterations,
         initial_residual=initial_residual,
-        final_residual=final_edge,
+        final_residual=maxima(out_r)[0],
         converged=converged,
-        final_coincidence=coin,
     )
 
 
@@ -266,16 +262,14 @@ class _NormalEquations:
     step is one dense solve.  Otherwise the last block is padded with zero
     rows whose damping term keeps it nonsingular.
 
-    Length rows touch four coordinates, coincidence rows two, with constant
-    values (1, -1).  The pattern is fixed at construction; ``assemble``
-    scatters the current values and ``factor`` factors the matrix for one
-    damping, or any other shift of the diagonal.  ``position`` maps each flat
-    coordinate to its place in the ordering (-1 when pinned).
+    Every row is a length row touching four coordinates.  The pattern is
+    fixed at construction; ``assemble`` scatters the current values and
+    ``factor`` factors the matrix for one damping, or any other shift of the
+    diagonal.  ``position`` maps each flat coordinate to its place in the
+    ordering (-1 when not free).
     """
 
-    def __init__(
-        self, coords: np.ndarray, links: np.ndarray, pairs: np.ndarray, free: np.ndarray
-    ) -> None:
+    def __init__(self, coords: np.ndarray, links: np.ndarray, free: np.ndarray) -> None:
         centered = coords - coords.mean(axis=0)
         (sxx, sxy), (_, syy) = centered.T @ centered
         angle = 0.5 * math.atan2(2 * sxy, sxx - syy)  # direction of largest spread
@@ -287,59 +281,35 @@ class _NormalEquations:
         pos[self.unknowns] = np.arange(n)
 
         self._links = links
-        link_pos = pos[_link_columns(links)]
-        # one row per pair and coordinate, in the residual's order
-        coin_pos = pos[2 * pairs[:, None, :] + np.array([[0], [1]])].reshape(-1, 2)
-        bandwidth = 1
-        for rows in (link_pos, coin_pos):
-            if len(rows):
-                span = rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)
-                bandwidth = max(bandwidth, int(span.max()))
+        rows = pos[_link_columns(links)]
+        span = rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)
+        bandwidth = max(1, int(span.max()))
         self.size, self.count = bandwidth, -(-n // bandwidth)
         if n // bandwidth < 2:
             self.size, self.count = n, 1
         self._cells = (2 * self.count - 1) * self.size * self.size
 
-        self._link_scatter = self._scatter_pattern(link_pos)
-        self._coin_hessian = 0.0
-        if len(pairs):
-            index, keep = self._scatter_pattern(coin_pos)
-            products = np.tile([1.0, -1.0, -1.0, 1.0], len(coin_pos))[keep]
-            self._coin_hessian = np.bincount(index, products, minlength=self._cells)
-        # J^T r: unknown of each (row, column) entry, over length then coincidence rows
-        row_pos = np.concatenate([link_pos.ravel(), coin_pos.ravel()])
-        self._grad_keep = np.flatnonzero(row_pos >= 0)
-        self._grad_index = row_pos[self._grad_keep]
-
-    def _scatter_pattern(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Storage index of each kept row product, and which products are kept.
-
-        Storage holds diagonal block k at slot 2k and the block below it at
-        slot 2k + 1.  Products touching a pinned coordinate or falling above
-        the diagonal blocks are dropped.
-        """
-        width = rows.shape[1]
-        p = np.repeat(rows, width, axis=1).ravel()
-        q = np.tile(rows, width).ravel()
+        # Storage holds diagonal block k at slot 2k and the block below it at
+        # slot 2k + 1.  Products touching a coordinate that is not free or
+        # falling above the diagonal blocks are dropped.
+        p = np.repeat(rows, 4, axis=1).ravel()
+        q = np.tile(rows, 4).ravel()
         bp, bq = p // self.size, q // self.size
         keep = (p >= 0) & (q >= 0) & ((bp == bq) | (bp == bq + 1))
         slot = bq + bp  # 2k on the diagonal, 2k + 1 below it
         index = (slot * self.size + p % self.size) * self.size + q % self.size
-        return index[keep], np.flatnonzero(keep)
+        self._scatter_index, self._scatter_keep = index[keep], np.flatnonzero(keep)
+        # J^T r: unknown of each (row, column) entry
+        self._grad_keep = np.flatnonzero(rows.ravel() >= 0)
+        self._grad_index = rows.ravel()[self._grad_keep]
 
     def assemble(self, coords: np.ndarray, r: np.ndarray) -> None:
         """Scatter J^T J and J^T r at ``coords`` with residual vector ``r``."""
         vals = _link_values(coords, self._links)
-        index, keep = self._link_scatter
-        products = (vals[:, :, None] * vals[:, None, :]).reshape(-1)[keep]
-        self._hessian = self._coin_hessian + np.bincount(index, products, minlength=self._cells)
-        m = len(vals)
-        weights = (vals * r[:m, None]).ravel()
-        if len(r) > m:
-            weights = np.concatenate([weights, np.outer(r[m:], [1.0, -1.0]).ravel()])
-        self.rhs = -np.bincount(
-            self._grad_index, weights[self._grad_keep], minlength=len(self.unknowns)
-        )
+        products = (vals[:, :, None] * vals[:, None, :]).reshape(-1)[self._scatter_keep]
+        self._hessian = np.bincount(self._scatter_index, products, minlength=self._cells)
+        weights = (vals * r[:, None]).ravel()[self._grad_keep]
+        self.rhs = -np.bincount(self._grad_index, weights, minlength=len(self.unknowns))
 
     def bounds(self) -> tuple[float, float]:
         """Largest diagonal entry and largest absolute row sum of J^T J.

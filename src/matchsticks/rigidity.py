@@ -136,7 +136,7 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     coords = normalize(g).vertices
     links = g.edge_array()
     n, e = 2 * g.vertex_count, len(links)
-    system = _NormalEquations(coords, links, np.zeros((0, 2), dtype=int), np.ones(n, dtype=bool))
+    system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
     rows = system.position[_link_columns(links)]
     values = _link_values(coords, links)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from matchsticks import corpus, pipeline
+from matchsticks import construct, corpus, pipeline
 from matchsticks.cli import main
 from matchsticks.construct import PartSpec, plan_to_json_dict, ring_plan
 
@@ -262,6 +262,33 @@ def test_construct_from_plan(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["vertices"] == 63
     assert payload["is_matchstick"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, part_refines",
+    [
+        (["ring", "fig2a", "fig2a", "fig2a"], 1),
+        (["chain", "fig5a", "fig5a"], 2),  # the end part and the spacer
+        (["from-plan", "PLAN"], 1),
+    ],
+)
+def test_construct_refines_each_named_part_once(argv, part_refines, tmp_path, monkeypatch, capsys):
+    plan = {"parts": ["fig2a"] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    argv = [str(tmp_path / "plan.json") if arg == "PLAN" else arg for arg in argv]
+    calls = []
+    real_refine = construct.refine
+
+    def counting_refine(g, opts=construct.RefineOptions(), coincidences=(),
+                        distance_constraints=()):
+        if not len(coincidences) and not len(distance_constraints):
+            calls.append(g.name)
+        return real_refine(g, opts, coincidences, distance_constraints)
+
+    monkeypatch.setattr(construct, "refine", counting_refine)
+    code, _, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert len(calls) == part_refines
 
 
 def test_construct_from_plan_missing_file(tmp_path, capsys):

@@ -161,6 +161,47 @@ def test_coincidence_constraints_bring_points_together_without_merging():
     np.testing.assert_allclose(edge_lengths(result.graph), 1.0, atol=1e-11)
 
 
+def triangle_row(seed):
+    """Three perturbed unit triangles in a row, each glued to the next at one vertex.
+
+    Returns the union (9 vertices, nothing merged) and its two joints.
+    """
+    tri = unit_triangle().vertices
+    coords = np.vstack([tri, tri + [1.0, 0.0], tri + [2.0, 0.0]])
+    coords += np.random.default_rng(seed).uniform(-0.05, 0.05, coords.shape)
+    edges = [(u + k, v + k) for k in (0, 3, 6) for u, v in unit_triangle().edges]
+    return EmbeddedGraph(coords, tuple(edges), 1.0), [(1, 3), (4, 6)]
+
+
+def test_glued_vertices_come_back_bit_identical():
+    union, joints = triangle_row(7)
+    result = refine(union, coincidences=joints)
+    assert result.converged and result.iterations > 0
+    for i, j in joints:
+        assert np.array_equal(result.graph.vertices[i], result.graph.vertices[j])
+
+
+def test_glue_solve_has_one_set_of_unknowns_per_joint(monkeypatch):
+    sizes = []
+
+    class Recording(_NormalEquations):
+        def __init__(self, coords, links, free):
+            super().__init__(coords, links, free)
+            sizes.append(len(self.unknowns))
+
+    monkeypatch.setattr(sys.modules[refine.__module__], "_NormalEquations", Recording)
+    union, joints = triangle_row(8)
+    pins = default_pins(union)
+    assert refine(union, coincidences=joints).converged
+    assert sizes == [2 * (union.vertex_count - len(joints)) - len(pins)]
+
+
+def test_coincidence_pair_joined_by_an_edge_is_refused():
+    # the edge would have to shrink to nothing, so no iteration can converge
+    with pytest.raises(ZeroLengthEdgeError):
+        refine(unit_triangle(), coincidences=[(0, 1)])
+
+
 def test_refine_imports_numpy_only():
     # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package;
     # the chain (215 vertices) takes the banded rigidity path
@@ -217,42 +258,62 @@ def solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count):
     return g, pins, coincidences, distances
 
 
-def dense_jacobian(g, coincidences, distances):
-    """Rows for edges, then distance constraints, then coincidences; 2v columns."""
-    coords = normalize(g).vertices
-    links = list(g.edges) + [(i, j) for i, j, _ in distances]
-    J = np.zeros((len(links) + 2 * len(coincidences), 2 * g.vertex_count))
+def eliminated(g, pins, coincidences, distances):
+    """The system refine solves, built here without its code.
+
+    Each coincidence group merges at its members' average and takes one set
+    of unknowns, its smallest member's; every row and pin moves to that
+    member, and the other members' coordinates are not free.  Returns the
+    merged coordinates, the relabelled links, their targets, the free mask
+    and each vertex's representative.
+    """
+    v = g.vertex_count
+    parent = list(range(v))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in coincidences:
+        low, high = sorted((root(i), root(j)))
+        parent[high] = low  # the smaller root stays, so roots are smallest members
+    rep = np.array([root(i) for i in range(v)])
+    coords = normalize(g).vertices.copy()
+    for r in set(rep.tolist()):
+        coords[rep == r] = coords[rep == r].mean(axis=0)
+    links = rep[np.array(list(g.edges) + [(i, j) for i, j, _ in distances]).reshape(-1, 2)]
+    targets = np.array([1.0] * g.edge_count + [t for _, _, t in distances])
+    free = np.repeat(rep == np.arange(v), 2)
+    for vi, ci in pins:
+        free[2 * rep[vi] + ci] = False
+    return coords, links, targets, free, rep
+
+
+def dense_jacobian(coords, links):
+    """One length row per link, 2v columns."""
+    J = np.zeros((len(links), coords.size))
     for row, (i, j) in enumerate(links):
         u = (coords[i] - coords[j]) / np.hypot(*(coords[i] - coords[j]))
         J[row, 2 * i : 2 * i + 2] = u
         J[row, 2 * j : 2 * j + 2] = -u
-    for k, (i, j) in enumerate(coincidences):
-        for d in (0, 1):
-            J[len(links) + 2 * k + d, 2 * i + d] = 1.0
-            J[len(links) + 2 * k + d, 2 * j + d] = -1.0
     return J
 
 
 def dense_first_step(g, pins, coincidences, distances, damping):
     """Coordinates after refine's first iteration, from dense linear algebra.
 
-    Solves (J^T J + lam I) dx = -J^T r over the free coordinates in their
-    natural order, for the first damping lam = damping * 10^k whose step
-    lowers the residual norm (None when no damping does).
+    Solves (J^T J + lam I) dx = -J^T r over the free coordinates of the
+    eliminated system in their natural order, for the first damping
+    lam = damping * 10^k whose step lowers the residual norm (None when no
+    damping does), and gives every member its representative's position.
     """
-    coords = normalize(g).vertices
-    links = list(g.edges) + [(i, j) for i, j, _ in distances]
-    targets = [1.0] * g.edge_count + [t for _, _, t in distances]
+    coords, links, targets, free, rep = eliminated(g, pins, coincidences, distances)
 
     def residual(c):
-        rows = [np.hypot(*(c[i] - c[j])) - t for (i, j), t in zip(links, targets)]
-        rows += [d for i, j in coincidences for d in c[i] - c[j]]
-        return np.array(rows)
+        return np.array([np.hypot(*(c[i] - c[j])) for i, j in links]) - targets
 
-    J = dense_jacobian(g, coincidences, distances)
-    free = np.ones(2 * g.vertex_count, dtype=bool)
-    for vi, ci in pins:
-        free[2 * vi + ci] = False
+    J = dense_jacobian(coords, links)
     Jf, r = J[:, free], residual(coords)
     lam = damping
     while lam <= 1e14:
@@ -261,9 +322,14 @@ def dense_first_step(g, pins, coincidences, distances, damping):
         trial[free] += dx
         trial = trial.reshape(-1, 2)
         if np.linalg.norm(residual(trial)) < np.linalg.norm(r):
-            return trial
+            return trial[rep]
         lam *= 10
     return None
+
+
+def joins_coincident_vertices(g, pins, coincidences, distances):
+    links = eliminated(g, pins, coincidences, distances)[1]
+    return bool(np.any(links[:, 0] == links[:, 1]))
 
 
 SOLVER_EXAMPLES = [
@@ -275,12 +341,8 @@ SOLVER_EXAMPLES = [
 
 
 def banded_system(g, pins, coincidences, distances):
-    links = np.array(list(g.edges) + [(i, j) for i, j, _ in distances])
-    free = np.ones(2 * g.vertex_count, dtype=bool)
-    for vi, ci in pins:
-        free[2 * vi + ci] = False
-    pairs = np.array(coincidences, dtype=int).reshape(-1, 2)
-    return _NormalEquations(normalize(g).vertices, links, pairs, free)
+    coords, links, _, free, _ = eliminated(g, pins, coincidences, distances)
+    return _NormalEquations(coords, links, free)
 
 
 def test_solver_examples_cover_block_layouts():
@@ -316,13 +378,13 @@ def test_refine_step_matches_dense_normal_equations(
     g, pins, coincidences, distances = solver_case(
         kind, n, seed, middle_pin, coincidence_count, distance_count
     )
+    opts = RefineOptions(max_iterations=1, damping=damping, pinned=pins)
+    if joins_coincident_vertices(g, pins, coincidences, distances):
+        with pytest.raises(ZeroLengthEdgeError):
+            refine(g, opts, coincidences, distances)
+        return
     expected = dense_first_step(g, pins, coincidences, distances, damping)
-    result = refine(
-        g,
-        RefineOptions(max_iterations=1, damping=damping, pinned=pins),
-        coincidences=coincidences,
-        distance_constraints=distances,
-    )
+    result = refine(g, opts, coincidences, distances)
     if expected is None:
         assert result.iterations == 0
         return
@@ -351,10 +413,12 @@ def test_block_factor_matches_dense_linear_algebra(
     if kind == "random":
         n = min(n, 9)
     case = solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count)
-    g, pins, coincidences, distances = case
+    if joins_coincident_vertices(*case):
+        return  # refine refuses these before it builds a system
+    coords, links = eliminated(*case)[:2]
     system = banded_system(*case)
-    system.assemble(normalize(g).vertices, np.zeros(g.edge_count + len(distances) + 2 * len(coincidences)))
-    J = dense_jacobian(g, coincidences, distances)[:, system.unknowns]
+    system.assemble(coords, np.zeros(len(links)))
+    J = dense_jacobian(coords, links)[:, system.unknowns]
     matrix = J.T @ J + shift * np.eye(J.shape[1])
     eigenvalues = np.linalg.eigvalsh(matrix)
     factor = system.factor(shift)
