@@ -24,7 +24,7 @@ from .construct import (
     PartSpec,
     PlanError,
     RealizationFailedError,
-    chain_plan,
+    chain_extend,
     degree2_vertices,
     mirror_double,
     plan_from_json,
@@ -239,8 +239,8 @@ def _cmd_construct_chain(args: argparse.Namespace) -> int:
     left = PartSpec(load(args.left), label=args.left)
     right = PartSpec(load(args.right), label=args.right)
     spacer = load(args.spacer) if args.spacer else None
-    plan = chain_plan(ChainSpec(left, right, args.spacers, spacer))
-    return _certify_and_write(realize(plan), args.output, args.json)
+    chain = chain_extend(ChainSpec(left, right, args.spacers, spacer))
+    return _certify_and_write(chain, args.output, args.json)
 
 
 def _cmd_construct_from_plan(args: argparse.Namespace) -> int:

@@ -7,7 +7,9 @@ rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
 between two end parts.  A composition is described by a declarative plan,
 realized by placing each part with a rigid motion and solving the glue gaps
 closed (``refine`` moves each glued group of vertices as one), and only then
-merging vertex indices.
+merging vertex indices.  Long chains are not solved whole: ``chain_extend``
+solves a base chain of four or five spacers and repeats its two-spacer
+period, falling back to the whole solve if the result misses the target.
 Certification is deliberately separate: callers pass the result to
 ``pipeline.certify``.
 """
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, _components, normalize
+from .model import EmbeddedGraph, _components, edge_lengths, normalize
 from .refine import RefineOptions, refine
 
 _PREFLEX_TOL = 1e-9  # port-gap mismatches below this need no pre-flexing
@@ -191,11 +193,14 @@ def chain_plan(spec: ChainSpec) -> CompositionPlan:
     for t in range(len(parts) - 1):
         idents.append((t, exits[t][0], t + 1, entries[t][0]))
         idents.append((t, exits[t][1], t + 1, entries[t][1]))
-    name = (
+    return CompositionPlan(tuple(parts), tuple(idents), _chain_name(spec))
+
+
+def _chain_name(spec: ChainSpec) -> str:
+    return (
         f"chain({spec.left.display_label},"
         f"{spec.spacer_count} spacers,{spec.right.display_label})"
     )
-    return CompositionPlan(tuple(parts), tuple(idents), name)
 
 
 def _facing_slots(g: EmbeddedGraph, exit_side: bool) -> tuple[int, int]:
@@ -213,8 +218,49 @@ def _facing_slots(g: EmbeddedGraph, exit_side: bool) -> tuple[int, int]:
 
 
 def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
-    """Realize a chain composition; vertex count comes out as predicted."""
-    return realize(chain_plan(spec), opts)
+    """Realize a chain composition; vertex count comes out as predicted.
+
+    A glue-solved chain repeats with a period of two spacers: spacer k + 2 is
+    spacer k translated by T ~ (2, 0).  So chains of more than five spacers
+    realize one base chain of 4 spacers (5 for odd counts) through
+    ``realize``, then repeat its spacers 2 and 3 with translation T as often
+    as needed and shift the rest of the base along.  Vertex and edge order
+    are those ``realize`` gives the whole chain.  Edges where one copy meets
+    the next are unit only as far as the base is periodic, so if any edge of
+    the tiled chain misses ``opts.target_residual`` the whole chain is
+    glue-solved instead.  Chains of up to five spacers are always solved
+    whole.  The chain has one flex, and the tiled chain may sit at another
+    point on it than the whole solve would.
+    """
+    n = spec.spacer_count
+    base_count = 4 + n % 2
+    if n < base_count + 2:  # not one whole period beyond the base
+        return realize(chain_plan(spec), opts)
+    base_plan = chain_plan(replace(spec, spacer_count=base_count))
+    base = realize(base_plan, opts)
+    # _merge_pairs keeps each joint at its earlier part's port, so the base
+    # lists the left end's vertices, then each spacer's v - 2 new ones, then
+    # the right end's rest; its edges follow the parts in the same order.
+    spacer = base_plan.parts[1].graph
+    step = spacer.vertex_count - 2
+    v0 = spec.left.graph.vertex_count + step  # spacer 2's first vertex
+    e0 = spec.left.graph.edge_count + spacer.edge_count  # and first edge
+    v1, e1 = v0 + 2 * step, e0 + 2 * spacer.edge_count  # spacer 4's
+    coords, edges = base.vertices, base.edge_array()
+    period = coords[v1 : v1 + step].mean(axis=0) - coords[v0 : v0 + step].mean(axis=0)
+    m = (n - base_count) // 2
+    copies = np.arange(1, m + 1)[:, None, None]
+    shift = v1 - v0  # one period's vertices
+    tiled_coords = np.concatenate(
+        [coords[:v1], (coords[v0:v1] + copies * period).reshape(-1, 2), coords[v1:] + m * period]
+    )
+    tiled_edges = np.concatenate(
+        [edges[:e1], (edges[e0:e1] + copies * shift).reshape(-1, 2), edges[e1:] + m * shift]
+    )
+    tiled = EmbeddedGraph(tiled_coords, tiled_edges.tolist(), 1.0, _chain_name(spec))
+    if np.abs(edge_lengths(tiled) - 1.0).max() > opts.target_residual:
+        return realize(chain_plan(spec), opts)
+    return tiled
 
 
 # -- plan (de)serialization ---------------------------------------------------

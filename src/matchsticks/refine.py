@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,7 +147,8 @@ def refine(
         coords = total[label] / np.bincount(label, minlength=v)[label, None]
     # edges and distance constraints share one row form: |p_i - p_j| - target
     distance_ends = [(int(i), int(j)) for i, j, _ in distance_constraints]
-    links = label[np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])]
+    ends = np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])
+    links = label[ends]
     targets = np.concatenate([np.ones(e), [float(t) for _, _, t in distance_constraints]])
 
     pins = opts.pinned if opts.pinned is not None else default_pins(g)
@@ -157,8 +158,12 @@ def refine(
             raise ValueError(f"bad pin ({vi}, {ci})")
         free[2 * label[vi] + ci] = False
 
+    def row_name(k: int) -> str:
+        kind = f"edge {k}" if k < e else f"distance constraint {k - e}"
+        return f"{kind} (vertices {ends[k, 0]}, {ends[k, 1]})"
+
     def full_residual(c: np.ndarray) -> np.ndarray:
-        return _lengths(c, links)[1] - targets
+        return _lengths(c, links, row_name)[1] - targets
 
     def maxima(r: np.ndarray) -> tuple[float, float]:
         """(max |edge residual|, max distance-constraint violation)."""
@@ -223,14 +228,20 @@ def refine(
 # -- residual rows ------------------------------------------------------------
 
 
-def _lengths(coords: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Difference vectors p_i - p_j and their lengths, one per (i, j) row."""
+def _lengths(
+    coords: np.ndarray, links: np.ndarray, row_name: Callable[[int], str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Difference vectors p_i - p_j and their lengths, one per (i, j) row.
+
+    A degenerate row raises ZeroLengthEdgeError naming it ``row_name(k)``,
+    by default as edge k with the vertices of ``links``.
+    """
     diff = coords[links[:, 0]] - coords[links[:, 1]]
     lengths = np.hypot(diff[:, 0], diff[:, 1])
     if len(lengths) and float(lengths.min()) < _TINY:
-        raise ZeroLengthEdgeError(
-            f"edge {int(np.argmin(lengths))} has length {float(lengths.min()):.3e}"
-        )
+        k = int(np.argmin(lengths))
+        name = row_name(k) if row_name else f"edge {k} (vertices {links[k, 0]}, {links[k, 1]})"
+        raise ZeroLengthEdgeError(f"{name} has length {lengths[k]:.3e}")
     return diff, lengths
 
 

@@ -63,8 +63,8 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
 def long_chain() -> EmbeddedGraph:
     """fig5a + 300 spacers + fig5c: 995 vertices, built once per session.
 
-    ``chain_extend`` raises RealizationFailedError unless the glue solve
-    converged.
+    ``chain_extend`` tiles it from a glue-solved base chain; it raises
+    RealizationFailedError unless every glue solve it ran converged.
     """
     spec = ChainSpec(
         PartSpec(corpus.refined_graph("fig5a")), PartSpec(corpus.refined_graph("fig5c")), 300

@@ -29,6 +29,8 @@ from matchsticks.construct import (
 from matchsticks.ingest import emit_segments
 from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
 from matchsticks.pipeline import certify
+from matchsticks.rigidity import analyze_rigidity
+from matchsticks.verify import verify_matchstick
 
 
 def certified(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -245,10 +247,14 @@ def test_longer_chains(n, expected):
     assert g.vertex_count == expected
 
 
-def test_long_chain_glues_to_unit_edges(long_chain):
+def test_long_chain_glues_to_unit_edges():
     # 1,597 vertices before merging: the glue solve must stay banded to be quick
-    assert long_chain.vertex_count == 995
-    assert np.abs(edge_lengths(long_chain) - 1.0).max() <= 1e-12
+    spec = ChainSpec(
+        PartSpec(corpus.refined_graph("fig5a")), PartSpec(corpus.refined_graph("fig5c")), 300
+    )
+    g = realize(chain_plan(spec))
+    assert g.vertex_count == 995
+    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
 def test_chain_refines_each_distinct_part_and_gap_once(monkeypatch):
@@ -273,6 +279,79 @@ def test_chain_refines_each_distinct_part_and_gap_once(monkeypatch):
     assert calls["preflex"] <= 5
     assert calls["part"] == 3  # fig5a, fig5c and the one spacer graph
     assert calls["glue"] == 1
+
+
+CHAIN_ENDS = [("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c")]
+
+
+def end_spec(left: str, right: str, n: int) -> ChainSpec:
+    return ChainSpec(PartSpec(corpus.refined_graph(left)), PartSpec(corpus.refined_graph(right)), n)
+
+
+def assert_tiled_like_solved(spec: ChainSpec) -> None:
+    tiled, solved = chain_extend(spec), realize(chain_plan(spec))
+    assert (tiled.name, tiled.vertex_count, tiled.edges) == (
+        solved.name, solved.vertex_count, solved.edges
+    )
+    assert np.abs(edge_lengths(tiled) - 1.0).max() <= 1e-12
+    assert verify_matchstick(tiled).classification == verify_matchstick(solved).classification
+    verdicts = [analyze_rigidity(g) for g in (tiled, solved)]
+    assert len({(r.rank, r.internal_flexes, r.classification) for r in verdicts}) == 1
+
+
+@pytest.mark.parametrize("n", [6, 7, 20, 21, 150])
+@pytest.mark.parametrize("left,right", CHAIN_ENDS)
+def test_tiled_chain_matches_the_glue_solved_chain(left, right, n):
+    assert_tiled_like_solved(end_spec(left, right, n))
+
+
+def test_tiled_chain_keeps_a_reflected_end_and_a_given_spacer():
+    g5a = corpus.refined_graph("fig5a")
+    spacer = corpus.load_graph("fig5b")  # as drawn: realize refines it
+    assert_tiled_like_solved(ChainSpec(PartSpec(g5a), PartSpec(g5a, reflect=True), 21, spacer))
+
+
+@pytest.mark.parametrize("left,right", CHAIN_ENDS)
+def test_long_chains_glue_solve_only_their_base(monkeypatch, left, right):
+    glued = []
+    real_refine = construct.refine
+
+    def recording_refine(g, opts=construct.RefineOptions(), coincidences=(),
+                         distance_constraints=()):
+        if len(coincidences):
+            glued.append(len(coincidences))
+        return real_refine(g, opts, coincidences, distance_constraints)
+
+    monkeypatch.setattr(construct, "refine", recording_refine)
+    for n in (20, 150, 3000):
+        spec = end_spec(left, right, n)
+        g = chain_extend(spec)
+        assert g.vertex_count == spec.predicted_vertex_count()
+        assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
+    # two ports at each of the 4-spacer base's 5 joints; a fallback would glue all n + 1
+    assert glued == [10, 10, 10]
+
+
+def test_tiling_falls_back_to_the_whole_solve_when_the_base_is_off(monkeypatch):
+    spec = end_spec("fig5a", "fig5c", 20)
+    solved = []
+    real_realize = construct.realize
+
+    def perturbed_realize(plan, opts=construct.RefineOptions()):
+        solved.append(plan.subgraph_count - 2)
+        g = real_realize(plan, opts)
+        if len(solved) == 1:  # the base: move a vertex of its repeated block
+            coords = g.vertices.copy()
+            coords[spec.left.graph.vertex_count + 3, 0] += 1e-9
+            g = g.with_vertices(coords)
+        return g
+
+    monkeypatch.setattr(construct, "realize", perturbed_realize)
+    g = chain_extend(spec)
+    expected = real_realize(chain_plan(spec))
+    assert solved == [4, 20]
+    assert g.edges == expected.edges
+    assert np.array_equal(g.vertices, expected.vertices)
 
 
 def test_chain_rejects_non_spacer_interior():

@@ -202,6 +202,14 @@ def test_coincidence_pair_joined_by_an_edge_is_refused():
         refine(unit_triangle(), coincidences=[(0, 1)])
 
 
+def test_degenerate_rows_are_named_by_kind_and_vertices():
+    # the rhombus has edges 0-3 only; the distance constraint is row 4
+    with pytest.raises(ZeroLengthEdgeError, match=r"^distance constraint 0 \(vertices 0, 2\) "):
+        refine(unit_rhombus(), coincidences=[(0, 2)], distance_constraints=[(0, 2, 1.2)])
+    with pytest.raises(ZeroLengthEdgeError, match=r"^edge 1 \(vertices 1, 2\) "):
+        refine(unit_rhombus(), coincidences=[(1, 2)])
+
+
 def test_refine_imports_numpy_only():
     # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package;
     # the chain (215 vertices) takes the banded rigidity path
