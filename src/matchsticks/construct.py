@@ -4,14 +4,14 @@ Merging two degree-2 vertices produces one degree-4 vertex, so parts whose
 only sub-4 degrees are a few degree-2 "ports" can be composed into 4-regular
 graphs: mirror doubling (a part plus its reflected or half-turned copy),
 rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
-between two end parts.  A composition is described by a declarative plan,
-realized by placing each part with a rigid motion and solving the glue gaps
-closed (``refine`` moves each glued group of vertices as one), and only then
-merging vertex indices.  Long chains are not solved whole: ``chain_extend``
-solves a base chain of four or five spacers and repeats its two-spacer
-period, falling back to the whole solve if the result misses the target.
-Certification is deliberately separate: callers pass the result to
-``pipeline.certify``.
+between two end parts (a facing pair of two parts is a chain with none).  A
+composition is a declarative plan, realized by placing each part as refined
+with a rigid motion, closing every glue gap in one solve (``refine`` moves
+each glued group of vertices as one), and only then merging vertex indices.
+Long chains are not solved whole: ``chain_extend`` solves a base chain of
+four or five spacers and repeats its two-spacer period, falling back to the
+whole solve if the result misses the target.  Certification is deliberately
+separate: callers pass the result to ``pipeline.certify``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import numpy as np
 
 from .model import EmbeddedGraph, _components, edge_lengths, normalize
 from .refine import RefineOptions, refine
-
-_PREFLEX_TOL = 1e-9  # port-gap mismatches below this need no pre-flexing
 
 
 class ConstructError(RuntimeError):
@@ -297,22 +295,30 @@ def plan_to_json_dict(plan: CompositionPlan) -> dict:
 def plan_from_json_dict(
     data: dict, resolver: Callable[[str], EmbeddedGraph] = default_part_resolver
 ) -> CompositionPlan:
-    """Build a plan from its JSON form; PlanError if the document is malformed."""
+    """Build a plan from its JSON form; PlanError if the document is malformed.
+
+    ``reflect`` must be a boolean, identifications four integers, ``name`` a string or null.
+    """
     fields = ("parts", "identifications")
     if not isinstance(data, dict) or not all(isinstance(data.get(f), list) for f in fields):
         raise PlanError("plan document needs the list fields 'parts' and 'identifications'")
     entries = [{"part": e} if isinstance(e, str) else e for e in data["parts"]]
     if not all(isinstance(e, dict) and isinstance(e.get("part"), str) for e in entries):
         raise PlanError("each part must be a name or an object with a string 'part'")
-    try:
-        idents = tuple(tuple(int(x) for x in ident) for ident in data["identifications"])
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"identifications must be lists of integers ({exc})") from None
+    for e in entries:
+        if not isinstance(e.get("reflect", False), bool):
+            raise PlanError(f"part {e['part']!r}: 'reflect' must be a boolean, not {e['reflect']!r}")
+    for ident in data["identifications"]:
+        # bool is a subclass of int, so compare exact types
+        if not (isinstance(ident, list) and len(ident) == 4 and all(type(x) is int for x in ident)):
+            raise PlanError(f"identification {ident!r} is not a list of four integers")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise PlanError(f"plan name must be a string, not {name!r}")
     parts = tuple(
-        PartSpec(resolver(e["part"]), bool(e.get("reflect", False)), e["part"])
-        for e in entries
+        PartSpec(resolver(e["part"]), e.get("reflect", False), e["part"]) for e in entries
     )
-    return CompositionPlan(parts, idents, data.get("name"))
+    return CompositionPlan(parts, data["identifications"], name)
 
 
 def plan_from_json(
@@ -343,6 +349,8 @@ def mirror_double(
     a, b = int(axis_vertex_a), int(axis_vertex_b)
     deg = g.degrees()
     for vtx in (a, b):
+        if not 0 <= vtx < g.vertex_count:
+            raise WrongDegreeError(f"vertex {vtx} out of range for {g.vertex_count} vertices")
         if deg[vtx] != 2:
             raise WrongDegreeError(f"vertex {vtx} has degree {deg[vtx]}, need 2")
     if a == b:
@@ -389,32 +397,28 @@ def mirror_double(
 def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
     """Place the parts, solve all glue gaps closed, and merge the joints.
 
-    Supported layouts are cycles of two-port parts (rings; two parts give the
-    facing-pair case) and chains whose interior parts are 5-vertex spacers.
-    Raises RealizationFailedError when the layout is unsupported or the glue
+    Supported layouts are cycles of three or more two-port parts (rings) and
+    chains whose interior parts are 5-vertex spacers; a facing pair (a ring
+    of two parts) is laid out as a chain with no spacers.  Raises
+    RealizationFailedError when the layout is unsupported or the glue
     constraints cannot be closed; the result is otherwise exact to the
     refinement target but deliberately unverified.
     """
-    # Identical inputs share one refine, here and in the layouts' pre-flexing;
-    # the caches live for this call only and keep every keyed graph alive.
+    # Identical inputs share one refine; the cache lives for this call only
+    # and keeps every keyed graph alive.
     specs = {(id(spec.graph), spec.reflect): spec for spec in plan.parts}
     by_input = {key: _prepare_part(spec) for key, spec in specs.items()}
     prepared = [by_input[id(spec.graph), spec.reflect] for spec in plan.parts]
-    preflexed: dict[tuple, EmbeddedGraph] = {}
     ports = [degree2_vertices(g) for g in prepared]
     idents = [
         (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
     ]
-
-    port_counts = [0] * len(prepared)
-    for a, _va, b, _vb in idents:
-        port_counts[a] += 1
-        port_counts[b] += 1
-
-    if all(c == 2 for c in port_counts):
-        placed = _layout_cycle(prepared, idents, opts, preflexed)
+    # k parts make k joints in a cycle and 2(k - 1) in a chain, so a facing
+    # pair is a chain; each layout rejects the topologies it cannot place
+    if len(idents) == len(prepared) > 2:
+        placed = _layout_cycle(prepared, idents)
     else:
-        placed = _layout_chain(prepared, idents, opts, preflexed)
+        placed = _layout_chain(prepared, idents)
 
     return _solve_and_merge(plan, placed, idents, opts)
 
@@ -435,43 +439,13 @@ def _prepare_part(spec: PartSpec) -> EmbeddedGraph:
     return g
 
 
-def _preflex(
-    g: EmbeddedGraph,
-    constraints: Sequence[tuple[int, int, float]],
-    opts: RefineOptions,
-    preflexed: dict[tuple, EmbeddedGraph],
-) -> EmbeddedGraph:
-    """Best-effort flex of a part toward prescribed port gaps (initialization only).
-
-    Results are kept in ``preflexed`` under the part and the gaps, so a chain's
-    identical spacers share one flex per distinct gap.
-    """
-    key = (id(g), tuple(constraints))
-    if key in preflexed:
-        return preflexed[key]
-    needed = [
-        (i, j, t)
-        for i, j, t in constraints
-        if abs(np.hypot(*(g.vertices[i] - g.vertices[j])) - t) > _PREFLEX_TOL
-    ]
-    if needed:
-        # the default gauge: pins chosen for the whole composition do not apply
-        result = refine(g, replace(opts, pinned=None), distance_constraints=needed)
-        g = result.graph  # non-convergence is fine here; the joint solve decides
-    preflexed[key] = g
-    return g
-
-
 # -- cycle layout -------------------------------------------------------------
 
 
 def _layout_cycle(
-    parts: list[EmbeddedGraph],
-    idents: list[tuple[int, int, int, int]],
-    opts: RefineOptions,
-    preflexed: dict[tuple, EmbeddedGraph],
+    parts: list[EmbeddedGraph], idents: list[tuple[int, int, int, int]]
 ) -> list[np.ndarray]:
-    """Place a cycle of two-port parts around a closed joint polygon."""
+    """Place a cycle of three or more two-port parts around a closed joint polygon."""
     k = len(parts)
     by_part: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]  # (joint, own v, other part)
     for joint, (a, va, b, vb) in enumerate(idents):
@@ -507,27 +481,12 @@ def _layout_cycle(
         p = parts[i].vertices
         gaps.append(float(np.hypot(*(p[exit_vertex_of[i]] - p[entry_vertex_of[i]]))))
 
-    if k == 2:
-        height = (gaps[0] + gaps[1]) / 2
-        joints = np.array([[0.0, 0.0], [0.0, height]])
-        targets = {order[0]: (joints[1], joints[0]), order[1]: (joints[0], joints[1])}
-        # facing pair: each body on its own side (left of its entry->exit direction)
-        sides = {order[0]: +1.0, order[1]: +1.0}
-    else:
-        polygon = _closed_polygon(gaps)  # counterclockwise, one vertex per joint
-        targets = {}
-        for pos, i in enumerate(order):
-            targets[i] = (polygon[pos], polygon[(pos + 1) % k])
-        sides = {i: -1.0 for i in order}  # bodies outward = right of ccw edges
-
+    polygon = _closed_polygon(gaps)  # counterclockwise, one vertex per joint
     placed: list[np.ndarray] = [None] * k  # type: ignore[list-item]
-    for i in order:
-        g = parts[i]
-        entry, exit_ = entry_vertex_of[i], exit_vertex_of[i]
-        target_gap = float(np.hypot(*(targets[i][1] - targets[i][0])))
-        g = _preflex(g, [(entry, exit_, target_gap)], opts, preflexed)
+    for pos, i in enumerate(order):  # bodies outward = right of ccw edges
+        joints = polygon[pos], polygon[(pos + 1) % k]
         placed[i] = _place_two_ports(
-            g.vertices, entry, exit_, targets[i][0], targets[i][1], sides[i]
+            parts[i].vertices, entry_vertex_of[i], exit_vertex_of[i], *joints, body_side=-1.0
         )
     return placed
 
@@ -658,12 +617,9 @@ def _spacer_port_pairs(g: EmbeddedGraph) -> tuple[tuple[int, int], tuple[int, in
 
 
 def _layout_chain(
-    parts: list[EmbeddedGraph],
-    idents: list[tuple[int, int, int, int]],
-    opts: RefineOptions,
-    preflexed: dict[tuple, EmbeddedGraph],
+    parts: list[EmbeddedGraph], idents: list[tuple[int, int, int, int]]
 ) -> list[np.ndarray]:
-    """Place end parts and spacers along a horizontal spine."""
+    """Place end parts and spacers along a horizontal spine (a facing pair has none)."""
     k = len(parts)
     port_counts = [0] * k
     neighbor_idents: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -723,10 +679,9 @@ def _layout_chain(
     # left end: ports at (0, +-h/2), body toward -x
     left = order[0]
     (v_top, w_top), (v_bot, w_bot) = neighbor_idents[(left, order[1])]
-    g = _preflex(parts[left], [(v_top, v_bot, heights[0])], opts, preflexed)
     top = np.array([0.0, heights[0] / 2])
     bot = np.array([0.0, -heights[0] / 2])
-    placed[left] = _place_two_ports(g.vertices, v_top, v_bot, top, bot, body_side=-1.0)
+    placed[left] = _place_two_ports(parts[left].vertices, v_top, v_bot, top, bot, body_side=-1.0)
     assignment[0] = (w_top, w_bot)
 
     for t in range(1, k - 1):  # spacers
@@ -740,15 +695,6 @@ def _layout_chain(
                     - (g.vertices[entry_pair[0]] + g.vertices[entry_pair[1]]) / 2
                 )
             )
-        )
-        g = _preflex(
-            g,
-            [
-                (entry_pair[0], entry_pair[1], heights[t - 1]),
-                (exit_pair[0], exit_pair[1], heights[t]),
-            ],
-            opts,
-            preflexed,
         )
         entry_top, entry_bot = assignment[t - 1]
         if {entry_top, entry_bot} != set(entry_pair):
@@ -783,10 +729,9 @@ def _layout_chain(
     # right end: ports at (x, +-h/2), body toward +x
     right = order[-1]
     r_top, r_bot = assignment[k - 2]
-    g = _preflex(parts[right], [(r_top, r_bot, heights[-1])], opts, preflexed)
     top = np.array([x, heights[-1] / 2])
     bot = np.array([x, -heights[-1] / 2])
-    placed[right] = _place_two_ports(g.vertices, r_top, r_bot, top, bot, body_side=+1.0)
+    placed[right] = _place_two_ports(parts[right].vertices, r_top, r_bot, top, bot, body_side=+1.0)
     return placed
 
 

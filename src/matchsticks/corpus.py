@@ -49,19 +49,18 @@ def corpus_names() -> tuple[str, ...]:
 
 def load_segments(name: str) -> SegmentFile:
     """The raw segment file for a corpus graph."""
-    return _read_segments(_override_dir(), name)
+    return parse_segment_file(_read_text(_override_dir(), name))
 
 
-def _read_segments(override: Path | None, name: str) -> SegmentFile:
+def _read_text(override: Path | None, name: str) -> str:
     if override is not None:
         path = override / f"{name}.seg"
         if not path.exists():
             raise CorpusError(f"no corpus file {path}")
-        return parse_segment_file(path.read_text())
+        return path.read_text()
     if name not in CORPUS_NAMES:
         raise CorpusError(f"unknown corpus graph {name!r}")
-    text = resources.files(__package__).joinpath(f"corpus/{name}.seg").read_text()
-    return parse_segment_file(text)
+    return resources.files(__package__).joinpath(f"corpus/{name}.seg").read_text()
 
 
 def load_graph(name: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
@@ -72,20 +71,20 @@ def load_graph(name: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
 def refined_graph(name: str) -> EmbeddedGraph:
     """The corpus graph refined to unit edge lengths (unit = 1), cached.
 
-    The cache is keyed on the active corpus directory as well as the name, so
-    changing MATCHSTICKS_CORPUS never serves a graph from the previous one.
+    The cache is keyed on the file's text as well as the name, so neither a
+    change of MATCHSTICKS_CORPUS nor a rewritten file serves a stale graph,
+    and an unchanged file gives back the same object every time.
     Raises RuntimeError if the corpus data does not converge, which would mean
     the bundled files are corrupt.
     """
-    override = _override_dir()
-    return _refined_graph(None if override is None else override.resolve(), name)
+    return _refined_graph(name, _read_text(_override_dir(), name))
 
 
 @lru_cache(maxsize=None)
-def _refined_graph(override: Path | None, name: str) -> EmbeddedGraph:
+def _refined_graph(name: str, text: str) -> EmbeddedGraph:
     from .refine import RefineOptions, refine  # deferred to keep imports acyclic
 
-    graph = build_graph(_read_segments(override, name), MergePolicy())
+    graph = build_graph(parse_segment_file(text), MergePolicy())
     result = refine(graph, RefineOptions())
     if not result.converged:
         raise RuntimeError(

@@ -3,7 +3,8 @@
 Figure data is rounded to 4 decimals and composed graphs start with small
 gaps at their glue points; this module drives both to near machine precision
 with a damped Gauss-Newton iteration on one kind of residual row, a distance
-minus its target: edge lengths minus one, plus optional distance constraints.
+minus its target: edge lengths minus one, plus optional distance constraints
+between any two vertices.
 Glue points that must coincide are not rows: each group of them is one
 vertex while solving (elimination of a linear equality constraint).  The
 edge-length Jacobian built here doubles as the rigidity matrix.
@@ -127,8 +128,7 @@ def refine(
     every member takes in the output.  Indices are kept -- merging them is
     the construct module's job.  An edge or distance constraint between two
     coincident vertices raises ZeroLengthEdgeError.  ``distance_constraints``
-    are (i, j, target) triples holding two vertices at a prescribed distance,
-    used by construction initializers to pre-flex parts.
+    are (i, j, target) triples holding two vertices at a prescribed distance.
 
     Accepted steps never increase the residual norm; a rejected step raises
     the damping tenfold and retries.  Non-convergence is reported, not raised:

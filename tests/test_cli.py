@@ -209,6 +209,14 @@ def test_construct_mirror_bad_ports(capsys):
     assert "--ports expects two comma-separated vertex indices" in err
 
 
+@pytest.mark.parametrize("ports", ["10,99", "10,-1"])
+def test_construct_mirror_ports_out_of_range(capsys, ports):
+    code, out, err = run(capsys, "construct", "mirror", "fig2a", "--ports", ports)
+    assert code == 2 and out == ""
+    bad = ports.split(",")[1]
+    assert err == f"error: vertex {bad} out of range for 22 vertices\n"
+
+
 def test_construct_ring(capsys):
     code, out, _ = run(capsys, "construct", "ring", "fig2a", "fig2a", "fig2a")
     assert code == 0

@@ -101,6 +101,15 @@ def test_mirror_double_requires_degree2_join_vertices():
         mirror_double(g, ports[0], ports[0])
 
 
+@pytest.mark.parametrize("bad", [22, 99, -1])
+def test_mirror_double_rejects_join_vertices_out_of_range(bad):
+    g = corpus.refined_graph("fig2a")  # 22 vertices
+    port = degree2_vertices(g)[0]
+    for a, b in ((port, bad), (bad, port)):
+        with pytest.raises(WrongDegreeError, match=f"vertex {bad} out of range for 22 vertices"):
+            mirror_double(g, a, b)
+
+
 def test_mirror_double_rejects_vertex_on_axis():
     # a 4-cycle with an extra axis vertex subdividing nothing: A and B are the
     # join candidates, C sits exactly on the line through them
@@ -216,6 +225,15 @@ def test_rigid_pair_with_mismatched_gaps_fails():
         realize(pair)
 
 
+def test_plan_neither_cycle_nor_chain_fails():
+    # one joint per part, but the spacer takes three of them: no single cycle
+    spacer, part = corpus.refined_graph("fig5b"), corpus.refined_graph("fig2a")
+    idents = ((0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0), (1, 1, 2, 1))
+    plan = CompositionPlan((PartSpec(spacer),) + (PartSpec(part),) * 3, idents)
+    with pytest.raises(RealizationFailedError, match="unsupported plan topology"):
+        realize(plan)
+
+
 def test_cycle_violating_triangle_inequality_fails():
     long_part = PartSpec(triangle_strip(8))  # port gap about 4.58
     tri = PartSpec(unit_triangle())
@@ -275,9 +293,15 @@ def test_chain_refines_each_distinct_part_and_gap_once(monkeypatch):
     g5a, g5c = corpus.refined_graph("fig5a"), corpus.refined_graph("fig5c")
     g = chain_extend(ChainSpec(PartSpec(g5a), PartSpec(g5c), 20))
     assert g.vertex_count == 48 + 49 + 3 * 20 - 2
-    # left end, first spacer, the interior spacers, last spacer, right end
-    assert calls["preflex"] <= 5
+    # parts are laid out as refined: the one glue solve closes every gap
+    assert calls["preflex"] == 0
     assert calls["part"] == 3  # fig5a, fig5c and the one spacer graph
+    assert calls["glue"] == 1
+    # a facing pair is laid out the same way, as a chain with no spacers
+    calls.clear()
+    assert realize(ring_plan([g5a, g5c])).vertex_count == 48 + 49 - 2
+    assert calls["preflex"] == 0
+    assert calls["part"] == 2
     assert calls["glue"] == 1
 
 
@@ -401,6 +425,12 @@ def test_plan_json_rejects_malformed_documents():
         plan_from_json('{"parts": ["no-such-part"], "identifications": []}')
 
 
+# a ring of three fig2a whose first identification is filled in per case
+RING3_JSON = (
+    '{"parts": ["fig2a", "fig2a", "fig2a"], "identifications": [%s, [1, 1, 2, 0], [2, 1, 0, 0]]}'
+)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -410,6 +440,16 @@ def test_plan_json_rejects_malformed_documents():
         '{"parts": [{"part": 7}], "identifications": []}',
         '{"parts": ["fig2a"], "identifications": 5}',
         '{"parts": ["fig2a"], "identifications": [[0, "x", 0, 1]]}',
+        '{"parts": [{"part": "fig2a", "reflect": "false"}], "identifications": []}',
+        '{"parts": [{"part": "fig2a", "reflect": 0}], "identifications": []}',
+        '{"parts": ["fig2a"], "identifications": [], "name": 5}',
+        '{"parts": ["fig2a"], "identifications": [], "name": ["r"]}',
+        RING3_JSON % "[0, 1.9, 1, 0]",
+        RING3_JSON % "[0, true, 1, 0]",
+        RING3_JSON % "[0, 1, 1]",
+        RING3_JSON % "[0, 1, 1, 0, 0]",
+        RING3_JSON % '"0110"',
+        RING3_JSON % '{"0": 0}',
     ],
 )
 def test_plan_json_rejects_documents_of_the_wrong_shape(text):

@@ -351,6 +351,19 @@ def test_refined_graph_cache_follows_corpus_directory(tmp_path, monkeypatch):
         corpus.refined_graph("shape")
 
 
+def test_refined_graph_cache_follows_file_contents(tmp_path, monkeypatch):
+    fig2a, fig2b = (emit_segments(corpus.load_graph(name)) for name in ("fig2a", "fig2b"))
+    path = tmp_path / "part.seg"
+    path.write_text(fig2a)
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    first = corpus.refined_graph("part")
+    assert first.vertex_count == 22
+    assert corpus.refined_graph("part") is first  # realize shares refines by id
+    path.write_text(fig2b)
+    assert corpus.load_graph("part").vertex_count == 30
+    assert corpus.refined_graph("part").vertex_count == 30
+
+
 def test_build_graph_memory_is_linear_on_a_long_chain(long_chain):
     # a dense v x v centroid check over these 995 vertices peaks above 20 MB
     tracemalloc.start()

@@ -1,0 +1,35 @@
+"""The reporting scripts run end to end against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from matchsticks import corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop(corpus.CORPUS_ENV, None)  # the bundled drawings
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_constructions_certifies_all_twenty():
+    lines = run_script("run_constructions.py")
+    assert sum(line.endswith("  ok") for line in lines) == 20
+    assert any(line.startswith("20 constructions certified") for line in lines)
+
+
+def test_corpus_report_has_a_row_per_corpus_graph():
+    lines = run_script("corpus_report.py")
+    rules = [i for i, line in enumerate(lines) if set(line) == {"-"}]
+    assert len(rules) == 2  # below the header and below the last row
+    rows = lines[rules[0] + 1 : rules[1]]
+    assert [row.split()[0] for row in rows] == list(corpus.CORPUS_NAMES)
