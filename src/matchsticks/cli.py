@@ -157,7 +157,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
               f"{_fmt(result.final_residual)}")
         print(f"converged: {'yes' if result.converged else 'NO'}")
     if args.output:
-        Path(args.output).write_text(emit_segments(result.graph))
+        _write_segments(args.output, result.graph)
         if not args.json:
             print(f"wrote {args.output}")
     _converged(result)
@@ -185,12 +185,19 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_segments(path: str, g: EmbeddedGraph) -> None:
+    try:
+        Path(path).write_text(emit_segments(g))
+    except OSError as exc:
+        raise _UsageError(f"{path}: {exc}")
+
+
 def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> int:
     """Certify a built graph, report it, and write it to ``output`` if given."""
     cert = certify(g)
     g, report = _converged(cert.refinement), cert.verification
     if output:
-        Path(output).write_text(emit_segments(g))
+        _write_segments(output, g)
     if as_json:
         payload = {
             "name": g.name,

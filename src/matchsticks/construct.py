@@ -6,12 +6,13 @@ graphs: mirror doubling (a part plus its reflected or half-turned copy),
 rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
 between two end parts (a facing pair of two parts is a chain with none).  A
 composition is a declarative plan, realized by placing each part as refined
-with a rigid motion, closing every glue gap in one solve (``refine`` moves
-each glued group of vertices as one), and only then merging vertex indices.
-Long chains are not solved whole: ``chain_extend`` solves a base chain of
-four or five spacers and repeats its two-spacer period, falling back to the
-whole solve if the result misses the target.  Certification is deliberately
-separate: callers pass the result to ``pipeline.certify``.
+with a rigid motion (ring parts around a closed polygon, chain parts each
+against the one before), closing every glue gap in one solve (``refine``
+moves each glued group of vertices as one), and only then merging vertex
+indices.  Long chains are not solved whole: ``chain_extend`` solves a base
+chain of four or five spacers and repeats its two-spacer period, falling
+back to the whole solve if the result misses the target.  Certification is
+deliberately separate: callers pass the result to ``pipeline.certify``.
 """
 
 from __future__ import annotations
@@ -219,10 +220,10 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
     """Realize a chain composition; vertex count comes out as predicted.
 
     A glue-solved chain repeats with a period of two spacers: spacer k + 2 is
-    spacer k translated by T ~ (2, 0).  So chains of more than five spacers
-    realize one base chain of 4 spacers (5 for odd counts) through
-    ``realize``, then repeat its spacers 2 and 3 with translation T as often
-    as needed and shift the rest of the base along.  Vertex and edge order
+    spacer k translated by T, |T| ~ 2 along the chain.  So chains of more
+    than five spacers realize one base chain of 4 spacers (5 for odd counts)
+    through ``realize``, then repeat its spacers 2 and 3 with translation T
+    as often as needed and shift the rest of the base along.  Vertex and edge order
     are those ``realize`` gives the whole chain.  Edges where one copy meets
     the next are unit only as far as the base is periodic, so if any edge of
     the tiled chain misses ``opts.target_residual`` the whole chain is
@@ -371,8 +372,7 @@ def mirror_double(
                     f"vertex {int(vtx)} lies on the mirror axis "
                     f"(offset {offsets[vtx] / g.unit:.3e} units)"
                 )
-        along = (rel @ u)[:, None] * u
-        copy = A + 2 * along - rel
+        copy = _reflect_across(coords, A, B)
         images = (a, b)
     elif mode == "point":
         mid = (A + B) / 2
@@ -397,10 +397,12 @@ def mirror_double(
 def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
     """Place the parts, solve all glue gaps closed, and merge the joints.
 
-    Supported layouts are cycles of three or more two-port parts (rings) and
-    chains whose interior parts are 5-vertex spacers; a facing pair (a ring
-    of two parts) is laid out as a chain with no spacers.  Raises
-    RealizationFailedError when the layout is unsupported or the glue
+    The parts must form a path or a cycle of neighbors.  A cycle (a ring of
+    three or more parts, one joint between neighbors) is laid out around a
+    closed polygon.  A path is a chain: neighbors share two joints, interior
+    parts are 5-vertex spacers, and each part is placed against the one
+    before it (a facing pair is a chain with no spacers).
+    Raises RealizationFailedError when the layout is unsupported or the glue
     constraints cannot be closed; the result is otherwise exact to the
     refinement target but deliberately unverified.
     """
@@ -413,13 +415,9 @@ def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> Emb
     idents = [
         (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
     ]
-    # k parts make k joints in a cycle and 2(k - 1) in a chain, so a facing
-    # pair is a chain; each layout rejects the topologies it cannot place
-    if len(idents) == len(prepared) > 2:
-        placed = _layout_cycle(prepared, idents)
-    else:
-        placed = _layout_chain(prepared, idents)
-
+    order, joints, closed = _walk_parts(len(prepared), idents)
+    layout = _layout_cycle if closed else _layout_chain
+    placed = layout(prepared, order, joints)
     return _solve_and_merge(plan, placed, idents, opts)
 
 
@@ -439,42 +437,51 @@ def _prepare_part(spec: PartSpec) -> EmbeddedGraph:
     return g
 
 
+_Joints = dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def _walk_parts(
+    k: int, idents: list[tuple[int, int, int, int]]
+) -> tuple[list[int], _Joints, bool]:
+    """Order the parts along the path or cycle their joints form.
+
+    ``joints[a, b]`` lists the (port of a, port of b) pairs glued between
+    neighbors a and b, in plan order.  A path starts at its first end; a
+    cycle (``closed``) starts at part 0 and goes towards the part of its
+    first joint.  Plans are connected, so with at most two neighbors per
+    part the walk reaches every part.
+    """
+    joints: _Joints = {}
+    for a, va, b, vb in idents:
+        joints.setdefault((a, b), []).append((va, vb))
+        joints.setdefault((b, a), []).append((vb, va))
+    neighbors: list[list[int]] = [[] for _ in range(k)]
+    for a, b in joints:
+        neighbors[a].append(b)
+    if any(len(n) > 2 for n in neighbors):
+        raise RealizationFailedError(
+            "unsupported plan topology (a part has more than two neighbors)"
+        )
+    ends = [i for i in range(k) if len(neighbors[i]) < 2]
+    order = [ends[0] if ends else 0]
+    while len(order) < k:  # step to the neighbor that is not the part before
+        order.append(next(b for b in neighbors[order[-1]] if b not in order[-2:]))
+    return order, joints, not ends
+
+
 # -- cycle layout -------------------------------------------------------------
 
 
 def _layout_cycle(
-    parts: list[EmbeddedGraph], idents: list[tuple[int, int, int, int]]
+    parts: list[EmbeddedGraph], order: list[int], joints: _Joints
 ) -> list[np.ndarray]:
-    """Place a cycle of three or more two-port parts around a closed joint polygon."""
+    """Place a cycle of parts around a closed polygon, one joint per corner."""
     k = len(parts)
-    by_part: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]  # (joint, own v, other part)
-    for joint, (a, va, b, vb) in enumerate(idents):
-        by_part[a].append((joint, va, b))
-        by_part[b].append((joint, vb, a))
-    if any(len(entry) != 2 for entry in by_part) or len(idents) != k:
-        raise RealizationFailedError("unsupported plan topology (not a single cycle)")
-
-    # walk the cycle: order[i] = part index, entry/exit vertex per visited part
-    order = [0]
-    exit_joint, exit_vertex, nxt = by_part[0][0]
-    entry_vertex_of = {}
-    exit_vertex_of = {0: exit_vertex}
-    used_joints = {exit_joint}
-    while nxt != 0:
-        order.append(nxt)
-        options = by_part[nxt]
-        incoming = next(o for o in options if o[0] == exit_joint)
-        entry_vertex_of[nxt] = incoming[1]
-        outgoing = next(o for o in options if o[0] != exit_joint)
-        exit_joint, exit_vertex_of[nxt], nxt = outgoing
-        if exit_joint in used_joints:
-            raise RealizationFailedError("unsupported plan topology (not a single cycle)")
-        used_joints.add(exit_joint)
-        if len(order) > k:
-            raise RealizationFailedError("unsupported plan topology (not a single cycle)")
-    entry_vertex_of[0] = next(o for o in by_part[0] if o[0] == exit_joint)[1]
-    if len(order) != k:
-        raise RealizationFailedError("unsupported plan topology (cycle misses parts)")
+    nexts = order[1:] + order[:1]
+    if any(len(joints[i, j]) != 1 for i, j in zip(order, nexts)):
+        raise RealizationFailedError("cycle neighbors must share exactly one joint")
+    exit_vertex_of = {i: joints[i, j][0][0] for i, j in zip(order, nexts)}
+    entry_vertex_of = {j: joints[i, j][0][1] for i, j in zip(order, nexts)}
 
     gaps = []
     for i in order:
@@ -484,9 +491,9 @@ def _layout_cycle(
     polygon = _closed_polygon(gaps)  # counterclockwise, one vertex per joint
     placed: list[np.ndarray] = [None] * k  # type: ignore[list-item]
     for pos, i in enumerate(order):  # bodies outward = right of ccw edges
-        joints = polygon[pos], polygon[(pos + 1) % k]
+        corners = polygon[pos], polygon[(pos + 1) % k]
         placed[i] = _place_two_ports(
-            parts[i].vertices, entry_vertex_of[i], exit_vertex_of[i], *joints, body_side=-1.0
+            parts[i].vertices, entry_vertex_of[i], exit_vertex_of[i], *corners, body_side=-1.0
         )
     return placed
 
@@ -617,135 +624,29 @@ def _spacer_port_pairs(g: EmbeddedGraph) -> tuple[tuple[int, int], tuple[int, in
 
 
 def _layout_chain(
-    parts: list[EmbeddedGraph], idents: list[tuple[int, int, int, int]]
+    parts: list[EmbeddedGraph], order: list[int], joints: _Joints
 ) -> list[np.ndarray]:
-    """Place end parts and spacers along a horizontal spine (a facing pair has none)."""
-    k = len(parts)
-    port_counts = [0] * k
-    neighbor_idents: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, va, b, vb in idents:
-        port_counts[a] += 1
-        port_counts[b] += 1
-        neighbor_idents.setdefault((a, b), []).append((va, vb))
-        neighbor_idents.setdefault((b, a), []).append((vb, va))
-    ends = [i for i, c in enumerate(port_counts) if c == 2]
-    mids = [i for i, c in enumerate(port_counts) if c == 4]
-    if len(ends) != 2 or len(ends) + len(mids) != k:
-        raise RealizationFailedError("unsupported plan topology (not a two-ended chain)")
+    """Place a chain part by part, each against the one before it.
 
-    # order the parts end-to-end following double identifications
-    doubles: dict[int, list[int]] = {i: [] for i in range(k)}
-    for (a, b), pairs in neighbor_idents.items():
-        if len(pairs) == 2:
-            doubles[a].append(b)
-    order = [ends[0]]
-    seen = {ends[0]}
-    while True:
-        nexts = {b for b in doubles[order[-1]] if b not in seen}
-        if not nexts:
-            break
-        if len(nexts) != 1:
-            raise RealizationFailedError("unsupported plan topology (branched chain)")
-        order.append(nexts.pop())
-        seen.add(order[-1])
-    if len(order) != k or order[-1] != ends[1]:
-        raise RealizationFailedError("unsupported plan topology (chain does not span parts)")
-    for t in range(k - 1):
-        if len(neighbor_idents.get((order[t], order[t + 1]), [])) != 2:
+    The first end keeps its refined position.  Each next part is entered
+    through two ports, glued to two ports of the part before: the entry
+    ports straddle their partners, with the body on the far side of them.
+    Interior parts must be spacers entered through one facing pair (so they
+    leave through the other).
+    """
+    placed: list[np.ndarray] = [None] * len(parts)  # type: ignore[list-item]
+    placed[order[0]] = parts[order[0]].vertices
+    for t, (prev, cur) in enumerate(zip(order, order[1:]), start=1):
+        if len(joints[prev, cur]) != 2:
             raise RealizationFailedError("chain neighbors must share exactly two joints")
-    # raises PlanError on unsupported interior parts
-    port_pairs = {i: _spacer_port_pairs(parts[i]) for i in mids}
-
-    def pair_gap(i: int, facing_next: bool) -> float:
-        g = parts[i]
-        if port_counts[i] == 2:
-            a, b = degree2_vertices(g)
-            return float(np.hypot(*(g.vertices[a] - g.vertices[b])))
-        pairs = port_pairs[i]
-        pair = pairs[1] if facing_next else pairs[0]
-        return float(np.hypot(*(g.vertices[pair[0]] - g.vertices[pair[1]])))
-
-    # joint t sits between order[t] and order[t+1]
-    heights = [
-        (pair_gap(order[t], True) + pair_gap(order[t + 1], False)) / 2
-        for t in range(k - 1)
-    ]
-
-    placed: list[np.ndarray] = [None] * k  # type: ignore[list-item]
-    # top/bottom assignment per joint, as vertex ids of the *next* part
-    x = 0.0
-    assignment: dict[int, tuple[int, int]] = {}
-
-    # left end: ports at (0, +-h/2), body toward -x
-    left = order[0]
-    (v_top, w_top), (v_bot, w_bot) = neighbor_idents[(left, order[1])]
-    top = np.array([0.0, heights[0] / 2])
-    bot = np.array([0.0, -heights[0] / 2])
-    placed[left] = _place_two_ports(parts[left].vertices, v_top, v_bot, top, bot, body_side=-1.0)
-    assignment[0] = (w_top, w_bot)
-
-    for t in range(1, k - 1):  # spacers
-        i = order[t]
-        g = parts[i]
-        entry_pair, exit_pair = port_pairs[i]
-        width = float(
-            np.hypot(
-                *(
-                    (g.vertices[exit_pair[0]] + g.vertices[exit_pair[1]]) / 2
-                    - (g.vertices[entry_pair[0]] + g.vertices[entry_pair[1]]) / 2
-                )
-            )
-        )
-        entry_top, entry_bot = assignment[t - 1]
-        if {entry_top, entry_bot} != set(entry_pair):
-            entry_pair, exit_pair = exit_pair, entry_pair  # arrived facing the other way
-        if {entry_top, entry_bot} != set(entry_pair):
+        (p0, c0), (p1, c1) = joints[prev, cur]
+        if t < len(order) - 1 and {c0, c1} not in map(set, _spacer_port_pairs(parts[cur])):
             raise RealizationFailedError("chain joints do not respect spacer port pairs")
-        src = np.array(
-            [
-                g.vertices[entry_top],
-                g.vertices[entry_bot],
-                (g.vertices[exit_pair[0]] + g.vertices[exit_pair[1]]) / 2,
-            ]
+        q0, q1 = placed[prev][p0], placed[prev][p1]
+        placed[cur] = _place_two_ports(
+            parts[cur].vertices, c0, c1, q0, q1, body_side=-_body_side(placed[prev], q0, q1)
         )
-        dst = np.array(
-            [
-                [x, heights[t - 1] / 2],
-                [x, -heights[t - 1] / 2],
-                [x + width, 0.0],
-            ]
-        )
-        placed[i] = _kabsch_place(g.vertices, src, dst)
-        x += width
-        # which exit port ended on top decides the next joint's assignment
-        e0, e1 = exit_pair
-        if placed[i][e0][1] < placed[i][e1][1]:
-            e0, e1 = e1, e0
-        partners = dict(neighbor_idents[(i, order[t + 1])])
-        if e0 not in partners or e1 not in partners:
-            raise RealizationFailedError("chain joints do not respect spacer port pairs")
-        assignment[t] = (partners[e0], partners[e1])
-
-    # right end: ports at (x, +-h/2), body toward +x
-    right = order[-1]
-    r_top, r_bot = assignment[k - 2]
-    top = np.array([x, heights[-1] / 2])
-    bot = np.array([x, -heights[-1] / 2])
-    placed[right] = _place_two_ports(parts[right].vertices, r_top, r_bot, top, bot, body_side=+1.0)
     return placed
-
-
-def _kabsch_place(coords: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Best-fit rotation+translation mapping src points onto dst, applied to coords."""
-    src_c = src - src.mean(axis=0)
-    dst_c = dst - dst.mean(axis=0)
-    dots = float(np.sum(src_c * dst_c))
-    crosses = float(np.sum(src_c[:, 0] * dst_c[:, 1] - src_c[:, 1] * dst_c[:, 0]))
-    angle = math.atan2(crosses, dots)
-    rot = np.array(
-        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-    )
-    return (coords - src.mean(axis=0)) @ rot.T + dst.mean(axis=0)
 
 
 # -- glue solving and merging -------------------------------------------------

@@ -109,9 +109,13 @@ def _plan_file(tmp_path, text):
                       _plan_file(tmp, '{"parts": ["fig2a"], "identifications": 5}')], None),
         (lambda tmp: ["verify", str(tmp)], None),
         (lambda tmp: ["catalog"], "no-such-dir"),
+        (lambda tmp: ["refine", "fig2a", "-o", str(tmp / "no-such-dir" / "x.seg")], None),
+        (lambda tmp: ["construct", "ring", "fig2a", "fig2a", "fig2a",
+                      "-o", str(tmp / "no-such-dir" / "x.seg")], None),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list",
-         "directory-as-graph", "missing-corpus-directory"],
+         "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
+         "unwritable-construct-output"],
 )
 def test_hostile_input_is_a_usage_error(argv, corpus_dir, tmp_path, monkeypatch, capsys):
     if corpus_dir is not None:

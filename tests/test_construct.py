@@ -384,6 +384,53 @@ def test_chain_rejects_non_spacer_interior():
         chain_plan(ChainSpec(PartSpec(g5a), PartSpec(g5a), 1, spacer=unit_triangle()))
 
 
+def test_chain_layout_ignores_the_order_and_direction_of_identifications():
+    plan = chain_plan(end_spec("fig5a", "fig5c", 4))
+    flipped = tuple((b, sb, a, sa) for a, sa, b, sb in reversed(plan.identifications))
+    g = realize(plan)
+    h = realize(CompositionPlan(plan.parts, flipped, plan.name))
+    assert (g.name, g.edges) == (h.name, h.edges)
+    assert np.abs(g.vertices - h.vertices).max() <= 1e-12
+
+
+def spacer_entered_through_one_triangle() -> CompositionPlan:
+    g5a, spacer = corpus.refined_graph("fig5a"), corpus.refined_graph("fig5b")
+    ports = degree2_vertices(spacer)
+    hub = int(np.argmax(spacer.degrees()))
+    triangles = sorted(edge for edge in spacer.edges if hub not in edge)  # port to port
+    p, q, r, s = (ports.index(v) for edge in triangles for v in edge)
+    idents = ((0, 0, 1, p), (0, 1, 1, q), (1, r, 2, 0), (1, s, 2, 1))
+    return CompositionPlan((PartSpec(g5a), PartSpec(spacer), PartSpec(g5a)), idents)
+
+
+def ring_left_open() -> CompositionPlan:
+    part = PartSpec(corpus.refined_graph("fig2a"))
+    return CompositionPlan((part,) * 3, ((0, 1, 1, 0), (1, 1, 2, 0)))
+
+
+def ring_of_spacers() -> CompositionPlan:
+    spacer = PartSpec(corpus.refined_graph("fig5b"))
+    idents = tuple(
+        (i, exit_slot, (i + 1) % 3, entry_slot)
+        for i in range(3)
+        for exit_slot, entry_slot in ((2, 0), (3, 1))
+    )
+    return CompositionPlan((spacer,) * 3, idents)
+
+
+@pytest.mark.parametrize(
+    "make_plan, message",
+    [
+        (spacer_entered_through_one_triangle, "chain joints do not respect spacer port pairs"),
+        (ring_left_open, "chain neighbors must share exactly two joints"),
+        (ring_of_spacers, "cycle neighbors must share exactly one joint"),
+    ],
+)
+def test_layout_rejects_joints_it_cannot_place(make_plan, message):
+    with pytest.raises(RealizationFailedError, match=message):
+        realize(make_plan())
+
+
 def test_chain_plan_structure():
     g5a = corpus.refined_graph("fig5a")
     plan = chain_plan(ChainSpec(PartSpec(g5a), PartSpec(g5a), 2))

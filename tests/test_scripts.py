@@ -1,6 +1,8 @@
-"""The reporting scripts run end to end against the package in src/."""
+"""The reporting scripts and the benchmark run end to end against the package in src/."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,22 @@ def test_corpus_report_has_a_row_per_corpus_graph():
     assert len(rules) == 2  # below the header and below the last row
     rows = lines[rules[0] + 1 : rules[1]]
     assert [row.split()[0] for row in rows] == list(corpus.CORPUS_NAMES)
+
+
+def test_traced_benchmark_pass_binds_the_package(tmp_path):
+    # a copy, so that the spans it writes stay out of the checkout; the
+    # benchmark checks that the package it imports lies in its own src/
+    ignore = shutil.ignore_patterns("out", "__pycache__")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"),
+         "--workload", "chains", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"]
+    metrics = result["metrics"]
+    assert metrics["construct.realize_s"]["value"] > 0
+    assert metrics["refine.glue_iterations"]["value"] > 0
