@@ -22,7 +22,6 @@ from .construct import (
     ChainSpec,
     ConstructError,
     PartSpec,
-    PlanError,
     RealizationFailedError,
     chain_extend,
     degree2_vertices,
@@ -33,10 +32,10 @@ from .construct import (
 )
 from .counting import Inventory, combinations_table, theorem1_coverage
 from .ingest import build_graph, emit_segments, graph_from_text
-from .model import EmbeddedGraph, ModelError, degree_profile
+from .model import EmbeddedGraph, degree_profile
 from .pipeline import certify
-from .refine import RefineOptions, RefineResult, ZeroLengthEdgeError, refine
-from .rigidity import DisconnectedGraphError, analyze_rigidity
+from .refine import RefineOptions, RefineResult, refine
+from .rigidity import analyze_rigidity
 from .verify import Tolerances, verify_matchstick
 
 EXIT_OK = 0
@@ -69,7 +68,9 @@ def _load_graph(ref: str) -> EmbeddedGraph:
     if path.exists():
         try:
             return graph_from_text(path.read_text())
-        except (OSError, ValueError, ModelError) as exc:
+        except OSError as exc:
+            raise _UsageError(f"{ref}: {exc.strerror}")
+        except ValueError as exc:
             raise _UsageError(f"{ref}: {exc}")
     if ref in corpus.corpus_names():
         return corpus.load_graph(ref)
@@ -189,7 +190,7 @@ def _write_segments(path: str, g: EmbeddedGraph) -> None:
     try:
         Path(path).write_text(emit_segments(g))
     except OSError as exc:
-        raise _UsageError(f"{path}: {exc}")
+        raise _UsageError(f"{path}: {exc.strerror}")
 
 
 def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> int:
@@ -254,7 +255,7 @@ def _cmd_construct_from_plan(args: argparse.Namespace) -> int:
     try:
         text = Path(args.plan).read_text()
     except OSError as exc:
-        raise _UsageError(f"{args.plan}: {exc}")
+        raise _UsageError(f"{args.plan}: {exc.strerror}")
     plan = plan_from_json(text, functools.cache(_load_graph))
     return _certify_and_write(realize(plan), args.output, args.json)
 
@@ -432,11 +433,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ModelError, PlanError, corpus.CorpusError,
-            DisconnectedGraphError, ZeroLengthEdgeError) as exc:
+    except (_UsageError, ValueError, corpus.CorpusError) as exc:
+        # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
+        # DisconnectedGraphError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_NumericalError, RealizationFailedError) as exc:

@@ -79,10 +79,6 @@ class CompositionPlan:
     identifications: tuple[tuple[int, int, int, int], ...]
     name: str | None = None
 
-    @property
-    def subgraph_count(self) -> int:
-        return len(self.parts)
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(
@@ -262,44 +258,17 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
     return tiled
 
 
-# -- plan (de)serialization ---------------------------------------------------
+# -- plan reading -------------------------------------------------------------
 
 
-def default_part_resolver(name: str) -> EmbeddedGraph:
-    """Resolve a part reference: corpus name, else a segment file (realize refines it)."""
-    from . import corpus
-    from .ingest import graph_from_text
+def plan_from_json(text: str, resolver: Callable[[str], EmbeddedGraph]) -> CompositionPlan:
+    """Read a plan from JSON text; PlanError if the document is malformed.
 
-    try:
-        return corpus.refined_graph(name)
-    except KeyError:
-        pass
-    from pathlib import Path
-
-    path = Path(name)
-    if path.exists():
-        return graph_from_text(path.read_text())
-    raise PlanError(f"unknown part {name!r} (not a corpus name or readable file)")
-
-
-def plan_to_json_dict(plan: CompositionPlan) -> dict:
-    return {
-        "name": plan.name,
-        "parts": [
-            {"part": spec.label or spec.graph.name or "?", "reflect": spec.reflect}
-            for spec in plan.parts
-        ],
-        "identifications": [list(ident) for ident in plan.identifications],
-    }
-
-
-def plan_from_json_dict(
-    data: dict, resolver: Callable[[str], EmbeddedGraph] = default_part_resolver
-) -> CompositionPlan:
-    """Build a plan from its JSON form; PlanError if the document is malformed.
-
-    ``reflect`` must be a boolean, identifications four integers, ``name`` a string or null.
+    ``resolver`` turns each part reference into a graph (``realize`` refines
+    it).  ``reflect`` must be a boolean, identifications four integers,
+    ``name`` a string or null.
     """
+    data = json.loads(text)
     fields = ("parts", "identifications")
     if not isinstance(data, dict) or not all(isinstance(data.get(f), list) for f in fields):
         raise PlanError("plan document needs the list fields 'parts' and 'identifications'")
@@ -320,12 +289,6 @@ def plan_from_json_dict(
         PartSpec(resolver(e["part"]), e.get("reflect", False), e["part"]) for e in entries
     )
     return CompositionPlan(parts, data["identifications"], name)
-
-
-def plan_from_json(
-    text: str, resolver: Callable[[str], EmbeddedGraph] = default_part_resolver
-) -> CompositionPlan:
-    return plan_from_json_dict(json.loads(text), resolver)
 
 
 # -- mirror doubling ----------------------------------------------------------

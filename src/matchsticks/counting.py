@@ -61,10 +61,6 @@ class CoverageTable:
             self, "rows", {v: rows.get(v, 0) for v in range(lo, hi + 1)}
         )
 
-    @property
-    def vertex_range(self) -> tuple[int, int]:
-        return min(self.rows), max(self.rows)
-
     def total(self) -> int:
         return sum(self.rows.values())
 
@@ -238,8 +234,3 @@ def theorem1_coverage(
             else:
                 missing.append(v)
     return CoverageCertificate(max_check, tuple(missing), witnesses)
-
-
-def below_63_catalog() -> frozenset[int]:
-    """The four known 4-regular vertex counts under 63, each a corpus graph."""
-    return frozenset(BELOW_63_GRAPHS)

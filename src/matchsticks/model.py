@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +24,6 @@ class ModelError(ValueError):
 
 class ProfileNotApplicableError(ModelError):
     """Degree profile fits neither edge-count identity."""
-
-
-class Point2(NamedTuple):
-    """A point of the drawing plane, in drawing units."""
-
-    x: float
-    y: float
 
 
 def _canonical_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
@@ -93,10 +86,6 @@ class EmbeddedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def vertex(self, i: int) -> Point2:
-        x, y = self.vertices[i]
-        return Point2(float(x), float(y))
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int array of length v."""
@@ -179,14 +168,6 @@ def edge_count_identity(g: EmbeddedGraph) -> IdentityCheck:
     raise ProfileNotApplicableError(
         f"degree profile {profile} matches neither identity pattern"
     )
-
-
-def edge_length(g: EmbeddedGraph, edge_index: int) -> float:
-    """Euclidean length of an edge in matchstick units (drawing length / unit)."""
-    if not (0 <= edge_index < g.edge_count):
-        raise IndexError(f"edge index {edge_index} out of range for {g.edge_count} edges")
-    u, v = g.edges[edge_index]
-    return float(np.hypot(*(g.vertices[u] - g.vertices[v]))) / g.unit
 
 
 def edge_lengths(g: EmbeddedGraph) -> np.ndarray:

@@ -78,12 +78,6 @@ class RefineResult:
     converged: bool
 
 
-def residuals(g: EmbeddedGraph) -> np.ndarray:
-    """Edge length minus one, per edge, in matchstick units."""
-    coords = normalize(g).vertices
-    return _lengths(coords, g.edge_array())[1] - 1.0
-
-
 def residual_jacobian(g: EmbeddedGraph) -> np.ndarray:
     """Jacobian of the edge-length residuals, e rows by 2v columns.
 

@@ -72,11 +72,6 @@ class RigidityReport:
         }
 
 
-def rigidity_matrix(g: EmbeddedGraph) -> np.ndarray:
-    """The e x 2v rigidity matrix at g's coordinates (= refinement Jacobian)."""
-    return residual_jacobian(g)
-
-
 def is_connected(g: EmbeddedGraph) -> bool:
     """Connectivity over the edge list; isolated vertices disconnect a graph."""
     if g.vertex_count == 0:
@@ -102,7 +97,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
     if g.vertex_count < _BANDED_FROM:
-        sigma = np.linalg.svd(rigidity_matrix(g), compute_uv=False)
+        sigma = np.linalg.svd(residual_jacobian(g), compute_uv=False)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
         tail = sigma[::-1]
     else:

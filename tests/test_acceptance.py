@@ -35,8 +35,8 @@ from matchsticks.counting import (
     combinations_table,
     theorem1_coverage,
 )
-from matchsticks.model import EmbeddedGraph, degree_profile
-from matchsticks.refine import refine, residual_jacobian, residuals
+from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
+from matchsticks.refine import refine, residual_jacobian
 from matchsticks.rigidity import analyze_rigidity
 from matchsticks.verify import (
     Tolerances,
@@ -246,8 +246,8 @@ def _jacobian_matches_central_differences() -> None:
         for j in range(flat.size):
             bump = np.zeros_like(flat)
             bump[j] = h
-            plus = residuals(g.with_vertices((flat + bump).reshape(-1, 2)))
-            minus = residuals(g.with_vertices((flat - bump).reshape(-1, 2)))
+            plus = edge_lengths(g.with_vertices((flat + bump).reshape(-1, 2)))
+            minus = edge_lengths(g.with_vertices((flat - bump).reshape(-1, 2)))
             numeric[:, j] = (plus - minus) / (2 * h)
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(numeric - analytic).max() / scale <= 1e-6, f"trial {trial}"

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import dataclasses
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +11,6 @@ import pytest
 
 from matchsticks import construct, corpus, pipeline
 from matchsticks.cli import main
-from matchsticks.construct import PartSpec, plan_to_json_dict, ring_plan
 
 TRIANGLE = """\
 ! name tri
@@ -107,13 +108,16 @@ def _plan_file(tmp_path, text):
          None),
         (lambda tmp: ["construct", "from-plan",
                       _plan_file(tmp, '{"parts": ["fig2a"], "identifications": 5}')], None),
+        (lambda tmp: ["construct", "from-plan",
+                      _plan_file(tmp, '{"parts": ["no-such-part"], "identifications": []}')],
+         None),
         (lambda tmp: ["verify", str(tmp)], None),
         (lambda tmp: ["catalog"], "no-such-dir"),
         (lambda tmp: ["refine", "fig2a", "-o", str(tmp / "no-such-dir" / "x.seg")], None),
         (lambda tmp: ["construct", "ring", "fig2a", "fig2a", "fig2a",
                       "-o", str(tmp / "no-such-dir" / "x.seg")], None),
     ],
-    ids=["parts-not-objects", "part-without-name", "identifications-not-a-list",
+    ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
          "unwritable-construct-output"],
 )
@@ -123,6 +127,23 @@ def test_hostile_input_is_a_usage_error(argv, corpus_dir, tmp_path, monkeypatch,
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, name, code",
+    [
+        (["verify", "PATH"], "", errno.EISDIR),
+        (["refine", "fig2a", "-o", "PATH"], "no-such-dir/x.seg", errno.ENOENT),
+        (["construct", "from-plan", "PATH"], "", errno.EISDIR),
+        (["construct", "from-plan", "PATH"], "nope.json", errno.ENOENT),
+    ],
+    ids=["load-graph", "write-segments", "plan-directory", "plan-missing"],
+)
+def test_file_errors_name_the_path_once(argv, name, code, tmp_path, capsys):
+    path = str(tmp_path / name)
+    status, _, err = run(capsys, *[path if arg == "PATH" else arg for arg in argv])
+    assert status == 2
+    assert err == f"error: {path}: {os.strerror(code)}\n"
 
 
 def test_unknown_command_is_an_argparse_error(capsys):
@@ -264,11 +285,13 @@ def test_construct_chain(capsys):
 
 
 def test_construct_from_plan(tmp_path, capsys):
-    plan = ring_plan(
-        [PartSpec(corpus.refined_graph("fig2a"), label="fig2a")] * 3, name="r63"
-    )
+    plan = {
+        "name": "r63",
+        "parts": [{"part": "fig2a", "reflect": False}] * 3,
+        "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]],
+    }
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(plan_to_json_dict(plan)))
+    plan_path.write_text(json.dumps(plan))
     code, out, _ = run(capsys, "construct", "from-plan", str(plan_path), "--json")
     assert code == 0
     payload = json.loads(out)

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +22,11 @@ from matchsticks.construct import (
     degree2_vertices,
     mirror_double,
     plan_from_json,
-    plan_to_json_dict,
     predicted_vertex_count,
     realize,
     ring_plan,
 )
-from matchsticks.ingest import emit_segments
+from matchsticks.ingest import emit_segments, graph_from_text
 from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
 from matchsticks.pipeline import certify
 from matchsticks.rigidity import analyze_rigidity
@@ -51,7 +51,7 @@ def test_degree2_vertices_finds_ports():
 def test_ring_plan_arithmetic():
     part = PartSpec(corpus.refined_graph("fig2a"))
     plan = ring_plan([part] * 3)
-    assert plan.subgraph_count == 3
+    assert len(plan.parts) == 3
     assert len(plan.identifications) == 3
     assert predicted_vertex_count(plan) == 22 * 3 - 3
 
@@ -362,7 +362,7 @@ def test_tiling_falls_back_to_the_whole_solve_when_the_base_is_off(monkeypatch):
     real_realize = construct.realize
 
     def perturbed_realize(plan, opts=construct.RefineOptions()):
-        solved.append(plan.subgraph_count - 2)
+        solved.append(len(plan.parts) - 2)
         g = real_realize(plan, opts)
         if len(solved) == 1:  # the base: move a vertex of its repeated block
             coords = g.vertices.copy()
@@ -434,7 +434,7 @@ def test_layout_rejects_joints_it_cannot_place(make_plan, message):
 def test_chain_plan_structure():
     g5a = corpus.refined_graph("fig5a")
     plan = chain_plan(ChainSpec(PartSpec(g5a), PartSpec(g5a), 2))
-    assert plan.subgraph_count == 4
+    assert len(plan.parts) == 4
     assert len(plan.identifications) == 2 * 3
     assert predicted_vertex_count(plan) == 100
 
@@ -442,16 +442,19 @@ def test_chain_plan_structure():
 # -- plan serialization -------------------------------------------------------
 
 
-def test_plan_json_round_trip():
+def test_plan_json_reads_a_ring_plan():
     plan = ring_plan(
         [PartSpec(corpus.refined_graph("fig2a"), label="fig2a")] * 3, name="r63"
     )
-    payload = plan_to_json_dict(plan)
-    assert payload["name"] == "r63"
-    assert payload["parts"][0] == {"part": "fig2a", "reflect": False}
-    restored = plan_from_json(json.dumps(payload))
+    doc = {
+        "name": "r63",
+        "parts": [{"part": "fig2a", "reflect": False}] * 3,
+        "identifications": [list(ident) for ident in plan.identifications],
+    }
+    restored = plan_from_json(json.dumps(doc), corpus.refined_graph)
     assert restored.name == "r63"
     assert restored.identifications == plan.identifications
+    assert [(spec.label, spec.reflect) for spec in restored.parts] == [("fig2a", False)] * 3
     g = certified(realize(restored))
     assert g.vertex_count == 63
 
@@ -460,16 +463,14 @@ def test_plan_json_part_files_are_refined_by_realize(tmp_path):
     path = tmp_path / "part.seg"
     path.write_text(emit_segments(corpus.load_graph("fig2a")))
     doc = {"parts": [str(path)] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
-    plan = plan_from_json(json.dumps(doc))
+    plan = plan_from_json(json.dumps(doc), lambda ref: graph_from_text(Path(ref).read_text()))
     assert plan.parts[0].graph.unit != 1.0  # resolved as drawn
     assert certified(realize(plan)).vertex_count == 63
 
 
 def test_plan_json_rejects_malformed_documents():
     with pytest.raises(PlanError):
-        plan_from_json("{}")
-    with pytest.raises(PlanError):
-        plan_from_json('{"parts": ["no-such-part"], "identifications": []}')
+        plan_from_json("{}", corpus.refined_graph)
 
 
 # a ring of three fig2a whose first identification is filled in per case
@@ -501,7 +502,7 @@ RING3_JSON = (
 )
 def test_plan_json_rejects_documents_of_the_wrong_shape(text):
     with pytest.raises(PlanError):
-        plan_from_json(text)
+        plan_from_json(text, corpus.refined_graph)
 
 
 def test_realized_graph_is_named_after_the_plan():

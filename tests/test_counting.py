@@ -15,7 +15,6 @@ from matchsticks.counting import (
     CoverageSources,
     CoverageTable,
     Inventory,
-    below_63_catalog,
     combinations_table,
     theorem1_coverage,
 )
@@ -58,7 +57,7 @@ def test_single_size_inventory():
 def test_two_size_inventory_pairs():
     table = combinations_table(Inventory((22, 30)), 2)
     assert {v: g for v, g in table.rows.items() if g} == {42: 1, 50: 1, 58: 1}
-    assert table.vertex_range == (42, 58)
+    assert (min(table.rows), max(table.rows)) == (42, 58)
     assert table.rows[43] == 0  # gaps are zero-filled, not absent
 
 
@@ -94,7 +93,7 @@ def test_coverage_table_json():
 
 def test_three_part_ring_table_contract_rows():
     table = combinations_table(PART_INVENTORY, 3)
-    assert table.vertex_range == (63, 120)
+    assert (min(table.rows), max(table.rows)) == (63, 120)
     assert table.total() == math.comb(8 + 3 - 1, 3) == 120
     assert table.rows[63] == 1  # 22+22+22
     assert table.rows[64] == 0
@@ -143,7 +142,7 @@ def test_adding_a_part_never_shrinks_a_row(inv, extra, parts):
 @given(inventories, st.integers(min_value=1, max_value=5))
 def test_table_vertex_range_endpoints(inv, parts):
     table = combinations_table(inv, parts)
-    lo, hi = table.vertex_range
+    lo, hi = min(table.rows), max(table.rows)
     assert lo == min(inv) * parts - parts
     assert hi == max(inv) * parts - parts
     assert table.rows[lo] == 1 and table.rows[hi] == 1
@@ -260,6 +259,6 @@ def test_certificate_json_shape():
 
 
 def test_below_63_catalog():
-    assert below_63_catalog() == frozenset({52, 54, 57, 60})
+    assert set(BELOW_63_GRAPHS) == {52, 54, 57, 60}
     assert BELOW_63_GRAPHS[52] == "fig1a"
     assert BELOW_63_GRAPHS[60] == "fig1d"

@@ -9,11 +9,9 @@ from conftest import unit_rhombus, unit_triangle
 from matchsticks.model import (
     EmbeddedGraph,
     ModelError,
-    Point2,
     ProfileNotApplicableError,
     degree_profile,
     edge_count_identity,
-    edge_length,
     edge_lengths,
     _components,
     normalize,
@@ -25,13 +23,6 @@ def test_edges_are_canonicalized_and_sorted_within_pair():
     assert g.edges == ((1, 2), (0, 1))
     assert g.vertex_count == 3
     assert g.edge_count == 2
-
-
-def test_vertex_accessor_returns_point2():
-    g = unit_triangle()
-    p = g.vertex(1)
-    assert isinstance(p, Point2)
-    assert p == Point2(1.0, 0.0)
 
 
 def test_vertices_array_is_read_only():
@@ -142,16 +133,14 @@ def test_degree_profile_flags():
 
 def test_edge_length_is_in_units():
     g = EmbeddedGraph(np.array([[0.0, 0.0], [3.0, 4.0]]), ((0, 1),), 2.5)
-    assert edge_length(g, 0) == pytest.approx(2.0)
-    with pytest.raises(IndexError):
-        edge_length(g, 1)
+    np.testing.assert_allclose(edge_lengths(g), [2.0])
 
 
 def test_normalize_scales_unit_to_one_and_is_idempotent():
     g = EmbeddedGraph(np.array([[0.0, 0.0], [4.0, 0.0]]), ((0, 1),), 4.0, "bar")
     n1 = normalize(g)
     assert n1.unit == 1.0
-    assert edge_length(n1, 0) == pytest.approx(edge_length(g, 0))
+    np.testing.assert_allclose(edge_lengths(n1), edge_lengths(g))
     n2 = normalize(n1)
     np.testing.assert_array_equal(n1.vertices, n2.vertices)
     assert n1.name == "bar"

@@ -1,6 +1,10 @@
-"""Source-level checks over the package's modules."""
+"""Source-level checks over the package's modules and its documented API."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -39,12 +43,15 @@ def _named(tree):
 
 
 def test_every_public_function_has_a_caller():
-    """A public function or method that nothing outside its body names is dead API."""
+    """A public function or method that no program code outside its body names is dead API.
+
+    Tests do not count as callers.
+    """
     package = Path(matchsticks.__file__).parent
     root = package.parents[1]
     uses = Counter()
     definitions = []  # (qualified name, name, the names its own body mentions)
-    for folder in ("src", "scripts", "tests", "perfbench"):
+    for folder in ("src", "scripts", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
             if path == package / "__init__.py":
                 continue  # re-exports are not callers
@@ -62,4 +69,25 @@ def test_every_public_function_has_a_caller():
                         definitions.append((qualified, member.name, Counter(_named(member))))
     assert definitions
     uncalled = [qualified for qualified, name, own in definitions if uses[name] <= own[name]]
-    assert uncalled == []
+    # the one exemption: the scalar reference that tests check
+    # ``verify._adjacent_overlaps`` against
+    assert uncalled == ["verify.segments_conflict"]
+
+
+def test_readme_library_example_runs():
+    """The README's Library block runs, and each print matches the comment beside it."""
+    readme = (Path(matchsticks.__file__).parents[2] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    code = block + "import matchsticks.refine\nprint(type(matchsticks.refine).__name__)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(matchsticks.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    documented = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    *printed, refine_type = out.stdout.splitlines()
+    assert len(printed) == len(documented) > 0
+    for value, comment in zip(printed, documented):
+        assert comment.startswith(value)
+    assert refine_type == "module"  # the package does not shadow its submodule

@@ -21,7 +21,6 @@ from matchsticks.refine import (
     default_pins,
     refine,
     residual_jacobian,
-    residuals,
 )
 
 
@@ -31,9 +30,9 @@ def central_difference_jacobian(g: EmbeddedGraph, h: float = 1e-6) -> np.ndarray
     for col in range(flat.size):
         bumped = flat.copy()
         bumped[col] += h
-        plus = residuals(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
+        plus = edge_lengths(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
         bumped[col] -= 2 * h
-        minus = residuals(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
+        minus = edge_lengths(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
         out[:, col] = (plus - minus) / (2 * h)
     return out
 
@@ -47,11 +46,6 @@ def test_jacobian_matches_central_differences(seed):
     numeric = central_difference_jacobian(g)
     scale = max(1.0, float(np.abs(analytic).max()))
     assert np.abs(analytic - numeric).max() / scale <= 1e-6
-
-
-def test_residuals_are_length_minus_one_in_units():
-    g = EmbeddedGraph(np.array([[0.0, 0.0], [3.0, 0.0]]), ((0, 1),), 2.0)
-    np.testing.assert_allclose(residuals(g), [0.5])
 
 
 def test_refine_perturbed_rigid_graph_recovers_unit_lengths():
@@ -214,8 +208,9 @@ def test_refine_imports_numpy_only():
     # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package;
     # the chain (215 vertices) takes the banded rigidity path
     code = (
-        "import sys, matchsticks; from matchsticks import corpus, refine, rigidity; "
+        "import sys; from matchsticks import corpus, rigidity; "
         "from matchsticks.construct import ChainSpec, PartSpec, chain_extend; "
+        "from matchsticks.refine import refine; "
         "refine(corpus.load_graph('fig5a')); "
         "parts = [PartSpec(corpus.refined_graph(n)) for n in ('fig5a', 'fig5c')]; "
         "g = chain_extend(ChainSpec(*parts, 40)); "

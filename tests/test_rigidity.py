@@ -13,13 +13,7 @@ from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_
 from matchsticks import corpus, rigidity
 from matchsticks.construct import ChainSpec, PartSpec, chain_extend, realize, ring_plan
 from matchsticks.model import EmbeddedGraph
-from matchsticks.refine import residual_jacobian
-from matchsticks.rigidity import (
-    DisconnectedGraphError,
-    analyze_rigidity,
-    is_connected,
-    rigidity_matrix,
-)
+from matchsticks.rigidity import DisconnectedGraphError, analyze_rigidity, is_connected
 
 
 def test_triangle_is_rigid_with_rank_three():
@@ -49,11 +43,6 @@ def test_single_bar_is_rigid():
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_triangle_strips_are_rigid(n):
     assert analyze_rigidity(triangle_strip(n)).internal_flexes == 0
-
-
-def test_rigidity_matrix_is_the_length_jacobian():
-    g = triangle_strip(3)
-    np.testing.assert_allclose(rigidity_matrix(g), residual_jacobian(g))
 
 
 def test_disconnected_graph_rejected():
