@@ -279,15 +279,11 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(cert.to_json_dict())
     else:
-        print(f"range: [63, {cert.max_check}]")
-        if cert.complete:
-            print("missing: none")
-        else:
-            print("missing: " + ", ".join(str(v) for v in cert.missing))
+        missing = ", ".join(str(v) for v in cert.missing) if cert.missing else "none"
+        lines = [f"range: [63, {cert.max_check}]", f"missing: {missing}"]
         if args.witnesses:
-            for v in range(63, cert.max_check + 1):
-                if v in cert.witnesses:
-                    print(f"  {v}: {cert.witnesses[v]}")
+            lines.extend(f"  {v}: {w}" for v, w in cert.witnesses.items())
+        print("\n".join(lines))
     return EXIT_OK if cert.complete else EXIT_DOMAIN
 
 

@@ -120,10 +120,12 @@ class ArithmeticFamily:
     stride: int
     description: str
 
-    def member_index(self, v: int) -> int | None:
-        if v >= self.offset and (v - self.offset) % self.stride == 0:
-            return (v - self.offset) // self.stride
-        return None
+    def __post_init__(self) -> None:
+        if self.stride < 1:
+            raise ValueError(
+                f"family {self.offset}+{self.stride}n ({self.description}): "
+                f"stride must be >= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,11 @@ BELOW_63_GRAPHS: Mapping[int, str] = {52: "fig1a", 54: "fig1b", 57: "fig1c", 60:
 
 @dataclass(frozen=True)
 class CoverageCertificate:
-    """Outcome of the coverage check over [63, max_check]."""
+    """Outcome of the coverage check over [63, max_check].
+
+    ``witnesses`` maps each covered count to its construction, in ascending
+    count order.
+    """
 
     max_check: int
     missing: tuple[int, ...]
@@ -186,7 +192,7 @@ class CoverageCertificate:
             "range": [63, self.max_check],
             "complete": self.complete,
             "missing": list(self.missing),
-            "witnesses": {str(v): w for v, w in sorted(self.witnesses.items())},
+            "witnesses": {str(v): w for v, w in self.witnesses.items()},
         }
 
 
@@ -198,39 +204,48 @@ def theorem1_coverage(
     Witness precedence per count: ring combination from the inventory table,
     then mirror double, explicit corpus graph, extra ring, and finally the
     arithmetic families (which alone cover everything from 94 upward when
-    their strides partition the residues).
+    their strides partition the residues).  Sources are written one at a
+    time in reverse precedence, so a stronger source overwrites a weaker one;
+    each family fills its members as one strided slice.
     """
     if max_check < 63:
         raise ValueError("max_check must be >= 63")
-    ring_witness: dict[int, str] = {}
-    for combo in combinations_with_replacement(
-        sources.inventory.part_sizes, sources.ring_size
-    ):
-        v = sum(combo) - sources.ring_size
-        if v not in ring_witness:
-            parts = "+".join(str(s) for s in combo)
-            ring_witness[v] = f"ring of {sources.ring_size} parts ({parts} vertices)"
+    slots: list[str | None] = [None] * (max_check - 62)  # slots[v - 63]: witness of v
 
+    for family in reversed(sources.families):
+        offset, stride = family.offset, family.stride
+        # member indices n with 63 <= offset + stride*n <= max_check
+        members = range(max(0, -((offset - 63) // stride)), (max_check - offset) // stride + 1)
+        if members:
+            prefix = f"family {offset}+{stride}n at n="
+            suffix = f": {family.description}"
+            slots[offset + stride * members[0] - 63 :: stride] = [
+                f"{prefix}{n}{suffix}" for n in members
+            ]
+
+    explicit = (  # weakest first
+        sources.extra_rings,
+        {v: f"corpus graph {name}" for v, name in sources.corpus_graphs.items()},
+        {v: f"mirror double of {name}" for v, name in sources.mirror_doubles.items()},
+        _ring_witnesses(sources.inventory, sources.ring_size),
+    )
+    for table in explicit:
+        for v, witness in table.items():
+            if 63 <= v <= max_check:
+                slots[v - 63] = witness
+
+    counts = range(63, max_check + 1)
+    missing = tuple(v for v, w in zip(counts, slots) if w is None)
+    witnesses = {v: w for v, w in zip(counts, slots) if w is not None}
+    return CoverageCertificate(max_check, missing, witnesses)
+
+
+def _ring_witnesses(inv: Inventory, ring_size: int) -> dict[int, str]:
+    """Vertex count -> the first ring of ``ring_size`` inventory parts that reaches it."""
     witnesses: dict[int, str] = {}
-    missing: list[int] = []
-    for v in range(63, max_check + 1):
-        if v in ring_witness:
-            witnesses[v] = ring_witness[v]
-        elif v in sources.mirror_doubles:
-            witnesses[v] = f"mirror double of {sources.mirror_doubles[v]}"
-        elif v in sources.corpus_graphs:
-            witnesses[v] = f"corpus graph {sources.corpus_graphs[v]}"
-        elif v in sources.extra_rings:
-            witnesses[v] = sources.extra_rings[v]
-        else:
-            for family in sources.families:
-                n = family.member_index(v)
-                if n is not None:
-                    witnesses[v] = (
-                        f"family {family.offset}+{family.stride}n at n={n}: "
-                        f"{family.description}"
-                    )
-                    break
-            else:
-                missing.append(v)
-    return CoverageCertificate(max_check, tuple(missing), witnesses)
+    for combo in combinations_with_replacement(inv.part_sizes, ring_size):
+        v = sum(combo) - ring_size
+        if v not in witnesses:
+            parts = "+".join(str(s) for s in combo)
+            witnesses[v] = f"ring of {ring_size} parts ({parts} vertices)"
+    return witnesses

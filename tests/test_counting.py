@@ -1,12 +1,15 @@
 """Ring-combination tables and the vertex-count coverage certificate."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from matchsticks import cli
 from matchsticks.counting import (
     BELOW_63_GRAPHS,
     DEFAULT_COVERAGE,
@@ -29,6 +32,44 @@ def brute_force_rows(sizes, parts):
     multisets = {tuple(sorted(c)) for c in product(sizes, repeat=parts)}
     rows = Counter(sum(combo) - parts for combo in multisets)
     return dict(rows)
+
+
+def reference_coverage(max_check, sources):
+    """Oracle: every count tried against every source in precedence order.
+
+    Returns (witnesses, missing) as ``theorem1_coverage`` should report them.
+    """
+    ring_witness = {}
+    for combo in combinations_with_replacement(sources.inventory.part_sizes, sources.ring_size):
+        v = sum(combo) - sources.ring_size
+        if v not in ring_witness:
+            parts = "+".join(str(s) for s in combo)
+            ring_witness[v] = f"ring of {sources.ring_size} parts ({parts} vertices)"
+    witnesses, missing = {}, []
+    for v in range(63, max_check + 1):
+        if v in ring_witness:
+            witnesses[v] = ring_witness[v]
+        elif v in sources.mirror_doubles:
+            witnesses[v] = f"mirror double of {sources.mirror_doubles[v]}"
+        elif v in sources.corpus_graphs:
+            witnesses[v] = f"corpus graph {sources.corpus_graphs[v]}"
+        elif v in sources.extra_rings:
+            witnesses[v] = sources.extra_rings[v]
+        else:
+            for f in sources.families:
+                if v >= f.offset and (v - f.offset) % f.stride == 0:
+                    n = (v - f.offset) // f.stride
+                    witnesses[v] = f"family {f.offset}+{f.stride}n at n={n}: {f.description}"
+                    break
+            else:
+                missing.append(v)
+    return witnesses, tuple(missing)
+
+
+WITHOUT_94_FAMILY = dataclasses.replace(
+    DEFAULT_COVERAGE,
+    families=tuple(f for f in DEFAULT_COVERAGE.families if f.offset != 94),
+)
 
 
 # -- inventory and table basics -----------------------------------------------
@@ -151,12 +192,11 @@ def test_table_vertex_range_endpoints(inv, parts):
 # -- arithmetic families ------------------------------------------------------
 
 
-def test_arithmetic_family_member_index():
-    family = ArithmeticFamily(94, 3, "spacer chain")
-    assert family.member_index(94) == 0
-    assert family.member_index(97) == 1
-    assert family.member_index(95) is None
-    assert family.member_index(91) is None
+@pytest.mark.parametrize("stride", [0, -3])
+def test_arithmetic_family_rejects_a_stride_below_one(stride):
+    # stride 0 repeats one count forever; a negative stride needs negative member indices
+    with pytest.raises(ValueError, match=rf"family 94\+{stride}n \(spacer chain\)"):
+        ArithmeticFamily(94, stride, "spacer chain")
 
 
 # -- coverage certificates ----------------------------------------------------
@@ -186,17 +226,58 @@ def test_coverage_rejects_short_range():
 
 
 def test_dropping_a_family_breaks_coverage():
-    sources = CoverageSources(
-        inventory=DEFAULT_COVERAGE.inventory,
-        ring_size=DEFAULT_COVERAGE.ring_size,
-        mirror_doubles=DEFAULT_COVERAGE.mirror_doubles,
-        corpus_graphs=DEFAULT_COVERAGE.corpus_graphs,
-        extra_rings=DEFAULT_COVERAGE.extra_rings,
-        families=tuple(f for f in DEFAULT_COVERAGE.families if f.offset != 94),
-    )
-    cert = theorem1_coverage(200, sources)
+    cert = theorem1_coverage(200, WITHOUT_94_FAMILY)
     assert not cert.complete
     assert cert.missing == tuple(range(121, 201, 3))
+
+
+labels = st.text(max_size=8)
+explicit_tables = st.dictionaries(st.integers(min_value=0, max_value=700), labels, max_size=12)
+families = st.builds(
+    ArithmeticFamily,
+    st.integers(min_value=0, max_value=300),  # offsets below and above 63
+    st.integers(min_value=1, max_value=6),  # few strides, so residues overlap often
+    labels,
+)
+coverage_sources = st.builds(
+    CoverageSources,
+    inventory=st.lists(st.integers(min_value=3, max_value=200), min_size=1, max_size=6).map(
+        lambda sizes: Inventory(tuple(sizes))
+    ),
+    ring_size=st.integers(min_value=1, max_value=4),
+    mirror_doubles=explicit_tables,
+    corpus_graphs=explicit_tables,
+    extra_rings=explicit_tables,
+    families=st.lists(families, max_size=4).map(tuple),
+)
+
+
+@given(coverage_sources, st.integers(min_value=63, max_value=600))
+def test_coverage_matches_the_reference_loop(sources, max_check):
+    cert = theorem1_coverage(max_check, sources)
+    assert (cert.witnesses, cert.missing) == reference_coverage(max_check, sources)
+    assert list(cert.witnesses) == sorted(cert.witnesses)  # to_json_dict and the CLI rely on it
+
+
+@pytest.mark.parametrize(
+    "sources, code", [(DEFAULT_COVERAGE, 0), (WITHOUT_94_FAMILY, 1)], ids=["complete", "gaps"]
+)
+def test_coverage_cli_output_matches_the_reference_loop(capsys, monkeypatch, sources, code):
+    monkeypatch.setattr(cli, "theorem1_coverage", lambda m: theorem1_coverage(m, sources))
+    witnesses, missing = reference_coverage(400, sources)
+    payload = {
+        "range": [63, 400],
+        "complete": not missing,
+        "missing": list(missing),
+        "witnesses": {str(v): w for v, w in witnesses.items()},
+    }
+    assert cli.main(["coverage", "--max", "400", "--json"]) == code
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    lines = ["range: [63, 400]", "missing: " + (", ".join(map(str, missing)) or "none")]
+    lines += [f"  {v}: {witnesses[v]}" for v in range(63, 401) if v in witnesses]
+    assert cli.main(["coverage", "--max", "400", "--witnesses"]) == code
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 @given(st.data())
