@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Digests of a fixed sweep of command-line runs, to show two trees print the same.
+
+Runs each command of the sweep in-process through ``matchsticks.cli.main``
+over the bundled drawings and prints one line per command, the sha256 of its
+stdout, its exit code and its arguments, and a last line with the sha256 of
+all those lines.  Two checkouts whose sweep digests agree print identical
+stdout and exit codes for every command in the sweep.  The sweep:
+
+- ``catalog --json``;
+- ``verify``, ``verify --raw``, ``rigidity`` and ``refine``, each with
+  ``--json``, for every bundled drawing;
+- three-part and four-part rings with ``construct ring --json``;
+- two spacer chains with ``construct chain --json``;
+- ``coverage --max 2000 --json``.
+
+Usage: PYTHONPATH=src python scripts/cli_digest.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+
+from matchsticks import cli, corpus
+
+
+def sweep() -> list[list[str]]:
+    """The argument lists of the sweep, in the order they run."""
+    commands = [["catalog", "--json"]]
+    for name in corpus.CORPUS_NAMES:
+        commands += [
+            ["verify", name, "--json"],
+            ["verify", name, "--raw", "--json"],
+            ["rigidity", name, "--json"],
+            ["refine", name, "--json"],
+        ]
+    for parts in (["fig2a", "fig2d", "fig2h"], ["fig2g"] * 3, ["fig2b"] * 4):
+        commands.append(["construct", "ring", *parts, "--json"])
+    commands += [
+        ["construct", "chain", "fig5a", "fig5c", "--spacers", "20", "--json"],
+        ["construct", "chain", "fig5a", "fig5a", "--spacers", "7", "--json"],
+        ["coverage", "--max", "2000", "--json"],
+    ]
+    return commands
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def main() -> None:
+    os.environ.pop(corpus.CORPUS_ENV, None)  # the bundled drawings
+    whole = hashlib.sha256()
+    for argv in sweep():
+        code, stdout = run(argv)
+        line = f"{hashlib.sha256(stdout.encode()).hexdigest()}  {code}  {' '.join(argv)}"
+        print(line)
+        whole.update(line.encode() + b"\n")
+    print(f"{whole.hexdigest()}  sweep")
+
+
+if __name__ == "__main__":
+    main()

@@ -252,7 +252,7 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
     tiled_edges = np.concatenate(
         [edges[:e1], (edges[e0:e1] + copies * shift).reshape(-1, 2), edges[e1:] + m * shift]
     )
-    tiled = EmbeddedGraph(tiled_coords, tiled_edges.tolist(), 1.0, _chain_name(spec))
+    tiled = EmbeddedGraph(tiled_coords, tiled_edges, 1.0, _chain_name(spec))
     if np.abs(edge_lengths(tiled) - 1.0).max() > opts.target_residual:
         return realize(chain_plan(spec), opts)
     return tiled
@@ -347,7 +347,7 @@ def mirror_double(
     v = g.vertex_count
     union = EmbeddedGraph(
         np.vstack([coords, copy]),
-        g.edges + tuple((p + v, q + v) for p, q in g.edges),
+        np.vstack([g.edge_array(), g.edge_array() + v]),
         g.unit,
         f"mirror({g.name or 'graph'},{mode})",
     )
@@ -623,13 +623,12 @@ def _solve_and_merge(
 ) -> EmbeddedGraph:
     offsets = np.cumsum([0] + [len(c) for c in placed[:-1]])
     union_coords = np.concatenate(placed)
-    union_edges: list[tuple[int, int]] = []
-    for part_index, spec in enumerate(plan.parts):
-        off = offsets[part_index]
-        union_edges += [(u + off, v + off) for u, v in spec.graph.edges]
+    union_edges = np.concatenate(
+        [spec.graph.edge_array() + off for spec, off in zip(plan.parts, offsets)]
+    )
     pairs = [(offsets[a] + va, offsets[b] + vb) for a, va, b, vb in idents]
 
-    union = EmbeddedGraph(union_coords, tuple(union_edges), 1.0, plan.name)
+    union = EmbeddedGraph(union_coords, union_edges, 1.0, plan.name)
     result = refine(union, opts, coincidences=pairs)
     if not result.converged:
         raise RealizationFailedError(
@@ -655,4 +654,4 @@ def _merge_pairs(g: EmbeddedGraph, pairs: Sequence[tuple[int, int]]) -> Embedded
     label = _components(g.vertex_count, joints[:, 0], joints[:, 1])
     keep = label == np.arange(g.vertex_count)
     target = (np.cumsum(keep) - 1)[label]
-    return EmbeddedGraph(g.vertices[keep], target[g.edge_array()].tolist(), g.unit, g.name)
+    return EmbeddedGraph(g.vertices[keep], target[g.edge_array()], g.unit, g.name)

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import EmbeddedGraph, _components
-from .verify import _box_pairs
+from .verify import _near_pairs
 
 METADATA_KEYS = ("name", "claimed_vertices", "claimed_profile", "claimed_rigidity")
 _PROFILES = ("4-regular", "(2,4)-regular")
@@ -155,7 +155,7 @@ def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
     possible in principle; the caller rejects any clustering whose centroids
     end up suspiciously close.
     """
-    i, j = _box_pairs(points, points, points, points, eps)
+    i, j = _near_pairs(points, points, eps)
     d = points[i] - points[j]
     close = np.hypot(d[:, 0], d[:, 1]) <= eps
     return _components(len(points), i[close], j[close])
@@ -189,9 +189,9 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     np.add.at(centroids, ends, endpoints)  # summed in endpoint order
     centroids /= np.bincount(ends)[:, None]
 
-    ci, cj = _box_pairs(centroids, centroids, centroids, centroids, 2 * eps)
+    ci, cj = _near_pairs(centroids, centroids, 2 * eps)
     d = centroids[ci] - centroids[cj]
-    mind = float(np.hypot(d[:, 0], d[:, 1])[ci != cj].min(initial=np.inf))
+    mind = float(np.hypot(d[:, 0], d[:, 1]).min(initial=np.inf))
     if mind < 2 * eps:
         raise AmbiguousMergeError(
             f"two merged vertices are only {mind:.6g} apart "
@@ -206,7 +206,7 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     _, first = np.unique(lo * len(found) + hi, return_index=True)
     keep = np.sort(first)
-    edges = tuple(zip(lo[keep].tolist(), hi[keep].tolist()))
+    edges = np.column_stack([lo[keep], hi[keep]])
 
     name = sf.metadata.get("name")
     return EmbeddedGraph(centroids, edges, unit, str(name) if name is not None else None)

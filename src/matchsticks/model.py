@@ -8,7 +8,6 @@ value: transformations return new graphs and never mutate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -26,12 +25,76 @@ class ProfileNotApplicableError(ModelError):
     """Degree profile fits neither edge-count identity."""
 
 
-def _canonical_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    out: list[Edge] = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        out.append((u, v) if u <= v else (v, u))
-    return tuple(out)
+def _canonical_edges(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> np.ndarray:
+    """Validated edges as an (e, 2) int64 array, each row sorted ascending.
+
+    Raises ModelError for the first row that is not a pair; when every row is
+    a pair, for the first offending edge in order: a non-integral index, a
+    self-loop, an index outside [0, n), or a repeat of an earlier edge.
+    """
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    if len(rows) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        raw = np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        raw = None
+    if raw is None or raw.ndim != 2 or raw.shape[1] != 2:
+        listed = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        row = next(row for row in listed if not _is_pair(row))
+        shown = str(tuple(row)) if isinstance(row, (list, tuple)) else repr(row)
+        raise ModelError(f"edge {shown} is not a pair of vertex indices")
+    if raw.dtype.kind in "iu":
+        values, fraction = raw, np.zeros(len(raw), dtype=bool)
+    else:  # floats, text, or Python integers beyond int64, one by one
+        values = np.array([_real(x) for x in raw.ravel().tolist()]).reshape(raw.shape)
+        fraction = ~(values == np.floor(values)).all(axis=1)  # nan is no integer
+    lo, hi = np.minimum(values[:, 0], values[:, 1]), np.maximum(values[:, 0], values[:, 1])
+    loop = values[:, 0] == values[:, 1]
+    bad = fraction | loop | (lo < 0) | (hi >= n)
+    lo = np.where(bad, 0, lo).astype(np.int64)
+    hi = np.where(bad, 0, hi).astype(np.int64)
+    keys = np.where(bad, -1 - np.arange(len(raw)), lo * n + hi)
+    order = np.argsort(keys, kind="stable")  # a repeat sorts after its first
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if bad.any() or len(repeats):
+        k = int(min(np.flatnonzero(bad).min(initial=len(raw)), repeats.min(initial=len(raw))))
+        u, v = (_index_text(x) for x in raw[k])
+        if values[k, 0] > values[k, 1]:
+            u, v = v, u
+        if fraction[k]:
+            raise ModelError(f"edge ({u}, {v}) has a non-integral vertex index")
+        if loop[k]:
+            raise ModelError(f"self-loop at vertex {u}")
+        if bad[k]:
+            raise ModelError(f"edge ({u}, {v}) out of range for {n} vertices")
+        raise ModelError(f"duplicate edge ({u}, {v})")
+    return np.column_stack([lo, hi])
+
+
+def _is_pair(row: object) -> bool:
+    try:
+        return np.shape(row) == (2,)
+    except ValueError:  # nested rows of different lengths
+        return False
+
+
+def _real(x: object) -> float:
+    """An edge entry as a float: inf beyond the float range, nan if no number."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _index_text(x: object) -> str:
+    """One edge entry as the messages show it: integral values as integers."""
+    x = x.item() if isinstance(x, np.generic) else x
+    if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
+        return str(int(x))
+    return repr(x)
 
 
 @dataclass(frozen=True)
@@ -39,9 +102,9 @@ class EmbeddedGraph:
     """A straight-line drawing of a graph.
 
     ``vertices`` is a read-only (v, 2) float array in drawing units, ``edges``
-    a tuple of index pairs with u < v, and ``unit`` the drawing length of one
-    matchstick.  Vertices are index-addressed; all other modules refer to them
-    by index.
+    a tuple of index pairs with u < v (given as index pairs in any order or
+    as an (e, 2) array), and ``unit`` the drawing length of one matchstick.
+    Vertices are index-addressed; all other modules refer to them by index.
     """
 
     vertices: np.ndarray
@@ -57,23 +120,11 @@ class EmbeddedGraph:
             raise ModelError("vertex coordinates must be finite")
         if not (math.isfinite(self.unit) and self.unit > 0):
             raise ModelError(f"unit must be a positive finite number, got {self.unit!r}")
-        edges = _canonical_edges(self.edges)
-        n = len(coords)
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise ModelError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ModelError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if (u, v) in seen:
-                raise ModelError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        edge_array = _canonical_edges(self.edges, len(coords))
         coords.setflags(write=False)
-        flat = itertools.chain.from_iterable(edges)
-        edge_array = np.fromiter(flat, int, 2 * len(edges)).reshape(-1, 2)
         edge_array.setflags(write=False)
         object.__setattr__(self, "vertices", coords)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(zip(*edge_array.T.tolist())))
         object.__setattr__(self, "unit", float(self.unit))
         object.__setattr__(self, "_edge_array", edge_array)
 
@@ -100,7 +151,8 @@ class EmbeddedGraph:
 
     def with_vertices(self, coords: np.ndarray, unit: float | None = None) -> "EmbeddedGraph":
         """Same combinatorics, new coordinates (and optionally a new unit)."""
-        return EmbeddedGraph(coords, self.edges, self.unit if unit is None else unit, self.name)
+        unit = self.unit if unit is None else unit
+        return EmbeddedGraph(coords, self._edge_array, unit, self.name)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def refine(
 
     out_coords, out_r = (coords, r) if converged else (best, best_r)
     return RefineResult(
-        graph=EmbeddedGraph(out_coords[label], g.edges, 1.0, g.name),
+        graph=EmbeddedGraph(out_coords[label], g.edge_array(), 1.0, g.name),
         iterations=iterations,
         initial_residual=initial_residual,
         final_residual=maxima(out_r)[0],

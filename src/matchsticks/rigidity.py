@@ -109,7 +109,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         dof_bound=dof_bound,
         internal_flexes=flexes,
         classification="rigid" if flexes == 0 else "flexible",
-        smallest_singular_values=tuple(float(s) for s in tail),
+        smallest_singular_values=tuple(tail.tolist()),
     )
 
 

@@ -8,11 +8,14 @@ overlap beyond their shared endpoint), and no two vertices or vertex/edge
 pairs closer than eps_separation.  Violations are reported as data, never
 raised.
 
-Candidate pairs for the separation checks come from a uniform-grid broad
-phase over axis-aligned boxes (edges and vertices, with an eps margin); only
-candidates reach the exact distance kernels.  Every stick has unit length, so
-cells are about one unit wide and, for drawings of bounded density, time and
-memory grow linearly with the size of the graph.
+Candidate pairs for the separation checks come from one uniform-grid broad
+phase query per graph over the axis-aligned boxes of all edges and vertices
+(with an eps margin).  Each box meets only the later boxes of its own cell
+and the boxes of the four cells after it, so every pair is found once, and
+the box test runs on per-axis 1-D arrays; only candidates reach the exact
+distance kernels.  Every stick has unit length, so cells are about one unit
+wide and, for drawings of bounded density, time and memory grow linearly
+with the size of the graph.
 """
 
 from __future__ import annotations
@@ -259,25 +262,24 @@ def _below(pairs: tuple[np.ndarray, np.ndarray, np.ndarray], eps: float):
     return tuple(x[bad] for x in pairs)
 
 
-def _box_pairs(
-    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) whose boxes a[i] and b[j] come within margin on both axes.
+def _near_pairs(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, whose boxes come within margin on both axes.
 
     Boxes are (n, 2) arrays of lower and upper corners; a point is a box of
-    zero extent.  The broad phase is a uniform grid: each box of ``b`` is
-    keyed by the cell of its lower corner, and each box of ``a`` looks up the
-    3x3 cells around its own.  A cell is at least the largest box extent plus
-    the margin, so boxes within the margin of each other have lower corners
-    in the same or adjacent cells, and the exact box test on those
-    candidates selects every such pair.  For drawings of bounded density the work and memory are
-    linear in the number of boxes.  Pairs come in no particular order.
+    zero extent.  The broad phase is a uniform grid keyed by the cell of each
+    box's lower corner.  A cell is at least the largest box extent plus the
+    margin, so boxes within the margin of each other have lower corners in
+    the same or adjacent cells.  Each box pairs with the later boxes of its
+    own cell and with every box of the four cells after it in key order
+    (half of the surrounding 3x3 stencil), so each candidate pair is found
+    once, and the exact box test on per-axis 1-D arrays selects every near
+    pair.  For drawings
+    of bounded density the work and memory are linear in the number of
+    boxes.  Pairs come in no particular order.
     """
-    if not len(lo_a) or not len(lo_b):
+    if len(lo) < 2:
         none = np.zeros(0, dtype=np.intp)
         return none, none
-    lo = np.concatenate([lo_a, lo_b])
-    hi = np.concatenate([hi_a, hi_b])
     origin = lo.min(axis=0)
     span = float((hi.max(axis=0) - origin).max())
     extent = float((hi - lo).max())
@@ -286,25 +288,29 @@ def _box_pairs(
     # coordinates, and in the keys, which grows with the span.  The floor
     # at span / 2**20 keeps cell indices, and so the int64 keys, small.
     cell = max(extent + margin, span / 2**20) * (1 + 2**-20) + scale * 2**-40
-    if math.isfinite(cell):
-        ka = np.floor((lo_a - origin) / cell).astype(np.int64) + 1
-        kb = np.floor((lo_b - origin) / cell).astype(np.int64) + 1
-    else:  # an infinite margin, or a span beyond the float range: one cell
-        ka = np.ones(lo_a.shape, dtype=np.int64)
-        kb = np.ones(lo_b.shape, dtype=np.int64)
-    width = int(max(ka[:, 1].max(), kb[:, 1].max())) + 2
-    keys_b = kb[:, 0] * width + kb[:, 1]
-    order = np.argsort(keys_b, kind="stable")
-    keys_b = keys_b[order]
-    offsets = np.add.outer(np.arange(-1, 2) * width, np.arange(-1, 2)).ravel()
-    queries = ((ka[:, 0] * width + ka[:, 1])[:, None] + offsets).ravel()
-    start = np.searchsorted(keys_b, queries, side="left")
-    count = np.searchsorted(keys_b, queries, side="right") - start
-    i = np.repeat(np.arange(len(queries)) // len(offsets), count)
-    first = np.repeat(start - np.cumsum(count) + count, count)
-    j = order[first + np.arange(len(first))]
-    near = ((lo_a[i] <= hi_b[j] + margin) & (lo_b[j] <= hi_a[i] + margin)).all(axis=1)
-    return i[near], j[near]
+    if 0 < cell < math.inf:
+        k = np.floor((lo - origin) / cell).astype(np.int64) + 1
+    else:  # an infinite margin, a span beyond the float range, or all boxes
+        # one point at the origin with no margin: one cell
+        k = np.ones(lo.shape, dtype=np.int64)
+    width = int(k[:, 1].max()) + 2
+    keys = k[:, 0] * width + k[:, 1]
+    order = np.argsort(keys, kind="stable")  # within a cell, ascending index
+    keys = keys[order]
+    own_end = np.searchsorted(keys, keys, side="right")
+    forward = keys[:, None] + np.array([1, width - 1, width, width + 1])
+    start = np.column_stack([np.arange(1, len(keys) + 1), np.searchsorted(keys, forward)])
+    end = np.column_stack([own_end, np.searchsorted(keys, forward, side="right")])
+    count = end - start  # per box and cell
+    p = np.repeat(np.arange(len(keys)), count.sum(axis=1))
+    count = count.ravel()
+    q = np.repeat(start.ravel() - np.cumsum(count) + count, count) + np.arange(len(p))
+    a, b = order[p], order[q]
+    x0, y0 = lo[:, 0], lo[:, 1]
+    x1, y1 = hi[:, 0] + margin, hi[:, 1] + margin
+    near = (x0[a] <= x1[b]) & (x0[b] <= x1[a]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+    a, b = a[near], b[near]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _pair_distances(coords: np.ndarray, eidx: np.ndarray, margin: float):
@@ -316,22 +322,26 @@ def _pair_distances(coords: np.ndarray, eidx: np.ndarray, margin: float):
     i < j; and ``(vertex, edge, distance)`` for edges not incident to the
     vertex.  A pair is a candidate when the boxes of its two elements come
     within ``margin`` of each other; ``margin = inf`` selects every pair.
+    One broad-phase query over the edge boxes followed by the vertices (as
+    boxes of zero extent) finds all three kinds, split by index afterwards.
     """
+    e = len(eidx)
     s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+    lo = np.concatenate([np.minimum(s0, s1), coords])
+    hi = np.concatenate([np.maximum(s0, s1), coords])
+    i, j = _near_pairs(lo, hi, margin)
+    edge_i, edge_j = i < e, j < e
 
-    ci, cj = _box_pairs(lo, hi, lo, hi, margin)
-    ci, cj = ci[ci < cj], cj[ci < cj]
+    ci, cj = i[edge_j], j[edge_j]  # both are edges, as i < j
     shares = (eidx[ci][:, :, None] == eidx[cj][:, None, :]).any(axis=(1, 2))
     ci, cj, ai, aj = ci[~shares], cj[~shares], ci[shares], cj[shares]
     apart = (ci, cj, segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj]))
 
-    vi, vj = _box_pairs(coords, coords, coords, coords, margin)
-    vi, vj = vi[vi < vj], vj[vi < vj]
+    vi, vj = i[~edge_i] - e, j[~edge_i] - e
     dv = coords[vi] - coords[vj]
     vertex_pairs = (vi, vj, np.hypot(dv[:, 0], dv[:, 1]))
 
-    pi, pk = _box_pairs(coords, coords, lo, hi, margin)
+    pk, pi = i[edge_i & ~edge_j], j[edge_i & ~edge_j] - e
     not_incident = (eidx[pk, 0] != pi) & (eidx[pk, 1] != pi)
     pi, pk = pi[not_incident], pk[not_incident]
     vertex_edge = (pi, pk, _point_segment_distance(coords[pi], s0[pk], s1[pk]))

@@ -1,5 +1,7 @@
 """Graph container, degree profiles, and edge-count identities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -51,6 +53,62 @@ def test_bad_edges_rejected(edges):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ModelError):
         EmbeddedGraph(coords, edges, 1.0)
+
+
+def reference_edges(edges, n):
+    """The per-edge validation loop: canonical edges, or the first problem's message."""
+    seen = []
+    for u, v in edges:
+        u, v = min(u, v), max(u, v)
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for {n} vertices"
+        if (u, v) in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.append((u, v))
+    return tuple(seen)
+
+
+@given(st.integers(0, 6), st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=12))
+def test_edge_validation_matches_the_per_edge_loop(n, edges):
+    coords = np.zeros((n, 2))
+    expected = reference_edges(edges, n)
+    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+        try:
+            got = EmbeddedGraph(coords, given_edges).edges
+        except ModelError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_non_integral_edge_indices_rejected():
+    # int() used to truncate 1.7 to 1 and keep the edge (0, 1)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ModelError, match=r"^edge \(0, 1\.7\) has a non-integral vertex index$"):
+        EmbeddedGraph(coords, [(1, 2), (0, 1.7)], 1.0)
+    assert EmbeddedGraph(coords, [(2.0, 1.0)], 1.0).edges == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "edges, shown",
+    [([(0, 1), (0, 1, 2)], "(0, 1, 2)"), ([0, 1, 1, 2], "0"), (np.array([0, 1, 1, 2]), "0")],
+    ids=["three-entries", "flat-list", "flat-array"],
+)
+def test_rows_that_are_not_pairs_rejected(edges, shown):
+    # a flat sequence of indices must not be re-paired into edges
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ModelError, match=rf"^edge {re.escape(shown)} is not a pair of vertex indices$"):
+        EmbeddedGraph(coords, edges, 1.0)
+
+
+def test_indices_beyond_int64_are_out_of_range():
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ModelError, match=rf"^edge \(0, {2**70}\) out of range for 3 vertices$"):
+        EmbeddedGraph(coords, [(0, 1), (2**70, 0)], 1.0)
+    big = np.array([[0, 2**64 - 1]], dtype=np.uint64)
+    with pytest.raises(ModelError, match=rf"^edge \(0, {2**64 - 1}\) out of range"):
+        EmbeddedGraph(coords, big, 1.0)
 
 
 def test_nonfinite_coordinates_rejected():

@@ -225,6 +225,34 @@ def test_refine_imports_numpy_only():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("unit", [1.0, 2.5])
+def test_refining_a_refined_graph_returns_it_unchanged(unit):
+    g = corpus.refined_graph("fig2a")
+    scaled = EmbeddedGraph(g.vertices * unit, g.edges, unit, g.name)
+    result = refine(scaled)
+    assert result.iterations == 0 and result.converged
+    assert result.final_residual == result.initial_residual <= 1e-12
+    assert result.graph.unit == 1.0 and result.graph.name == g.name
+    assert result.graph.edges == g.edges
+    np.testing.assert_array_equal(result.graph.vertices, scaled.vertices / unit)
+
+
+def test_converged_coincidences_still_come_back_as_one_point():
+    # two copies a hair apart, glued at vertex 0: the residual already meets
+    # the target, yet the glued pair must come back as one point
+    g = corpus.refined_graph("fig2a")
+    v = g.vertex_count
+    union = EmbeddedGraph(
+        np.vstack([g.vertices, g.vertices + [2.0**-45, 0.0]]),
+        np.vstack([g.edge_array(), g.edge_array() + v]),
+        1.0,
+    )
+    result = refine(union, coincidences=[(0, v)])
+    assert result.iterations == 0 and result.converged
+    assert not np.array_equal(union.vertices[0], union.vertices[v])
+    assert np.array_equal(result.graph.vertices[0], result.graph.vertices[v])
+
+
 def test_corpus_refines_fast_and_tight():
     for name in ("fig1a", "fig2a", "fig5b"):
         result = refine(corpus.load_graph(name))

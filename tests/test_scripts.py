@@ -37,6 +37,14 @@ def test_corpus_report_has_a_row_per_corpus_graph():
     assert [row.split()[0] for row in rows] == list(corpus.CORPUS_NAMES)
 
 
+def test_cli_digest_prints_the_same_digests_twice():
+    first, second = run_script("cli_digest.py"), run_script("cli_digest.py")
+    assert first == second
+    *commands, sweep = first
+    assert len(commands) == 91 and sweep.endswith("  sweep")
+    assert all(line.split()[1] == "0" for line in commands)  # every command succeeds
+
+
 def test_traced_benchmark_pass_binds_the_package(tmp_path):
     # a copy, so that the spans it writes stay out of the checkout; the
     # benchmark checks that the package it imports lies in its own src/

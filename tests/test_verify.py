@@ -16,7 +16,7 @@ from matchsticks.verify import (
     Tolerances,
     VerificationReport,
     _adjacent_overlaps,
-    _box_pairs,
+    _near_pairs,
     _point_segment_distance,
     min_clearances,
     segment_pair_distance,
@@ -366,14 +366,47 @@ def test_grid_broad_phase_matches_all_pairs(g, tol):
     "origin, t",
     [(0.0, 1.0000999999999998), (0.0, 2.0001999999999995), (1e11, 100000000002.0002)],
 )
-def test_box_pairs_at_the_margin_stay_one_cell_apart(origin, t):
+def test_near_pairs_at_the_margin_stay_one_cell_apart(origin, t):
     # box 2 starts exactly at the margin past box 1, which starts just below
     # origin + k (1 + margin): a cell of exactly the extent plus the margin
     # would round their lower corners two cells apart
     lo = np.array([[origin, 0.0], [t, 0.0], [t + 1.0 + 1e-4, 0.0]])
     hi = lo + [1.0, 0.0]
-    i, j = _box_pairs(lo, hi, lo, hi, 1e-4)
+    i, j = _near_pairs(lo, hi, 1e-4)
     assert (1, 2) in zip(i.tolist(), j.tolist())
+
+
+@st.composite
+def box_sets(draw):
+    """Boxes of mixed extent and zero-extent points, from 0 to 12 of them."""
+    n = draw(st.integers(0, 12))
+    bound = draw(st.sampled_from([1.0, 10.0, 1e6, 1e300]))
+    value = st.floats(-bound, bound, allow_nan=False)
+    lo = np.array([[draw(value), draw(value)] for _ in range(n)]).reshape(n, 2)
+    extent = st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, bound))
+    size = np.array([[draw(extent), draw(extent)] for _ in range(n)]).reshape(n, 2)
+    point = np.array([draw(st.booleans()) for _ in range(n)], dtype=bool).reshape(n, 1)
+    return lo, np.where(point, lo, np.minimum(lo + size, 1e300))
+
+
+@given(box_sets(), st.sampled_from([0.0, 1e-4, 0.3, math.inf]))
+@example((np.zeros((0, 2)), np.zeros((0, 2))), 0.3)
+@example((np.ones((1, 2)), np.ones((1, 2))), math.inf)
+@example((np.zeros((3, 2)), np.zeros((3, 2))), 0.0)  # a cell of width zero
+@settings(max_examples=300)
+def test_near_pairs_match_all_pairs(boxes, margin):
+    lo, hi = boxes
+    expected = {
+        (i, j)
+        for i in range(len(lo))
+        for j in range(i + 1, len(lo))
+        if (lo[i] <= hi[j] + margin).all() and (lo[j] <= hi[i] + margin).all()
+    }
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        i, j = _near_pairs(lo, hi, margin)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(set(got))  # each pair once
+    assert set(got) == expected
 
 
 def test_huge_coordinates_keep_their_pairs():
