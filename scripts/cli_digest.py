@@ -12,7 +12,12 @@ stdout and exit codes for every command in the sweep.  The sweep:
   ``--json``, for every bundled drawing;
 - three-part and four-part rings with ``construct ring --json``;
 - two spacer chains with ``construct chain --json``;
-- ``coverage --max 2000 --json``.
+- ``coverage --max 2000 --json``;
+- ``construct mirror --json`` for the six line doubles, the fig2f point
+  double and the fig2a double that fails verification, and a ``--ports``
+  pair out of range;
+- ``construct from-plan --json`` on a three-part ring plan, written to a
+  temporary directory that the printed arguments name as ``TMP``.
 
 Usage: PYTHONPATH=src python scripts/cli_digest.py
 """
@@ -22,12 +27,21 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import tempfile
 
 from matchsticks import cli, corpus
 
 
-def sweep() -> list[list[str]]:
+RING_PLAN = {
+    "name": "ring(fig2a,fig2d,fig2h)",
+    "parts": ["fig2a", "fig2d", {"part": "fig2h"}],
+    "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]],
+}
+
+
+def sweep(plan_path: str) -> list[list[str]]:
     """The argument lists of the sweep, in the order they run."""
     commands = [["catalog", "--json"]]
     for name in corpus.CORPUS_NAMES:
@@ -44,6 +58,14 @@ def sweep() -> list[list[str]]:
         ["construct", "chain", "fig5a", "fig5a", "--spacers", "7", "--json"],
         ["coverage", "--max", "2000", "--json"],
     ]
+    for name in ("fig2d", "fig2e", "fig2g", "fig2h", "fig5a", "fig5c"):
+        commands.append(["construct", "mirror", name, "--json"])
+    commands += [
+        ["construct", "mirror", "fig2f", "--mode", "point", "--json"],
+        ["construct", "mirror", "fig2a", "--json"],  # exits 1: the double is not a matchstick
+        ["construct", "mirror", "fig2a", "--ports", "10,99", "--json"],  # exits 2
+        ["construct", "from-plan", plan_path, "--json"],
+    ]
     return commands
 
 
@@ -58,11 +80,16 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main() -> None:
     os.environ.pop(corpus.CORPUS_ENV, None)  # the bundled drawings
     whole = hashlib.sha256()
-    for argv in sweep():
-        code, stdout = run(argv)
-        line = f"{hashlib.sha256(stdout.encode()).hexdigest()}  {code}  {' '.join(argv)}"
-        print(line)
-        whole.update(line.encode() + b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path = os.path.join(tmp, "ring-plan.json")
+        with open(plan_path, "w") as f:
+            json.dump(RING_PLAN, f)
+        for argv in sweep(plan_path):
+            code, stdout = run(argv)
+            shown = " ".join(argv).replace(tmp, "TMP")
+            line = f"{hashlib.sha256(stdout.encode()).hexdigest()}  {code}  {shown}"
+            print(line)
+            whole.update(line.encode() + b"\n")
     print(f"{whole.hexdigest()}  sweep")
 
 

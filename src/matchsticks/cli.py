@@ -12,7 +12,6 @@ failure (a solver did not converge).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -57,13 +56,7 @@ def _fmt(x: float) -> str:
 
 
 def _load_graph(ref: str) -> EmbeddedGraph:
-    """Load a graph from a segment file path or a bundled corpus name.
-
-    Commands that name several parts load through a ``functools.cache`` of
-    this function made for the command alone: ``realize`` shares a part's
-    refinement only between identical graph objects, and a cache that
-    outlived the command could serve a file that has since changed.
-    """
+    """Load a graph from a segment file path or a bundled corpus name."""
     path = Path(ref)
     if path.exists():
         try:
@@ -219,7 +212,7 @@ def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> i
 
 
 def _cmd_construct_mirror(args: argparse.Namespace) -> int:
-    g = _converged(refine(_load_graph(args.graph)))
+    g = _load_graph(args.graph)
     if args.ports:
         try:
             a, b = (int(x) for x in args.ports.split(","))
@@ -237,16 +230,14 @@ def _cmd_construct_mirror(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_ring(args: argparse.Namespace) -> int:
-    load = functools.cache(_load_graph)
-    parts = [PartSpec(load(ref), label=ref) for ref in args.graphs]
+    parts = [PartSpec(_load_graph(ref), label=ref) for ref in args.graphs]
     return _certify_and_write(realize(ring_plan(parts)), args.output, args.json)
 
 
 def _cmd_construct_chain(args: argparse.Namespace) -> int:
-    load = functools.cache(_load_graph)
-    left = PartSpec(load(args.left), label=args.left)
-    right = PartSpec(load(args.right), label=args.right)
-    spacer = load(args.spacer) if args.spacer else None
+    left = PartSpec(_load_graph(args.left), label=args.left)
+    right = PartSpec(_load_graph(args.right), label=args.right)
+    spacer = _load_graph(args.spacer) if args.spacer else None
     chain = chain_extend(ChainSpec(left, right, args.spacers, spacer))
     return _certify_and_write(chain, args.output, args.json)
 
@@ -256,7 +247,7 @@ def _cmd_construct_from_plan(args: argparse.Namespace) -> int:
         text = Path(args.plan).read_text()
     except OSError as exc:
         raise _UsageError(f"{args.plan}: {exc.strerror}")
-    plan = plan_from_json(text, functools.cache(_load_graph))
+    plan = plan_from_json(text, _load_graph)
     return _certify_and_write(realize(plan), args.output, args.json)
 
 

@@ -2,17 +2,19 @@
 
 Merging two degree-2 vertices produces one degree-4 vertex, so parts whose
 only sub-4 degrees are a few degree-2 "ports" can be composed into 4-regular
-graphs: mirror doubling (a part plus its reflected or half-turned copy),
-rings of k parts joined in a cycle, and chains with 5-vertex spacers slotted
-between two end parts (a facing pair of two parts is a chain with none).  A
-composition is a declarative plan, realized by placing each part as refined
-with a rigid motion (ring parts around a closed polygon, chain parts each
-against the one before), closing every glue gap in one solve (``refine``
-moves each glued group of vertices as one), and only then merging vertex
-indices.  Long chains are not solved whole: ``chain_extend`` solves a base
-chain of four or five spacers and repeats its two-spacer period, falling
-back to the whole solve if the result misses the target.  Certification is
-deliberately separate: callers pass the result to ``pipeline.certify``.
+graphs: rings of k parts joined in a cycle, chains with 5-vertex spacers
+slotted between two end parts (a facing pair of two parts is a chain with
+none), and mirror doubles (a two-part plan: a part facing its reflected or
+half-turned copy).  A composition is a declarative plan with one realization
+path, ``realize``: each part is taken as given, rescaled to unit 1, and
+moved rigidly into place (ring parts around a closed polygon, chain parts
+each against the one before); one solve then closes every glue gap
+(``refine`` moves each glued group of vertices as one, and brings the edges
+of unrefined parts to unit length), and only then are vertex indices merged.
+Long chains are not solved whole: ``chain_extend`` solves a base chain of
+four or five spacers and repeats its two-spacer period, falling back to the
+whole solve if the result misses the target.  Certification is deliberately
+separate: callers pass the result to ``pipeline.certify``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class WrongDegreeError(ConstructError):
     """A designated join vertex does not have degree 2."""
 
 
-class VertexOnAxisError(ConstructError):
-    """Line-mode mirror would place a non-join vertex onto the mirror axis."""
-
-
 class PlanError(ValueError):
     """Composition plan violates its invariants."""
 
@@ -53,16 +51,14 @@ class RealizationFailedError(ConstructError):
 
 @dataclass(frozen=True)
 class PartSpec:
-    """One part of a composition: a graph plus an optional mirror flag."""
+    """One part of a composition: a graph plus an optional label."""
 
     graph: EmbeddedGraph
-    reflect: bool = False
     label: str | None = None
 
     @property
     def display_label(self) -> str:
-        base = self.label or self.graph.name or "part"
-        return f"mirror:{base}" if self.reflect else base
+        return self.label or self.graph.name or "part"
 
 
 @dataclass(frozen=True)
@@ -264,20 +260,24 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
 def plan_from_json(text: str, resolver: Callable[[str], EmbeddedGraph]) -> CompositionPlan:
     """Read a plan from JSON text; PlanError if the document is malformed.
 
-    ``resolver`` turns each part reference into a graph (``realize`` refines
-    it).  ``reflect`` must be a boolean, identifications four integers,
-    ``name`` a string or null.
+    ``resolver`` turns each part reference into a graph, which ``realize``
+    takes as given.  The document holds ``parts`` (each a name or an object
+    ``{"part": name}``), ``identifications`` (each four integers) and an
+    optional ``name`` (a string or null); any other key is refused.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise PlanError("plan document is nested too deeply") from None
     fields = ("parts", "identifications")
     if not isinstance(data, dict) or not all(isinstance(data.get(f), list) for f in fields):
         raise PlanError("plan document needs the list fields 'parts' and 'identifications'")
+    _refuse_keys(data, {"parts", "identifications", "name"}, "plan document")
     entries = [{"part": e} if isinstance(e, str) else e for e in data["parts"]]
     if not all(isinstance(e, dict) and isinstance(e.get("part"), str) for e in entries):
         raise PlanError("each part must be a name or an object with a string 'part'")
     for e in entries:
-        if not isinstance(e.get("reflect", False), bool):
-            raise PlanError(f"part {e['part']!r}: 'reflect' must be a boolean, not {e['reflect']!r}")
+        _refuse_keys(e, {"part"}, f"part {e['part']!r}")
     for ident in data["identifications"]:
         # bool is a subclass of int, so compare exact types
         if not (isinstance(ident, list) and len(ident) == 4 and all(type(x) is int for x in ident)):
@@ -285,10 +285,14 @@ def plan_from_json(text: str, resolver: Callable[[str], EmbeddedGraph]) -> Compo
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise PlanError(f"plan name must be a string, not {name!r}")
-    parts = tuple(
-        PartSpec(resolver(e["part"]), e.get("reflect", False), e["part"]) for e in entries
-    )
+    parts = tuple(PartSpec(resolver(e["part"]), e["part"]) for e in entries)
     return CompositionPlan(parts, data["identifications"], name)
+
+
+def _refuse_keys(obj: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise PlanError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 # -- mirror doubling ----------------------------------------------------------
@@ -299,16 +303,17 @@ def mirror_double(
     axis_vertex_a: int,
     axis_vertex_b: int,
     mode: str = "line",
-    eps: float = 1e-4,
 ) -> EmbeddedGraph:
-    """Glue g to a transformed copy of itself at its two degree-2 vertices.
+    """Glue g to a copy of itself at two of its degree-2 vertices.
 
-    ``line`` mode reflects across the line through the two vertices (their
-    images are themselves); ``point`` mode rotates the copy half a turn about
-    their midpoint (the images swap).  Either way the copy's join vertices
-    land on the originals and are identified, giving 2v - 2 vertices; when g
-    is (2,4)-regular with exactly these two degree-2 vertices the result is
-    4-regular.  The output is not verified here -- run verify separately.
+    The double is a two-part plan realized by ``realize``.  In ``line`` mode
+    each join vertex is glued to its own copy, so the copy is laid out as
+    g reflected across the line through the two vertices; in ``point`` mode
+    each is glued to the other's copy, so the copy is g turned half a turn
+    about their midpoint.  The result has 2v - 2 vertices; when g is
+    (2,4)-regular with exactly these two degree-2 vertices it is 4-regular.
+    The output is not verified here (a vertex on the mirror axis lands on
+    its own copy): certify it separately.
     """
     a, b = int(axis_vertex_a), int(axis_vertex_b)
     deg = g.degrees()
@@ -319,85 +324,43 @@ def mirror_double(
             raise WrongDegreeError(f"vertex {vtx} has degree {deg[vtx]}, need 2")
     if a == b:
         raise WrongDegreeError("join vertices must be distinct")
-    coords = g.vertices
-    A, B = coords[a], coords[b]
-    if mode == "line":
-        axis = B - A
-        norm = np.hypot(*axis)
-        if norm == 0:
-            raise VertexOnAxisError("join vertices coincide")
-        u = axis / norm
-        rel = coords - A
-        offsets = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0])  # distance to the axis line
-        for vtx in np.nonzero(offsets <= eps * g.unit)[0]:
-            if vtx not in (a, b):
-                raise VertexOnAxisError(
-                    f"vertex {int(vtx)} lies on the mirror axis "
-                    f"(offset {offsets[vtx] / g.unit:.3e} units)"
-                )
-        copy = _reflect_across(coords, A, B)
-        images = (a, b)
-    elif mode == "point":
-        mid = (A + B) / 2
-        copy = 2 * mid - coords
-        images = (b, a)  # the half turn swaps the join vertices
-    else:
+    if mode not in ("line", "point"):
         raise ValueError(f"mode must be 'line' or 'point', got {mode!r}")
-
-    v = g.vertex_count
-    union = EmbeddedGraph(
-        np.vstack([coords, copy]),
-        np.vstack([g.edge_array(), g.edge_array() + v]),
-        g.unit,
-        f"mirror({g.name or 'graph'},{mode})",
-    )
-    return _merge_pairs(union, [(a, v + images[0]), (b, v + images[1])])
+    ports = degree2_vertices(g)
+    sa, sb = ports.index(a), ports.index(b)
+    copy_a, copy_b = (sa, sb) if mode == "line" else (sb, sa)
+    part = PartSpec(g)
+    idents = ((0, sa, 1, copy_a), (0, sb, 1, copy_b))
+    return realize(CompositionPlan((part, part), idents, f"mirror({g.name or 'graph'},{mode})"))
 
 
 # -- realization --------------------------------------------------------------
 
 
 def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
-    """Place the parts, solve all glue gaps closed, and merge the joints.
+    """Place the parts as given, solve all glue gaps closed, and merge the joints.
 
-    The parts must form a path or a cycle of neighbors.  A cycle (a ring of
-    three or more parts, one joint between neighbors) is laid out around a
-    closed polygon.  A path is a chain: neighbors share two joints, interior
-    parts are 5-vertex spacers, and each part is placed against the one
-    before it (a facing pair is a chain with no spacers).
+    Each part is rescaled to unit 1 and moved only rigidly by the layout;
+    the one glue solve then closes every gap and also brings the edges of
+    parts that were not refined to unit length.  The parts must form a path
+    or a cycle of neighbors.  A cycle (a ring of three or more parts, one
+    joint between neighbors) is laid out around a closed polygon.  A path is
+    a chain: neighbors share two joints, interior parts are 5-vertex
+    spacers, and each part is placed against the one before it (a facing
+    pair or a mirror double is a chain with no spacers).
     Raises RealizationFailedError when the layout is unsupported or the glue
     constraints cannot be closed; the result is otherwise exact to the
     refinement target but deliberately unverified.
     """
-    # Identical inputs share one refine; the cache lives for this call only
-    # and keeps every keyed graph alive.
-    specs = {(id(spec.graph), spec.reflect): spec for spec in plan.parts}
-    by_input = {key: _prepare_part(spec) for key, spec in specs.items()}
-    prepared = [by_input[id(spec.graph), spec.reflect] for spec in plan.parts]
-    ports = [degree2_vertices(g) for g in prepared]
+    parts = [normalize(spec.graph) for spec in plan.parts]
+    ports = [degree2_vertices(g) for g in parts]
     idents = [
         (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
     ]
-    order, joints, closed = _walk_parts(len(prepared), idents)
+    order, joints, closed = _walk_parts(len(parts), idents)
     layout = _layout_cycle if closed else _layout_chain
-    placed = layout(prepared, order, joints)
+    placed = layout(parts, order, joints)
     return _solve_and_merge(plan, placed, idents, opts)
-
-
-def _prepare_part(spec: PartSpec) -> EmbeddedGraph:
-    """Normalize, refine, and optionally mirror one part."""
-    result = refine(normalize(spec.graph))
-    if not result.converged:
-        raise RealizationFailedError(
-            f"part {spec.display_label} did not refine "
-            f"(residual {result.final_residual:.3e})"
-        )
-    g = result.graph
-    if spec.reflect:
-        flipped = g.vertices.copy()
-        flipped[:, 1] = -flipped[:, 1]
-        g = g.with_vertices(flipped)
-    return g
 
 
 _Joints = dict[tuple[int, int], list[tuple[int, int]]]
@@ -591,7 +554,7 @@ def _layout_chain(
 ) -> list[np.ndarray]:
     """Place a chain part by part, each against the one before it.
 
-    The first end keeps its refined position.  Each next part is entered
+    The first end keeps its given position.  Each next part is entered
     through two ports, glued to two ports of the part before: the entry
     ports straddle their partners, with the body on the far side of them.
     Interior parts must be spacers entered through one facing pair (so they

@@ -3,13 +3,14 @@
 import dataclasses
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from matchsticks import construct, corpus, pipeline
+from matchsticks import cli, construct, corpus, pipeline
 from matchsticks.cli import main
 
 TRIANGLE = """\
@@ -116,10 +117,11 @@ def _plan_file(tmp_path, text):
         (lambda tmp: ["refine", "fig2a", "-o", str(tmp / "no-such-dir" / "x.seg")], None),
         (lambda tmp: ["construct", "ring", "fig2a", "fig2a", "fig2a",
                       "-o", str(tmp / "no-such-dir" / "x.seg")], None),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, "[" * 200000)], None),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
-         "unwritable-construct-output"],
+         "unwritable-construct-output", "deeply-nested-plan"],
 )
 def test_hostile_input_is_a_usage_error(argv, corpus_dir, tmp_path, monkeypatch, capsys):
     if corpus_dir is not None:
@@ -287,7 +289,7 @@ def test_construct_chain(capsys):
 def test_construct_from_plan(tmp_path, capsys):
     plan = {
         "name": "r63",
-        "parts": [{"part": "fig2a", "reflect": False}] * 3,
+        "parts": [{"part": "fig2a"}] * 3,
         "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]],
     }
     plan_path = tmp_path / "plan.json"
@@ -300,30 +302,67 @@ def test_construct_from_plan(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, part_refines",
+    "argv",
     [
-        (["ring", "fig2a", "fig2a", "fig2a"], 1),
-        (["chain", "fig5a", "fig5a"], 2),  # the end part and the spacer
-        (["from-plan", "PLAN"], 1),
+        ["mirror", "fig2d"],
+        ["mirror", "fig2f", "--mode", "point"],
+        ["ring", "fig2a", "fig2a", "fig2a"],
+        ["chain", "fig5a", "fig5a"],
+        ["chain", "fig5a", "fig5c", "--spacers", "20"],
+        ["from-plan", "PLAN"],
     ],
 )
-def test_construct_refines_each_named_part_once(argv, part_refines, tmp_path, monkeypatch, capsys):
+def test_construct_makes_one_refine_call_the_glue_solve(argv, tmp_path, monkeypatch, capsys):
     plan = {"parts": ["fig2a"] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     argv = [str(tmp_path / "plan.json") if arg == "PLAN" else arg for arg in argv]
     calls = []
-    real_refine = construct.refine
 
-    def counting_refine(g, opts=construct.RefineOptions(), coincidences=(),
-                        distance_constraints=()):
-        if not len(coincidences) and not len(distance_constraints):
-            calls.append(g.name)
-        return real_refine(g, opts, coincidences, distance_constraints)
+    def recording(module):
+        real_refine = module.refine
 
-    monkeypatch.setattr(construct, "refine", counting_refine)
+        def recording_refine(g, *args, **kwargs):
+            calls.append((module.__name__, len(kwargs.get("coincidences", ()))))
+            return real_refine(g, *args, **kwargs)
+
+        monkeypatch.setattr(module, "refine", recording_refine)
+
+    recording(construct)
+    recording(cli)
     code, _, _ = run(capsys, "construct", *argv)
     assert code == 0
-    assert len(calls) == part_refines
+    # parts go in as loaded; certify's own refine of the result is pipeline's
+    assert len(calls) == 1
+    (module, glued), = calls
+    assert module == "matchsticks.construct" and glued > 0
+
+
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (["ring", "fig2a", "fig2d", "fig2h"], 94),
+        (["ring", "fig2b", "fig2b", "fig2b", "fig2b"], 116),
+        (["chain", "fig5a", "fig5c", "--spacers", "20", "--spacer", "fig5b"], 155),
+    ],
+)
+def test_construct_from_raw_drawings_certifies(argv, vertices, capsys):
+    code, out, _ = run(capsys, "construct", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_matchstick"] is True
+    assert payload["vertices"] == vertices
+
+
+def test_construct_mirror_with_a_vertex_on_the_axis_fails_verification(tmp_path, capsys):
+    # two unit triangles meeting at (1, 0), on the line through the join vertices
+    h = math.sqrt(3) / 2
+    path = tmp_path / "bowtie.seg"
+    path.write_text(
+        f"! name bowtie\n0 0  0.5 {h}\n0 0  1 0\n0.5 {h}  1 0\n1 0  2 0\n1 0  1.5 {h}\n2 0  1.5 {h}\n"
+    )
+    code, out, err = run(capsys, "construct", "mirror", str(path), "--ports", "0,3")
+    assert code == 1 and err == ""
+    assert "not-a-matchstick-graph" in out
 
 
 def test_construct_from_plan_missing_file(tmp_path, capsys):

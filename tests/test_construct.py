@@ -1,7 +1,6 @@
 """Composition planning, mirror doubling, and geometric realization."""
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,6 @@ from matchsticks.construct import (
     PartSpec,
     PlanError,
     RealizationFailedError,
-    VertexOnAxisError,
     WrongDegreeError,
     chain_extend,
     chain_plan,
@@ -110,14 +108,21 @@ def test_mirror_double_rejects_join_vertices_out_of_range(bad):
             mirror_double(g, a, b)
 
 
-def test_mirror_double_rejects_vertex_on_axis():
-    # a 4-cycle with an extra axis vertex subdividing nothing: A and B are the
-    # join candidates, C sits exactly on the line through them
-    coords = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.9, 1.0]])
-    edges = ((0, 2), (1, 2), (0, 3), (1, 3))
-    g = EmbeddedGraph(coords, edges, 1.0)
-    with pytest.raises(VertexOnAxisError):
-        mirror_double(g, 0, 1, "line")
+def two_triangles_meeting_on_their_axis() -> EmbeddedGraph:
+    """Two unit triangles sharing vertex 2, which lies on the line through 0 and 3."""
+    h = np.sqrt(3) / 2
+    coords = np.array([[0.0, 0.0], [0.5, h], [1.0, 0.0], [2.0, 0.0], [1.5, h]])
+    edges = ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
+    return EmbeddedGraph(coords, edges, 1.0, "bowtie")
+
+
+def test_mirror_double_puts_a_vertex_on_the_axis_onto_its_copy():
+    doubled = mirror_double(two_triangles_meeting_on_their_axis(), 0, 3, "line")
+    assert doubled.vertex_count == 8
+    cert = certify(doubled)
+    assert cert.refinement.converged and not cert.certified
+    kinds = {kind for kind, *_ in cert.verification.clearance_violations}
+    assert "vertex-vertex" in kinds
 
 
 def test_mirror_double_mode_validated():
@@ -246,8 +251,7 @@ def test_cycle_violating_triangle_inequality_fails():
 
 def test_chain_with_one_spacer():
     g5a = corpus.refined_graph("fig5a")
-    spec = ChainSpec(PartSpec(g5a), PartSpec(g5a, reflect=True), 1)
-    g = certified(chain_extend(spec))
+    g = certified(chain_extend(ChainSpec(PartSpec(g5a), PartSpec(g5a), 1)))
     assert g.vertex_count == 97
     assert degree_profile(g).is_4_regular()
 
@@ -275,34 +279,40 @@ def test_long_chain_glues_to_unit_edges():
     assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
-def test_chain_refines_each_distinct_part_and_gap_once(monkeypatch):
-    calls = Counter()
+def mirror_of_fig2d(mode: str) -> EmbeddedGraph:
+    g = corpus.refined_graph("fig2d")
+    return mirror_double(g, *degree2_vertices(g), mode)
+
+
+@pytest.mark.parametrize(
+    "build, vertices",
+    [
+        (lambda: realize(ring_plan([corpus.refined_graph(n) for n in ("fig2a", "fig2d", "fig2h")])),
+         94),
+        (lambda: realize(ring_plan([corpus.load_graph("fig2b")] * 4)), 116),  # as drawn
+        (lambda: realize(ring_plan([corpus.refined_graph("fig5a"), corpus.refined_graph("fig5c")])),
+         95),
+        (lambda: chain_extend(end_spec("fig5a", "fig5c", 20)), 155),  # the base alone
+        (lambda: mirror_of_fig2d("line"), 66),
+        (lambda: mirror_of_fig2d("point"), 66),
+    ],
+    ids=["ring", "raw-ring-of-four", "facing-pair", "chain-base", "mirror-line", "mirror-point"],
+)
+def test_realize_makes_one_refine_call_the_glue_solve(monkeypatch, build, vertices):
+    calls = []
     real_refine = construct.refine
 
-    def counting_refine(g, opts=construct.RefineOptions(), coincidences=(),
-                        distance_constraints=()):
-        if len(coincidences):
-            calls["glue"] += 1
-        elif len(distance_constraints):
-            calls["preflex"] += 1
-        else:
-            calls["part"] += 1
+    def recording_refine(g, opts=construct.RefineOptions(), coincidences=(),
+                         distance_constraints=()):
+        calls.append((len(coincidences), len(distance_constraints)))
         return real_refine(g, opts, coincidences, distance_constraints)
 
-    monkeypatch.setattr(construct, "refine", counting_refine)
-    g5a, g5c = corpus.refined_graph("fig5a"), corpus.refined_graph("fig5c")
-    g = chain_extend(ChainSpec(PartSpec(g5a), PartSpec(g5c), 20))
-    assert g.vertex_count == 48 + 49 + 3 * 20 - 2
-    # parts are laid out as refined: the one glue solve closes every gap
-    assert calls["preflex"] == 0
-    assert calls["part"] == 3  # fig5a, fig5c and the one spacer graph
-    assert calls["glue"] == 1
-    # a facing pair is laid out the same way, as a chain with no spacers
-    calls.clear()
-    assert realize(ring_plan([g5a, g5c])).vertex_count == 48 + 49 - 2
-    assert calls["preflex"] == 0
-    assert calls["part"] == 2
-    assert calls["glue"] == 1
+    monkeypatch.setattr(construct, "refine", recording_refine)
+    assert build().vertex_count == vertices
+    # parts go in as given: no refine of a part, only the solve that closes the joints
+    assert len(calls) == 1
+    (glued, constrained), = calls
+    assert glued > 0 and constrained == 0
 
 
 CHAIN_ENDS = [("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c")]
@@ -331,8 +341,9 @@ def test_tiled_chain_matches_the_glue_solved_chain(left, right, n):
 
 def test_tiled_chain_keeps_a_reflected_end_and_a_given_spacer():
     g5a = corpus.refined_graph("fig5a")
-    spacer = corpus.load_graph("fig5b")  # as drawn: realize refines it
-    assert_tiled_like_solved(ChainSpec(PartSpec(g5a), PartSpec(g5a, reflect=True), 21, spacer))
+    reflected = g5a.with_vertices(g5a.vertices * [1.0, -1.0])
+    spacer = corpus.load_graph("fig5b")  # as drawn: the glue solve polishes it
+    assert_tiled_like_solved(ChainSpec(PartSpec(g5a), PartSpec(reflected), 21, spacer))
 
 
 @pytest.mark.parametrize("left,right", CHAIN_ENDS)
@@ -448,13 +459,13 @@ def test_plan_json_reads_a_ring_plan():
     )
     doc = {
         "name": "r63",
-        "parts": [{"part": "fig2a", "reflect": False}] * 3,
+        "parts": [{"part": "fig2a"}, "fig2a", {"part": "fig2a"}],
         "identifications": [list(ident) for ident in plan.identifications],
     }
     restored = plan_from_json(json.dumps(doc), corpus.refined_graph)
     assert restored.name == "r63"
     assert restored.identifications == plan.identifications
-    assert [(spec.label, spec.reflect) for spec in restored.parts] == [("fig2a", False)] * 3
+    assert [spec.label for spec in restored.parts] == ["fig2a"] * 3
     g = certified(realize(restored))
     assert g.vertex_count == 63
 
@@ -498,11 +509,28 @@ RING3_JSON = (
         RING3_JSON % "[0, 1, 1, 0, 0]",
         RING3_JSON % '"0110"',
         RING3_JSON % '{"0": 0}',
+        pytest.param("[" * 200000, id="deeply-nested-plan"),
     ],
 )
 def test_plan_json_rejects_documents_of_the_wrong_shape(text):
     with pytest.raises(PlanError):
         plan_from_json(text, corpus.refined_graph)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"parts": [{"part": "fig2a", "reflect": false}], "identifications": []}',
+         "part 'fig2a': unknown key(s) 'reflect'"),
+        ('{"parts": ["fig2a"], "identifications": [], "mirror": true, "Name": "r"}',
+         "plan document: unknown key(s) 'Name', 'mirror'"),
+    ],
+    ids=["part-key", "document-key"],
+)
+def test_plan_json_names_the_keys_it_does_not_know(text, message):
+    with pytest.raises(PlanError) as excinfo:
+        plan_from_json(text, corpus.refined_graph)
+    assert str(excinfo.value) == message
 
 
 def test_realized_graph_is_named_after_the_plan():

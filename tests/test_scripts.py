@@ -41,8 +41,12 @@ def test_cli_digest_prints_the_same_digests_twice():
     first, second = run_script("cli_digest.py"), run_script("cli_digest.py")
     assert first == second
     *commands, sweep = first
-    assert len(commands) == 91 and sweep.endswith("  sweep")
-    assert all(line.split()[1] == "0" for line in commands)  # every command succeeds
+    assert len(commands) == 101 and sweep.endswith("  sweep")
+    codes = {" ".join(line.split()[2:]): line.split()[1] for line in commands}
+    # every command succeeds but the failing fig2a double and the bad port
+    assert codes.pop("construct mirror fig2a --json") == "1"
+    assert codes.pop("construct mirror fig2a --ports 10,99 --json") == "2"
+    assert set(codes.values()) == {"0"}
 
 
 def test_traced_benchmark_pass_binds_the_package(tmp_path):
