@@ -10,6 +10,11 @@ stdout and exit codes for every command in the sweep.  The sweep:
 - ``catalog --json``;
 - ``verify``, ``verify --raw``, ``rigidity`` and ``refine``, each with
   ``--json``, for every bundled drawing;
+- ``verify --eps-separation 0.3 --json`` for every bundled drawing; 17 of
+  them fail and print edge-edge, vertex-edge and vertex-vertex distances at
+  full precision (fig1d, fig3b, fig4a and fig5b keep 0.5 and pass);
+- ``refine fig2h --json`` stopped after one iteration, and stalled short of
+  an unreachable target, both of which exit 3;
 - three-part and four-part rings with ``construct ring --json``;
 - two spacer chains with ``construct chain --json``;
 - ``coverage --max 2000 --json``;
@@ -50,7 +55,12 @@ def sweep(plan_path: str) -> list[list[str]]:
             ["verify", name, "--raw", "--json"],
             ["rigidity", name, "--json"],
             ["refine", name, "--json"],
+            ["verify", name, "--eps-separation", "0.3", "--json"],
         ]
+    commands += [  # each exits 3: the refinement stops short
+        ["refine", "fig2h", "--max-iterations", "1", "--json"],
+        ["refine", "fig2h", "--target-residual", "1e-300", "--json"],
+    ]
     for parts in (["fig2a", "fig2d", "fig2h"], ["fig2g"] * 3, ["fig2b"] * 4):
         commands.append(["construct", "ring", *parts, "--json"])
     commands += [

@@ -140,8 +140,9 @@ class ChainSpec:
     """Two end parts joined through n flexible 5-vertex spacers.
 
     Each spacer contributes 5 vertices and consumes 2 identifications per
-    neighbor, so the predicted vertex count is
-    v_left + v_right + 5n - 2(n+1); every spacer adds 3 net vertices.
+    neighbor, so the chain has v_left + v_right + 5n - 2(n+1) vertices
+    (``predicted_vertex_count(chain_plan(spec))``); every spacer adds 3 net
+    vertices.
     ``spacer=None`` selects the bundled 5-vertex corpus part.
     """
 
@@ -153,15 +154,6 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.spacer_count < 0:
             raise PlanError("spacer_count must be >= 0")
-
-    def predicted_vertex_count(self) -> int:
-        n = self.spacer_count
-        return (
-            self.left.graph.vertex_count
-            + self.right.graph.vertex_count
-            + 5 * n
-            - 2 * (n + 1)
-        )
 
 
 def chain_plan(spec: ChainSpec) -> CompositionPlan:
@@ -208,7 +200,7 @@ def _facing_slots(g: EmbeddedGraph, exit_side: bool) -> tuple[int, int]:
     return ports.index(pair[0]), ports.index(pair[1])
 
 
-def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
+def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     """Realize a chain composition; vertex count comes out as predicted.
 
     A glue-solved chain repeats with a period of two spacers: spacer k + 2 is
@@ -218,17 +210,17 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
     as often as needed and shift the rest of the base along.  Vertex and edge order
     are those ``realize`` gives the whole chain.  Edges where one copy meets
     the next are unit only as far as the base is periodic, so if any edge of
-    the tiled chain misses ``opts.target_residual`` the whole chain is
-    glue-solved instead.  Chains of up to five spacers are always solved
-    whole.  The chain has one flex, and the tiled chain may sit at another
-    point on it than the whole solve would.
+    the tiled chain misses ``RefineOptions().target_residual`` the whole
+    chain is glue-solved instead.  Chains of up to five spacers are always
+    solved whole.  The chain has one flex, and the tiled chain may sit at
+    another point on it than the whole solve would.
     """
     n = spec.spacer_count
     base_count = 4 + n % 2
     if n < base_count + 2:  # not one whole period beyond the base
-        return realize(chain_plan(spec), opts)
+        return realize(chain_plan(spec))
     base_plan = chain_plan(replace(spec, spacer_count=base_count))
-    base = realize(base_plan, opts)
+    base = realize(base_plan)
     # _merge_pairs keeps each joint at its earlier part's port, so the base
     # lists the left end's vertices, then each spacer's v - 2 new ones, then
     # the right end's rest; its edges follow the parts in the same order.
@@ -249,8 +241,8 @@ def chain_extend(spec: ChainSpec, opts: RefineOptions = RefineOptions()) -> Embe
         [edges[:e1], (edges[e0:e1] + copies * shift).reshape(-1, 2), edges[e1:] + m * shift]
     )
     tiled = EmbeddedGraph(tiled_coords, tiled_edges, 1.0, _chain_name(spec))
-    if np.abs(edge_lengths(tiled) - 1.0).max() > opts.target_residual:
-        return realize(chain_plan(spec), opts)
+    if np.abs(edge_lengths(tiled) - 1.0).max() > RefineOptions().target_residual:
+        return realize(chain_plan(spec))
     return tiled
 
 
@@ -267,6 +259,8 @@ def plan_from_json(text: str, resolver: Callable[[str], EmbeddedGraph]) -> Compo
     """
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"plan document is not JSON: {exc}") from None
     except RecursionError:
         raise PlanError("plan document is nested too deeply") from None
     fields = ("parts", "identifications")
@@ -337,7 +331,7 @@ def mirror_double(
 # -- realization --------------------------------------------------------------
 
 
-def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> EmbeddedGraph:
+def realize(plan: CompositionPlan) -> EmbeddedGraph:
     """Place the parts as given, solve all glue gaps closed, and merge the joints.
 
     Each part is rescaled to unit 1 and moved only rigidly by the layout;
@@ -360,7 +354,7 @@ def realize(plan: CompositionPlan, opts: RefineOptions = RefineOptions()) -> Emb
     order, joints, closed = _walk_parts(len(parts), idents)
     layout = _layout_cycle if closed else _layout_chain
     placed = layout(parts, order, joints)
-    return _solve_and_merge(plan, placed, idents, opts)
+    return _solve_and_merge(plan, placed, idents)
 
 
 _Joints = dict[tuple[int, int], list[tuple[int, int]]]
@@ -582,7 +576,6 @@ def _solve_and_merge(
     plan: CompositionPlan,
     placed: list[np.ndarray],
     idents: list[tuple[int, int, int, int]],
-    opts: RefineOptions,
 ) -> EmbeddedGraph:
     offsets = np.cumsum([0] + [len(c) for c in placed[:-1]])
     union_coords = np.concatenate(placed)
@@ -592,7 +585,7 @@ def _solve_and_merge(
     pairs = [(offsets[a] + va, offsets[b] + vb) for a, va, b, vb in idents]
 
     union = EmbeddedGraph(union_coords, union_edges, 1.0, plan.name)
-    result = refine(union, opts, coincidences=pairs)
+    result = refine(union, coincidences=pairs)
     if not result.converged:
         raise RealizationFailedError(
             f"glue constraints did not close (edge residual {result.final_residual:.3e})"

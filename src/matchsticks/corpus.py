@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .ingest import MergePolicy, SegmentFile, build_graph, parse_segment_file
+from .ingest import SegmentFile, build_graph, parse_segment_file
 from .model import EmbeddedGraph
 
 CORPUS_ENV = "MATCHSTICKS_CORPUS"
@@ -63,9 +63,9 @@ def _read_text(override: Path | None, name: str) -> str:
     return resources.files(__package__).joinpath(f"corpus/{name}.seg").read_text()
 
 
-def load_graph(name: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
+def load_graph(name: str) -> EmbeddedGraph:
     """The raw embedded graph for a corpus entry (original drawing units)."""
-    return build_graph(load_segments(name), policy)
+    return build_graph(load_segments(name))
 
 
 def refined_graph(name: str) -> EmbeddedGraph:
@@ -82,10 +82,9 @@ def refined_graph(name: str) -> EmbeddedGraph:
 
 @lru_cache(maxsize=None)
 def _refined_graph(name: str, text: str) -> EmbeddedGraph:
-    from .refine import RefineOptions, refine  # deferred to keep imports acyclic
+    from .refine import refine  # deferred to keep imports acyclic
 
-    graph = build_graph(parse_segment_file(text), MergePolicy())
-    result = refine(graph, RefineOptions())
+    result = refine(build_graph(parse_segment_file(text)))
     if not result.converged:
         raise RuntimeError(
             f"corpus graph {name} did not refine "

@@ -59,10 +59,6 @@ class SegmentFile:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
-    @property
-    def name(self) -> str:
-        return str(self.metadata["name"])
-
 
 @dataclass(frozen=True)
 class MergePolicy:
@@ -212,6 +208,6 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     return EmbeddedGraph(centroids, edges, unit, str(name) if name is not None else None)
 
 
-def graph_from_text(text: str, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
+def graph_from_text(text: str) -> EmbeddedGraph:
     """Convenience: parse + build in one step."""
-    return build_graph(parse_segment_file(text), policy)
+    return build_graph(parse_segment_file(text))

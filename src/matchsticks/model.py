@@ -21,10 +21,6 @@ class ModelError(ValueError):
     """Invalid graph data (bad indices, duplicate edges, non-finite coordinates)."""
 
 
-class ProfileNotApplicableError(ModelError):
-    """Degree profile fits neither edge-count identity."""
-
-
 def _canonical_edges(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> np.ndarray:
     """Validated edges as an (e, 2) int64 array, each row sorted ascending.
 
@@ -185,41 +181,11 @@ class DegreeProfile:
         return "{" + ", ".join(f"{d}: {c}" for d, c in self.sorted_items()) + "}"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of the edge-count identity for a regular degree profile."""
-
-    kind: str  # "4-regular" or "(2,4)-regular"
-    holds: bool
-    expected_edges: int
-    actual_edges: int
-
-
 def degree_profile(g: EmbeddedGraph) -> DegreeProfile:
     """Exact degree histogram of g."""
     deg = g.degrees()
     values, counts = np.unique(deg, return_counts=True)
     return DegreeProfile({int(d): int(c) for d, c in zip(values, counts)})
-
-
-def edge_count_identity(g: EmbeddedGraph) -> IdentityCheck:
-    """Check e = 2v (4-regular) or e = 2v - 2 (two degree-2 vertices, rest degree 4).
-
-    Both identities follow from the degree sum: 4v = 2e gives e = 2v, and
-    2*2 + 4(v-2) = 2e gives e = 2v - 2.  Raises ProfileNotApplicableError for
-    any other degree profile.
-    """
-    profile = degree_profile(g)
-    v, e = g.vertex_count, g.edge_count
-    if profile.is_4_regular():
-        expected = 2 * v
-        return IdentityCheck("4-regular", e == expected, expected, e)
-    if profile.is_24_regular() and profile.degree2_count() == 2:
-        expected = 2 * v - 2
-        return IdentityCheck("(2,4)-regular", e == expected, expected, e)
-    raise ProfileNotApplicableError(
-        f"degree profile {profile} matches neither identity pattern"
-    )
 
 
 def edge_lengths(g: EmbeddedGraph) -> np.ndarray:

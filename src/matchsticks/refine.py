@@ -65,7 +65,7 @@ class RefineOptions:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Best iterate found, with convergence bookkeeping.
+    """Last iterate (the lowest residual norm reached), with convergence bookkeeping.
 
     Residuals are max |edge length - 1| in matchstick units; the output graph
     always has unit = 1.
@@ -124,9 +124,10 @@ def refine(
     coincident vertices raises ZeroLengthEdgeError.  ``distance_constraints``
     are (i, j, target) triples holding two vertices at a prescribed distance.
 
-    Accepted steps never increase the residual norm; a rejected step raises
-    the damping tenfold and retries.  Non-convergence is reported, not raised:
-    the best iterate comes back with ``converged=False``.
+    A step is accepted only if it lowers the residual norm, so the last
+    iterate is always the best one; a rejected step raises the damping
+    tenfold and retries.  Non-convergence is reported, not raised: the last
+    iterate comes back with ``converged=False``.
     """
     coords = normalize(g).vertices.copy()
     v, e = g.vertex_count, g.edge_count
@@ -169,8 +170,6 @@ def refine(
 
     r = full_residual(coords)
     initial_residual, extra0 = maxima(r)
-    best, best_r = coords, r
-    best_norm = float(np.linalg.norm(r))
     lam = opts.damping
     iterations = 0
     converged = max(initial_residual, extra0) <= opts.target_residual
@@ -195,8 +194,7 @@ def refine(
             except ZeroLengthEdgeError:
                 lam *= 10
                 continue
-            new_norm = float(np.linalg.norm(candidate_r))
-            if new_norm < norm:
+            if float(np.linalg.norm(candidate_r)) < norm:
                 coords, r = candidate, candidate_r
                 lam = max(lam / 3, _DAMPING_FLOOR)
                 stepped = True
@@ -205,16 +203,13 @@ def refine(
         if not stepped:
             break  # no acceptable step at any damping: give up
         iterations += 1
-        if new_norm < best_norm:
-            best_norm, best, best_r = new_norm, coords, r
         converged = max(maxima(r)) <= opts.target_residual
 
-    out_coords, out_r = (coords, r) if converged else (best, best_r)
     return RefineResult(
-        graph=EmbeddedGraph(out_coords[label], g.edge_array(), 1.0, g.name),
+        graph=EmbeddedGraph(coords[label], g.edge_array(), 1.0, g.name),
         iterations=iterations,
         initial_residual=initial_residual,
-        final_residual=maxima(out_r)[0],
+        final_residual=maxima(r)[0],
         converged=converged,
     )
 

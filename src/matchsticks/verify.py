@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DegreeProfile, EmbeddedGraph, degree_profile, normalize
+from .model import DegreeProfile, EmbeddedGraph, degree_profile, edge_lengths, normalize
 
 Segment = Sequence[float]  # (x1, y1, x2, y2)
 
@@ -108,19 +108,14 @@ def _scale(*points: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(largest)[1])[..., None]
 
 
-def _gap(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """p minus its nearest point on segment s0-s1, for scaled coordinates."""
-    d = s1 - s0
-    dd = np.sum(d * d, axis=-1)
-    t = np.sum((p - s0) * d, axis=-1) / np.where(dd > 0, dd, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return p - (s0 + t[..., None] * d)
-
-
 def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Distance from point(s) to segment(s), broadcasting over leading axes."""
     scale = _scale(p, s0, s1)
-    gap = _gap(p / scale, s0 / scale, s1 / scale)
+    p, s0, s1 = p / scale, s0 / scale, s1 / scale
+    d = s1 - s0
+    dd = np.sum(d * d, axis=-1)
+    t = np.sum((p - s0) * d, axis=-1) / np.where(dd > 0, dd, 1.0)
+    gap = p - (s0 + np.clip(t, 0.0, 1.0)[..., None] * d)
     return np.hypot(gap[..., 0], gap[..., 1]) * scale[..., 0]
 
 
@@ -146,10 +141,9 @@ def segment_pair_distance(a0, a1, b0, b1) -> np.ndarray:
     exact; proper crossings are detected separately and give 0.
     """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
-    scale = _scale(a0, a1, b0, b1)
-    a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
-    gaps = [_gap(b0, a0, a1), _gap(b1, a0, a1), _gap(a0, b0, b1), _gap(a1, b0, b1)]
-    dist = np.minimum.reduce([np.hypot(g[..., 0], g[..., 1]) for g in gaps]) * scale[..., 0]
+    dist = _point_segment_distance(
+        np.stack([b0, b1, a0, a1]), np.stack([a0, a0, b0, b0]), np.stack([a1, a1, b1, b1])
+    ).min(axis=0)
     return np.where(segment_pair_intersects(a0, a1, b0, b1), 0.0, dist)
 
 
@@ -206,8 +200,7 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
 
     # 1. unit lengths
     if gn.edge_count:
-        diff = coords[eidx[:, 0]] - coords[eidx[:, 1]]
-        deviations = np.abs(np.hypot(diff[:, 0], diff[:, 1]) - 1.0)
+        deviations = np.abs(edge_lengths(gn) - 1.0)
         worst = int(np.argmax(deviations))
         worst_dev = float(deviations[worst])
     else:

@@ -22,6 +22,7 @@ from matchsticks.construct import (
     ChainSpec,
     PartSpec,
     chain_extend,
+    chain_plan,
     mirror_double,
     predicted_vertex_count,
     realize,
@@ -172,7 +173,7 @@ def test_acceptance_05_construction_arithmetic():
     for (left, right), base in families.items():
         for n in range(6):
             spec = ChainSpec(part[left], part[right], n)
-            assert spec.predicted_vertex_count() == base + 3 * n
+            assert predicted_vertex_count(chain_plan(spec)) == base + 3 * n
 
 
 def test_acceptance_06_geometric_constructions_realize_and_verify():

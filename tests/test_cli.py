@@ -100,35 +100,45 @@ def _plan_file(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "argv,corpus_dir",
+    "argv,corpus_dir,message",
     [
         (lambda tmp: ["construct", "from-plan",
-                      _plan_file(tmp, '{"parts": [1, 2], "identifications": []}')], None),
+                      _plan_file(tmp, '{"parts": [1, 2], "identifications": []}')], None,
+         "each part must be a name or an object with a string 'part'"),
         (lambda tmp: ["construct", "from-plan",
                       _plan_file(tmp, '{"parts": [{"reflect": true}], "identifications": []}')],
-         None),
+         None, "each part must be a name or an object with a string 'part'"),
         (lambda tmp: ["construct", "from-plan",
-                      _plan_file(tmp, '{"parts": ["fig2a"], "identifications": 5}')], None),
+                      _plan_file(tmp, '{"parts": ["fig2a"], "identifications": 5}')], None,
+         "plan document needs the list fields"),
         (lambda tmp: ["construct", "from-plan",
                       _plan_file(tmp, '{"parts": ["no-such-part"], "identifications": []}')],
-         None),
-        (lambda tmp: ["verify", str(tmp)], None),
-        (lambda tmp: ["catalog"], "no-such-dir"),
-        (lambda tmp: ["refine", "fig2a", "-o", str(tmp / "no-such-dir" / "x.seg")], None),
+         None, "no-such-part: no such file or corpus graph"),
+        (lambda tmp: ["verify", str(tmp)], None, "Is a directory"),
+        (lambda tmp: ["catalog"], "no-such-dir", "is not a directory"),
+        (lambda tmp: ["refine", "fig2a", "-o", str(tmp / "no-such-dir" / "x.seg")], None,
+         "No such file or directory"),
         (lambda tmp: ["construct", "ring", "fig2a", "fig2a", "fig2a",
-                      "-o", str(tmp / "no-such-dir" / "x.seg")], None),
-        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, "[" * 200000)], None),
+                      "-o", str(tmp / "no-such-dir" / "x.seg")], None,
+         "No such file or directory"),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, "[" * 200000)], None,
+         "plan document is nested too deeply"),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, "! name fig2a\n")], None,
+         "plan document is not JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
-         "unwritable-construct-output", "deeply-nested-plan"],
+         "unwritable-construct-output", "deeply-nested-plan", "plan-not-json"],
 )
-def test_hostile_input_is_a_usage_error(argv, corpus_dir, tmp_path, monkeypatch, capsys):
+def test_hostile_input_is_a_usage_error(
+    argv, corpus_dir, message, tmp_path, monkeypatch, capsys
+):
     if corpus_dir is not None:
         monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path / corpus_dir))
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith("error:")
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -82,7 +82,7 @@ def test_chain_spec_arithmetic():
     left = PartSpec(corpus.refined_graph("fig5a"))
     right = PartSpec(corpus.refined_graph("fig5c"))
     for n in range(6):
-        assert ChainSpec(left, right, n).predicted_vertex_count() == 95 + 3 * n
+        assert predicted_vertex_count(chain_plan(ChainSpec(left, right, n))) == 95 + 3 * n
     with pytest.raises(PlanError):
         ChainSpec(left, right, -1)
 
@@ -361,7 +361,7 @@ def test_long_chains_glue_solve_only_their_base(monkeypatch, left, right):
     for n in (20, 150, 3000):
         spec = end_spec(left, right, n)
         g = chain_extend(spec)
-        assert g.vertex_count == spec.predicted_vertex_count()
+        assert g.vertex_count == predicted_vertex_count(chain_plan(spec))
         assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
     # two ports at each of the 4-spacer base's 5 joints; a fallback would glue all n + 1
     assert glued == [10, 10, 10]
@@ -372,9 +372,9 @@ def test_tiling_falls_back_to_the_whole_solve_when_the_base_is_off(monkeypatch):
     solved = []
     real_realize = construct.realize
 
-    def perturbed_realize(plan, opts=construct.RefineOptions()):
+    def perturbed_realize(plan):
         solved.append(len(plan.parts) - 2)
-        g = real_realize(plan, opts)
+        g = real_realize(plan)
         if len(solved) == 1:  # the base: move a vertex of its repeated block
             coords = g.vertices.copy()
             coords[spec.left.graph.vertex_count + 3, 0] += 1e-9

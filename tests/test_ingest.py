@@ -38,7 +38,7 @@ GOOD = """\
 
 def test_parse_reads_metadata_and_segments():
     sf = parse_segment_file(GOOD)
-    assert sf.name == "square"
+    assert sf.metadata["name"] == "square"
     assert sf.metadata["claimed_vertices"] == 4
     assert sf.metadata["claimed_rigidity"] == "flexible"
     assert sf.segments.shape == (4, 4)
@@ -224,7 +224,7 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
             raise DegenerateSegmentError(f"segment {s} endpoints merged into vertex {u}")
         if (min(u, v), max(u, v)) not in edges:
             edges.append((min(u, v), max(u, v)))
-    return EmbeddedGraph(centroids, tuple(edges), unit, sf.name)
+    return EmbeddedGraph(centroids, tuple(edges), unit, str(sf.metadata["name"]))
 
 
 def build_outcome(build, sf: SegmentFile, policy: MergePolicy):

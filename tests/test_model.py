@@ -1,4 +1,4 @@
-"""Graph container, degree profiles, and edge-count identities."""
+"""Graph container, degree profiles, and edge lengths."""
 
 import re
 
@@ -11,9 +11,7 @@ from conftest import unit_rhombus, unit_triangle
 from matchsticks.model import (
     EmbeddedGraph,
     ModelError,
-    ProfileNotApplicableError,
     degree_profile,
-    edge_count_identity,
     edge_lengths,
     _components,
     normalize,
@@ -160,24 +158,6 @@ def test_profile_and_length_multiset_are_permutation_invariant(g, seed):
     np.testing.assert_allclose(
         np.sort(edge_lengths(relabeled)), np.sort(edge_lengths(g)), rtol=1e-12
     )
-
-
-def test_identity_for_4_regular():
-    # K5 drawn anywhere is combinatorially 4-regular
-    coords = np.array([[np.cos(a), np.sin(a)] for a in np.linspace(0, 2 * np.pi, 5, endpoint=False)])
-    edges = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
-    check = edge_count_identity(EmbeddedGraph(coords, edges, 1.0))
-    assert check.kind == "4-regular"
-    assert check.holds
-    assert check.expected_edges == check.actual_edges == 10
-
-
-def test_identity_not_applicable_for_other_profiles():
-    with pytest.raises(ProfileNotApplicableError):
-        edge_count_identity(unit_triangle())  # three degree-2 vertices
-    strip = EmbeddedGraph(np.array([[0.0, 0], [1, 0], [2, 0]]), ((0, 1), (1, 2)), 1.0)
-    with pytest.raises(ProfileNotApplicableError):
-        edge_count_identity(strip)
 
 
 def test_degree_profile_flags():

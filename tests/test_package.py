@@ -32,25 +32,30 @@ def test_every_imported_name_is_used(path):
 
 
 def _named(tree):
-    """Every name a tree mentions: variables, attributes and imported names."""
+    """Every name a tree mentions, each with whether it is an attribute access.
+
+    Variables and imported names are plain; ``x.name`` is an attribute access.
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+            yield from ((alias.name, False) for alias in node.names)
 
 
 def test_every_public_function_has_a_caller():
     """A public function or method that no program code outside its body names is dead API.
 
-    Tests do not count as callers.
+    Tests do not count as callers.  A method or property counts as named
+    only through an attribute access (``x.name``): a module function or a
+    variable of the same name does not call it.
     """
     package = Path(matchsticks.__file__).parent
     root = package.parents[1]
     uses = Counter()
-    definitions = []  # (qualified name, name, the names its own body mentions)
+    definitions = []  # (qualified name, name, is a method, the names its own body mentions)
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
             if path == package / "__init__.py":
@@ -66,9 +71,19 @@ def test_every_public_function_has_a_caller():
                 for member in members:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
                         qualified = f"{path.stem}.{owner}{member.name}"
-                        definitions.append((qualified, member.name, Counter(_named(member))))
+                        definitions.append(
+                            (qualified, member.name, bool(owner), Counter(_named(member)))
+                        )
     assert definitions
-    uncalled = [qualified for qualified, name, own in definitions if uses[name] <= own[name]]
+
+    def count(names, name, method):
+        return names[name, True] + (0 if method else names[name, False])
+
+    uncalled = [
+        qualified
+        for qualified, name, method, own in definitions
+        if count(uses, name, method) <= count(own, name, method)
+    ]
     # the one exemption: the scalar reference that tests check
     # ``verify._adjacent_overlaps`` against
     assert uncalled == ["verify.segments_conflict"]

@@ -109,15 +109,19 @@ def test_zero_length_edge_rejected():
         refine(g)
 
 
-def test_nonconvergence_reports_best_iterate():
+@pytest.mark.parametrize("max_iterations", [1, 2, 5, 25])
+def test_nonconvergence_reports_last_iterate(max_iterations):
     # a unit triangle with an extra edge that cannot also be unit length
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2], [1.5, np.sqrt(3) / 2]])
     edges = ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3))  # K4: not unit-realizable
-    result = refine(EmbeddedGraph(coords, edges, 1.0), RefineOptions(max_iterations=25))
+    opts = RefineOptions(max_iterations=max_iterations)
+    result = refine(EmbeddedGraph(coords, edges, 1.0), opts)
     assert not result.converged
-    assert 0 < result.iterations <= 25  # may stall before the cap
+    assert 0 < result.iterations <= max_iterations  # may stall before the cap
     assert result.final_residual <= result.initial_residual
     assert np.isfinite(result.graph.vertices).all()
+    # the residual reported is the returned graph's own
+    assert result.final_residual == np.abs(edge_lengths(result.graph) - 1).max()
 
 
 def test_options_validation():

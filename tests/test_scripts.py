@@ -41,11 +41,19 @@ def test_cli_digest_prints_the_same_digests_twice():
     first, second = run_script("cli_digest.py"), run_script("cli_digest.py")
     assert first == second
     *commands, sweep = first
-    assert len(commands) == 101 and sweep.endswith("  sweep")
+    assert len(commands) == 124 and sweep.endswith("  sweep")
     codes = {" ".join(line.split()[2:]): line.split()[1] for line in commands}
-    # every command succeeds but the failing fig2a double and the bad port
+    # every command succeeds but the failing fig2a double, the bad port, the
+    # verifications at a separation most drawings do not keep and the refines
+    # cut short
     assert codes.pop("construct mirror fig2a --json") == "1"
     assert codes.pop("construct mirror fig2a --ports 10,99 --json") == "2"
+    wide = {"fig1d", "fig3b", "fig4a", "fig5b"}  # every clearance 0.5 or more
+    for name in corpus.CORPUS_NAMES:
+        code = codes.pop(f"verify {name} --eps-separation 0.3 --json")
+        assert code == ("0" if name in wide else "1")
+    assert codes.pop("refine fig2h --max-iterations 1 --json") == "3"
+    assert codes.pop("refine fig2h --target-residual 1e-300 --json") == "3"
     assert set(codes.values()) == {"0"}
 
 

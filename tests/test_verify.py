@@ -114,6 +114,71 @@ def test_near_miss_is_a_conflict():
     assert not segments_conflict(a, b, eps=1e-6)
 
 
+def four_gap_distance(a0, a1, b0, b1) -> np.ndarray:
+    """Reference: the four endpoint-to-segment gaps of each pair under one
+    shared power-of-two scale, each gap computed on its own."""
+    points = [np.asarray(x, dtype=float) for x in (a0, a1, b0, b1)]
+    largest = np.max([np.abs(x).max(axis=-1) for x in points], axis=0)
+    scale = np.ldexp(1.0, np.frexp(largest)[1])[..., None]
+    a0, a1, b0, b1 = (x / scale for x in points)
+
+    def gap(p, s0, s1):
+        d = s1 - s0
+        dd = np.sum(d * d, axis=-1)
+        t = np.clip(np.sum((p - s0) * d, axis=-1) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+        g = p - (s0 + t[..., None] * d)
+        return np.hypot(g[..., 0], g[..., 1])
+
+    gaps = [gap(b0, a0, a1), gap(b1, a0, a1), gap(a0, b0, b1), gap(a1, b0, b1)]
+    dist = np.minimum.reduce(gaps) * scale[..., 0]
+    return np.where(segment_pair_intersects(a0, a1, b0, b1), 0.0, dist)
+
+
+# Coordinates are 0 or of magnitude 1e-6..1e100, so a pair spans at most 106
+# decades: every product of coordinates scaled to at most 1 stays a normal
+# float, and a power-of-two scale per gap gives the bits of one per pair.
+# Beyond about 150 decades such products underflow and the two differ.
+wide_coord = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=1e100),
+    st.floats(min_value=-1e100, max_value=-1e-6),
+)
+wide_point = st.tuples(wide_coord, wide_coord)
+
+
+@st.composite
+def segment_pairs(draw):
+    """(a0, a1, b0, b1): free, near-touching or crossing."""
+    a0, a1 = np.array(draw(wide_point)), np.array(draw(wide_point))
+    kind = draw(st.sampled_from(["free", "near", "crossing"]))
+    if kind == "free":
+        return a0, a1, np.array(draw(wide_point)), np.array(draw(wide_point))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    on_a = a0 + t * (a1 - a0)
+    normal = np.array([a0[1] - a1[1], a1[0] - a0[0]])
+    if kind == "near":  # b0 a relative 1e-16..1e-3 off segment a
+        offset = normal * 10.0 ** draw(st.floats(-16, -3)) * draw(st.sampled_from([-1, 1]))
+        b0 = np.clip(on_a + offset, -1e100, 1e100)
+        return a0, a1, b0, np.array(draw(wide_point))
+    reach = draw(st.floats(1e-3, 1.0))  # crossing at on_a
+    return a0, a1, on_a + reach * normal / 2, on_a - reach * normal / 2
+
+
+@given(st.lists(segment_pairs(), min_size=1, max_size=10))
+@example([(np.array([0.0, 0]), np.array([1.0, 0]), np.array([0.5, 5e-5]), np.array([1.5, 5e-5]))])
+@example([(np.array([0.0, 0]), np.array([1.0, 0]), np.array([0.5, -1]), np.array([0.5, 1]))])
+@example([(np.array([1e100, 0]), np.array([-1e100, 0]), np.array([0.0, 1e-6]), np.array([0, 1e100]))])
+@settings(max_examples=200)
+def test_pair_distance_matches_four_gaps_bit_for_bit(pairs):
+    a0, a1, b0, b1 = (np.array(x) for x in zip(*pairs))
+    with np.errstate(over="raise", invalid="raise"):
+        got = segment_pair_distance(a0, a1, b0, b1)
+        expected = four_gap_distance(a0, a1, b0, b1)
+    assert np.array_equal(got, expected)
+    for k in range(len(pairs)):  # and one pair at a time
+        assert np.array_equal(segment_pair_distance(a0[k], a1[k], b0[k], b1[k]), expected[k])
+
+
 def test_adjacent_segments_conflict_only_when_nearly_parallel():
     shared = np.array([0.0, 0.0])
     a = seg(0, 0, 1, 0)
