@@ -22,7 +22,10 @@ stdout and exit codes for every command in the sweep.  The sweep:
   double and the fig2a double that fails verification, and a ``--ports``
   pair out of range;
 - ``construct from-plan --json`` on a three-part ring plan, written to a
-  temporary directory that the printed arguments name as ``TMP``.
+  temporary directory that the printed arguments name as ``TMP``;
+- the default text output of ``catalog``, ``coverage --max 2000
+  --witnesses``, ``enumerate``, seven of the commands above and of
+  ``verify``, ``verify --raw``, ``rigidity`` and ``refine`` for three drawings.
 
 Usage: PYTHONPATH=src python scripts/cli_digest.py
 """
@@ -75,6 +78,20 @@ def sweep(plan_path: str) -> list[list[str]]:
         ["construct", "mirror", "fig2a", "--json"],  # exits 1: the double is not a matchstick
         ["construct", "mirror", "fig2a", "--ports", "10,99", "--json"],  # exits 2
         ["construct", "from-plan", plan_path, "--json"],
+    ]
+    commands.append(["catalog"])
+    for name in ("fig1d", "fig2g", "fig5b"):
+        commands += [["verify", name], ["verify", name, "--raw"], ["rigidity", name], ["refine", name]]
+    commands += [
+        ["verify", "fig2a", "--eps-separation", "0.3"],  # exits 1
+        ["refine", "fig2h", "--max-iterations", "1"],  # exits 3
+        ["construct", "ring", "fig2a", "fig2d", "fig2h"],
+        ["construct", "chain", "fig5a", "fig5c", "--spacers", "20"],
+        ["construct", "mirror", "fig2f", "--mode", "point"],
+        ["construct", "mirror", "fig2a"],  # exits 1
+        ["construct", "from-plan", plan_path],
+        ["coverage", "--max", "2000", "--witnesses"],
+        ["enumerate"],
     ]
     return commands
 

@@ -2,6 +2,7 @@
 coverage, and catalog subcommands over segment files and the bundled corpus.
 
 ``catalog`` and the ``construct`` subcommands certify through ``pipeline.certify``.
+Every graph command's ``--json`` prints sections of ``Certificate.to_json_dict``.
 
 Output is deterministic (no timestamps, floats at 12 significant digits) so
 runs are reproducible and diffable.  Exit codes: 0 success, 1 domain failure
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,12 +32,12 @@ from .construct import (
     ring_plan,
 )
 from .counting import Inventory, combinations_table, theorem1_coverage
-from .ingest import build_graph, emit_segments, graph_from_text
-from .model import EmbeddedGraph, degree_profile
-from .pipeline import certify
+from .ingest import build_graph, emit_segments, graph_from_text, max_unit_deviation
+from .model import EmbeddedGraph
+from .pipeline import _graph_json, certify
 from .refine import RefineOptions, RefineResult, refine
-from .rigidity import analyze_rigidity
-from .verify import Tolerances, verify_matchstick
+from .rigidity import DEFAULT_RANK_TOL, analyze_rigidity
+from .verify import Tolerances, min_clearances, verify_matchstick
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -55,14 +57,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _read_text(path: str) -> str:
+    """A file's text; a file that cannot be read or decoded is a usage error naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _UsageError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: {exc}")
+
+
 def _load_graph(ref: str) -> EmbeddedGraph:
     """Load a graph from a segment file path or a bundled corpus name."""
-    path = Path(ref)
-    if path.exists():
+    if Path(ref).exists():
         try:
-            return graph_from_text(path.read_text())
-        except OSError as exc:
-            raise _UsageError(f"{ref}: {exc.strerror}")
+            return graph_from_text(_read_text(ref))
         except ValueError as exc:
             raise _UsageError(f"{ref}: {exc}")
     if ref in corpus.corpus_names():
@@ -80,7 +89,7 @@ def _converged(result: RefineResult) -> EmbeddedGraph:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -98,13 +107,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_matchstick(g, tol)
     label = f"{report.classification}, {g.vertex_count} vertices"
     if args.json:
-        payload = report.to_json_dict()
-        payload["graph"] = {
-            "name": g.name,
-            "vertices": g.vertex_count,
-            "edges": g.edge_count,
-        }
-        _print_json(payload)
+        _print_json({"graph": _graph_json(g), "verification": report.to_json_dict()})
     else:
         print(f"graph: {g.name or '(unnamed)'} "
               f"({g.vertex_count} vertices, {g.edge_count} edges)")
@@ -135,15 +138,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     )
     result = refine(g, opts)
     if args.json:
-        _print_json(
-            {
-                "name": g.name,
-                "iterations": result.iterations,
-                "initial_residual": result.initial_residual,
-                "final_residual": result.final_residual,
-                "converged": result.converged,
-            }
-        )
+        _print_json({"graph": _graph_json(g), "refinement": result.to_json_dict()})
     else:
         print(f"graph: {g.name or '(unnamed)'} ({g.vertex_count} vertices)")
         print(f"iterations: {result.iterations}")
@@ -164,9 +159,7 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
         g = _converged(refine(g))
     report = analyze_rigidity(g, args.rank_tol)
     if args.json:
-        payload = report.to_json_dict()
-        payload["graph"] = {"name": g.name, "vertices": g.vertex_count}
-        _print_json(payload)
+        _print_json({"graph": _graph_json(g), "rigidity": report.to_json_dict()})
     else:
         print(f"graph: {g.name or '(unnamed)'} "
               f"({g.vertex_count} vertices, {g.edge_count} edges)")
@@ -193,16 +186,10 @@ def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> i
     if output:
         _write_segments(output, g)
     if as_json:
-        payload = {
-            "name": g.name,
-            "vertices": g.vertex_count,
-            "edges": g.edge_count,
-            "classification": report.classification,
-            "is_matchstick": report.is_matchstick,
-        }
+        document = cert.to_json_dict()
         if output:
-            payload["output"] = output
-        _print_json(payload)
+            document["output"] = output
+        _print_json(document)
     else:
         print(f"built: {g.name} ({g.vertex_count} vertices, {g.edge_count} edges)")
         print(f"classification: {report.classification}, {g.vertex_count} vertices")
@@ -243,11 +230,7 @@ def _cmd_construct_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_from_plan(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.plan).read_text()
-    except OSError as exc:
-        raise _UsageError(f"{args.plan}: {exc.strerror}")
-    plan = plan_from_json(text, _load_graph)
+    plan = plan_from_json(_read_text(args.plan), _load_graph)
     return _certify_and_write(realize(plan), args.output, args.json)
 
 
@@ -279,7 +262,13 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    """The corpus table; with --json, each drawing's certificate document plus its
+    claim, status, raw accuracy and clearances (null where a kind is empty)."""
     rows = []
+    lines = [f"{'name':8s} {'v':>4s} {'e':>4s} {'profile':18s} "
+             f"{'claimed':9s} {'residual':>10s} {'verified':8s} "
+             f"{'flexes':>6s} status"]
+    certified = True
     for name in corpus.corpus_names():
         sf = corpus.load_segments(name)
         g = build_graph(sf)
@@ -293,32 +282,28 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             deviations.append(f"{rig.internal_flexes} flex(es) at first order")
         if claimed_rigidity == "flexible" and rig.rigid:
             deviations.append("no flex found")
-        rows.append(
-            {
-                "name": name,
-                "vertices": g.vertex_count,
-                "edges": g.edge_count,
-                "profile": str(degree_profile(g)),
+        status = "ok" if not deviations else "; ".join(deviations)
+        certified &= cert.certified
+        if args.json:
+            clearances = (c if math.isfinite(c) else None for c in min_clearances(cert.graph))
+            rows.append({
+                **cert.to_json_dict(),
                 "claimed_rigidity": claimed_rigidity,
-                "residual": cert.refinement.final_residual,
-                "verified": cert.certified,
-                "internal_flexes": rig.internal_flexes,
-                "status": "ok" if not deviations else "; ".join(deviations),
-            }
-        )
+                "status": status,
+                "raw_deviation": max_unit_deviation(sf.segments, g.unit),
+                "clearances": dict(zip(("edge_edge", "vertex_vertex", "vertex_edge"), clearances)),
+            })
+        else:
+            lines.append(f"{name:8s} {g.vertex_count:4d} {g.edge_count:4d} "
+                         f"{str(cert.verification.profile):18s} {claimed_rigidity:9s} "
+                         f"{cert.refinement.final_residual:10.2e} "
+                         f"{'yes' if cert.certified else 'NO':8s} "
+                         f"{rig.internal_flexes:6d} {status}")
     if args.json:
         _print_json({"corpus": rows})
     else:
-        header = (f"{'name':8s} {'v':>4s} {'e':>4s} {'profile':18s} "
-                  f"{'claimed':9s} {'residual':>10s} {'verified':8s} "
-                  f"{'flexes':>6s} status")
-        print(header)
-        for r in rows:
-            print(f"{r['name']:8s} {r['vertices']:4d} {r['edges']:4d} "
-                  f"{r['profile']:18s} {r['claimed_rigidity']:9s} "
-                  f"{r['residual']:10.2e} {'yes' if r['verified'] else 'NO':8s} "
-                  f"{r['internal_flexes']:6d} {r['status']}")
-    return EXIT_OK if all(r["verified"] for r in rows) else EXIT_DOMAIN
+        print("\n".join(lines))
+    return EXIT_OK if certified else EXIT_DOMAIN
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -330,6 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify, refine, analyze, and build 4-regular matchstick graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    refine_defaults = RefineOptions()
 
     def add_graph_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("graph", help="segment file path or bundled corpus name")
@@ -348,15 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="drive edge lengths to the unit value")
     add_graph_arg(p)
     p.add_argument("-o", "--output", help="write the refined graph as a segment file")
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--target-residual", type=float, default=1e-12)
+    p.add_argument("--max-iterations", type=int, default=refine_defaults.max_iterations)
+    p.add_argument("--target-residual", type=float, default=refine_defaults.target_residual)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("rigidity", help="first-order rigidity analysis")
     add_graph_arg(p)
     p.add_argument("--raw", action="store_true", help="analyze without refining first")
-    p.add_argument("--rank-tol", type=float, default=1e-8,
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="singular values below this fraction of the largest count as zero")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rigidity)
@@ -420,15 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ValueError, corpus.CorpusError) as exc:
-        # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
-        # DisconnectedGraphError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_NumericalError, RealizationFailedError) as exc:
+    except (_NumericalError, RealizationFailedError) as exc:  # before its base ConstructError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConstructError as exc:
+    except (_UsageError, ValueError, corpus.CorpusError, ConstructError) as exc:
+        # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
+        # DisconnectedGraphError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

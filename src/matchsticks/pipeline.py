@@ -4,6 +4,9 @@
 verifies the refined graph, in one place for every caller.  The rigidity
 report is computed on first access only, so callers that never ask for it
 never pay for the analysis.
+
+``Certificate.to_json_dict()`` is a graph's one JSON document: a ``graph``
+summary, then each report's own ``to_json_dict()`` as a section.
 """
 
 from __future__ import annotations
@@ -38,6 +41,21 @@ class Certificate:
     def rigidity(self) -> RigidityReport:
         """First-order rigidity of the refined graph, computed once when asked."""
         return analyze_rigidity(self.graph)
+
+    def to_json_dict(self) -> dict:
+        """The whole document; computes the rigidity report if not yet asked for."""
+        return {
+            "graph": _graph_json(self.graph),
+            "refinement": self.refinement.to_json_dict(),
+            "verification": self.verification.to_json_dict(),
+            "rigidity": self.rigidity.to_json_dict(),
+            "certified": self.certified,
+        }
+
+
+def _graph_json(g: EmbeddedGraph) -> dict:
+    """The ``graph`` section every JSON report starts with."""
+    return {"name": g.name, "vertices": g.vertex_count, "edges": g.edge_count}
 
 
 def certify(g: EmbeddedGraph) -> Certificate:

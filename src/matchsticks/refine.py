@@ -77,6 +77,14 @@ class RefineResult:
     final_residual: float
     converged: bool
 
+    def to_json_dict(self) -> dict:
+        return {
+            "iterations": self.iterations,
+            "initial_residual": self.initial_residual,
+            "final_residual": self.final_residual,
+            "converged": self.converged,
+        }
+
 
 def residual_jacobian(g: EmbeddedGraph) -> np.ndarray:
     """Jacobian of the edge-length residuals, e rows by 2v columns.

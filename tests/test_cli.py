@@ -1,17 +1,34 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from matchsticks import cli, construct, corpus, pipeline
 from matchsticks.cli import main
+from matchsticks.construct import (
+    ChainSpec,
+    PartSpec,
+    chain_extend,
+    degree2_vertices,
+    mirror_double,
+    plan_from_json,
+    realize,
+    ring_plan,
+)
+from matchsticks.refine import refine
+from matchsticks.rigidity import analyze_rigidity
+from matchsticks.verify import Tolerances, verify_matchstick
 
 TRIANGLE = """\
 ! name tri
@@ -52,7 +69,7 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json", "fig1a")
     assert code == 0
     payload = json.loads(out)
-    assert payload["is_matchstick"] is True
+    assert payload["verification"]["is_matchstick"] is True
     assert payload["graph"] == {"name": "fig1a", "vertices": 52, "edges": 104}
 
 
@@ -99,6 +116,11 @@ def _plan_file(tmp_path, text):
     return str(path)
 
 
+def _binary_file(path):
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv,corpus_dir,message",
     [
@@ -125,10 +147,15 @@ def _plan_file(tmp_path, text):
          "plan document is nested too deeply"),
         (lambda tmp: ["construct", "from-plan", _plan_file(tmp, "! name fig2a\n")], None,
          "plan document is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (lambda tmp: ["construct", "from-plan", _binary_file(tmp / "bin.json")], None,
+         "bin.json: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (lambda tmp: ["verify", _binary_file(tmp / "bin.seg")], None,
+         "bin.seg: 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
-         "unwritable-construct-output", "deeply-nested-plan", "plan-not-json"],
+         "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
+         "plan-not-utf8", "graph-not-utf8"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys
@@ -181,9 +208,9 @@ def test_refine_json(capsys):
     code, out, _ = run(capsys, "refine", "--json", "fig2a")
     assert code == 0
     payload = json.loads(out)
-    assert payload["converged"] is True
-    assert payload["final_residual"] <= 1e-12
-    assert payload["iterations"] >= 1
+    assert payload["refinement"]["converged"] is True
+    assert payload["refinement"]["final_residual"] <= 1e-12
+    assert payload["refinement"]["iterations"] >= 1
 
 
 # -- rigidity -----------------------------------------------------------------
@@ -216,8 +243,8 @@ def test_rigidity_json(capsys):
     code, out, _ = run(capsys, "rigidity", "--json", "fig2a")
     assert code == 0
     payload = json.loads(out)
-    assert payload["rigid"] is True
-    assert payload["internal_flexes"] == 0
+    assert payload["rigidity"]["rigid"] is True
+    assert payload["rigidity"]["internal_flexes"] == 0
     assert payload["graph"]["vertices"] == 22
 
 
@@ -307,8 +334,8 @@ def test_construct_from_plan(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "from-plan", str(plan_path), "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["vertices"] == 63
-    assert payload["is_matchstick"] is True
+    assert payload["graph"]["vertices"] == 63
+    assert payload["verification"]["is_matchstick"] is True
 
 
 @pytest.mark.parametrize(
@@ -359,8 +386,8 @@ def test_construct_from_raw_drawings_certifies(argv, vertices, capsys):
     code, out, _ = run(capsys, "construct", *argv, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["is_matchstick"] is True
-    assert payload["vertices"] == vertices
+    assert payload["verification"]["is_matchstick"] is True
+    assert payload["graph"]["vertices"] == vertices
 
 
 def test_construct_mirror_with_a_vertex_on_the_axis_fails_verification(tmp_path, capsys):
@@ -424,6 +451,14 @@ def test_coverage_json(capsys):
     assert payload["complete"] is True and payload["missing"] == []
 
 
+def test_coverage_and_enumerate_json_list_counts_in_numeric_order(capsys):
+    _, out, _ = run(capsys, "coverage", "--max", "2000", "--json")
+    assert list(json.loads(out)["witnesses"]) == [str(v) for v in range(63, 2001)]
+    _, out, _ = run(capsys, "enumerate", "--json")
+    counts = [int(v) for v in json.loads(out)["rows"]]
+    assert counts == sorted(counts) and counts[0] == 63 and counts[-1] > 100
+
+
 # -- catalog ------------------------------------------------------------------
 
 
@@ -442,25 +477,157 @@ def test_catalog_is_deterministic(capsys):
     assert first == second
 
 
-def test_catalog_json(capsys):
-    code, out, _ = run(capsys, "catalog", "--json")
+@pytest.fixture(scope="module")
+def catalog_json():
+    """Exit code and rows of one ``catalog --json`` run over the bundled drawings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["catalog", "--json"])
+    return code, json.loads(out.getvalue())["corpus"]
+
+
+def test_catalog_json(catalog_json):
+    code, rows = catalog_json
     assert code == 0
-    payload = json.loads(out)
-    assert len(payload["corpus"]) == len(corpus.corpus_names())
-    by_name = {row["name"]: row for row in payload["corpus"]}
-    assert by_name["fig1a"]["verified"] is True
+    assert len(rows) == len(corpus.corpus_names())
+    by_name = {row["graph"]["name"]: row for row in rows}
+    assert by_name["fig1a"]["certified"] is True
     assert by_name["fig5b"]["claimed_rigidity"] == "flexible"
 
 
-def test_catalog_rows_agree_with_certify(capsys):
-    _, out, _ = run(capsys, "catalog", "--json")
-    rows = json.loads(out)["corpus"]
-    assert [row["name"] for row in rows] == list(corpus.corpus_names())
+def test_catalog_rows_agree_with_certify(catalog_json):
+    """Each row is the drawing's certificate document, then the catalog's own keys."""
+    _, rows = catalog_json
+    assert [row["graph"]["name"] for row in rows] == list(corpus.corpus_names())
     for row in rows:
-        cert = pipeline.certify(corpus.load_graph(row["name"]))
-        assert row["residual"] == cert.refinement.final_residual
-        assert row["verified"] is cert.certified
-        assert row["internal_flexes"] == cert.rigidity.internal_flexes
+        name = row["graph"]["name"]
+        cert = pipeline.certify(corpus.load_graph(name))
+        assert row["refinement"]["final_residual"] == cert.refinement.final_residual
+        assert row["certified"] is cert.certified
+        assert row["rigidity"]["internal_flexes"] == cert.rigidity.internal_flexes
+        expected = _round_trip(cert.to_json_dict())
+        assert list(row) == [*expected, "claimed_rigidity", "status", "raw_deviation", "clearances"]
+        _check_graph(row, name, cert.graph)
+        assert {k: row[k] for k in expected} == expected
+
+
+def test_catalog_json_has_a_row_per_corpus_graph(catalog_json):
+    _, rows = catalog_json
+    assert [row["graph"]["name"] for row in rows] == list(corpus.CORPUS_NAMES)
+    for row in rows:
+        assert 0 < row["raw_deviation"] < 1e-3
+        clearances = row["clearances"]
+        assert list(clearances) == ["edge_edge", "vertex_vertex", "vertex_edge"]
+        assert all(0 < c < 1.5 for c in clearances.values())
+
+
+def _drawn_lengths(name):
+    """Segment lengths of a bundled drawing, read from its text without the package's parser."""
+    text = resources.files("matchsticks").joinpath(f"corpus/{name}.seg").read_text()
+    rows = [line.split() for line in text.splitlines()]
+    coords = np.array([row for row in rows if row and row[0][0] not in "!#"], dtype=float)
+    return np.hypot(coords[:, 2] - coords[:, 0], coords[:, 3] - coords[:, 1])
+
+
+def test_catalog_raw_deviation_is_relative_to_the_median_length(catalog_json):
+    _, rows = catalog_json
+    by_name = {row["graph"]["name"]: row for row in rows}
+    for name in ("fig1b", "fig2a", "fig5a"):
+        lengths = _drawn_lengths(name)
+        expected = float(np.max(np.abs(lengths / np.median(lengths) - 1)))
+        assert by_name[name]["raw_deviation"] == pytest.approx(expected, rel=1e-12)
+    # the largest in the corpus; the drawing's unit is 43.77, which the
+    # deviation must not be divided by a second time
+    assert by_name["fig1b"]["raw_deviation"] == pytest.approx(1.735e-4, rel=1e-3)
+    assert max(row["raw_deviation"] for row in rows) == by_name["fig1b"]["raw_deviation"]
+
+
+def test_catalog_json_writes_an_empty_clearance_as_null(tmp_path, monkeypatch, capsys):
+    (tmp_path / "tri.seg").write_text(TRIANGLE)  # every edge pair shares a vertex
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    code, out, _ = run(capsys, "catalog", "--json")
+    assert code == 0 and "Infinity" not in out
+    (row,) = json.loads(out)["corpus"]
+    assert row["clearances"]["edge_edge"] is None
+    assert row["clearances"]["vertex_vertex"] == pytest.approx(1.0)
+
+
+# -- one JSON shape -----------------------------------------------------------
+
+
+def _round_trip(document):
+    return json.loads(json.dumps(document))
+
+
+def _part(name):
+    return PartSpec(corpus.load_graph(name), label=name)
+
+
+def _refined(name):
+    return refine(corpus.load_graph(name)).graph
+
+
+RING_PLAN = {"parts": ["fig2a"] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
+
+# each command, and the reports its sections must reproduce
+REPORT_CASES = {
+    "verify": (["verify", "fig2a"], lambda: {"verification": verify_matchstick(_refined("fig2a"))}),
+    "verify-raw": (
+        ["verify", "fig2a", "--raw"],
+        lambda: {"verification": verify_matchstick(corpus.load_graph("fig2a"), Tolerances.raw())},
+    ),
+    "refine": (["refine", "fig2h"], lambda: {"refinement": refine(corpus.load_graph("fig2h"))}),
+    "rigidity": (["rigidity", "fig2g"], lambda: {"rigidity": analyze_rigidity(_refined("fig2g"))}),
+}
+CONSTRUCT_CASES = {
+    "mirror": (
+        ["mirror", "fig2f", "--mode", "point"],
+        lambda: mirror_double(g := corpus.load_graph("fig2f"), *degree2_vertices(g), "point"),
+    ),
+    "ring": (["ring", "fig2a", "fig2d", "fig2h"],
+             lambda: realize(ring_plan([_part("fig2a"), _part("fig2d"), _part("fig2h")]))),
+    "chain": (["chain", "fig5a", "fig5c", "--spacers", "3"],
+              lambda: chain_extend(ChainSpec(_part("fig5a"), _part("fig5c"), 3, None))),
+    "from-plan": (["from-plan", "PLAN"],
+                  lambda: realize(plan_from_json(json.dumps(RING_PLAN), corpus.load_graph))),
+}
+
+
+def _check_graph(document, name, g):
+    assert list(document["graph"]) == ["name", "vertices", "edges"]
+    assert document["graph"] == {"name": name, "vertices": g.vertex_count, "edges": g.edge_count}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_report_commands_print_the_one_shape(case, capsys):
+    argv, reports = REPORT_CASES[case]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    document, expected = json.loads(out), reports()
+    assert list(document) == ["graph", *expected]
+    _check_graph(document, argv[1], corpus.load_graph(argv[1]))
+    for section, report in expected.items():
+        assert document[section] == _round_trip(report.to_json_dict())
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "with-output"])
+@pytest.mark.parametrize("case", CONSTRUCT_CASES)
+def test_construct_prints_the_certificate_document(case, output, tmp_path, capsys):
+    argv, build = CONSTRUCT_CASES[case]
+    (tmp_path / "plan.json").write_text(json.dumps(RING_PLAN))
+    argv = [str(tmp_path / "plan.json") if arg == "PLAN" else arg for arg in argv]
+    extra = ["-o", str(tmp_path / "out.seg")] if output else []
+    code, out, _ = run(capsys, "construct", *argv, *extra, "--json")
+    assert code == 0
+    document, cert = json.loads(out), pipeline.certify(build())
+    keys = ["graph", "refinement", "verification", "rigidity", "certified"]
+    assert list(document) == keys + (["output"] if output else [])
+    _check_graph(document, cert.graph.name, cert.graph)
+    expected = _round_trip(cert.to_json_dict())
+    assert {k: document[k] for k in keys} == expected
+    assert document["certified"] is True
+    if output:
+        assert document["output"] == str(tmp_path / "out.seg")
 
 
 # -- module entry point -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The reporting scripts and the benchmark run end to end against the package in src/."""
+"""The scripts and the benchmark run end to end against the package in src/."""
 
 import json
 import os
@@ -29,24 +29,19 @@ def test_run_constructions_certifies_all_twenty():
     assert any(line.startswith("20 constructions certified") for line in lines)
 
 
-def test_corpus_report_has_a_row_per_corpus_graph():
-    lines = run_script("corpus_report.py")
-    rules = [i for i, line in enumerate(lines) if set(line) == {"-"}]
-    assert len(rules) == 2  # below the header and below the last row
-    rows = lines[rules[0] + 1 : rules[1]]
-    assert [row.split()[0] for row in rows] == list(corpus.CORPUS_NAMES)
-
-
 def test_cli_digest_prints_the_same_digests_twice():
     first, second = run_script("cli_digest.py"), run_script("cli_digest.py")
     assert first == second
     *commands, sweep = first
-    assert len(commands) == 124 and sweep.endswith("  sweep")
+    assert len(commands) == 146 and sweep.endswith("  sweep")
     codes = {" ".join(line.split()[2:]): line.split()[1] for line in commands}
     # every command succeeds but the failing fig2a double, the bad port, the
     # verifications at a separation most drawings do not keep and the refines
-    # cut short
+    # cut short, in JSON and in text
     assert codes.pop("construct mirror fig2a --json") == "1"
+    assert codes.pop("construct mirror fig2a") == "1"
+    assert codes.pop("verify fig2a --eps-separation 0.3") == "1"
+    assert codes.pop("refine fig2h --max-iterations 1") == "3"
     assert codes.pop("construct mirror fig2a --ports 10,99 --json") == "2"
     wide = {"fig1d", "fig3b", "fig4a", "fig5b"}  # every clearance 0.5 or more
     for name in corpus.CORPUS_NAMES:
