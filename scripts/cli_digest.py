@@ -8,8 +8,8 @@ all those lines.  Two checkouts whose sweep digests agree print identical
 stdout and exit codes for every command in the sweep.  The sweep:
 
 - ``catalog --json``;
-- ``verify``, ``verify --raw``, ``rigidity`` and ``refine``, each with
-  ``--json``, for every bundled drawing;
+- ``verify``, ``verify --raw``, ``rigidity``, ``rigidity --raw`` and
+  ``refine``, each with ``--json``, for every bundled drawing;
 - ``verify --eps-separation 0.3 --json`` for every bundled drawing; 17 of
   them fail and print edge-edge, vertex-edge and vertex-vertex distances at
   full precision (fig1d, fig3b, fig4a and fig5b keep 0.5 and pass);
@@ -57,6 +57,7 @@ def sweep(plan_path: str) -> list[list[str]]:
             ["verify", name, "--json"],
             ["verify", name, "--raw", "--json"],
             ["rigidity", name, "--json"],
+            ["rigidity", name, "--raw", "--json"],
             ["refine", name, "--json"],
             ["verify", name, "--eps-separation", "0.3", "--json"],
         ]

@@ -290,7 +290,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                 **cert.to_json_dict(),
                 "claimed_rigidity": claimed_rigidity,
                 "status": status,
-                "raw_deviation": max_unit_deviation(sf.segments, g.unit),
+                "raw_deviation": max_unit_deviation(sf.segments),
                 "clearances": dict(zip(("edge_edge", "vertex_vertex", "vertex_edge"), clearances)),
             })
         else:
@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_NumericalError, RealizationFailedError) as exc:  # before its base ConstructError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (_UsageError, ValueError, corpus.CorpusError, ConstructError) as exc:
+    except (_UsageError, ValueError, ConstructError) as exc:
         # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
         # DisconnectedGraphError
         print(f"error: {exc}", file=sys.stderr)

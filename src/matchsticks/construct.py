@@ -6,9 +6,9 @@ graphs: rings of k parts joined in a cycle, chains with 5-vertex spacers
 slotted between two end parts (a facing pair of two parts is a chain with
 none), and mirror doubles (a two-part plan: a part facing its reflected or
 half-turned copy).  A composition is a declarative plan with one realization
-path, ``realize``: each part is taken as given, rescaled to unit 1, and
-moved rigidly into place (ring parts around a closed polygon, chain parts
-each against the one before); one solve then closes every glue gap
+path, ``realize``: each part is taken as given and moved rigidly into
+place (ring parts around a closed polygon, chain parts each against the
+one before); one solve then closes every glue gap
 (``refine`` moves each glued group of vertices as one, and brings the edges
 of unrefined parts to unit length), and only then are vertex indices merged.
 Long chains are not solved whole: ``chain_extend`` solves a base chain of
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, _components, edge_lengths, normalize
+from .model import EmbeddedGraph, _components, edge_lengths
 from .refine import RefineOptions, refine
 
 
@@ -115,14 +115,6 @@ def validate_plan(plan: CompositionPlan) -> None:
         raise PlanError("identification graph over parts is not connected")
 
 
-def predicted_vertex_count(plan: CompositionPlan) -> int:
-    """Sum of part vertex counts minus one per identification.
-
-    For a cycle of k parts with two ports each this is (sum of sizes) - k.
-    """
-    return sum(spec.graph.vertex_count for spec in plan.parts) - len(plan.identifications)
-
-
 def ring_plan(parts: Sequence[PartSpec | EmbeddedGraph], name: str | None = None) -> CompositionPlan:
     """Cycle composition: part i's slot 1 glued to part i+1's slot 0 (mod k)."""
     specs = tuple(p if isinstance(p, PartSpec) else PartSpec(p) for p in parts)
@@ -140,9 +132,9 @@ class ChainSpec:
     """Two end parts joined through n flexible 5-vertex spacers.
 
     Each spacer contributes 5 vertices and consumes 2 identifications per
-    neighbor, so the chain has v_left + v_right + 5n - 2(n+1) vertices
-    (``predicted_vertex_count(chain_plan(spec))``); every spacer adds 3 net
-    vertices.
+    neighbor, and each identification merges two vertices into one, so the
+    chain has v_left + v_right + 5n - 2(n+1) vertices; every spacer adds 3
+    net vertices.
     ``spacer=None`` selects the bundled 5-vertex corpus part.
     """
 
@@ -229,7 +221,7 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     v0 = spec.left.graph.vertex_count + step  # spacer 2's first vertex
     e0 = spec.left.graph.edge_count + spacer.edge_count  # and first edge
     v1, e1 = v0 + 2 * step, e0 + 2 * spacer.edge_count  # spacer 4's
-    coords, edges = base.vertices, base.edge_array()
+    coords, edges = base.vertices, base.edges
     period = coords[v1 : v1 + step].mean(axis=0) - coords[v0 : v0 + step].mean(axis=0)
     m = (n - base_count) // 2
     copies = np.arange(1, m + 1)[:, None, None]
@@ -240,7 +232,7 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     tiled_edges = np.concatenate(
         [edges[:e1], (edges[e0:e1] + copies * shift).reshape(-1, 2), edges[e1:] + m * shift]
     )
-    tiled = EmbeddedGraph(tiled_coords, tiled_edges, 1.0, _chain_name(spec))
+    tiled = EmbeddedGraph(tiled_coords, tiled_edges, name=_chain_name(spec))
     if np.abs(edge_lengths(tiled) - 1.0).max() > RefineOptions().target_residual:
         return realize(chain_plan(spec))
     return tiled
@@ -334,9 +326,9 @@ def mirror_double(
 def realize(plan: CompositionPlan) -> EmbeddedGraph:
     """Place the parts as given, solve all glue gaps closed, and merge the joints.
 
-    Each part is rescaled to unit 1 and moved only rigidly by the layout;
-    the one glue solve then closes every gap and also brings the edges of
-    parts that were not refined to unit length.  The parts must form a path
+    Each part is moved only rigidly by the layout; the one glue solve then
+    closes every gap and also brings the edges of parts that were not
+    refined to unit length.  The parts must form a path
     or a cycle of neighbors.  A cycle (a ring of three or more parts, one
     joint between neighbors) is laid out around a closed polygon.  A path is
     a chain: neighbors share two joints, interior parts are 5-vertex
@@ -346,7 +338,7 @@ def realize(plan: CompositionPlan) -> EmbeddedGraph:
     constraints cannot be closed; the result is otherwise exact to the
     refinement target but deliberately unverified.
     """
-    parts = [normalize(spec.graph) for spec in plan.parts]
+    parts = [spec.graph for spec in plan.parts]
     ports = [degree2_vertices(g) for g in parts]
     idents = [
         (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
@@ -526,7 +518,7 @@ def _spacer_port_pairs(g: EmbeddedGraph) -> tuple[tuple[int, int], tuple[int, in
         raise PlanError("interior chain parts must be the 5-vertex two-triangle spacer")
     # The hub meets all four ports, so the two other edges pair each port
     # with its triangle's other port; sorted, the smallest vertex comes first.
-    (p1, p2), (q1, q2) = sorted(edge for edge in g.edges if hubs[0] not in edge)
+    (p1, p2), (q1, q2) = sorted(edge for edge in g.edges.tolist() if hubs[0] not in edge)
 
     def dist(i: int, j: int) -> float:
         return float(np.hypot(*(g.vertices[i] - g.vertices[j])))
@@ -580,24 +572,18 @@ def _solve_and_merge(
     offsets = np.cumsum([0] + [len(c) for c in placed[:-1]])
     union_coords = np.concatenate(placed)
     union_edges = np.concatenate(
-        [spec.graph.edge_array() + off for spec, off in zip(plan.parts, offsets)]
+        [spec.graph.edges + off for spec, off in zip(plan.parts, offsets)]
     )
     pairs = [(offsets[a] + va, offsets[b] + vb) for a, va, b, vb in idents]
 
-    union = EmbeddedGraph(union_coords, union_edges, 1.0, plan.name)
+    union = EmbeddedGraph(union_coords, union_edges, name=plan.name)
     result = refine(union, coincidences=pairs)
     if not result.converged:
         raise RealizationFailedError(
             f"glue constraints did not close (edge residual {result.final_residual:.3e})"
         )
 
-    merged = _merge_pairs(result.graph, pairs)
-    expected = predicted_vertex_count(plan)
-    if merged.vertex_count != expected:
-        raise RealizationFailedError(
-            f"merged graph has {merged.vertex_count} vertices, predicted {expected}"
-        )
-    return merged
+    return _merge_pairs(result.graph, pairs)
 
 
 def _merge_pairs(g: EmbeddedGraph, pairs: Sequence[tuple[int, int]]) -> EmbeddedGraph:
@@ -610,4 +596,4 @@ def _merge_pairs(g: EmbeddedGraph, pairs: Sequence[tuple[int, int]]) -> Embedded
     label = _components(g.vertex_count, joints[:, 0], joints[:, 1])
     keep = label == np.arange(g.vertex_count)
     target = (np.cumsum(keep) - 1)[label]
-    return EmbeddedGraph(g.vertices[keep], target[g.edge_array()], g.unit, g.name)
+    return EmbeddedGraph(g.vertices[keep], target[g.edges], name=g.name)

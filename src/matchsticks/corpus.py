@@ -28,7 +28,7 @@ CORPUS_NAMES = (
 )
 
 
-class CorpusError(KeyError):
+class CorpusError(ValueError):
     """Unknown corpus graph name, or a corpus override that is not a directory."""
 
 
@@ -64,12 +64,12 @@ def _read_text(override: Path | None, name: str) -> str:
 
 
 def load_graph(name: str) -> EmbeddedGraph:
-    """The raw embedded graph for a corpus entry (original drawing units)."""
+    """The unrefined embedded graph for a corpus entry, in matchstick units."""
     return build_graph(load_segments(name))
 
 
 def refined_graph(name: str) -> EmbeddedGraph:
-    """The corpus graph refined to unit edge lengths (unit = 1), cached.
+    """The corpus graph refined to unit edge lengths, cached.
 
     The cache is keyed on the file's text as well as the name, so neither a
     change of MATCHSTICKS_CORPUS nor a rewritten file serves a stale graph,

@@ -5,10 +5,11 @@ metadata, and data lines of four reals ``x1 y1 x2 y2`` (one drawn segment
 each).  Figure drawings repeat each vertex once per incident segment with
 coordinates rounded to 4 decimals, so building a graph means clustering
 endpoints that agree to within a merge radius and estimating which drawing
-length counts as one matchstick.  Endpoint pairs within the merge radius
-come from verify's uniform-grid broad phase, and clusters are the connected
-components of those pairs, so for drawings of bounded density time and
-memory grow linearly with the number of segments.
+length counts as one matchstick; graphs come out scaled to that unit.
+Endpoint pairs within the merge radius come from verify's uniform-grid broad
+phase, and clusters are the connected components of those pairs, so for
+drawings of bounded density time and memory grow linearly with the number of
+segments.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def estimate_unit(segments: np.ndarray) -> float:
     return float(np.median(lengths))
 
 
-def max_unit_deviation(segments: np.ndarray, unit: float) -> float:
-    """Largest relative deviation of any segment length from the given unit."""
+def max_unit_deviation(segments: np.ndarray) -> float:
+    """Largest relative deviation of any segment length from the estimated unit."""
     segs = np.asarray(segments, dtype=float).reshape(-1, 4)
     lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-    return float(np.max(np.abs(lengths / unit - 1.0)))
+    return float(np.max(np.abs(lengths / estimate_unit(segs) - 1.0)))
 
 
 def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
@@ -160,11 +161,13 @@ def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
 def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
     """Cluster segment endpoints into vertices and assemble the embedded graph.
 
-    Each endpoint cluster becomes one vertex at the cluster centroid (first
-    appearance order); duplicate segments collapse to one edge.  The unit is
-    the median segment length.  Raises AmbiguousMergeError when two distinct
-    cluster centers come within 2 x epsilon_merge (the clustering cannot be
-    trusted), and DegenerateSegmentError when a segment's endpoints coincide.
+    Endpoints are merged and checked in drawing units.  Each endpoint cluster
+    becomes one vertex at the cluster centroid (first appearance order);
+    duplicate segments collapse to one edge.  The graph comes back in
+    matchstick units: centroids divided by the unit, the median segment
+    length.  Raises AmbiguousMergeError when two distinct cluster centers
+    come within 2 x epsilon_merge (the clustering cannot be trusted), and
+    DegenerateSegmentError when a segment's endpoints coincide.
     """
     segs = sf.segments
     s = len(segs)
@@ -205,7 +208,7 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     edges = np.column_stack([lo[keep], hi[keep]])
 
     name = sf.metadata.get("name")
-    return EmbeddedGraph(centroids, edges, unit, str(name) if name is not None else None)
+    return EmbeddedGraph(centroids / unit, edges, name=str(name) if name is not None else None)
 
 
 def graph_from_text(text: str) -> EmbeddedGraph:

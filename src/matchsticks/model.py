@@ -1,8 +1,7 @@
 """Immutable embedded graphs: vertices in the plane joined by straight segments.
 
-Coordinates are stored in their original drawing units together with the
-length ``unit`` that counts as one matchstick, so ingested figure data stays
-inspectable; :func:`normalize` rescales a graph to unit = 1.  Everything is a
+Coordinates are in matchstick units, so a matchstick has length 1; ingest
+rescales drawings to that unit when it builds their graphs.  Everything is a
 value: transformations return new graphs and never mutate.
 """
 
@@ -10,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
-
-Edge = tuple[int, int]
 
 
 class ModelError(ValueError):
@@ -95,18 +92,19 @@ def _index_text(x: object) -> str:
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """A straight-line drawing of a graph.
+    """A straight-line drawing of a graph, in matchstick units.
 
-    ``vertices`` is a read-only (v, 2) float array in drawing units, ``edges``
-    a tuple of index pairs with u < v (given as index pairs in any order or
-    as an (e, 2) array), and ``unit`` the drawing length of one matchstick.
-    Vertices are index-addressed; all other modules refer to them by index.
+    ``vertices`` is a read-only (v, 2) float array and ``edges`` a read-only
+    (e, 2) int64 array whose rows are index pairs u < v (given as index pairs
+    in any order or as an (e, 2) array).  Vertices are index-addressed; all
+    other modules refer to them by index.
     """
 
     vertices: np.ndarray
-    edges: tuple[Edge, ...] = field(default=())
-    unit: float = 1.0
-    name: str | None = None
+    edges: np.ndarray = field(default=())
+    name: str | None = field(default=None, kw_only=True)
+    #: one matchstick, always: ``perfbench/workloads.py`` still divides by ``g.unit``
+    unit: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         coords = np.array(self.vertices, dtype=float)
@@ -114,15 +112,11 @@ class EmbeddedGraph:
             raise ModelError(f"vertex array must have shape (v, 2), got {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise ModelError("vertex coordinates must be finite")
-        if not (math.isfinite(self.unit) and self.unit > 0):
-            raise ModelError(f"unit must be a positive finite number, got {self.unit!r}")
-        edge_array = _canonical_edges(self.edges, len(coords))
+        edges = _canonical_edges(self.edges, len(coords))
         coords.setflags(write=False)
-        edge_array.setflags(write=False)
+        edges.setflags(write=False)
         object.__setattr__(self, "vertices", coords)
-        object.__setattr__(self, "edges", tuple(zip(*edge_array.T.tolist())))
-        object.__setattr__(self, "unit", float(self.unit))
-        object.__setattr__(self, "_edge_array", edge_array)
+        object.__setattr__(self, "edges", edges)
 
     # -- elementary accessors -------------------------------------------------
 
@@ -136,19 +130,7 @@ class EmbeddedGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int array of length v."""
-        return np.bincount(self.edge_array().ravel(), minlength=self.vertex_count)
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (e, 2) int array (empty graphs give shape (0, 2)).
-
-        Built once per graph; every call returns the same array.
-        """
-        return self._edge_array
-
-    def with_vertices(self, coords: np.ndarray, unit: float | None = None) -> "EmbeddedGraph":
-        """Same combinatorics, new coordinates (and optionally a new unit)."""
-        unit = self.unit if unit is None else unit
-        return EmbeddedGraph(coords, self._edge_array, unit, self.name)
+        return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -189,12 +171,9 @@ def degree_profile(g: EmbeddedGraph) -> DegreeProfile:
 
 
 def edge_lengths(g: EmbeddedGraph) -> np.ndarray:
-    """All edge lengths in matchstick units, in edge order."""
-    if not g.edges:
-        return np.zeros(0)
-    idx = g.edge_array()
-    diff = g.vertices[idx[:, 0]] - g.vertices[idx[:, 1]]
-    return np.hypot(diff[:, 0], diff[:, 1]) / g.unit
+    """All edge lengths, in edge order."""
+    diff = g.vertices[g.edges[:, 0]] - g.vertices[g.edges[:, 1]]
+    return np.hypot(diff[:, 0], diff[:, 1])
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -220,9 +199,3 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
                 break
             label = jumped
 
-
-def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Rescale coordinates so that unit = 1 (a pure change of scale)."""
-    if g.unit == 1.0:
-        return g
-    return g.with_vertices(g.vertices / g.unit, unit=1.0)

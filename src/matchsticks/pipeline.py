@@ -29,7 +29,7 @@ class Certificate:
 
     @property
     def graph(self) -> EmbeddedGraph:
-        """The refined graph that was verified (unit = 1)."""
+        """The refined graph that was verified."""
         return self.refinement.graph
 
     @property

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EmbeddedGraph, _components, normalize
+from .model import EmbeddedGraph, _components
 
 _TINY = 1e-12  # lengths below this count as degenerate
 _DAMPING_FLOOR = 1e-12
@@ -67,8 +67,7 @@ class RefineOptions:
 class RefineResult:
     """Last iterate (the lowest residual norm reached), with convergence bookkeeping.
 
-    Residuals are max |edge length - 1| in matchstick units; the output graph
-    always has unit = 1.
+    Residuals are max |edge length - 1| in matchstick units.
     """
 
     graph: EmbeddedGraph
@@ -89,13 +88,12 @@ class RefineResult:
 def residual_jacobian(g: EmbeddedGraph) -> np.ndarray:
     """Jacobian of the edge-length residuals, e rows by 2v columns.
 
-    Derivatives are taken with respect to coordinates measured in matchstick
-    units.  The row for edge (u, w) carries the unit direction vector from w
-    to u in u's two columns and its negation in w's columns, so each row has
+    The row for edge (u, w) carries the unit direction vector from w to u in
+    u's two columns and its negation in w's columns, so each row has
     Euclidean norm sqrt(2) regardless of edge length.
     """
-    coords = normalize(g).vertices
-    eidx = g.edge_array()
+    coords = g.vertices
+    eidx = g.edges
     J = np.zeros((len(eidx), 2 * g.vertex_count))
     np.put_along_axis(J, _link_columns(eidx), _link_values(coords, eidx), axis=1)
     return J
@@ -137,7 +135,7 @@ def refine(
     tenfold and retries.  Non-convergence is reported, not raised: the last
     iterate comes back with ``converged=False``.
     """
-    coords = normalize(g).vertices.copy()
+    coords = g.vertices.copy()
     v, e = g.vertex_count, g.edge_count
     pairs = np.array([(int(i), int(j)) for i, j in coincidences], dtype=int).reshape(-1, 2)
     for i, j in pairs:
@@ -150,7 +148,7 @@ def refine(
         coords = total[label] / np.bincount(label, minlength=v)[label, None]
     # edges and distance constraints share one row form: |p_i - p_j| - target
     distance_ends = [(int(i), int(j)) for i, j, _ in distance_constraints]
-    ends = np.vstack([g.edge_array(), np.array(distance_ends, dtype=int).reshape(-1, 2)])
+    ends = np.vstack([g.edges, np.array(distance_ends, dtype=int).reshape(-1, 2)])
     links = label[ends]
     targets = np.concatenate([np.ones(e), [float(t) for _, _, t in distance_constraints]])
 
@@ -214,7 +212,7 @@ def refine(
         converged = max(maxima(r)) <= opts.target_residual
 
     return RefineResult(
-        graph=EmbeddedGraph(coords[label], g.edge_array(), 1.0, g.name),
+        graph=EmbeddedGraph(coords[label], g.edges, name=g.name),
         iterations=iterations,
         initial_residual=initial_residual,
         final_residual=maxima(r)[0],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EmbeddedGraph, _components, normalize
+from .model import EmbeddedGraph, _components
 from .refine import _link_columns, _link_values, _NormalEquations, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
@@ -76,7 +76,7 @@ def is_connected(g: EmbeddedGraph) -> bool:
     """Connectivity over the edge list; isolated vertices disconnect a graph."""
     if g.vertex_count == 0:
         return False
-    e = g.edge_array()
+    e = g.edges
     return not _components(g.vertex_count, e[:, 0], e[:, 1]).any()
 
 
@@ -128,8 +128,8 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     bracket is bisected (are all eigenvalues below m^2?) only while a small
     singular value could fall on either side of rank_tol_factor * sigma_max.
     """
-    coords = normalize(g).vertices
-    links = g.edge_array()
+    coords = g.vertices
+    links = g.edges
     n, e = 2 * g.vertex_count, len(links)
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))

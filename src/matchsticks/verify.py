@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DegreeProfile, EmbeddedGraph, degree_profile, edge_lengths, normalize
+from .model import DegreeProfile, EmbeddedGraph, degree_profile, edge_lengths
 
 Segment = Sequence[float]  # (x1, y1, x2, y2)
 
@@ -186,21 +186,20 @@ def segments_conflict(
 
 
 def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> VerificationReport:
-    """Run every check on normalized coordinates and classify the graph.
+    """Run every check and classify the graph.
 
     All violations are collected, not just the first.  The classification is
     "not-a-matchstick-graph" exactly when any check fails; otherwise it names
     the degree-regularity class.
     """
-    gn = normalize(g)
-    coords = gn.vertices
-    eidx = gn.edge_array()
+    coords = g.vertices
+    eidx = g.edges
     eps = tol.eps_separation
-    profile = degree_profile(gn)
+    profile = degree_profile(g)
 
     # 1. unit lengths
-    if gn.edge_count:
-        deviations = np.abs(edge_lengths(gn) - 1.0)
+    if g.edge_count:
+        deviations = np.abs(edge_lengths(g) - 1.0)
         worst = int(np.argmax(deviations))
         worst_dev = float(deviations[worst])
     else:
@@ -370,10 +369,7 @@ def min_clearances(g: EmbeddedGraph) -> tuple[float, float, float]:
     Diagnostic used to document real margins in the corpus; inf where a
     category is empty.
     """
-    gn = normalize(g)
-    apart, _, vertex_pairs, vertex_edge = _pair_distances(
-        gn.vertices, gn.edge_array(), math.inf
-    )
+    apart, _, vertex_pairs, vertex_edge = _pair_distances(g.vertices, g.edges, math.inf)
     return tuple(
         float(pairs[2].min(initial=math.inf)) for pairs in (apart, vertex_pairs, vertex_edge)
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from matchsticks import corpus
-from matchsticks.construct import ChainSpec, PartSpec, chain_extend
+from matchsticks.construct import ChainSpec, CompositionPlan, PartSpec, chain_extend
 from matchsticks.model import EmbeddedGraph
 
 settings.register_profile(
@@ -20,15 +20,20 @@ settings.load_profile("default")
 ROOT3_OVER_2 = math.sqrt(3) / 2
 
 
+def merged_vertex_count(plan: CompositionPlan) -> int:
+    """The parts' vertices, less one per identification (it merges two ports)."""
+    return sum(spec.graph.vertex_count for spec in plan.parts) - len(plan.identifications)
+
+
 def unit_triangle() -> EmbeddedGraph:
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, ROOT3_OVER_2]])
-    return EmbeddedGraph(coords, ((0, 1), (1, 2), (0, 2)), 1.0, "triangle")
+    return EmbeddedGraph(coords, ((0, 1), (1, 2), (0, 2)), name="triangle")
 
 
 def unit_rhombus() -> EmbeddedGraph:
     """Unit 4-cycle (a flexible framework with one internal degree of freedom)."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, ROOT3_OVER_2], [0.5, ROOT3_OVER_2]])
-    return EmbeddedGraph(coords, ((0, 1), (1, 2), (2, 3), (0, 3)), 1.0, "rhombus")
+    return EmbeddedGraph(coords, ((0, 1), (1, 2), (2, 3), (0, 3)), name="rhombus")
 
 
 def triangle_strip(n: int) -> EmbeddedGraph:
@@ -41,7 +46,7 @@ def triangle_strip(n: int) -> EmbeddedGraph:
         [[i / 2, (i % 2) * ROOT3_OVER_2] for i in range(n + 2)]
     )
     edges = [(i, i + 1) for i in range(n + 1)] + [(i, i + 2) for i in range(n)]
-    return EmbeddedGraph(coords, tuple(edges), 1.0, f"strip{n}")
+    return EmbeddedGraph(coords, tuple(edges), name=f"strip{n}")
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
@@ -56,7 +61,7 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return EmbeddedGraph(coords, tuple(sorted(edges)), 1.0, "random")
+    return EmbeddedGraph(coords, tuple(sorted(edges)), name="random")
 
 
 @pytest.fixture(scope="session")

@@ -168,6 +168,14 @@ def test_hostile_input_is_a_usage_error(
     assert message in err and err.count("\n") == 1
 
 
+def test_corpus_errors_print_unquoted(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "no-such-dir"
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(missing))
+    code, _, err = run(capsys, "catalog")
+    assert code == 2
+    assert err == f"error: {corpus.CORPUS_ENV}={missing} is not a directory\n"
+
+
 @pytest.mark.parametrize(
     "argv, name, code",
     [

@@ -21,7 +21,7 @@ from matchsticks.ingest import (
     max_unit_deviation,
     parse_segment_file,
 )
-from matchsticks.model import EmbeddedGraph, degree_profile
+from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
 
 GOOD = """\
 # a unit square
@@ -124,7 +124,7 @@ def test_estimate_unit_is_median_length():
     segments = np.array([[0, 0, 1, 0], [0, 0, 0, 2], [0, 0, 3, 0]], dtype=float)
     assert estimate_unit(segments) == pytest.approx(2.0)
     # relative to the unit: lengths (1, 2, 3) deviate by at most half a unit
-    assert max_unit_deviation(segments, 2.0) == pytest.approx(0.5)
+    assert max_unit_deviation(segments) == pytest.approx(0.5)
 
 
 @st.composite
@@ -142,7 +142,7 @@ def spread_graphs(draw):
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return EmbeddedGraph(coords, tuple(sorted(edges)), 1.0, "roundtrip")
+    return EmbeddedGraph(coords, tuple(sorted(edges)), name="roundtrip")
 
 
 @given(spread_graphs())
@@ -168,7 +168,8 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
     Endpoints within eps (``hypot``) of each other are unioned, each union
     rooted at the smaller index; vertices are cluster centroids summed in
     endpoint order and numbered by first appearance along the segment list;
-    any two centroids closer than 2 eps (all v x v distances) are ambiguous.
+    any two centroids closer than 2 eps (all v x v distances) are ambiguous;
+    the graph comes back divided by the median segment length.
     """
     segs = sf.segments
     eps = policy.epsilon_merge
@@ -224,7 +225,7 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
             raise DegenerateSegmentError(f"segment {s} endpoints merged into vertex {u}")
         if (min(u, v), max(u, v)) not in edges:
             edges.append((min(u, v), max(u, v)))
-    return EmbeddedGraph(centroids, tuple(edges), unit, str(sf.metadata["name"]))
+    return EmbeddedGraph(centroids / unit, tuple(edges), name=str(sf.metadata["name"]))
 
 
 def build_outcome(build, sf: SegmentFile, policy: MergePolicy):
@@ -232,7 +233,7 @@ def build_outcome(build, sf: SegmentFile, policy: MergePolicy):
         g = build(sf, policy)
     except (AmbiguousMergeError, DegenerateSegmentError) as exc:
         return type(exc).__name__, str(exc)
-    return g.vertices.tobytes(), g.edges, g.unit
+    return g.vertices.tobytes(), g.edges.tolist()
 
 
 def drawing(segments, eps: float = 1e-2):
@@ -310,8 +311,13 @@ def test_corpus_matches_claimed_metadata(name):
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_corpus_drawings_are_unit_accurate_to_1e3(name):
     sf = corpus.load_segments(name)
-    unit = estimate_unit(sf.segments)
-    assert max_unit_deviation(sf.segments, unit) <= 1e-3
+    assert max_unit_deviation(sf.segments) <= 1e-3
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_corpus_graphs_load_in_matchstick_units(name):
+    # merged endpoints move the vertices off the drawn ones by less than 1e-6
+    assert np.median(edge_lengths(corpus.load_graph(name))) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fig1a_drawing_unit():

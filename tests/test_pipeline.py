@@ -12,7 +12,6 @@ def test_certify_refines_then_verifies_a_drawing():
     assert isinstance(cert, Certificate)
     assert cert.certified
     assert cert.graph is cert.refinement.graph
-    assert cert.graph.unit == 1.0
     assert np.abs(edge_lengths(cert.graph) - 1.0).max() <= 1e-12
     assert cert.verification.is_matchstick
 
@@ -37,7 +36,7 @@ def test_unsatisfiable_lengths_are_not_certified():
     # K4 has no unit-distance drawing in the plane
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     edges = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3))
-    cert = certify(EmbeddedGraph(square, edges, 1.0, "K4"))
+    cert = certify(EmbeddedGraph(square, edges, name="K4"))
     assert not cert.refinement.converged
     assert not cert.certified
 
@@ -45,7 +44,7 @@ def test_unsatisfiable_lengths_are_not_certified():
 def test_a_crossing_drawing_converges_but_is_not_certified():
     # two unit bars crossing at their midpoints: unit lengths, not a matchstick graph
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5], [0.5, 0.5]])
-    cert = certify(EmbeddedGraph(coords, ((0, 1), (2, 3)), 1.0, "cross"))
+    cert = certify(EmbeddedGraph(coords, ((0, 1), (2, 3)), name="cross"))
     assert cert.refinement.converged
     assert not cert.verification.is_matchstick
     assert not cert.certified

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
 import matchsticks
 from matchsticks import corpus
-from matchsticks.model import EmbeddedGraph, edge_lengths, normalize
+from matchsticks.ingest import SegmentFile, build_graph
+from matchsticks.model import EmbeddedGraph, edge_lengths
 from matchsticks.refine import (
     RefineOptions,
     ZeroLengthEdgeError,
@@ -25,14 +27,14 @@ from matchsticks.refine import (
 
 
 def central_difference_jacobian(g: EmbeddedGraph, h: float = 1e-6) -> np.ndarray:
-    flat = (g.vertices / g.unit).ravel().copy()
+    flat = g.vertices.ravel().copy()
     out = np.zeros((g.edge_count, flat.size))
     for col in range(flat.size):
         bumped = flat.copy()
         bumped[col] += h
-        plus = edge_lengths(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
+        plus = edge_lengths(replace(g, vertices=bumped.reshape(-1, 2)))
         bumped[col] -= 2 * h
-        minus = edge_lengths(g.with_vertices(bumped.reshape(-1, 2) * g.unit))
+        minus = edge_lengths(replace(g, vertices=bumped.reshape(-1, 2)))
         out[:, col] = (plus - minus) / (2 * h)
     return out
 
@@ -51,7 +53,7 @@ def test_jacobian_matches_central_differences(seed):
 def test_refine_perturbed_rigid_graph_recovers_unit_lengths():
     rng = np.random.default_rng(3)
     g = triangle_strip(6)
-    noisy = g.with_vertices(g.vertices + rng.uniform(-0.02, 0.02, g.vertices.shape))
+    noisy = replace(g, vertices=g.vertices + rng.uniform(-0.02, 0.02, g.vertices.shape))
     result = refine(noisy)
     assert result.converged
     assert result.final_residual <= 1e-12
@@ -59,24 +61,28 @@ def test_refine_perturbed_rigid_graph_recovers_unit_lengths():
     np.testing.assert_allclose(edge_lengths(result.graph), 1.0, atol=1e-11)
 
 
+def drawn(g: EmbeddedGraph, scale: float) -> EmbeddedGraph:
+    """g drawn as segments at the given scale, then ingested."""
+    segments = np.hstack([g.vertices[g.edges[:, 0]], g.vertices[g.edges[:, 1]]]) * scale
+    return build_graph(SegmentFile({"name": g.name}, segments))
+
+
 def test_refine_outputs_unit_one():
-    g = EmbeddedGraph(43.77 * unit_triangle().vertices, ((0, 1), (1, 2), (0, 2)), 43.77)
-    result = refine(g)
-    assert result.graph.unit == 1.0
+    result = refine(drawn(unit_triangle(), 43.77))
     np.testing.assert_allclose(edge_lengths(result.graph), 1.0, atol=1e-12)
 
 
 def test_refine_preserves_combinatorics():
     g = triangle_strip(4)
-    result = refine(g.with_vertices(g.vertices + 0.01))
-    assert result.graph.edges == g.edges
+    result = refine(replace(g, vertices=g.vertices + 0.01))
+    np.testing.assert_array_equal(result.graph.edges, g.edges)
     assert result.graph.vertex_count == g.vertex_count
 
 
 def test_refine_is_idempotent_at_convergence():
     rng = np.random.default_rng(11)
     g = triangle_strip(5)
-    noisy = g.with_vertices(g.vertices + rng.uniform(-0.01, 0.01, g.vertices.shape))
+    noisy = replace(g, vertices=g.vertices + rng.uniform(-0.01, 0.01, g.vertices.shape))
     first = refine(noisy)
     assert first.converged
     second = refine(first.graph)
@@ -89,7 +95,7 @@ def test_residual_never_increases():
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = triangle_strip(int(rng.integers(2, 8)))
-        noisy = g.with_vertices(g.vertices + rng.uniform(-0.05, 0.05, g.vertices.shape))
+        noisy = replace(g, vertices=g.vertices + rng.uniform(-0.05, 0.05, g.vertices.shape))
         result = refine(noisy)
         assert result.final_residual <= result.initial_residual
 
@@ -103,8 +109,7 @@ def test_default_pins_fix_three_coordinates():
 
 
 def test_zero_length_edge_rejected():
-    g = EmbeddedGraph(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
-                      ((0, 1), (1, 2)), 1.0)
+    g = EmbeddedGraph(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), ((0, 1), (1, 2)))
     with pytest.raises(ZeroLengthEdgeError):
         refine(g)
 
@@ -115,7 +120,7 @@ def test_nonconvergence_reports_last_iterate(max_iterations):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2], [1.5, np.sqrt(3) / 2]])
     edges = ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3))  # K4: not unit-realizable
     opts = RefineOptions(max_iterations=max_iterations)
-    result = refine(EmbeddedGraph(coords, edges, 1.0), opts)
+    result = refine(EmbeddedGraph(coords, edges), opts)
     assert not result.converged
     assert 0 < result.iterations <= max_iterations  # may stall before the cap
     assert result.final_residual <= result.initial_residual
@@ -149,7 +154,6 @@ def test_coincidence_constraints_bring_points_together_without_merging():
     union = EmbeddedGraph(
         np.vstack([tri.vertices, shifted]),
         ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)),
-        1.0,
     )
     result = refine(union, coincidences=[(1, 3)])
     assert result.converged
@@ -168,7 +172,7 @@ def triangle_row(seed):
     coords = np.vstack([tri, tri + [1.0, 0.0], tri + [2.0, 0.0]])
     coords += np.random.default_rng(seed).uniform(-0.05, 0.05, coords.shape)
     edges = [(u + k, v + k) for k in (0, 3, 6) for u, v in unit_triangle().edges]
-    return EmbeddedGraph(coords, tuple(edges), 1.0), [(1, 3), (4, 6)]
+    return EmbeddedGraph(coords, tuple(edges)), [(1, 3), (4, 6)]
 
 
 def test_glued_vertices_come_back_bit_identical():
@@ -232,13 +236,14 @@ def test_refine_imports_numpy_only():
 @pytest.mark.parametrize("unit", [1.0, 2.5])
 def test_refining_a_refined_graph_returns_it_unchanged(unit):
     g = corpus.refined_graph("fig2a")
-    scaled = EmbeddedGraph(g.vertices * unit, g.edges, unit, g.name)
-    result = refine(scaled)
+    ingested = drawn(g, unit)  # back in matchstick units, to rounding
+    result = refine(ingested)
     assert result.iterations == 0 and result.converged
     assert result.final_residual == result.initial_residual <= 1e-12
-    assert result.graph.unit == 1.0 and result.graph.name == g.name
-    assert result.graph.edges == g.edges
-    np.testing.assert_array_equal(result.graph.vertices, scaled.vertices / unit)
+    assert result.graph.name == g.name
+    np.testing.assert_array_equal(result.graph.edges, g.edges)
+    np.testing.assert_array_equal(result.graph.vertices, ingested.vertices)
+    np.testing.assert_allclose(result.graph.vertices, g.vertices, atol=1e-12)
 
 
 def test_converged_coincidences_still_come_back_as_one_point():
@@ -248,8 +253,7 @@ def test_converged_coincidences_still_come_back_as_one_point():
     v = g.vertex_count
     union = EmbeddedGraph(
         np.vstack([g.vertices, g.vertices + [2.0**-45, 0.0]]),
-        np.vstack([g.edge_array(), g.edge_array() + v]),
-        1.0,
+        np.vstack([g.edges, g.edges + v]),
     )
     result = refine(union, coincidences=[(0, v)])
     assert result.iterations == 0 and result.converged
@@ -278,7 +282,7 @@ def solver_case(kind, n, seed, middle_pin, coincidence_count, distance_count):
     rng = np.random.default_rng(seed)
     if kind == "strip":
         g = triangle_strip(n)
-        g = g.with_vertices(g.vertices + rng.uniform(-0.05, 0.05, g.vertices.shape))
+        g = replace(g, vertices=g.vertices + rng.uniform(-0.05, 0.05, g.vertices.shape))
     else:
         g = random_connected_graph(rng, n)
     v = g.vertex_count
@@ -314,10 +318,10 @@ def eliminated(g, pins, coincidences, distances):
         low, high = sorted((root(i), root(j)))
         parent[high] = low  # the smaller root stays, so roots are smallest members
     rep = np.array([root(i) for i in range(v)])
-    coords = normalize(g).vertices.copy()
+    coords = g.vertices.copy()
     for r in set(rep.tolist()):
         coords[rep == r] = coords[rep == r].mean(axis=0)
-    links = rep[np.array(list(g.edges) + [(i, j) for i, j, _ in distances]).reshape(-1, 2)]
+    links = rep[np.array(g.edges.tolist() + [(i, j) for i, j, _ in distances]).reshape(-1, 2)]
     targets = np.array([1.0] * g.edge_count + [t for _, _, t in distances])
     free = np.repeat(rep == np.arange(v), 2)
     for vi, ci in pins:
@@ -424,7 +428,7 @@ def test_refine_step_matches_dense_normal_equations(
         assert result.iterations == 0
         return
     assert result.iterations == 1
-    start = normalize(g).vertices
+    start = g.vertices
     want, got = expected - start, result.graph.vertices - start
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 

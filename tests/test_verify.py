@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_rhombus_verifies_with_four_degree2():
 
 def test_unit_length_failure_reports_worst_edge():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.002]])
-    g = EmbeddedGraph(coords, ((0, 1), (1, 2)), 1.0)
+    g = EmbeddedGraph(coords, ((0, 1), (1, 2)))
     report = verify_matchstick(g)
     assert not report.unit_length_ok
     assert report.worst_edge == 1
@@ -261,9 +262,9 @@ def test_unit_length_failure_reports_worst_edge():
 
 
 def test_crossing_edges_fail():
-    coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
     edges = ((0, 1), (2, 3))
-    g = EmbeddedGraph(coords, edges, np.sqrt(2.0))
+    g = EmbeddedGraph(coords, edges)
     report = verify_matchstick(g)
     assert not report.crossing_ok
     assert report.crossing_violations[0][:2] == (0, 1)
@@ -272,7 +273,7 @@ def test_crossing_edges_fail():
 def test_vertex_too_close_to_edge_fails():
     # a vertex hovering 5e-5 over a non-incident unit edge
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 5e-5], [0.5, 1.0 + 5e-5]])
-    g = EmbeddedGraph(coords, ((0, 1), (2, 3)), 1.0)
+    g = EmbeddedGraph(coords, ((0, 1), (2, 3)))
     report = verify_matchstick(g)
     assert not report.vertex_clearance_ok
     kinds = {v[0] for v in report.clearance_violations}
@@ -298,7 +299,7 @@ def test_report_is_isometry_invariant(name):
     moved = g.vertices @ rot.T + rng.uniform(-5, 5, 2)
     mirrored = moved * np.array([1.0, -1.0])
     for coords in (moved, mirrored):
-        report = verify_matchstick(g.with_vertices(coords))
+        report = verify_matchstick(replace(g, vertices=coords))
         assert report.is_matchstick == base.is_matchstick
         assert report.classification == base.classification
         assert report.unit_length_ok == base.unit_length_ok
@@ -330,8 +331,8 @@ def all_pairs_reference(g: EmbeddedGraph, tol: Tolerances = Tolerances()):
     eps margin; vertex pairs and vertex-edge pairs are all tested.  Returns
     the report and the three minima.
     """
-    coords = g.vertices / g.unit
-    eidx = g.edge_array()
+    coords = g.vertices
+    eidx = g.edges
     v, e = g.vertex_count, g.edge_count
     eps = tol.eps_separation
     s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
@@ -400,7 +401,7 @@ def crowded_drawings(draw):
     shift = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
-    return EmbeddedGraph(points @ rot.T + shift, tuple(edges), 1.0)
+    return EmbeddedGraph(points @ rot.T + shift, tuple(edges))
 
 
 margins = st.sampled_from([Tolerances(), Tolerances(eps_separation=0.05),
@@ -415,8 +416,8 @@ beyond_range = np.array([[-1e308, 0.0], [7.976931348623157e307, 0.0], [8e307, 0.
 @given(crowded_drawings(), margins)
 @example(EmbeddedGraph(np.zeros((3, 2))), Tolerances())  # no edges, coincident vertices
 @example(EmbeddedGraph(np.zeros((0, 2))), Tolerances())  # nothing at all
-@example(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4)), 1.0), Tolerances())
-@example(EmbeddedGraph(beyond_range, ((0, 3),), 1.0), Tolerances())
+@example(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4))), Tolerances())
+@example(EmbeddedGraph(beyond_range, ((0, 3),)), Tolerances())
 @settings(max_examples=300)
 def test_grid_broad_phase_matches_all_pairs(g, tol):
     with np.errstate(over="ignore", invalid="ignore"):  # sticks ~1e300 long overflow
@@ -476,7 +477,7 @@ def test_near_pairs_match_all_pairs(boxes, margin):
 
 def test_huge_coordinates_keep_their_pairs():
     with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_matchstick(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4)), 1.0))
+        report = verify_matchstick(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4))))
     assert ("vertex-vertex", 0, 1, 0.0) in report.clearance_violations
     assert ("vertex-edge", 1, 0, 0.0) in report.clearance_violations
 
@@ -486,7 +487,7 @@ def test_vertex_near_a_stick_of_huge_extent_is_reported():
     # lies 5e-5 above its middle
     coords = np.array([[-1e300, 0.0], [1e300, 0.0], [0.0, 5e-5], [0.0, 1.0]])
     with np.errstate(over="raise", invalid="raise"):
-        report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (2, 3)), 1.0))
+        report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (2, 3))))
         distance = segment_pair_distance(coords[0], coords[1], coords[2], coords[3])
         point = _point_segment_distance(coords[2], coords[0], coords[1])
     assert ("vertex-edge", 2, 0, 5e-5) in report.clearance_violations
@@ -513,7 +514,7 @@ def test_vertices_too_close_fail(x):
 def test_folded_adjacent_sticks_cross_at_zero(x):
     # sticks 0-1 and 0-2 leave vertex 0 in the same direction; vertex 2 lies 5e-5 past 1
     coords = np.array([[x - 1.0, 0.2], [x, 0.2], [x + 5e-5, 0.2]])
-    report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (0, 2)), 1.0))
+    report = verify_matchstick(EmbeddedGraph(coords, ((0, 1), (0, 2))))
     assert report.crossing_violations == ((0, 1, 0.0),)
     assert ("vertex-vertex", 1, 2) in [c[:3] for c in report.clearance_violations]
     assert report.classification == "not-a-matchstick-graph"
