@@ -17,7 +17,8 @@ stdout and exit codes for every command in the sweep.  The sweep:
   an unreachable target, both of which exit 3;
 - three-part and four-part rings with ``construct ring --json``;
 - two spacer chains with ``construct chain --json``;
-- ``coverage --max 2000 --json``;
+- ``coverage --json`` at ``--max`` 2000, 63 and 50000, the last the
+  benchmark's size;
 - ``construct mirror --json`` for the six line doubles, the fig2f point
   double and the fig2a double that fails verification, and a ``--ports``
   pair out of range;
@@ -71,6 +72,8 @@ def sweep(plan_path: str) -> list[list[str]]:
         ["construct", "chain", "fig5a", "fig5c", "--spacers", "20", "--json"],
         ["construct", "chain", "fig5a", "fig5a", "--spacers", "7", "--json"],
         ["coverage", "--max", "2000", "--json"],
+        ["coverage", "--max", "63", "--json"],
+        ["coverage", "--max", "50000", "--json"],
     ]
     for name in ("fig2d", "fig2e", "fig2g", "fig2h", "fig5a", "fig5c"):
         commands.append(["construct", "mirror", name, "--json"])

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus
@@ -88,8 +89,28 @@ def _converged(result: RefineResult) -> EmbeddedGraph:
     return result.graph
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _print_json(payload: dict[str, object]) -> None:
+    """Print ``json.dumps(payload, indent=2)``.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, which is slow
+    on a large table such as coverage's witnesses.  So a top-level value that
+    is a non-empty dict with only int keys and only str values is written here,
+    one entry per line, each value through the C string escaper that
+    ``json.dumps`` itself uses.  Every other value goes through ``json.dumps``.
+    The text is the same either way.
+    """
+    pieces = []
+    for key, value in payload.items():
+        pieces += [",\n  " if pieces else "{\n  ", encode_basestring_ascii(key), ": "]
+        if (isinstance(value, dict) and {*map(type, value)} == {int}
+                and {*map(type, value.values())} == {str}):
+            rows = ",\n".join(
+                f'    "{k}": {encode_basestring_ascii(v)}' for k, v in value.items()
+            )
+            pieces += ["{\n", rows, "\n  }"]
+        else:
+            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    print(*pieces, "\n}" if pieces else "{}", sep="")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -249,7 +270,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    cert = theorem1_coverage(args.max)
+    try:
+        cert = theorem1_coverage(args.max)
+    except MemoryError:
+        raise _UsageError(f"--max {args.max}: too many counts to check in memory")
     if args.json:
         _print_json(cert.to_json_dict())
     else:

@@ -93,17 +93,22 @@ class CoverageTable:
 def combinations_table(inv: Inventory, parts: int) -> CoverageTable:
     """Vertex counts of all rings of ``parts`` inventory members (with repeats).
 
-    Each multiset of sizes contributes one combination to row
+    Each multiset of inventory entries contributes one combination to row
     v = (sum of sizes) - parts; the number of multisets is
-    C(len(inv) + parts - 1, parts).
+    C(len(inv) + parts - 1, parts).  Entries count by position, so a size
+    listed twice gives two entries.  The multisets are counted by total size,
+    one entry at a time, rather than listed.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    rows: dict[int, int] = {}
-    for combo in combinations_with_replacement(inv.part_sizes, parts):
-        v = sum(combo) - parts
-        rows[v] = rows.get(v, 0) + 1
-    return CoverageTable(rows)
+    # ways[j][s]: multisets of j entries so far with sizes summing to s
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(parts)]
+    for size in inv.part_sizes:
+        for j in range(1, parts + 1):  # ascending, so ways[j - 1] may hold this entry already
+            row = ways[j]
+            for s, n in ways[j - 1].items():
+                row[s + size] = row.get(s + size, 0) + n
+    return CoverageTable({s - parts: n for s, n in ways[parts].items()})
 
 
 # -- coverage manifest --------------------------------------------------------
@@ -189,7 +194,7 @@ class CoverageCertificate:
             "range": [63, self.max_check],
             "complete": self.complete,
             "missing": list(self.missing),
-            "witnesses": {str(v): w for v, w in self.witnesses.items()},
+            "witnesses": dict(self.witnesses),
         }
 
 

@@ -90,7 +90,7 @@ def _index_text(x: object) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedGraph:
     """A straight-line drawing of a graph, in matchstick units.
 
@@ -98,6 +98,9 @@ class EmbeddedGraph:
     (e, 2) int64 array whose rows are index pairs u < v (given as index pairs
     in any order or as an (e, 2) array).  Vertices are index-addressed; all
     other modules refer to them by index.
+
+    Graphs compare and hash by identity: two loads of one drawing are not
+    ``==``.  Compare ``vertices`` and ``edges`` to compare drawings.
     """
 
     vertices: np.ndarray

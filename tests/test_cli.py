@@ -26,6 +26,7 @@ from matchsticks.construct import (
     realize,
     ring_plan,
 )
+from matchsticks.counting import DEFAULT_COVERAGE, CoverageSources, Inventory, theorem1_coverage
 from matchsticks.refine import refine
 from matchsticks.rigidity import analyze_rigidity
 from matchsticks.verify import Tolerances, verify_matchstick
@@ -151,11 +152,14 @@ def _binary_file(path):
          "bin.json: 'utf-8' codec can't decode byte 0xff in position 0"),
         (lambda tmp: ["verify", _binary_file(tmp / "bin.seg")], None,
          "bin.seg: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # 8e15 bytes of slots exceed the address space, so the allocation fails at once
+        (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
+         "--max 1000000000000000: too many counts to check in memory"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
          "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
-         "plan-not-utf8", "graph-not-utf8"],
+         "plan-not-utf8", "graph-not-utf8", "coverage-max-beyond-memory"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys
@@ -636,6 +640,76 @@ def test_construct_prints_the_certificate_document(case, output, tmp_path, capsy
     assert document["certified"] is True
     if output:
         assert document["output"] == str(tmp_path / "out.seg")
+
+
+# -- the JSON printer ---------------------------------------------------------
+
+
+def _prints_json_dumps(payload, capsys):
+    cli._print_json(payload)
+    return capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+ODD_WITNESSES = CoverageSources(
+    inventory=Inventory((22,)),
+    ring_size=3,
+    mirror_doubles={},
+    corpus_graphs={},
+    extra_rings={64: 'say "ring"', 65: "back\\slash", 66: "bell\x07\ttab\n", 67: "Möbius ∞"},
+    families=(),
+)
+# the smallest ring has 297 vertices, so at --max 63 the witness table is {}
+NO_WITNESSES = dataclasses.replace(ODD_WITNESSES, inventory=Inventory((100,)), extra_rings={})
+
+
+@pytest.mark.parametrize(
+    "max_check, sources",
+    [
+        *((m, DEFAULT_COVERAGE) for m in (63, 70, 2000, 50_000)),
+        (70, ODD_WITNESSES),
+        (63, NO_WITNESSES),
+    ],
+    ids=["max-63", "max-70", "max-2000", "max-50000", "escaped-witnesses", "no-witnesses"],
+)
+def test_coverage_json_is_json_dumps(max_check, sources, capsys):
+    assert _prints_json_dumps(theorem1_coverage(max_check, sources).to_json_dict(), capsys)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"table": {1: "a", 20: 'b"'}, "after": [1, {"x": None}], "last": 0.5},
+        {"ints": {1: 2}, "bools": {True: "t"}, "mixed": {1: "a", "2": "b"}, "empty": {}},
+    ],
+    ids=["empty", "table-before-other-keys", "not-int-to-str-tables"],
+)
+def test_printer_is_json_dumps_on_other_payloads(payload, capsys):
+    assert _prints_json_dumps(payload, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fig2a", "--json"],
+        ["refine", "fig2h", "--json"],
+        ["rigidity", "fig2g", "--json"],
+        ["construct", "mirror", "fig2f", "--mode", "point", "--json"],
+        ["enumerate", "--json"],
+        ["catalog", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_prints_json_dumps(argv, tmp_path, monkeypatch, capsys):
+    if argv[0] == "catalog":
+        (tmp_path / "tri.seg").write_text(TRIANGLE)  # a one-drawing corpus
+        monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    payloads = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_print_json", payloads.append)
+        main(argv)
+    (payload,) = payloads
+    assert _prints_json_dumps(payload, capsys)
 
 
 # -- module entry point -------------------------------------------------------

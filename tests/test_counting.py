@@ -155,6 +155,22 @@ def test_three_part_ring_table_against_brute_force():
     assert {v: g for v, g in table.rows.items() if g} == expected
 
 
+@pytest.mark.parametrize("sizes", [PART_INVENTORY.part_sizes, (3, 5, 5, 9), (4,)])
+@pytest.mark.parametrize("parts", range(1, 7))
+def test_table_counts_entries_by_position(sizes, parts):
+    """A size listed twice is two entries, as in ``combinations_with_replacement``."""
+    inv = Inventory(sizes)
+    listed = CoverageTable(
+        Counter(sum(c) - parts for c in combinations_with_replacement(inv.part_sizes, parts))
+    )
+    table = combinations_table(inv, parts)
+    assert table.rows == listed.rows and table.to_text() == listed.to_text()
+
+
+def test_table_of_sixty_parts_counts_every_multiset():
+    assert combinations_table(PART_INVENTORY, 60).total() == math.comb(67, 60)
+
+
 # -- property tests -----------------------------------------------------------
 
 
@@ -336,7 +352,7 @@ def test_certificate_json_shape():
     assert payload["range"] == [63, 70]
     assert payload["complete"] is True
     assert payload["missing"] == []
-    assert payload["witnesses"]["63"].startswith("ring of 3 parts")
+    assert payload["witnesses"][63].startswith("ring of 3 parts")
 
 
 def test_below_63_catalog():

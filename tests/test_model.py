@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import unit_rhombus, unit_triangle
+from matchsticks import corpus
 from matchsticks.model import (
     EmbeddedGraph,
     ModelError,
@@ -16,6 +17,7 @@ from matchsticks.model import (
     edge_lengths,
     _components,
 )
+from matchsticks.refine import refine
 
 
 def test_edges_are_canonicalized_and_sorted_within_pair():
@@ -49,6 +51,14 @@ def test_graph_fields_are_vertices_edges_and_a_keyword_name():
     with pytest.raises(TypeError):
         EmbeddedGraph(coords, ((0, 1),), 1.0)
     assert EmbeddedGraph(coords, ((0, 1),), name="stick").name == "stick"
+
+
+def test_graphs_compare_and_hash_by_identity():
+    g, h = corpus.load_graph("fig2a"), corpus.load_graph("fig2a")
+    assert (g == h) is False
+    assert g == g and {g} == {g} and len({g, h}) == 2
+    result = refine(g)
+    assert hash(result) == hash(result)  # a frozen result holding a graph hashes
 
 
 @pytest.mark.parametrize(
