@@ -334,9 +334,10 @@ def realize(plan: CompositionPlan) -> EmbeddedGraph:
     a chain: neighbors share two joints, interior parts are 5-vertex
     spacers, and each part is placed against the one before it (a facing
     pair or a mirror double is a chain with no spacers).
-    Raises RealizationFailedError when the layout is unsupported or the glue
-    constraints cannot be closed; the result is otherwise exact to the
-    refinement target but deliberately unverified.
+    Raises PlanError when the parts and joints form no such path or cycle,
+    and RealizationFailedError when the cycle's polygon cannot be laid out or
+    the glue constraints cannot be closed; the result is otherwise exact to
+    the refinement target but deliberately unverified.
     """
     parts = [spec.graph for spec in plan.parts]
     ports = [degree2_vertices(g) for g in parts]
@@ -371,9 +372,7 @@ def _walk_parts(
     for a, b in joints:
         neighbors[a].append(b)
     if any(len(n) > 2 for n in neighbors):
-        raise RealizationFailedError(
-            "unsupported plan topology (a part has more than two neighbors)"
-        )
+        raise PlanError("unsupported plan topology (a part has more than two neighbors)")
     ends = [i for i in range(k) if len(neighbors[i]) < 2]
     order = [ends[0] if ends else 0]
     while len(order) < k:  # step to the neighbor that is not the part before
@@ -391,7 +390,7 @@ def _layout_cycle(
     k = len(parts)
     nexts = order[1:] + order[:1]
     if any(len(joints[i, j]) != 1 for i, j in zip(order, nexts)):
-        raise RealizationFailedError("cycle neighbors must share exactly one joint")
+        raise PlanError("cycle neighbors must share exactly one joint")
     exit_vertex_of = {i: joints[i, j][0][0] for i, j in zip(order, nexts)}
     entry_vertex_of = {j: joints[i, j][0][1] for i, j in zip(order, nexts)}
 
@@ -550,10 +549,10 @@ def _layout_chain(
     placed[order[0]] = parts[order[0]].vertices
     for t, (prev, cur) in enumerate(zip(order, order[1:]), start=1):
         if len(joints[prev, cur]) != 2:
-            raise RealizationFailedError("chain neighbors must share exactly two joints")
+            raise PlanError("chain neighbors must share exactly two joints")
         (p0, c0), (p1, c1) = joints[prev, cur]
         if t < len(order) - 1 and {c0, c1} not in map(set, _spacer_port_pairs(parts[cur])):
-            raise RealizationFailedError("chain joints do not respect spacer port pairs")
+            raise PlanError("chain joints do not respect spacer port pairs")
         q0, q1 = placed[prev][p0], placed[prev][p1]
         placed[cur] = _place_two_ports(
             parts[cur].vertices, c0, c1, q0, q1, body_side=-_body_side(placed[prev], q0, q1)

@@ -97,10 +97,20 @@ def combinations_table(inv: Inventory, parts: int) -> CoverageTable:
     v = (sum of sizes) - parts; the number of multisets is
     C(len(inv) + parts - 1, parts).  Entries count by position, so a size
     listed twice gives two entries.  The multisets are counted by total size,
-    one entry at a time, rather than listed.
+    one entry at a time, rather than listed.  Raises ValueError, before
+    counting anything, when the counts could take more than a million
+    entries.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
+    # ways[j] has at most j * spread + 1 keys, and the table is zero-filled
+    # over fewer than that many counts
+    spread = inv.part_sizes[-1] - inv.part_sizes[0]
+    if spread * parts * (parts + 1) // 2 + parts > 10**6:
+        raise ValueError(
+            f"{parts} parts of sizes {inv.part_sizes[0]} to {inv.part_sizes[-1]} "
+            "need more than a million table entries"
+        )
     # ways[j][s]: multisets of j entries so far with sizes summing to s
     ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(parts)]
     for size in inv.part_sizes:
@@ -169,9 +179,6 @@ DEFAULT_COVERAGE = CoverageSources(
         ArithmeticFamily(96, 3, "fig5c doubled, extended by 5-vertex spacers"),
     ),
 )
-
-BELOW_63_GRAPHS: Mapping[int, str] = {52: "fig1a", 54: "fig1b", 57: "fig1c", 60: "fig1d"}
-
 
 @dataclass(frozen=True)
 class CoverageCertificate:

@@ -25,6 +25,7 @@ from .verify import _near_pairs
 METADATA_KEYS = ("name", "claimed_vertices", "claimed_profile", "claimed_rigidity")
 _PROFILES = ("4-regular", "(2,4)-regular")
 _RIGIDITIES = ("rigid", "flexible", "unknown")
+_MERGE_RADIUS = 1e-2  # drawing units: endpoints this close are one vertex
 
 
 class SegmentFileError(ValueError):
@@ -59,17 +60,6 @@ class SegmentFile:
         segs.setflags(write=False)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "metadata", dict(self.metadata))
-
-
-@dataclass(frozen=True)
-class MergePolicy:
-    """Endpoints closer than epsilon_merge (drawing units) are one vertex."""
-
-    epsilon_merge: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if not self.epsilon_merge > 0:
-            raise ValueError("epsilon_merge must be positive")
 
 
 def parse_segment_file(text: str) -> SegmentFile:
@@ -158,7 +148,7 @@ def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
     return _components(len(points), i[close], j[close])
 
 
-def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> EmbeddedGraph:
+def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     """Cluster segment endpoints into vertices and assemble the embedded graph.
 
     Endpoints are merged and checked in drawing units.  Each endpoint cluster
@@ -166,15 +156,15 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     duplicate segments collapse to one edge.  The graph comes back in
     matchstick units: centroids divided by the unit, the median segment
     length.  Raises AmbiguousMergeError when two distinct cluster centers
-    come within 2 x epsilon_merge (the clustering cannot be trusted), and
+    come within twice the merge radius (the clustering cannot be trusted), and
     DegenerateSegmentError when a segment's endpoints coincide.
     """
     segs = sf.segments
     s = len(segs)
-    eps = policy.epsilon_merge
+    eps = _MERGE_RADIUS
     unit = estimate_unit(segs)
     if not eps < 0.1 * unit:
-        raise AmbiguousMergeError(f"epsilon_merge {eps} is not small against the unit {unit:.6g}")
+        raise AmbiguousMergeError(f"merge radius {eps} is not small against the unit {unit:.6g}")
     endpoints = np.concatenate([segs[:, 0:2], segs[:, 2:4]])  # (2s, 2): starts then ends
     labels = _cluster_endpoints(endpoints, eps)
 
@@ -194,7 +184,7 @@ def build_graph(sf: SegmentFile, policy: MergePolicy = MergePolicy()) -> Embedde
     if mind < 2 * eps:
         raise AmbiguousMergeError(
             f"two merged vertices are only {mind:.6g} apart "
-            f"(< 2 x epsilon_merge = {2 * eps:.6g})"
+            f"(< 2 x merge radius = {2 * eps:.6g})"
         )
 
     u, v = ends[:s], ends[s:]

@@ -13,9 +13,9 @@ phase query per graph over the axis-aligned boxes of all edges and vertices
 (with an eps margin).  Each box meets only the later boxes of its own cell
 and the boxes of the four cells after it, so every pair is found once, and
 the box test runs on per-axis 1-D arrays; only candidates reach the exact
-distance kernels.  Every stick has unit length, so cells are about one unit
-wide and, for drawings of bounded density, time and memory grow linearly
-with the size of the graph.
+distance kernel, which measures a vertex as a stick of zero length.  Every
+stick has unit length, so cells are about one unit wide and, for drawings of
+bounded density, time and memory grow linearly with the size of the graph.
 """
 
 from __future__ import annotations
@@ -97,15 +97,16 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _scale(*points: np.ndarray) -> np.ndarray:
-    """Per pair, the power of two just above the largest |coordinate|, (..., 1).
+    """Per pair, the largest power of two <= the largest |coordinate|, (..., 1).
 
     Dividing by a power of two is exact and changes no rounding, yet squares
     and cross products of coordinates near the float range cannot overflow.
+    (The power of two above it would be inf from 2**1023 up.)
     """
     largest = np.abs(points[0]).max(axis=-1)
     for x in points[1:]:
         largest = np.maximum(largest, np.abs(x).max(axis=-1))
-    return np.ldexp(1.0, np.frexp(largest)[1])[..., None]
+    return np.ldexp(1.0, np.frexp(largest)[1] - 1)[..., None]
 
 
 def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -206,21 +207,23 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
         worst, worst_dev = None, 0.0
     unit_ok = worst_dev <= tol.eps_length
 
-    apart, adjacent, vertex_pairs, vertex_edge = _pair_distances(coords, eidx, eps)
+    e = g.edge_count
+    (i, j, d), (ai, aj) = _pair_distances(coords, eidx, eps)
+    bad = d < eps
+    i, j, d = i[bad].tolist(), j[bad].tolist(), d[bad].tolist()
 
     # 2. edge pairs; adjacent ones must not overlap beyond the shared vertex
-    crossing = [(int(i), int(j), float(d)) for i, j, d in zip(*_below(apart, eps))]
-    ai, aj = adjacent
+    crossing = [(a, b, x) for a, b, x in zip(i, j, d) if b < e]
     overlap = _adjacent_overlaps(coords, eidx[ai], eidx[aj], eps)
-    crossing += [(int(i), int(j), 0.0) for i, j in zip(ai[overlap], aj[overlap])]
+    crossing += [(int(a), int(b), 0.0) for a, b in zip(ai[overlap], aj[overlap])]
     crossing.sort()
     crossing_ok = not crossing
 
-    # 3. vertex clearance
+    # 3. vertex clearance: pairs whose later element is a vertex
     clearance = [
-        (kind, int(a), int(b), float(d))
-        for kind, pairs in (("vertex-vertex", vertex_pairs), ("vertex-edge", vertex_edge))
-        for a, b, d in zip(*_below(pairs, eps))
+        ("vertex-vertex", a - e, b - e, x) if a >= e else ("vertex-edge", b - e, a, x)
+        for a, b, x in zip(i, j, d)
+        if b >= e
     ]
     clearance.sort()
     clearance_ok = not clearance
@@ -246,12 +249,6 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
         profile=profile,
         classification=classification,
     )
-
-
-def _below(pairs: tuple[np.ndarray, np.ndarray, np.ndarray], eps: float):
-    """The ``(i, j, distance)`` rows of ``pairs`` closer than eps."""
-    bad = pairs[2] < eps
-    return tuple(x[bad] for x in pairs)
 
 
 def _near_pairs(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -308,36 +305,23 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple[np.ndarr
 def _pair_distances(coords: np.ndarray, eidx: np.ndarray, margin: float):
     """Candidate pairs of the clearance checks, with exact distances.
 
-    Returns ``(apart, adjacent, vertex_pairs, vertex_edge)``: non-adjacent
-    edge pairs ``(i, j, distance)`` with i < j; edge pairs ``(i, j)`` with
-    i < j that share an endpoint; vertex pairs ``(i, j, distance)`` with
-    i < j; and ``(vertex, edge, distance)`` for edges not incident to the
-    vertex.  A pair is a candidate when the boxes of its two elements come
+    The elements are the e edges followed by the vertices, each vertex a
+    stick of zero length from itself to itself, so element ``e + k`` is
+    vertex k.  A pair is a candidate when the boxes of its two elements come
     within ``margin`` of each other; ``margin = inf`` selects every pair.
-    One broad-phase query over the edge boxes followed by the vertices (as
-    boxes of zero extent) finds all three kinds, split by index afterwards.
+    Returns ``((i, j, distance), (ai, aj))`` with i < j: every candidate pair
+    whose elements share no vertex, with its distance, and the edge pairs
+    that share an endpoint.  A vertex paired with an edge through it is in
+    neither.
     """
     e = len(eidx)
-    s0, s1 = coords[eidx[:, 0]], coords[eidx[:, 1]]
-    lo = np.concatenate([np.minimum(s0, s1), coords])
-    hi = np.concatenate([np.maximum(s0, s1), coords])
-    i, j = _near_pairs(lo, hi, margin)
-    edge_i, edge_j = i < e, j < e
-
-    ci, cj = i[edge_j], j[edge_j]  # both are edges, as i < j
-    shares = (eidx[ci][:, :, None] == eidx[cj][:, None, :]).any(axis=(1, 2))
-    ci, cj, ai, aj = ci[~shares], cj[~shares], ci[shares], cj[shares]
-    apart = (ci, cj, segment_pair_distance(s0[ci], s1[ci], s0[cj], s1[cj]))
-
-    vi, vj = i[~edge_i] - e, j[~edge_i] - e
-    dv = coords[vi] - coords[vj]
-    vertex_pairs = (vi, vj, np.hypot(dv[:, 0], dv[:, 1]))
-
-    pk, pi = i[edge_i & ~edge_j], j[edge_i & ~edge_j] - e
-    not_incident = (eidx[pk, 0] != pi) & (eidx[pk, 1] != pi)
-    pi, pk = pi[not_incident], pk[not_incident]
-    vertex_edge = (pi, pk, _point_segment_distance(coords[pi], s0[pk], s1[pk]))
-    return apart, (ai, aj), vertex_pairs, vertex_edge
+    ends = np.concatenate([eidx, np.repeat(np.arange(len(coords)), 2).reshape(-1, 2)])
+    s0, s1 = coords[ends[:, 0]], coords[ends[:, 1]]
+    i, j = _near_pairs(np.minimum(s0, s1), np.maximum(s0, s1), margin)
+    shares = (ends[i][:, :, None] == ends[j][:, None, :]).any(axis=(1, 2))
+    adjacent = shares & (j < e)  # so i < e too; two vertices never share
+    i, j, ai, aj = i[~shares], j[~shares], i[adjacent], j[adjacent]
+    return (i, j, segment_pair_distance(s0[i], s1[i], s0[j], s1[j])), (ai, aj)
 
 
 def _adjacent_overlaps(
@@ -369,7 +353,7 @@ def min_clearances(g: EmbeddedGraph) -> tuple[float, float, float]:
     Diagnostic used to document real margins in the corpus; inf where a
     category is empty.
     """
-    apart, _, vertex_pairs, vertex_edge = _pair_distances(g.vertices, g.edges, math.inf)
-    return tuple(
-        float(pairs[2].min(initial=math.inf)) for pairs in (apart, vertex_pairs, vertex_edge)
-    )
+    e = g.edge_count
+    (i, j, d), _ = _pair_distances(g.vertices, g.edges, math.inf)
+    kinds = (j < e, i >= e, (i < e) & (j >= e))
+    return tuple(float(d[kind].min(initial=math.inf)) for kind in kinds)

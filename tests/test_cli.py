@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -152,6 +153,24 @@ def _binary_file(path):
          "bin.json: 'utf-8' codec can't decode byte 0xff in position 0"),
         (lambda tmp: ["verify", _binary_file(tmp / "bin.seg")], None,
          "bin.seg: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # plans whose parts and joints form no path or cycle that realize can lay out
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, json.dumps(
+            {"parts": ["fig2a"] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0]]}))],
+         None, "error: chain neighbors must share exactly two joints"),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, json.dumps(
+            {"parts": ["fig5b"] + ["fig2a"] * 3,
+             "identifications": [[0, 0, 1, 0], [0, 1, 2, 0], [0, 2, 3, 0], [1, 1, 2, 1]]}))],
+         None, "error: unsupported plan topology (a part has more than two neighbors)"),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, json.dumps(
+            {"parts": ["fig5b"] * 3,
+             "identifications": [[i, a, (i + 1) % 3, b] for i in range(3)
+                                 for a, b in ((2, 0), (3, 1))]}))],
+         None, "error: cycle neighbors must share exactly one joint"),
+        # spacer slots 0 and 2 are the ports of one triangle
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, json.dumps(
+            {"parts": ["fig5a", "fig5b", "fig5a"],
+             "identifications": [[0, 0, 1, 0], [0, 1, 1, 2], [1, 1, 2, 0], [1, 3, 2, 1]]}))],
+         None, "error: chain joints do not respect spacer port pairs"),
         # 8e15 bytes of slots exceed the address space, so the allocation fails at once
         (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
          "--max 1000000000000000: too many counts to check in memory"),
@@ -159,7 +178,8 @@ def _binary_file(path):
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
          "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
-         "plan-not-utf8", "graph-not-utf8", "coverage-max-beyond-memory"],
+         "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
+         "plan-cycle-two-joints", "plan-spacer-entered-one-side", "coverage-max-beyond-memory"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys
@@ -440,6 +460,27 @@ def test_enumerate_bad_inventory(capsys):
     code, _, err = run(capsys, "enumerate", "--inventory", "5,x")
     assert code == 2
     assert "bad inventory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--inventory", "3,1000000000", "--parts", "3"],
+         "3 parts of sizes 3 to 1000000000 need more than a million table entries"),
+        (["--parts", "100000"],
+         "100000 parts of sizes 22 to 41 need more than a million table entries"),
+    ],
+)
+def test_enumerate_beyond_a_million_entries_is_refused(argv, message, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enumerate", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert (out, err) == ("", f"error: {message}\n")
+    assert peak < 1e6
 
 
 def test_coverage(capsys):

@@ -235,7 +235,7 @@ def test_plan_neither_cycle_nor_chain_fails():
     spacer, part = corpus.refined_graph("fig5b"), corpus.refined_graph("fig2a")
     idents = ((0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0), (1, 1, 2, 1))
     plan = CompositionPlan((PartSpec(spacer),) + (PartSpec(part),) * 3, idents)
-    with pytest.raises(RealizationFailedError, match="unsupported plan topology"):
+    with pytest.raises(PlanError, match="unsupported plan topology"):
         realize(plan)
 
 
@@ -438,7 +438,7 @@ def ring_of_spacers() -> CompositionPlan:
     ],
 )
 def test_layout_rejects_joints_it_cannot_place(make_plan, message):
-    with pytest.raises(RealizationFailedError, match=message):
+    with pytest.raises(PlanError, match=message):
         realize(make_plan())
 
 

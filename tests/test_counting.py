@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from matchsticks import cli
 from matchsticks.counting import (
-    BELOW_63_GRAPHS,
     DEFAULT_COVERAGE,
     PART_INVENTORY,
     ArithmeticFamily,
@@ -105,6 +104,14 @@ def test_two_size_inventory_pairs():
 def test_combinations_table_rejects_zero_parts():
     with pytest.raises(ValueError):
         combinations_table(PART_INVENTORY, 0)
+
+
+def test_combinations_table_bounds_its_entries_at_a_million():
+    # 1000 * 44 * 45 / 2 + 44 = 990,044 entries at most; 45 parts could take 1,035,045
+    inv = Inventory((3, 1003))
+    assert combinations_table(inv, 44).total() == 45
+    with pytest.raises(ValueError, match="45 parts of sizes 3 to 1003"):
+        combinations_table(inv, 45)
 
 
 def test_coverage_table_validates_rows():
@@ -353,9 +360,3 @@ def test_certificate_json_shape():
     assert payload["complete"] is True
     assert payload["missing"] == []
     assert payload["witnesses"][63].startswith("ring of 3 parts")
-
-
-def test_below_63_catalog():
-    assert set(BELOW_63_GRAPHS) == {52, 54, 57, 60}
-    assert BELOW_63_GRAPHS[52] == "fig1a"
-    assert BELOW_63_GRAPHS[60] == "fig1d"

@@ -11,7 +11,6 @@ from matchsticks import corpus
 from matchsticks.ingest import (
     AmbiguousMergeError,
     DegenerateSegmentError,
-    MergePolicy,
     SegmentFile,
     SegmentFileError,
     build_graph,
@@ -82,7 +81,7 @@ def test_build_graph_merges_jittered_endpoints():
     sf2 = parse_segment_file(
         "! name noisy\n" + "\n".join(" ".join(f"{x:.7f}" for x in row) for row in noisy)
     )
-    g = build_graph(sf2, MergePolicy(epsilon_merge=1e-2))
+    g = build_graph(sf2)
     assert g.vertex_count == 4
     assert g.edge_count == 4
 
@@ -98,24 +97,24 @@ def test_ambiguous_merge_when_clusters_almost_touch():
     # so the builder must refuse
     text = "! name ambiguous\n0 0 1 0\n0 0.015 1 1\n"
     with pytest.raises(AmbiguousMergeError):
-        build_graph(parse_segment_file(text), MergePolicy(epsilon_merge=1e-2))
+        build_graph(parse_segment_file(text))
 
 
 def test_ambiguous_merge_when_unit_close_to_epsilon():
     text = "! name tiny\n0 0 0.05 0\n0.05 0 0.05 0.05\n"
     with pytest.raises(AmbiguousMergeError):
-        build_graph(parse_segment_file(text), MergePolicy(epsilon_merge=1e-2))
+        build_graph(parse_segment_file(text))
 
 
 def test_degenerate_segment_rejected():
     text = "! name degenerate\n0 0 1 0\n2 2 2.001 2\n"
     with pytest.raises(DegenerateSegmentError):
-        build_graph(parse_segment_file(text), MergePolicy(epsilon_merge=1e-2))
+        build_graph(parse_segment_file(text))
 
 
 def test_duplicate_segments_collapse_to_one_edge():
     text = "! name doubled\n0 0 1 0\n0.001 0 1.001 0\n"
-    g = build_graph(parse_segment_file(text), MergePolicy(epsilon_merge=1e-2))
+    g = build_graph(parse_segment_file(text))
     assert g.vertex_count == 2
     assert g.edge_count == 1
 
@@ -162,7 +161,7 @@ def test_emit_records_name():
 # -- clustering against a cell-loop reference ----------------------------------
 
 
-def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph:
+def cell_loop_build_graph(sf: SegmentFile, eps: float) -> EmbeddedGraph:
     """Reference for ``build_graph``: a dict of eps-wide cells, union-find, dense check.
 
     Endpoints within eps (``hypot``) of each other are unioned, each union
@@ -172,10 +171,9 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
     the graph comes back divided by the median segment length.
     """
     segs = sf.segments
-    eps = policy.epsilon_merge
     unit = estimate_unit(segs)
     if not eps < 0.1 * unit:
-        raise AmbiguousMergeError(f"epsilon_merge {eps} is not small against the unit {unit:.6g}")
+        raise AmbiguousMergeError(f"merge radius {eps} is not small against the unit {unit:.6g}")
     points = np.concatenate([segs[:, 0:2], segs[:, 2:4]])
     parent = list(range(len(points)))
 
@@ -216,7 +214,7 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
         if mind < 2 * eps:
             raise AmbiguousMergeError(
                 f"two merged vertices are only {mind:.6g} apart "
-                f"(< 2 x epsilon_merge = {2 * eps:.6g})"
+                f"(< 2 x merge radius = {2 * eps:.6g})"
             )
     edges = []
     for s in range(len(segs)):
@@ -228,21 +226,22 @@ def cell_loop_build_graph(sf: SegmentFile, policy: MergePolicy) -> EmbeddedGraph
     return EmbeddedGraph(centroids / unit, tuple(edges), name=str(sf.metadata["name"]))
 
 
-def build_outcome(build, sf: SegmentFile, policy: MergePolicy):
+def build_outcome(build, sf: SegmentFile):
     try:
-        g = build(sf, policy)
+        g = build(sf)
     except (AmbiguousMergeError, DegenerateSegmentError) as exc:
         return type(exc).__name__, str(exc)
     return g.vertices.tobytes(), g.edges.tolist()
 
 
 def drawing(segments, eps: float = 1e-2):
-    return SegmentFile({"name": "drawing"}, np.array(segments, dtype=float)), MergePolicy(eps)
+    """Segments drawn for a merge radius of eps, scaled to the radius of 0.01."""
+    return SegmentFile({"name": "drawing"}, np.array(segments, dtype=float) * (1e-2 / eps))
 
 
 @st.composite
 def merge_drawings(draw):
-    """Drawings whose endpoints scatter around their vertices by about epsilon_merge.
+    """Drawings whose endpoints scatter around their vertices by about a merge radius eps.
 
     ``spread`` scales each endpoint's offset so that endpoints of one vertex
     end up just inside or just outside eps of each other; ``snap`` puts the
@@ -282,10 +281,9 @@ def merge_drawings(draw):
 @example(drawing([[0.009, 0, 1, 0], [0.0101, 0.5, 0.0099, 1.5], [0.02, 0.001, 1, 0.7]]))
 @example(drawing([[0.009 * k, 0, 1 + 0.009 * k, 1] for k in range(6)]))  # transitive chains
 @settings(max_examples=300)
-def test_build_graph_matches_cell_loop_reference(case):
-    sf, policy = case
-    expected = build_outcome(cell_loop_build_graph, sf, policy)
-    assert build_outcome(build_graph, sf, policy) == expected
+def test_build_graph_matches_cell_loop_reference(sf):
+    expected = build_outcome(lambda sf: cell_loop_build_graph(sf, 1e-2), sf)
+    assert build_outcome(build_graph, sf) == expected
 
 
 # -- bundled corpus -----------------------------------------------------------

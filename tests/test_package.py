@@ -46,11 +46,13 @@ def _named(tree):
 
 
 def test_every_public_function_has_a_caller():
-    """A public function or method that no program code outside its body names is dead API.
+    """A public function, method or module-level data name that no program code
+    outside its own definition names is dead API.
 
     Tests do not count as callers.  A method or property counts as named
     only through an attribute access (``x.name``): a module function or a
-    variable of the same name does not call it.
+    variable of the same name does not call it.  Data is a name bound by an
+    assignment at module level.
     """
     package = Path(matchsticks.__file__).parent
     root = package.parents[1]
@@ -74,6 +76,13 @@ def test_every_public_function_has_a_caller():
                         definitions.append(
                             (qualified, member.name, bool(owner), Counter(_named(member)))
                         )
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    definitions += [
+                        (f"{path.stem}.{target.id}", target.id, False, Counter(_named(node)))
+                        for target in targets
+                        if isinstance(target, ast.Name) and not target.id.startswith("_")
+                    ]
     assert definitions
 
     def count(names, name, method):

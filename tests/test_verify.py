@@ -356,7 +356,9 @@ def all_pairs_reference(g: EmbeddedGraph, tol: Tolerances = Tolerances()):
 
     ii, jj = np.triu_indices(v, k=1)
     vv = np.hypot(*(coords[ii] - coords[jj]).T)
-    pv = _point_segment_distance(coords[:, None, :], s0[None, :, :], s1[None, :, :])
+    # each vertex as a stick of zero length
+    p, q0, q1 = np.broadcast_arrays(coords[:, None, :], s0[None, :, :], s1[None, :, :])
+    pv = segment_pair_distance(p, p, q0, q1)
     incident = (np.arange(v)[:, None] == eidx[:, 0]) | (np.arange(v)[:, None] == eidx[:, 1])
     pv = np.where(incident, np.inf, pv)
     clearance = [("vertex-vertex", int(i), int(j), float(d))
@@ -418,6 +420,9 @@ beyond_range = np.array([[-1e308, 0.0], [7.976931348623157e307, 0.0], [8e307, 0.
 @example(EmbeddedGraph(np.zeros((0, 2))), Tolerances())  # nothing at all
 @example(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4))), Tolerances())
 @example(EmbeddedGraph(beyond_range, ((0, 3),)), Tolerances())
+# vertex 0 sits on the end of stick (1, 2): exactly 0 from it, as from vertex 2
+@example(EmbeddedGraph(np.array([[0.0, 0.01], [0.0, 0.51], [0.0, 0.01]]),
+                       ((0, 1), (0, 2), (1, 2))), Tolerances())
 @settings(max_examples=300)
 def test_grid_broad_phase_matches_all_pairs(g, tol):
     with np.errstate(over="ignore", invalid="ignore"):  # sticks ~1e300 long overflow
@@ -480,6 +485,19 @@ def test_huge_coordinates_keep_their_pairs():
         report = verify_matchstick(EmbeddedGraph(huge, ((0, 4), (1, 2), (2, 3), (3, 4))))
     assert ("vertex-vertex", 0, 1, 0.0) in report.clearance_violations
     assert ("vertex-edge", 1, 0, 0.0) in report.clearance_violations
+
+
+def test_sticks_crossing_beyond_two_to_the_1023_are_reported():
+    # every coordinate's power of two above is inf; the one at or below is not
+    coords = np.array([[-9e307, 0.0], [9e307, 0.0], [0.0, -9e307], [0.0, 9e307]])
+    g = EmbeddedGraph(coords, ((0, 1), (2, 3)))
+    with np.errstate(over="ignore"):  # the sticks' lengths overflow
+        report = verify_matchstick(g)
+        minima = min_clearances(g)
+    assert report.crossing_violations == ((0, 1, 0.0),)
+    assert bool(segment_pair_intersects(*coords))
+    assert np.isfinite(minima).all()
+    assert minima[0] == 0.0
 
 
 def test_vertex_near_a_stick_of_huge_extent_is_reported():
