@@ -246,7 +246,10 @@ def _cmd_construct_chain(args: argparse.Namespace) -> int:
     left = PartSpec(_load_graph(args.left), label=args.left)
     right = PartSpec(_load_graph(args.right), label=args.right)
     spacer = _load_graph(args.spacer) if args.spacer else None
-    chain = chain_extend(ChainSpec(left, right, args.spacers, spacer))
+    try:
+        chain = chain_extend(ChainSpec(left, right, args.spacers, spacer))
+    except MemoryError:
+        raise _UsageError(f"--spacers {args.spacers}: too many spacers to build in memory")
     return _certify_and_write(chain, args.output, args.json)
 
 

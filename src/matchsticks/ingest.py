@@ -119,12 +119,22 @@ def emit_segments(g: EmbeddedGraph) -> str:
 
 
 def estimate_unit(segments: np.ndarray) -> float:
-    """Median segment length (mean of the middle pair for even counts)."""
+    """Median segment length (mean of the middle pair for even counts).
+
+    Taken from the sorted lengths rather than ``np.median``, whose NaN check
+    imports ``numpy.ma``; the pair is added and halved as ``np.median`` does,
+    so the two agree bit for bit.
+    """
     segs = np.asarray(segments, dtype=float).reshape(-1, 4)
-    if len(segs) == 0:
+    k = len(segs)
+    if k == 0:
         raise ValueError("need at least one segment")
     lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-    return float(np.median(lengths))
+    ordered = np.sort(lengths)
+    if np.isnan(ordered[-1]):  # NaN sorts last; np.median gives NaN for it too
+        return float("nan")
+    middle = ordered[(k - 1) // 2 : k // 2 + 1]
+    return float(middle.sum() / len(middle))
 
 
 def max_unit_deviation(segments: np.ndarray) -> float:

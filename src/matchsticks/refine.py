@@ -343,7 +343,8 @@ class _BlockFactor:
 
     D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
     the gain G_k = P_k^-1 B_k^T.  The first solve forms them, carrying its
-    right-hand sides through the same elimination; later solves reuse them.
+    right-hand sides through the same elimination; later solves reuse them,
+    sweeping forward with G_k^T and then solving all pivots in one batch.
     Pivots are only ever applied with ``np.linalg.solve``: with a shift near
     an eigenvalue a pivot is nearly singular, and an explicit inverse would
     lose the small eigenvalues that rank decisions rest on.
@@ -356,8 +357,8 @@ class _BlockFactor:
         # padded rows hold the shift alone, so they sit below zero when it does
         padding = len(self._diagonal) * blocks.shape[1] - n
         self._negative_padding = padding if shift < 0 else 0
-        self._pivots: list[np.ndarray] = []
-        self._gains: list[np.ndarray] = []
+        self._pivots: np.ndarray | None = None
+        self._gains: np.ndarray | None = None
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """The solution for one right-hand side (n,) or several (n, p).
@@ -369,30 +370,32 @@ class _BlockFactor:
         y = np.zeros((nb * s, q))
         y[: self._n] = x.reshape(self._n, q)
         y = y.reshape(nb, s, q)
-        eliminate = not self._pivots
-        pivot = self._diagonal[0]
-        for k in range(nb - 1):
-            if eliminate:
+        if self._pivots is None:
+            pivots, gains = [], []
+            pivot = self._diagonal[0]
+            for k in range(nb - 1):
                 solved = np.linalg.solve(pivot, np.concatenate([self._below[k].T, y[k]], axis=1))
-                self._pivots.append(pivot)
-                self._gains.append(solved[:, :s])
+                pivots.append(pivot)
+                gains.append(solved[:, :s])
                 y[k] = solved[:, s:]
                 update = self._below[k] @ solved
                 pivot = self._diagonal[k + 1] - update[:, :s]
                 y[k + 1] -= update[:, s:]
-            else:
-                y[k] = np.linalg.solve(self._pivots[k], y[k])
-                y[k + 1] -= self._below[k] @ y[k]
-        if eliminate:
-            self._pivots.append(pivot)
-        y[-1] = np.linalg.solve(self._pivots[-1], y[-1])
+            pivots.append(pivot)
+            self._pivots = np.stack(pivots)
+            self._gains = np.array(gains).reshape(nb - 1, s, s)  # also for a single block
+            y[-1] = np.linalg.solve(pivot, y[-1])
+        else:
+            for k in range(nb - 1):
+                y[k + 1] -= self._gains[k].T @ y[k]
+            y = np.linalg.solve(self._pivots, y)
         for k in range(nb - 2, -1, -1):
             y[k] -= self._gains[k] @ y[k + 1]
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
 
     def negative_count(self) -> int:
         """How many eigenvalues are negative (Sylvester's law of inertia)."""
-        if not self._pivots:
+        if self._pivots is None:
             self.solve(np.zeros((self._n, 0)))
-        eigenvalues = np.linalg.eigvalsh(np.stack(self._pivots))
+        eigenvalues = np.linalg.eigvalsh(self._pivots)
         return int(np.count_nonzero(eigenvalues < 0)) - self._negative_padding

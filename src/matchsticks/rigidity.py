@@ -117,7 +117,7 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     """Rank and the smallest singular values (ascending), without a dense matrix.
 
     J^T J is assembled in the block-tridiagonal form that ``refine`` solves
-    with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a seeded
+    with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a fixed
     block of p vectors V towards the eigenvectors of the smallest
     eigenvalues; the Ritz values are the singular values of the e x p product
     J V, taken without squaring, and the iteration stops once they settle.
@@ -146,10 +146,9 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
         found = np.linalg.svd(np.einsum("rk,rkp->rp", values, v[rows]), compute_uv=False)
         return np.concatenate([np.zeros(v.shape[1] - len(found)), found[::-1]])
 
-    rng = np.random.default_rng(0)
     p = min(n, structural + 3 + 10 + 8)  # rigid motions, reported values, spares
     while True:
-        v = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        v = np.linalg.qr(_hashed_block(n, p))[0]
         theta = np.full(p, np.inf)
         watch = min(p, max(small, structural + 10))  # the values reported or counted
         for _ in range(_MAX_SWEEPS):
@@ -172,3 +171,17 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
             lo = m
     rank = min(e, n) - int(np.count_nonzero(tail <= rank_tol_factor * hi))
     return rank, tail
+
+
+def _hashed_block(n: int, p: int) -> np.ndarray:
+    """A fixed n x p start block with entries in [-1/2, 1/2).
+
+    Each entry is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
+    of its index: a deterministic stand-in for a random block that does not
+    import ``numpy.random`` and its dependencies.
+    """
+    z = np.arange(1, n * p + 1, dtype=np.uint64).reshape(n, p)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5

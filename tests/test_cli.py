@@ -174,12 +174,16 @@ def _binary_file(path):
         # 8e15 bytes of slots exceed the address space, so the allocation fails at once
         (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
          "--max 1000000000000000: too many counts to check in memory"),
+        # the 3.47 EiB tiling exceeds the address space, so it too fails at once
+        (lambda tmp: ["construct", "chain", "fig5a", "fig5c", "--spacers", "1000000000000000000"],
+         None, "--spacers 1000000000000000000: too many spacers to build in memory"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
          "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
          "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
-         "plan-cycle-two-joints", "plan-spacer-entered-one-side", "coverage-max-beyond-memory"],
+         "plan-cycle-two-joints", "plan-spacer-entered-one-side", "coverage-max-beyond-memory",
+         "chain-spacers-beyond-memory"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys

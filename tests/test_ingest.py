@@ -126,6 +126,17 @@ def test_estimate_unit_is_median_length():
     assert max_unit_deviation(segments) == pytest.approx(0.5)
 
 
+def test_estimate_unit_equals_np_median_exactly():
+    rng = np.random.default_rng(7)
+    for count in range(1, 201):  # odd and even counts
+        # rows drawn with replacement from a smaller pool repeat lengths exactly
+        pool = rng.uniform(-3.0, 3.0, (count // 3 + 1, 4))
+        segments = pool[rng.integers(0, len(pool), count)]
+        lengths = np.hypot(segments[:, 2] - segments[:, 0], segments[:, 3] - segments[:, 1])
+        assert estimate_unit(segments) == float(np.median(lengths)), count
+    assert np.isnan(estimate_unit([[0, 0, 1, 0], [np.nan, 0, 0, 0], [0, 0, 2, 0]]))
+
+
 @st.composite
 def spread_graphs(draw):
     """Graphs whose vertices stay far apart relative to the merge radius."""

@@ -1,8 +1,10 @@
 """Gauss-Newton refinement: Jacobian correctness, convergence, idempotence."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,24 +215,49 @@ def test_degenerate_rows_are_named_by_kind_and_vertices():
 
 
 def test_refine_imports_numpy_only():
-    # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package;
-    # the chain (215 vertices) takes the banded rigidity path
-    code = (
-        "import sys; from matchsticks import corpus, rigidity; "
-        "from matchsticks.construct import ChainSpec, PartSpec, chain_extend; "
-        "from matchsticks.refine import refine; "
-        "refine(corpus.load_graph('fig5a')); "
-        "parts = [PartSpec(corpus.refined_graph(n)) for n in ('fig5a', 'fig5c')]; "
-        "g = chain_extend(ChainSpec(*parts, 40)); "
-        "assert g.vertex_count >= rigidity._BANDED_FROM; "
-        "assert rigidity.analyze_rigidity(g).internal_flexes == 1; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy.sparse alone would add ~0.2 s and ~20 MB to every use of the package,
+    # and np.median (numpy.ma) and np.random (numpy.random, secrets, hashlib, the
+    # Cython runtime) together ~30 ms and ~7 MB.  None of them may be loaded at
+    # all, and after the imports no call on the certification path may load
+    # another module.  The 40-spacer chain (215 vertices) takes the banded
+    # rigidity path, the others the dense one.
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from matchsticks import cli, construct, corpus, rigidity
+        from matchsticks.counting import theorem1_coverage
+        from matchsticks.refine import refine
+        from matchsticks.verify import min_clearances, verify_matchstick
+
+        imported = set(sys.modules)
+        g = refine(corpus.load_graph("fig2a")).graph
+        assert verify_matchstick(g).is_matchstick and min(min_clearances(g)) > 0
+        assert rigidity.analyze_rigidity(g).rigid
+        parts = [construct.PartSpec(corpus.refined_graph(n)) for n in ("fig2a", "fig2b", "fig2c")]
+        assert verify_matchstick(construct.realize(construct.ring_plan(parts))).is_matchstick
+        ends = [construct.PartSpec(corpus.refined_graph(n)) for n in ("fig5a", "fig5c")]
+        g = construct.chain_extend(construct.ChainSpec(*ends, 40))
+        assert g.vertex_count >= rigidity._BANDED_FROM
+        assert rigidity.analyze_rigidity(g).internal_flexes == 1
+        assert theorem1_coverage(2000).complete
+        library = set(sys.modules) - imported
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "fig2a"]) == 0
+            assert cli.main(["construct", "chain", "fig5a", "fig5c", "--spacers", "20"]) == 0
+        command_line = set(sys.modules) - imported - library
+        heavy = [m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])
+                 or m.split(".")[0] == "scipy"]
+        print(json.dumps([sorted(library), sorted(command_line), sorted(heavy)]))
+        """
     )
     env = {**os.environ, "PYTHONPATH": str(Path(matchsticks.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    library, command_line, heavy = json.loads(out.stdout)
+    assert library == [] and heavy == []
+    # argparse translates its messages through gettext, which imports locale
+    assert set(command_line) <= {"locale", "_locale"}
 
 
 @pytest.mark.parametrize("unit", [1.0, 2.5])
