@@ -25,8 +25,9 @@ stdout and exit codes for every command in the sweep.  The sweep:
 - ``construct from-plan --json`` on a three-part ring plan, written to a
   temporary directory that the printed arguments name as ``TMP``;
 - the default text output of ``catalog``, ``coverage --max 2000
-  --witnesses``, ``enumerate``, seven of the commands above and of
-  ``verify``, ``verify --raw``, ``rigidity`` and ``refine`` for three drawings.
+  --witnesses``, ``coverage --max 50000 --witnesses``, ``coverage --max
+  50000``, ``enumerate``, seven of the commands above and of ``verify``,
+  ``verify --raw``, ``rigidity`` and ``refine`` for three drawings.
 
 Usage: PYTHONPATH=src python scripts/cli_digest.py
 """
@@ -95,6 +96,8 @@ def sweep(plan_path: str) -> list[list[str]]:
         ["construct", "mirror", "fig2a"],  # exits 1
         ["construct", "from-plan", plan_path],
         ["coverage", "--max", "2000", "--witnesses"],
+        ["coverage", "--max", "50000", "--witnesses"],
+        ["coverage", "--max", "50000"],
         ["enumerate"],
     ]
     return commands

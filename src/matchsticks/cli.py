@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -90,27 +91,12 @@ def _converged(result: RefineResult) -> EmbeddedGraph:
 
 
 def _print_json(payload: dict[str, object]) -> None:
-    """Print ``json.dumps(payload, indent=2)``.
+    print(json.dumps(payload, indent=2))
 
-    With an indent, ``json.dumps`` runs its pure-Python encoder, which is slow
-    on a large table such as coverage's witnesses.  So a top-level value that
-    is a non-empty dict with only int keys and only str values is written here,
-    one entry per line, each value through the C string escaper that
-    ``json.dumps`` itself uses.  Every other value goes through ``json.dumps``.
-    The text is the same either way.
-    """
-    pieces = []
-    for key, value in payload.items():
-        pieces += [",\n  " if pieces else "{\n  ", encode_basestring_ascii(key), ": "]
-        if (isinstance(value, dict) and {*map(type, value)} == {int}
-                and {*map(type, value.values())} == {str}):
-            rows = ",\n".join(
-                f'    "{k}": {encode_basestring_ascii(v)}' for k, v in value.items()
-            )
-            pieces += ["{\n", rows, "\n  }"]
-        else:
-            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    print(*pieces, "\n}" if pieces else "{}", sep="")
+
+def _json_escape(text: str) -> str:
+    """``text`` as inside a JSON string, through the escaper ``json.dumps`` uses."""
+    return encode_basestring_ascii(text)[1:-1]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -273,18 +259,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
+    """Write the witness table a window at a time, as ``WitnessTable.rows`` renders it;
+    ``--json`` prints the text of ``json.dumps(cert.to_json_dict(), indent=2)``."""
     try:
         cert = theorem1_coverage(args.max)
     except MemoryError:
         raise _UsageError(f"--max {args.max}: too many counts to check in memory")
     if args.json:
-        _print_json(cert.to_json_dict())
+        head = json.dumps(replace(cert, witnesses={}).to_json_dict(), indent=2)
+        sys.stdout.write(head.removesuffix("{}\n}") + "{")
+        separator = "\n"
+        for rows in cert.witnesses.rows('    "', '": "', _json_escape, '"'):
+            if rows:
+                sys.stdout.write(separator + ",\n".join(rows))
+                separator = ",\n"
+        print("\n  }\n}" if cert.witnesses else "}\n}")
     else:
         missing = ", ".join(str(v) for v in cert.missing) if cert.missing else "none"
-        lines = [f"range: [63, {cert.max_check}]", f"missing: {missing}"]
+        print(f"range: [63, {cert.max_check}]\nmissing: {missing}")
         if args.witnesses:
-            lines.extend(f"  {v}: {w}" for v, w in cert.witnesses.items())
-        print("\n".join(lines))
+            for rows in cert.witnesses.rows("  ", ": "):
+                if rows:
+                    print("\n".join(rows))
     return EXIT_OK if cert.complete else EXIT_DOMAIN
 
 

@@ -11,9 +11,10 @@ certificate with one witness per covered count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable, ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from typing import Mapping
+from itertools import chain, combinations_with_replacement, compress
 
 _TABLE_COLUMN_ROWS = 8  # text layout: column-major blocks of 8 rows
 
@@ -139,6 +140,15 @@ class ArithmeticFamily:
                 f"stride must be >= 1"
             )
 
+    def members(self, lo: int, hi: int) -> range:
+        """The member indices n with lo <= offset + stride*n < hi."""
+        offset, stride = self.offset, self.stride
+        return range(max(0, -((offset - lo) // stride)), (hi - 1 - offset) // stride + 1)
+
+    def witness_affixes(self) -> tuple[str, str]:
+        """The witness of member n reads ``before + str(n) + after``."""
+        return f"family {self.offset}+{self.stride}n at n=", f": {self.description}"
+
 
 @dataclass(frozen=True)
 class CoverageSources:
@@ -180,6 +190,99 @@ DEFAULT_COVERAGE = CoverageSources(
     ),
 )
 
+WINDOW = 6144  # counts rendered at a time; output holds one window's rows, never the table
+
+
+class WitnessTable(Mapping[int, str]):
+    """Read-only view: covered count -> witness text, in ascending count order.
+
+    It stores the explicit witnesses (ring table, mirror doubles, corpus
+    graphs, extra rings; at most one per count), the families and one mark
+    per count; a family member's text is made only when it is read.  Every
+    bulk read goes through ``rows``, which renders a window of counts at a
+    time: each family fills a strided slice of the window from a template,
+    families in reverse order so that the first family wins, and then the
+    explicit witnesses, which win over every family, overwrite their rows.
+    """
+
+    def __init__(
+        self,
+        max_check: int,
+        explicit: Mapping[int, str],
+        families: tuple[ArithmeticFamily, ...],
+        marks: bytearray,
+    ) -> None:
+        self._max_check = max_check
+        self._explicit = dict(sorted(explicit.items()))
+        self._explicit_counts = list(self._explicit)
+        self._families = families
+        self._marks = marks  # marks[v - 63] is nonzero iff v is covered
+        self._len = len(marks) - marks.count(0)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(63, self._max_check + 1), self._marks)
+
+    def __getitem__(self, v: int) -> str:
+        if isinstance(v, int) and 63 <= v <= self._max_check:
+            if v in self._explicit:
+                return self._explicit[v]
+            for f in self._families:
+                if n := f.members(v, v + 1):
+                    before, after = f.witness_affixes()
+                    return f"{before}{n[0]}{after}"
+        raise KeyError(v)
+
+    def items(self) -> ItemsView[int, str]:
+        return _Items(self)
+
+    def rows(
+        self,
+        lead: str | None = None,
+        sep: str = "",
+        escape: Callable[[str], str] = str,
+        close: str = "",
+    ) -> Iterator[list[str]]:
+        """The table as the rows of one window of ``WINDOW`` counts at a time.
+
+        Each window's list holds the row of each covered count v in it,
+        ascending: ``lead + str(v) + sep + escape(witness) + close``, or,
+        with ``lead`` None, that row without ``lead + str(v)``.  ``escape``
+        must act character by character and leave digits alone, so that
+        each family's text is escaped once around its member index.
+        """
+        with_count = lead is not None
+        templates = [  # (family, row text before the member index, row text after it)
+            (f, sep + escape(before), escape(after) + close)
+            for f in reversed(self._families)
+            for before, after in [f.witness_affixes()]
+        ]
+        counts = self._explicit_counts
+        for lo in range(63, self._max_check + 1, WINDOW):
+            hi = min(lo + WINDOW, self._max_check + 1)
+            rows: list[str | None] = [None] * (hi - lo)
+            for f, head, tail in templates:
+                offset, stride = f.offset, f.stride
+                if members := f.members(lo, hi):
+                    rows[offset + stride * members[0] - lo :: stride] = (
+                        [f"{lead}{offset + stride * n}{head}{n}{tail}" for n in members]
+                        if with_count else [f"{head}{n}{tail}" for n in members]
+                    )
+            for v in counts[bisect_left(counts, lo) : bisect_left(counts, hi)]:
+                witness = f"{sep}{escape(self._explicit[v])}{close}"
+                rows[v - lo] = f"{lead}{v}{witness}" if with_count else witness
+            if self._marks.find(0, lo - 63, hi - 63) >= 0:
+                rows = [row for row in rows if row is not None]
+            yield rows
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, chain.from_iterable(self._mapping.rows()))
+
+
 @dataclass(frozen=True)
 class CoverageCertificate:
     """Outcome of the coverage check over [63, max_check].
@@ -201,8 +304,11 @@ class CoverageCertificate:
             "range": [63, self.max_check],
             "complete": self.complete,
             "missing": list(self.missing),
-            "witnesses": dict(self.witnesses),
+            "witnesses": dict(self.witnesses.items()),
         }
+
+
+_MISSING = bytes([1]) + bytes(255)  # translation table: mark 0 -> 1, any other -> 0
 
 
 def theorem1_coverage(
@@ -212,40 +318,32 @@ def theorem1_coverage(
 
     Witness precedence per count: ring combination from the inventory table,
     then mirror double, explicit corpus graph, extra ring, and finally the
-    arithmetic families (which alone cover everything from 94 upward when
-    their strides partition the residues).  Sources are written one at a
-    time in reverse precedence, so a stronger source overwrites a weaker one;
-    each family fills its members as one strided slice.
+    arithmetic families in order (which alone cover everything from 94
+    upward when their strides partition the residues).  Only one mark per
+    count is made here, each family's as one strided slice; the witness
+    texts are made when the table is read (see ``WitnessTable``).
     """
     if max_check < 63:
         raise ValueError("max_check must be >= 63")
-    slots: list[str | None] = [None] * (max_check - 62)  # slots[v - 63]: witness of v
+    marks = bytearray(max_check - 62)  # marks[v - 63]: 1 if v is covered
+    for f in sources.families:
+        if members := f.members(63, max_check + 1):
+            marks[f.offset + f.stride * members[0] - 63 :: f.stride] = b"\x01" * len(members)
 
-    for family in reversed(sources.families):
-        offset, stride = family.offset, family.stride
-        # member indices n with 63 <= offset + stride*n <= max_check
-        members = range(max(0, -((offset - 63) // stride)), (max_check - offset) // stride + 1)
-        if members:
-            prefix = f"family {offset}+{stride}n at n="
-            suffix = f": {family.description}"
-            slots[offset + stride * members[0] - 63 :: stride] = [
-                f"{prefix}{n}{suffix}" for n in members
-            ]
-
-    explicit = (  # weakest first
+    explicit: dict[int, str] = {}
+    for table in (  # weakest first, so a stronger source overwrites a weaker one
         sources.extra_rings,
         {v: f"corpus graph {name}" for v, name in sources.corpus_graphs.items()},
         {v: f"mirror double of {name}" for v, name in sources.mirror_doubles.items()},
         _ring_witnesses(sources.inventory, sources.ring_size),
-    )
-    for table in explicit:
+    ):
         for v, witness in table.items():
             if 63 <= v <= max_check:
-                slots[v - 63] = witness
+                explicit[v] = witness
+                marks[v - 63] = 1
 
-    counts = range(63, max_check + 1)
-    missing = tuple(v for v, w in zip(counts, slots) if w is None)
-    witnesses = {v: w for v, w in zip(counts, slots) if w is not None}
+    missing = tuple(compress(range(63, max_check + 1), marks.translate(_MISSING)))
+    witnesses = WitnessTable(max_check, explicit, sources.families, marks)
     return CoverageCertificate(max_check, missing, witnesses)
 
 

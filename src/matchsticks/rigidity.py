@@ -84,10 +84,12 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     """Classify g as infinitesimally rigid or flexible.
 
     rank = number of singular values above rank_tol_factor times the largest.
-    Note the one-sided soundness: finite flexibility implies an infinitesimal
-    flex, so "flexible" claims are certified; a symmetric framework can be
-    rigid yet still show an infinitesimal flex, so a nonzero flex count for a
-    supposedly rigid graph warrants looking at the singular-value tail.
+    Soundness runs one way only: no internal flex (``internal_flexes == 0``)
+    proves infinitesimal, and so finite, rigidity, as far as the numerical
+    rank is right.  A first-order flex ("flexible") only fails to prove
+    rigidity: a symmetric framework can be rigid yet still show an
+    infinitesimal flex, so a nonzero flex count for a supposedly rigid graph
+    warrants looking at the singular-value tail.
     rank_tol_factor must lie strictly between 0 and 1 (ValueError otherwise).
     """
     if not 0.0 < rank_tol_factor < 1.0:  # also refuses NaN

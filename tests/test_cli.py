@@ -27,7 +27,14 @@ from matchsticks.construct import (
     realize,
     ring_plan,
 )
-from matchsticks.counting import DEFAULT_COVERAGE, CoverageSources, Inventory, theorem1_coverage
+from matchsticks.counting import (
+    DEFAULT_COVERAGE,
+    WINDOW,
+    ArithmeticFamily,
+    CoverageSources,
+    Inventory,
+    theorem1_coverage,
+)
 from matchsticks.refine import refine
 from matchsticks.rigidity import analyze_rigidity
 from matchsticks.verify import Tolerances, verify_matchstick
@@ -171,7 +178,7 @@ def _binary_file(path):
             {"parts": ["fig5a", "fig5b", "fig5a"],
              "identifications": [[0, 0, 1, 0], [0, 1, 1, 2], [1, 1, 2, 0], [1, 3, 2, 1]]}))],
          None, "error: chain joints do not respect spacer port pairs"),
-        # 8e15 bytes of slots exceed the address space, so the allocation fails at once
+        # a mark per count is 1e15 bytes, beyond the address space, so the allocation fails at once
         (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
          "--max 1000000000000000: too many counts to check in memory"),
         # the 3.47 EiB tiling exceeds the address space, so it too fails at once
@@ -701,23 +708,76 @@ ODD_WITNESSES = CoverageSources(
     mirror_doubles={},
     corpus_graphs={},
     extra_rings={64: 'say "ring"', 65: "back\\slash", 66: "bell\x07\ttab\n", 67: "Möbius ∞"},
-    families=(),
+    families=(ArithmeticFamily(68, 2, 'say "spacer" \\ ∞'),),  # 69 stays missing
 )
 # the smallest ring has 297 vertices, so at --max 63 the witness table is {}
-NO_WITNESSES = dataclasses.replace(ODD_WITNESSES, inventory=Inventory((100,)), extra_rings={})
+NO_WITNESSES = dataclasses.replace(ODD_WITNESSES, inventory=Inventory((100,)), extra_rings={}, families=())
+# without the 94 family, every third count from 121 up is missing between the other families' members
+GAPS = dataclasses.replace(DEFAULT_COVERAGE, families=DEFAULT_COVERAGE.families[1:])
 
-
-@pytest.mark.parametrize(
+COVERAGE_CASES = pytest.mark.parametrize(
     "max_check, sources",
     [
         *((m, DEFAULT_COVERAGE) for m in (63, 70, 2000, 50_000)),
         (70, ODD_WITNESSES),
         (63, NO_WITNESSES),
+        # the table of [63, max] has one count fewer than a rendering window, as many, one more
+        *((62 + WINDOW + d, DEFAULT_COVERAGE) for d in (-1, 0, 1)),
+        (62 + WINDOW + 1, GAPS),
     ],
-    ids=["max-63", "max-70", "max-2000", "max-50000", "escaped-witnesses", "no-witnesses"],
+    ids=["max-63", "max-70", "max-2000", "max-50000", "escaped-witnesses", "no-witnesses",
+         "window-less-one", "window", "window-plus-one", "gaps"],
 )
-def test_coverage_json_is_json_dumps(max_check, sources, capsys):
-    assert _prints_json_dumps(theorem1_coverage(max_check, sources).to_json_dict(), capsys)
+
+
+def _coverage_stdout(max_check, sources, flag, monkeypatch, capsys):
+    """The coverage certificate of ``sources`` and what ``coverage --max max_check flag`` prints for it."""
+    monkeypatch.setattr(cli, "theorem1_coverage", lambda m: theorem1_coverage(m, sources))
+    cert = theorem1_coverage(max_check, sources)
+    assert main(["coverage", "--max", str(max_check), flag]) == (0 if cert.complete else 1)
+    return cert, capsys.readouterr().out
+
+
+@COVERAGE_CASES
+def test_coverage_json_is_json_dumps(max_check, sources, monkeypatch, capsys):
+    cert, out = _coverage_stdout(max_check, sources, "--json", monkeypatch, capsys)
+    assert out == json.dumps(cert.to_json_dict(), indent=2) + "\n"
+
+
+@COVERAGE_CASES
+def test_coverage_witnesses_lists_each_covered_count(max_check, sources, monkeypatch, capsys):
+    cert, out = _coverage_stdout(max_check, sources, "--witnesses", monkeypatch, capsys)
+    witnesses = cert.witnesses  # read one count at a time, not through the windowed renderer
+    lines = [f"range: [63, {max_check}]", "missing: " + (", ".join(map(str, cert.missing)) or "none")]
+    lines += [f"  {v}: {witnesses[v]}" for v in range(63, max_check + 1) if v in witnesses]
+    assert out == "\n".join(lines) + "\n"
+
+
+class _CountingSink:
+    """A stdout that keeps only how many characters were written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_coverage_json_never_holds_the_whole_table():
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["coverage", "--max", "50000", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 4e6  # the 49,938 witnesses take about 4.2 MB of text
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from matchsticks import cli
 from matchsticks.counting import (
     DEFAULT_COVERAGE,
     PART_INVENTORY,
+    WINDOW,
     ArithmeticFamily,
     CoverageSources,
     CoverageTable,
@@ -280,6 +281,23 @@ def test_coverage_matches_the_reference_loop(sources, max_check):
     cert = theorem1_coverage(max_check, sources)
     assert (cert.witnesses, cert.missing) == reference_coverage(max_check, sources)
     assert list(cert.witnesses) == sorted(cert.witnesses)  # to_json_dict and the CLI rely on it
+
+
+@pytest.mark.parametrize("sources", [DEFAULT_COVERAGE, WITHOUT_94_FAMILY], ids=["complete", "gaps"])
+@pytest.mark.parametrize("windows", [1, 2])
+def test_witness_table_reads_the_same_every_way(sources, windows):
+    """Across a rendering window's edge, every read of the view agrees with the reference loop."""
+    max_check = 62 + WINDOW * windows + 1
+    witnesses, missing = reference_coverage(max_check, sources)
+    cert = theorem1_coverage(max_check, sources)
+    table = cert.witnesses
+    assert cert.missing == missing and len(table) == len(witnesses)
+    assert list(table) == list(witnesses) and list(table.values()) == list(witnesses.values())
+    assert list(table.items()) == list(witnesses.items())
+    assert {v: table[v] for v in witnesses} == witnesses
+    assert cert.to_json_dict()["witnesses"] == witnesses
+    for v in (*missing[:3], 62, max_check + 1, str(max_check)):
+        assert v not in table and table.get(v) is None
 
 
 @pytest.mark.parametrize(

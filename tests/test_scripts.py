@@ -33,7 +33,7 @@ def test_cli_digest_prints_the_same_digests_twice():
     first, second = run_script("cli_digest.py"), run_script("cli_digest.py")
     assert first == second
     *commands, sweep = first
-    assert len(commands) == 169 and sweep.endswith("  sweep")
+    assert len(commands) == 171 and sweep.endswith("  sweep")
     codes = {" ".join(line.split()[2:]): line.split()[1] for line in commands}
     # every command succeeds but the failing fig2a double, the bad port, the
     # verifications at a separation most drawings do not keep and the refines
