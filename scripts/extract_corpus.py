@@ -11,6 +11,10 @@ as metadata and are re-checked by the test suite.
 Usage:
     python scripts/extract_corpus.py <source.tex> <output-dir>
 
+Exits 0 once every file is written, 1 when the source holds a different
+number of figures than the manifest names, and 2 on a usage error or a
+source or output that cannot be read or written.
+
 The committed files under src/matchsticks/corpus/ are the primary artifact;
 this script documents how they were produced.
 """
@@ -63,13 +67,27 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     source_path, out_dir = Path(argv[1]), Path(argv[2])
-    figures = extract(source_path.read_text())
+    try:
+        figures = extract(source_path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {source_path}: {exc}", file=sys.stderr)
+        return 2
     if len(figures) != len(FIGURE_MANIFEST):
         print(
             f"expected {len(FIGURE_MANIFEST)} tikzpicture blocks, found {len(figures)}",
             file=sys.stderr,
         )
         return 1
+    try:
+        write_corpus(figures, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def write_corpus(figures: list[list[tuple[str, str, str, str]]], out_dir: Path) -> None:
+    """One segment file per manifest entry, its metadata lines first."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for (name, vertices, profile, rigidity), segments in zip(FIGURE_MANIFEST, figures):
         lines = [
@@ -83,7 +101,6 @@ def main(argv: list[str]) -> int:
         path = out_dir / f"{name}.seg"
         path.write_text("\n".join(lines) + "\n")
         print(f"{path}: {len(segments)} segments")
-    return 0
 
 
 if __name__ == "__main__":

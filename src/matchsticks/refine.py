@@ -343,11 +343,15 @@ class _BlockFactor:
 
     D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
     the gain G_k = P_k^-1 B_k^T.  The first solve forms them, carrying its
-    right-hand sides through the same elimination; later solves reuse them,
-    sweeping forward with G_k^T and then solving all pivots in one batch.
-    Pivots are only ever applied with ``np.linalg.solve``: with a shift near
-    an eigenvalue a pivot is nearly singular, and an explicit inverse would
-    lose the small eigenvalues that rank decisions rest on.
+    right-hand sides through the same elimination with ``np.linalg.solve``
+    on each pivot, so it is backward stable however close to singular the
+    shifted matrix is; it is the only solve that ``refine`` and the inertia
+    counts make.  Later solves reuse the gains, sweeping forward with G_k^T,
+    and apply the pivots as inverse products, formed in one batch on the
+    first reuse.  Their forward error is about the condition number times
+    eps, which suits a positive shift such as that of ``rigidity``'s inverse
+    iteration (condition up to about 1e9): its values come from J V, not
+    from the solve.
     """
 
     def __init__(self, blocks: np.ndarray, shift: float, n: int) -> None:
@@ -359,6 +363,7 @@ class _BlockFactor:
         self._negative_padding = padding if shift < 0 else 0
         self._pivots: np.ndarray | None = None
         self._gains: np.ndarray | None = None
+        self._inverses: np.ndarray | None = None
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """The solution for one right-hand side (n,) or several (n, p).
@@ -388,7 +393,9 @@ class _BlockFactor:
         else:
             for k in range(nb - 1):
                 y[k + 1] -= self._gains[k].T @ y[k]
-            y = np.linalg.solve(self._pivots, y)
+            if self._inverses is None:
+                self._inverses = np.linalg.inv(self._pivots)
+            y = self._inverses @ y
         for k in range(nb - 2, -1, -1):
             y[k] -= self._gains[k] @ y[k + 1]
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)

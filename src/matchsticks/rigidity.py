@@ -13,8 +13,11 @@ Small graphs take a dense SVD.  From ``_BANDED_FROM`` vertices on, where the
 dense SVD's cubic cost overtakes it, they come from block inverse iteration
 on J^T J in the block-tridiagonal storage of ``refine``'s solver, with
 Sylvester inertia counts on the same factorization to make sure no small
-singular value is missed and to bracket the largest.  Memory and time then
-grow linearly in the vertex count for long, thin drawings such as chains.
+singular value is missed and to bracket the largest.  The shifted matrix is
+factored once; each sweep then costs a forward sweep, one batched product
+with the pivots' inverses, a back substitution and a CholeskyQR
+orthonormalization, all on small blocks.  Memory and time grow linearly in
+the vertex count for long, thin drawings such as chains.
 """
 
 from __future__ import annotations
@@ -121,8 +124,12 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     J^T J is assembled in the block-tridiagonal form that ``refine`` solves
     with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a fixed
     block of p vectors V towards the eigenvectors of the smallest
-    eigenvalues; the Ritz values are the singular values of the e x p product
-    J V, taken without squaring, and the iteration stops once they settle.
+    eigenvalues, orthonormalizing V after each solve (``_orthonormal``); the
+    Ritz values are the singular values of the e x p product J V, taken
+    without squaring, and the iteration stops once they settle between two
+    sweeps.  The first sweep is only compared with infinity, so unless the
+    block spans the whole space (p = n, where one sweep is exact) its Ritz
+    values are not computed.
     Every singular value below mu must be among them: Sylvester's law of
     inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
     as many Ritz values lie below mu.  sigma_max lies between the square
@@ -150,11 +157,13 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
 
     p = min(n, structural + 3 + 10 + 8)  # rigid motions, reported values, spares
     while True:
-        v = np.linalg.qr(_hashed_block(n, p))[0]
+        v = _orthonormal(_hashed_block(n, p))
         theta = np.full(p, np.inf)
         watch = min(p, max(small, structural + 10))  # the values reported or counted
-        for _ in range(_MAX_SWEEPS):
-            v = np.linalg.qr(inverse.solve(v))[0]
+        for sweep in range(_MAX_SWEEPS):
+            v = _orthonormal(inverse.solve(v))
+            if sweep == 0 and p < n:
+                continue
             previous, theta = theta, ritz(v)
             settled = np.max(np.abs(theta[:watch] - previous[:watch])) <= _SETTLED * hi
             if settled:
@@ -173,6 +182,30 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
             lo = m
     rank = min(e, n) - int(np.count_nonzero(tail <= rank_tol_factor * hi))
     return rank, tail
+
+
+def _orthonormal(w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns Q with w = Q R, R upper triangular (w of full rank).
+
+    Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa,
+    SIAM J. Sci. Comput. 42, 2020): three passes of Q = w R^-1, with R the
+    Cholesky factor of the Gram matrix.  The first Gram matrix is shifted by
+    11 (mp + p(p + 1)) u times its trace (u the unit roundoff), enough for
+    its Cholesky factor to exist in floating point; that pass lowers the
+    condition number far enough for the two unshifted passes, which leave Q
+    orthonormal to rounding.  This holds for condition numbers of w up to
+    1e12 and beyond, well above the 1e9 or so of the inverse iteration's
+    blocks, (J^T J + delta I)^-1 V with V orthonormal.  On those tall, thin
+    blocks it is several times faster than a Householder QR.
+    """
+    m, p = w.shape
+    gram = w.T @ w
+    shift = 11 * (m * p + p * (p + 1)) * 2.0**-53 * np.trace(gram)
+    upper = np.linalg.cholesky(gram + shift * np.eye(p)).T
+    for _ in range(2):
+        w = w @ np.linalg.inv(upper)
+        upper = np.linalg.cholesky(w.T @ w).T
+    return w @ np.linalg.inv(upper)
 
 
 def _hashed_block(n: int, p: int) -> np.ndarray:

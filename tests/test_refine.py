@@ -498,3 +498,28 @@ def test_block_factor_matches_dense_linear_algebra(
     # a backward-error check: it holds however close to singular the matrix is
     scale = np.abs(matrix).max() * np.abs(got).max()
     np.testing.assert_allclose(matrix @ got, rhs, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", SOLVER_EXAMPLES, ids=["one-block", "several-blocks", "padded"])
+@pytest.mark.parametrize("of_top, absolute", [(1e-8, 0.0), (0.0, 1.0)], ids=["1e-8-top", "1.0"])
+@pytest.mark.parametrize("columns", [1, 8])
+def test_block_factor_repeated_solves_match_dense_linear_algebra(case, of_top, absolute, columns):
+    # solves after the first apply the pivots as inverse products; at a
+    # positive shift their forward error stays within n * kappa * eps
+    case = solver_case(*case)
+    coords, links = eliminated(*case)[:2]
+    system = banded_system(*case)
+    system.assemble(coords, np.zeros(len(links)))
+    shift = of_top * system.bounds()[0] + absolute
+    J = dense_jacobian(coords, links)[:, system.unknowns]
+    matrix = J.T @ J + shift * np.eye(J.shape[1])
+    bound = len(matrix) * np.linalg.cond(matrix) * np.finfo(float).eps
+    factor = system.factor(shift)
+    rng = np.random.default_rng(columns)
+    factor.solve(rng.standard_normal(len(matrix)))  # forms the pivots and gains
+    for _ in range(3):
+        rhs = rng.standard_normal((len(matrix), columns))
+        want = np.linalg.solve(matrix, rhs)
+        got = factor.solve(rhs)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())

@@ -250,3 +250,39 @@ def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
         tracemalloc.stop()
     assert report.internal_flexes == 1
     assert peak < 12e6
+
+
+# -- orthonormalization of the iteration's blocks -------------------------------
+
+
+def conditioned_block(m: int, p: int, condition: float, seed: int) -> np.ndarray:
+    """An m x p block whose singular values fall evenly, in decades, from 1 to 1/condition."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    right = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return (left * np.logspace(0, -math.log10(condition), p)) @ right.T
+
+
+def assert_orthonormal_basis(w: np.ndarray) -> None:
+    q = rigidity._orthonormal(w)
+    assert q.shape == w.shape
+    np.testing.assert_allclose(q.T @ q, np.eye(w.shape[1]), rtol=0, atol=1e-14)
+    r = q.T @ w
+    scale = np.abs(w).max()
+    # q spans w's columns, and its first k columns span w's first k (r is triangular)
+    np.testing.assert_allclose(q @ r, w, rtol=0, atol=1e-14 * scale)
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "shape, condition",
+    [(shape, condition) for shape in [(1092, 21), (300, 7), (60, 60)]
+     for condition in [1.0, 1e3, 1e6, 1e9, 1e12]] + [((40, 1), 1.0)],
+)
+def test_orthonormal_is_exact_to_rounding_up_to_condition_1e12(shape, condition):
+    assert_orthonormal_basis(conditioned_block(*shape, condition, seed=shape[1]) * 1e3)
+
+
+@pytest.mark.parametrize("n, p", [(1092, 23), (8, 8), (182, 182), (300, 84)])
+def test_orthonormal_on_the_hashed_start_block(n, p):
+    assert_orthonormal_basis(rigidity._hashed_block(n, p))
