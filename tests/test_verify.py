@@ -154,7 +154,10 @@ def segment_pairs(draw):
     kind = draw(st.sampled_from(["free", "near", "crossing"]))
     if kind == "free":
         return a0, a1, np.array(draw(wide_point)), np.array(draw(wide_point))
-    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    # t below 1e-6 would put on_a outside the decades above (t = 5e-324 on
+    # a0 = (0, 0) gives a subnormal coordinate, which the reference's larger
+    # per-pair scale rounds to 0)
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0))
     on_a = a0 + t * (a1 - a0)
     normal = np.array([a0[1] - a1[1], a1[0] - a0[0]])
     if kind == "near":  # b0 a relative 1e-16..1e-3 off segment a
