@@ -127,9 +127,10 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     eigenvalues, orthonormalizing V after each solve (``_orthonormal``); the
     Ritz values are the singular values of the e x p product J V, taken
     without squaring, and the iteration stops once they settle between two
-    sweeps.  The first sweep is only compared with infinity, so unless the
-    block spans the whole space (p = n, where one sweep is exact) its Ritz
-    values are not computed.
+    sweeps.  Unless the block spans the whole space (p = n, where one sweep
+    is exact), the first sweep's Ritz values are not computed: that saves
+    one SVD per block size, and the earliest stop is the third sweep, whose
+    values are compared with the second's.
     Every singular value below mu must be among them: Sylvester's law of
     inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
     as many Ritz values lie below mu.  sigma_max lies between the square

@@ -121,15 +121,22 @@ def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np
 
 
 def segment_pair_intersects(a0, a1, b0, b1) -> np.ndarray:
-    """Strict proper crossing (interiors cross); touching does not count."""
+    """Strict proper crossing (interiors cross); touching does not count.
+
+    The pair's scale keeps the differences of coordinates finite; each
+    difference is then scaled by its own power of two, so that a cross term
+    of a component near 1 and a tiny one keeps its magnitude instead of
+    underflowing to 0 (a crossing 5e-324 from an endpoint is still one).
+    """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
     scale = _scale(a0, a1, b0, b1)
     a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
-    d1, d2 = a1 - a0, b1 - b0
-    s1 = _cross(d1, b0 - a0)
-    s2 = _cross(d1, b1 - a0)
-    s3 = _cross(d2, a0 - b0)
-    s4 = _cross(d2, a1 - b0)
+    w = np.stack([a1 - a0, b1 - b0, b0 - a0, b1 - a0, a1 - b0])
+    d1, d2, ab0, ab1, ba1 = w / _scale(w)
+    s1 = _cross(d1, ab0)
+    s2 = _cross(d1, ab1)
+    s3 = _cross(d2, -ab0)
+    s4 = _cross(d2, ba1)
     # signs, not products: products of tiny scaled cross terms would underflow to 0
     return (np.sign(s1) * np.sign(s2) < 0) & (np.sign(s3) * np.sign(s4) < 0)
 

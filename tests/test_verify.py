@@ -154,10 +154,7 @@ def segment_pairs(draw):
     kind = draw(st.sampled_from(["free", "near", "crossing"]))
     if kind == "free":
         return a0, a1, np.array(draw(wide_point)), np.array(draw(wide_point))
-    # t below 1e-6 would put on_a outside the decades above (t = 5e-324 on
-    # a0 = (0, 0) gives a subnormal coordinate, which the reference's larger
-    # per-pair scale rounds to 0)
-    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     on_a = a0 + t * (a1 - a0)
     normal = np.array([a0[1] - a1[1], a1[0] - a0[0]])
     if kind == "near":  # b0 a relative 1e-16..1e-3 off segment a
@@ -172,6 +169,7 @@ def segment_pairs(draw):
 @example([(np.array([0.0, 0]), np.array([1.0, 0]), np.array([0.5, 5e-5]), np.array([1.5, 5e-5]))])
 @example([(np.array([0.0, 0]), np.array([1.0, 0]), np.array([0.5, -1]), np.array([0.5, 1]))])
 @example([(np.array([1e100, 0]), np.array([-1e100, 0]), np.array([0.0, 1e-6]), np.array([0, 1e100]))])
+@example([(np.array([0.0, 0]), np.array([0.0, 1]), np.array([-0.25, 5e-324]), np.array([0.25, 5e-324]))])
 @settings(max_examples=200)
 def test_pair_distance_matches_four_gaps_bit_for_bit(pairs):
     a0, a1, b0, b1 = (np.array(x) for x in zip(*pairs))
