@@ -355,6 +355,7 @@ class _BlockFactor:
     """
 
     def __init__(self, blocks: np.ndarray, shift: float, n: int) -> None:
+        self._blocks, self._shift = blocks, shift
         self._diagonal = blocks[0::2] + shift * np.eye(blocks.shape[1])
         self._below = blocks[1::2]
         self._n = n
@@ -401,8 +402,19 @@ class _BlockFactor:
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
 
     def negative_count(self) -> int:
-        """How many eigenvalues are negative (Sylvester's law of inertia)."""
+        """How many eigenvalues are negative (Sylvester's law of inertia).
+
+        An eigenvalue within rounding of zero may count either way.  A
+        singular pivot does not raise: the count is then that of the matrix
+        shifted up by n eps times its largest entry, so that eigenvalues
+        within that distance of zero count as non-negative.
+        """
         if self._pivots is None:
-            self.solve(np.zeros((self._n, 0)))
+            try:
+                self.solve(np.zeros((self._n, 0)))
+            except np.linalg.LinAlgError:
+                largest = max(np.abs(self._diagonal).max(), np.abs(self._below).max(initial=0.0))
+                nudge = self._n * np.finfo(float).eps * largest
+                return _BlockFactor(self._blocks, self._shift + nudge, self._n).negative_count()
         eigenvalues = np.linalg.eigvalsh(self._pivots)
         return int(np.count_nonzero(eigenvalues < 0)) - self._negative_padding

@@ -15,9 +15,11 @@ on J^T J in the block-tridiagonal storage of ``refine``'s solver, with
 Sylvester inertia counts on the same factorization to make sure no small
 singular value is missed and to bracket the largest.  The shifted matrix is
 factored once; each sweep then costs a forward sweep, one batched product
-with the pivots' inverses, a back substitution and a CholeskyQR
-orthonormalization, all on small blocks.  Memory and time grow linearly in
-the vertex count for long, thin drawings such as chains.
+with the pivots' inverses, a back substitution, a CholeskyQR
+orthonormalization and the eigenvalues of a p x p Gram matrix, which only
+decide whether to stop.  The singular values of the tall product J V are
+taken once per block size, when its sweeps stop.  Memory and time grow
+linearly in the vertex count for long, thin drawings such as chains.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ DEFAULT_RANK_TOL = 1e-8
 _BANDED_FROM = 150  # vertices; measured crossover of the dense and banded paths
 _SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
 _MAX_SWEEPS = 50
-_SETTLED = 1e-15  # Ritz values moving less than this times the sigma_max bound have settled
+# a sweep's Gram estimates of the Ritz values have settled when they move by less
+# than this times the sigma_max bound, beyond rounding
+_SETTLED = 1e-15
 _MAX_BISECTIONS = 60
 
 
@@ -124,13 +128,18 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     J^T J is assembled in the block-tridiagonal form that ``refine`` solves
     with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a fixed
     block of p vectors V towards the eigenvectors of the smallest
-    eigenvalues, orthonormalizing V after each solve (``_orthonormal``); the
-    Ritz values are the singular values of the e x p product J V, taken
-    without squaring, and the iteration stops once they settle between two
-    sweeps.  Unless the block spans the whole space (p = n, where one sweep
-    is exact), the first sweep's Ritz values are not computed: that saves
-    one SVD per block size, and the earliest stop is the third sweep, whose
-    values are compared with the second's.
+    eigenvalues, orthonormalizing V after each solve (``_orthonormal``).
+    Each sweep estimates the Ritz values theta from the eigenvalues of the
+    p x p Gram matrix (J V)^T (J V), whose absolute rounding is about eps
+    times the largest theta^2, and stops once the watched ones settle: each
+    moved by at most _SETTLED * hi plus that rounding, or by no more than
+    the Gram can resolve (theta^2 below 8 eps theta_max^2 counts as that
+    floor).  Unless the block spans the whole space (p = n, where one sweep
+    is exact), the first sweep has no estimate, so the earliest stop is the
+    third sweep, compared with the second.  Once a block size stops, the
+    Ritz values are taken once, without squaring, as the singular values of
+    the e x p product J V; they give the tail, the count below mu and the
+    rank.
     Every singular value below mu must be among them: Sylvester's law of
     inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
     as many Ritz values lie below mu.  sigma_max lies between the square
@@ -152,23 +161,36 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     inverse = system.factor(_SHIFT * top)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
 
-    def ritz(v: np.ndarray) -> np.ndarray:
-        found = np.linalg.svd(np.einsum("rk,rkp->rp", values, v[rows]), compute_uv=False)
-        return np.concatenate([np.zeros(v.shape[1] - len(found)), found[::-1]])
+    def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
+        return np.einsum("rk,rkp->rp", values, v[rows])
+
+    def squares(v: np.ndarray) -> np.ndarray:  # ascending theta^2; J V is not kept past the call
+        jv = product(v)
+        return np.linalg.eigvalsh(jv.T @ jv)
 
     p = min(n, structural + 3 + 10 + 8)  # rigid motions, reported values, spares
     while True:
         v = _orthonormal(_hashed_block(n, p))
-        theta = np.full(p, np.inf)
         watch = min(p, max(small, structural + 10))  # the values reported or counted
+        previous = np.full(watch, np.inf)
         for sweep in range(_MAX_SWEEPS):
             v = _orthonormal(inverse.solve(v))
             if sweep == 0 and p < n:
                 continue
-            previous, theta = theta, ritz(v)
-            settled = np.max(np.abs(theta[:watch] - previous[:watch])) <= _SETTLED * hi
+            estimates = squares(v)
+            rounding = np.finfo(float).eps * estimates[-1]  # absolute, in each theta^2
+            floor = 8 * rounding  # theta^2 below this is not resolved
+            theta = np.sqrt(np.maximum(estimates[:watch], floor))
+            # a move times theta is a change of theta^2: settled within _SETTLED * hi
+            # plus two Grams' rounding, or within what the Gram cannot resolve
+            change = np.abs(theta - previous) * theta
+            bound = np.maximum(_SETTLED * hi * theta + rounding, floor)
+            settled = bool(np.all(change <= bound))
             if settled:
                 break
+            previous = theta
+        found = np.linalg.svd(product(v), compute_uv=False)
+        theta = np.concatenate([np.zeros(p - len(found)), found[::-1]])
         if p == n or (settled and np.count_nonzero(theta < mu) == small):
             break
         p = min(2 * p, n)

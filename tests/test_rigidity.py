@@ -239,6 +239,38 @@ def test_banded_rank_doubles_its_block_for_many_flexes(k):
     assert banded.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
 
 
+@pytest.mark.parametrize("kind, block_sizes", [("chain", 1), ("ladder", 2)])
+def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkeypatch):
+    # sweeps settle on the eigenvalues of a p x p Gram matrix; the singular
+    # values of the tall e x p product J V are taken once a block size stops
+    g = chain("fig5a", "fig5c", 150) if kind == "chain" else flat_rhombus_ladder(50)
+    svd, hashed_block = np.linalg.svd, rigidity._hashed_block
+    tall, sizes = [], []
+
+    def counted_svd(a, *args, **kwargs):
+        tall.append(a.shape[0] > a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    def counted_block(n, p):
+        sizes.append(p)
+        return hashed_block(n, p)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(rigidity, "_hashed_block", counted_block)
+    rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL)
+    assert len(sizes) == block_sizes
+    assert tall == [True] * block_sizes
+
+
+@pytest.mark.parametrize("kind", ["chain", "fig2g"])
+def test_banded_rank_doubles_its_block_when_sweeps_run_out(kind, monkeypatch):
+    # two sweeps never settle (the first has no Ritz estimate), so p doubles
+    # until the block spans the whole space, where one sweep is exact
+    monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)
+    g = chain("fig5a", "fig5c", 4) if kind == "chain" else corpus.refined_graph(kind)
+    assert_paths_agree(g)
+
+
 def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
     # a dense SVD of the 1,990 x 1,990 rigidity matrix peaks above 30 MB
     assert long_chain.vertex_count >= rigidity._BANDED_FROM
