@@ -33,7 +33,7 @@ from .construct import (
     realize,
     ring_plan,
 )
-from .counting import Inventory, combinations_table, theorem1_coverage
+from .counting import PART_INVENTORY, Inventory, combinations_table, theorem1_coverage
 from .ingest import build_graph, emit_segments, graph_from_text, max_unit_deviation
 from .model import EmbeddedGraph
 from .pipeline import _graph_json, certify
@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_construct_from_plan)
 
     p = sub.add_parser("enumerate", help="table of ring-composition vertex counts")
-    p.add_argument("--inventory", default="22,30,31,34,35,36,40,41",
+    p.add_argument("--inventory", default=",".join(map(str, PART_INVENTORY.part_sizes)),
                    help="comma-separated part sizes")
     p.add_argument("--parts", type=int, default=3, help="parts per ring")
     p.add_argument("--json", action="store_true")

@@ -160,10 +160,10 @@ def chain_plan(spec: ChainSpec) -> CompositionPlan:
     parts += [PartSpec(spacer, label=spacer.name) for _ in range(spec.spacer_count)]
     parts.append(spec.right)
     n = spec.spacer_count
-    exits = [_facing_slots(spec.left.graph, exit_side=True)]
+    exits = [_end_slots(spec.left, exit_side=True)]
     exits += [_facing_slots(spacer, exit_side=True)] * n
     entries = [_facing_slots(spacer, exit_side=False)] * n
-    entries.append(_facing_slots(spec.right.graph, exit_side=False))
+    entries.append(_end_slots(spec.right, exit_side=False))
     idents: list[tuple[int, int, int, int]] = []
     for t in range(len(parts) - 1):
         idents.append((t, exits[t][0], t + 1, entries[t][0]))
@@ -176,6 +176,18 @@ def _chain_name(spec: ChainSpec) -> str:
         f"chain({spec.left.display_label},"
         f"{spec.spacer_count} spacers,{spec.right.display_label})"
     )
+
+
+def _end_slots(end: PartSpec, exit_side: bool) -> tuple[int, int]:
+    """``_facing_slots`` of a chain end, which has two ports or a spacer's shape."""
+    try:
+        return _facing_slots(end.graph, exit_side)
+    except PlanError:
+        ports = len(degree2_vertices(end.graph))
+        raise PlanError(
+            f"chain end {end.display_label} has {ports} ports (degree-2 vertices); "
+            "it needs 2, or the spacer's shape"
+        ) from None
 
 
 def _facing_slots(g: EmbeddedGraph, exit_side: bool) -> tuple[int, int]:
@@ -440,8 +452,6 @@ def _closed_polygon(sides: list[float]) -> np.ndarray:
         # compositions this library builds
         raise RealizationFailedError("cycle layout unsupported for these proportions")
     hi = sum(d)
-    while half_angle_sum(hi) > 0:
-        hi *= 2
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if half_angle_sum(mid) > 0:

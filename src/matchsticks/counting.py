@@ -12,9 +12,9 @@ certificate with one witness per covered count.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, ItemsView, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress
 
 _TABLE_COLUMN_ROWS = 8  # text layout: column-major blocks of 8 rows
 
@@ -198,9 +198,9 @@ class WitnessTable(Mapping[int, str]):
 
     It stores the explicit witnesses (ring table, mirror doubles, corpus
     graphs, extra rings; at most one per count), the families and one mark
-    per count; a family member's text is made only when it is read.  Every
-    bulk read goes through ``rows``, which renders a window of counts at a
-    time: each family fills a strided slice of the window from a template,
+    per count; a family member's text is made only when it is read, by
+    ``__getitem__`` one count at a time or by ``rows`` a window of counts at
+    a time: each family fills a strided slice of the window from a template,
     families in reverse order so that the first family wins, and then the
     explicit witnesses, which win over every family, overwrite their rows.
     """
@@ -235,25 +235,20 @@ class WitnessTable(Mapping[int, str]):
                     return f"{before}{n[0]}{after}"
         raise KeyError(v)
 
-    def items(self) -> ItemsView[int, str]:
-        return _Items(self)
-
     def rows(
         self,
-        lead: str | None = None,
-        sep: str = "",
+        lead: str,
+        sep: str,
         escape: Callable[[str], str] = str,
         close: str = "",
     ) -> Iterator[list[str]]:
         """The table as the rows of one window of ``WINDOW`` counts at a time.
 
         Each window's list holds the row of each covered count v in it,
-        ascending: ``lead + str(v) + sep + escape(witness) + close``, or,
-        with ``lead`` None, that row without ``lead + str(v)``.  ``escape``
-        must act character by character and leave digits alone, so that
-        each family's text is escaped once around its member index.
+        ascending: ``lead + str(v) + sep + escape(witness) + close``.
+        ``escape`` must act character by character and leave digits alone,
+        so that each family's text is escaped once around its member index.
         """
-        with_count = lead is not None
         templates = [  # (family, row text before the member index, row text after it)
             (f, sep + escape(before), escape(after) + close)
             for f in reversed(self._families)
@@ -266,21 +261,14 @@ class WitnessTable(Mapping[int, str]):
             for f, head, tail in templates:
                 offset, stride = f.offset, f.stride
                 if members := f.members(lo, hi):
-                    rows[offset + stride * members[0] - lo :: stride] = (
-                        [f"{lead}{offset + stride * n}{head}{n}{tail}" for n in members]
-                        if with_count else [f"{head}{n}{tail}" for n in members]
-                    )
+                    rows[offset + stride * members[0] - lo :: stride] = [
+                        f"{lead}{offset + stride * n}{head}{n}{tail}" for n in members
+                    ]
             for v in counts[bisect_left(counts, lo) : bisect_left(counts, hi)]:
-                witness = f"{sep}{escape(self._explicit[v])}{close}"
-                rows[v - lo] = f"{lead}{v}{witness}" if with_count else witness
+                rows[v - lo] = f"{lead}{v}{sep}{escape(self._explicit[v])}{close}"
             if self._marks.find(0, lo - 63, hi - 63) >= 0:
                 rows = [row for row in rows if row is not None]
             yield rows
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, chain.from_iterable(self._mapping.rows()))
 
 
 @dataclass(frozen=True)

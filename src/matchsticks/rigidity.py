@@ -11,15 +11,16 @@ coordinates blur the small singular values that separate flexes from noise.
 Only the smallest singular values and the largest one matter to the rank.
 Small graphs take a dense SVD.  From ``_BANDED_FROM`` vertices on, where the
 dense SVD's cubic cost overtakes it, they come from block inverse iteration
-on J^T J in the block-tridiagonal storage of ``refine``'s solver, with
-Sylvester inertia counts on the same factorization to make sure no small
-singular value is missed and to bracket the largest.  The shifted matrix is
-factored once; each sweep then costs a forward sweep, one batched product
-with the pivots' inverses, a back substitution, a CholeskyQR
-orthonormalization and the eigenvalues of a p x p Gram matrix, which only
-decide whether to stop.  The singular values of the tall product J V are
-taken once per block size, when its sweeps stop.  Memory and time grow
-linearly in the vertex count for long, thin drawings such as chains.
+on J^T J in the block-tridiagonal storage of ``refine``'s solver, which
+hands off from half the columns: a graph whose block would need that many
+vectors takes the dense SVD after all.  Sylvester inertia counts on the
+same factorization make sure no small singular value is missed, plus one
+inertia count per undecided value.  The shifted matrix is factored once;
+each sweep costs a forward sweep, one batched product with the pivots'
+inverses, a back substitution, a CholeskyQR orthonormalization and the
+eigenvalues of a p x p Gram matrix, which only decide whether to stop.  The
+singular values of the tall product J V are taken once per block size.
+Memory and time grow linearly in the vertex count for long, thin drawings.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ _MAX_SWEEPS = 50
 # a sweep's Gram estimates of the Ritz values have settled when they move by less
 # than this times the sigma_max bound, beyond rounding
 _SETTLED = 1e-15
-_MAX_BISECTIONS = 60
 
 
 class DisconnectedGraphError(ValueError):
@@ -105,12 +105,13 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         raise ValueError("rigidity analysis needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    if g.vertex_count < _BANDED_FROM:
+    banded = _banded_rank(g, rank_tol_factor) if g.vertex_count >= _BANDED_FROM else None
+    if banded is None:
         sigma = np.linalg.svd(residual_jacobian(g), compute_uv=False)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
         tail = sigma[::-1]
     else:
-        rank, tail = _banded_rank(g, rank_tol_factor)
+        rank, tail = banded
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -122,7 +123,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     )
 
 
-def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndarray]:
+def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndarray] | None:
     """Rank and the smallest singular values (ascending), without a dense matrix.
 
     J^T J is assembled in the block-tridiagonal form that ``refine`` solves
@@ -134,18 +135,19 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     times the largest theta^2, and stops once the watched ones settle: each
     moved by at most _SETTLED * hi plus that rounding, or by no more than
     the Gram can resolve (theta^2 below 8 eps theta_max^2 counts as that
-    floor).  Unless the block spans the whole space (p = n, where one sweep
-    is exact), the first sweep has no estimate, so the earliest stop is the
+    floor).  The first sweep has no estimate, so the earliest stop is the
     third sweep, compared with the second.  Once a block size stops, the
     Ritz values are taken once, without squaring, as the singular values of
     the e x p product J V; they give the tail, the count below mu and the
     rank.
     Every singular value below mu must be among them: Sylvester's law of
     inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
-    as many Ritz values lie below mu.  sigma_max lies between the square
-    roots of the largest diagonal entry and of the Gershgorin bound; that
-    bracket is bisected (are all eigenvalues below m^2?) only while a small
-    singular value could fall on either side of rank_tol_factor * sigma_max.
+    as many Ritz values lie below mu.  It hands off from half the columns:
+    once p would reach n / 2, it returns None for the dense SVD.  Below
+    that, e > p.  A tail value t between rank_tol_factor times the bounds
+    on sigma_max (the square roots of the largest diagonal entry and of the
+    Gershgorin bound) takes one inertia count: t is zero exactly when
+    J^T J - (t / rank_tol_factor)^2 I has fewer than n negative eigenvalues.
     """
     coords = g.vertices
     links = g.edges
@@ -168,14 +170,14 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
         jv = product(v)
         return np.linalg.eigvalsh(jv.T @ jv)
 
-    p = min(n, structural + 3 + 10 + 8)  # rigid motions, reported values, spares
-    while True:
+    p = structural + 3 + 10 + 8  # rigid motions, reported values, spares
+    while 2 * p < n:
         v = _orthonormal(_hashed_block(n, p))
         watch = min(p, max(small, structural + 10))  # the values reported or counted
         previous = np.full(watch, np.inf)
         for sweep in range(_MAX_SWEEPS):
             v = _orthonormal(inverse.solve(v))
-            if sweep == 0 and p < n:
+            if sweep == 0:
                 continue
             estimates = squares(v)
             rounding = np.finfo(float).eps * estimates[-1]  # absolute, in each theta^2
@@ -189,21 +191,18 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
             if settled:
                 break
             previous = theta
-        found = np.linalg.svd(product(v), compute_uv=False)
-        theta = np.concatenate([np.zeros(p - len(found)), found[::-1]])
-        if p == n or (settled and np.count_nonzero(theta < mu) == small):
+        theta = np.linalg.svd(product(v), compute_uv=False)[::-1]
+        if settled and np.count_nonzero(theta < mu) == small:
             break
-        p = min(2 * p, n)
+        p *= 2
+    else:
+        return None
     tail = theta[structural:watch]
-    for _ in range(_MAX_BISECTIONS):
-        if not np.any((rank_tol_factor * lo <= tail) & (tail <= rank_tol_factor * hi)):
-            break
-        m = (lo + hi) / 2
-        if system.factor(-m * m).negative_count() == n:
-            hi = m
-        else:
-            lo = m
-    rank = min(e, n) - int(np.count_nonzero(tail <= rank_tol_factor * hi))
+    zero = tail < rank_tol_factor * lo
+    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
+        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
+        zero[i] = system.factor(-m * m).negative_count() < n
+    rank = min(e, n) - int(np.count_nonzero(zero))
     return rank, tail
 
 

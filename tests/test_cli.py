@@ -178,6 +178,10 @@ def _binary_file(path):
             {"parts": ["fig5a", "fig5b", "fig5a"],
              "identifications": [[0, 0, 1, 0], [0, 1, 1, 2], [1, 1, 2, 0], [1, 3, 2, 1]]}))],
          None, "error: chain joints do not respect spacer port pairs"),
+        # fig1a is 4-regular: no ports to glue the chain's first spacer to
+        (lambda tmp: ["construct", "chain", "fig1a", "fig5a"], None,
+         "error: chain end fig1a has 0 ports (degree-2 vertices); "
+         "it needs 2, or the spacer's shape"),
         # a mark per count is 1e15 bytes, beyond the address space, so the allocation fails at once
         (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
          "--max 1000000000000000: too many counts to check in memory"),
@@ -189,7 +193,8 @@ def _binary_file(path):
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
          "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
          "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
-         "plan-cycle-two-joints", "plan-spacer-entered-one-side", "coverage-max-beyond-memory",
+         "plan-cycle-two-joints", "plan-spacer-entered-one-side", "chain-end-without-ports",
+         "coverage-max-beyond-memory",
          "chain-spacers-beyond-memory"],
 )
 def test_hostile_input_is_a_usage_error(
@@ -423,6 +428,7 @@ def test_construct_makes_one_refine_call_the_glue_solve(argv, tmp_path, monkeypa
         (["ring", "fig2a", "fig2d", "fig2h"], 94),
         (["ring", "fig2b", "fig2b", "fig2b", "fig2b"], 116),
         (["chain", "fig5a", "fig5c", "--spacers", "20", "--spacer", "fig5b"], 155),
+        (["chain", "fig5b", "fig5a", "--spacers", "2"], 57),  # an end shaped like a spacer
     ],
 )
 def test_construct_from_raw_drawings_certifies(argv, vertices, capsys):

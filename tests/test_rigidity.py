@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
-from matchsticks import corpus, rigidity
+from matchsticks import corpus, refine, rigidity
 from matchsticks.construct import ChainSpec, PartSpec, chain_extend, realize, ring_plan
 from matchsticks.model import EmbeddedGraph
 from matchsticks.rigidity import DisconnectedGraphError, analyze_rigidity, is_connected
@@ -151,17 +151,28 @@ def test_rank_tolerance_outside_the_unit_interval_is_rejected(factor):
 
 
 def dense_and_banded(g):
-    """Reports from the dense SVD and from the banded path, whatever g's size."""
+    """Reports from the dense SVD and from the banded path, whatever g's size,
+    and whether ``_banded_rank`` answered or handed g back to the dense SVD."""
+    banded_rank, answered = rigidity._banded_rank, []
+
+    def recorded(*args):
+        result = banded_rank(*args)
+        answered.append(result is not None)
+        return result
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", math.inf)
         dense = analyze_rigidity(g)
         mp.setattr(rigidity, "_BANDED_FROM", 0)
+        mp.setattr(rigidity, "_banded_rank", recorded)
         banded = analyze_rigidity(g)
-    return dense, banded
+    assert len(answered) == 1
+    return dense, banded, answered[0]
 
 
-def assert_paths_agree(g):
-    dense, banded = dense_and_banded(g)
+def assert_paths_agree(g, answered=True):
+    dense, banded, banded_answered = dense_and_banded(g)
+    assert banded_answered == answered
     assert (banded.rank, banded.internal_flexes, banded.classification) == (
         dense.rank, dense.internal_flexes, dense.classification
     )
@@ -189,16 +200,43 @@ def flat_rhombus_ladder(k: int) -> EmbeddedGraph:
     return EmbeddedGraph(np.array(coords), tuple(rails + rungs), name=f"flat-ladder{k}")
 
 
+def bent_strip(n: int, flat: int) -> EmbeddedGraph:
+    """triangle_strip(n) with its first flat + 1 vertices folded onto the x axis.
+
+    The flat triangles' sticks are dependent, so the strip has about flat
+    flexes while the rest of it stays rigid.
+    """
+    coords = [[i / 2, 0.0 if i <= flat else (i % 2) * math.sqrt(3) / 2] for i in range(n + 2)]
+    edges = [(i, i + 1) for i in range(n + 1)] + [(i, i + 2) for i in range(n)]
+    return EmbeddedGraph(np.array(coords), tuple(edges), name=f"bent-strip{n}-{flat}")
+
+
+def zigzag_path(v: int) -> EmbeddedGraph:
+    """v vertices joined by v - 1 unit sticks that alternate between two heights."""
+    coords = [[i / 2, (i % 2) * math.sqrt(3) / 2] for i in range(v)]
+    edges = tuple((i, i + 1) for i in range(v - 1))
+    return EmbeddedGraph(np.array(coords), edges, name=f"zigzag{v}")
+
+
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_banded_rank_matches_dense_on_the_corpus(name):
-    assert_paths_agree(corpus.refined_graph(name))
+    # fig2a and fig5b need a block of half their columns or more
+    assert_paths_agree(corpus.refined_graph(name), answered=name not in ("fig2a", "fig5b"))
 
 
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
-def test_banded_path_keeps_the_near_threshold_flex(name):
-    # the second singular value sits within the bracket on sigma_max times
-    # the rank tolerance, so the verdict needs the bisection
+def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
+    # the second singular value sits within the bracket on sigma_max times the
+    # rank tolerance, so it takes one inertia count besides the one at -mu^2
+    negative_count, counts = refine._BlockFactor.negative_count, []
+
+    def counted(self):
+        counts.append(self)
+        return negative_count(self)
+
+    monkeypatch.setattr(refine._BlockFactor, "negative_count", counted)
     banded = assert_paths_agree(corpus.refined_graph(name))
+    assert len(counts) == 2
     assert banded.internal_flexes == 1
     assert 1e-9 < banded.singular_tail(2)[1] < 1e-7
 
@@ -220,30 +258,52 @@ def test_banded_rank_matches_dense_on_chains(ends, spacers):
     assert_paths_agree(chain(*ends, spacers))
 
 
-@given(st.integers(1, 80))
+@given(st.integers(23, 80))
 @settings(max_examples=15)
 def test_banded_rank_matches_dense_on_strips(n):
     assert_paths_agree(triangle_strip(n))
 
 
+def test_banded_rank_hands_off_short_strips():
+    # a strip of n triangles has 2n + 4 columns and a first block of 24 vectors
+    for n in range(1, 23):
+        assert_paths_agree(triangle_strip(n), answered=False)
+
+
 def test_banded_rank_matches_dense_on_the_rhombus():
-    assert assert_paths_agree(unit_rhombus()).internal_flexes == 1
+    assert assert_paths_agree(unit_rhombus(), answered=False).internal_flexes == 1
 
 
 @given(st.integers(25, 45))
 @settings(max_examples=8)
-def test_banded_rank_doubles_its_block_for_many_flexes(k):
+def test_banded_rank_hands_off_for_many_flexes(k):
+    # the flexes outnumber the first block, and its double reaches half the columns
     g = flat_rhombus_ladder(k)
-    banded = assert_paths_agree(g)
+    banded = assert_paths_agree(g, answered=False)
     assert banded.internal_flexes == g.vertex_count - 2
     assert banded.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
 
 
-@pytest.mark.parametrize("kind, block_sizes", [("chain", 1), ("ladder", 2)])
+@given(st.integers(25, 46))
+@settings(max_examples=8)
+def test_banded_rank_doubles_its_block_for_many_flexes(flat):
+    # the flexes outnumber the first block, and its double, 48, stays below
+    # half the strip's 304 columns
+    g = bent_strip(150, flat)
+    banded = assert_paths_agree(g)
+    assert banded.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
+
+
+@pytest.mark.parametrize("kind, block_sizes", [("chain", 1), ("ladder", 1), ("bent-strip", 2)])
 def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkeypatch):
     # sweeps settle on the eigenvalues of a p x p Gram matrix; the singular
-    # values of the tall e x p product J V are taken once a block size stops
-    g = chain("fig5a", "fig5c", 150) if kind == "chain" else flat_rhombus_ladder(50)
+    # values of the tall e x p product J V are taken once a block size stops.
+    # The ladder's second block would reach half its columns, so it hands off.
+    g = {
+        "chain": lambda: chain("fig5a", "fig5c", 150),
+        "ladder": lambda: flat_rhombus_ladder(50),
+        "bent-strip": lambda: bent_strip(150, 30),
+    }[kind]()
     svd, hashed_block = np.linalg.svd, rigidity._hashed_block
     tall, sizes = [], []
 
@@ -257,18 +317,33 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(rigidity, "_hashed_block", counted_block)
-    rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL)
+    answer = rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL)
+    assert (answer is None) == (kind == "ladder")
     assert len(sizes) == block_sizes
     assert tall == [True] * block_sizes
 
 
 @pytest.mark.parametrize("kind", ["chain", "fig2g"])
-def test_banded_rank_doubles_its_block_when_sweeps_run_out(kind, monkeypatch):
+def test_banded_rank_hands_off_when_sweeps_run_out(kind, monkeypatch):
     # two sweeps never settle (the first has no Ritz estimate), so p doubles
-    # until the block spans the whole space, where one sweep is exact
+    # until the block would reach half the columns, and the dense SVD answers
     monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)
     g = chain("fig5a", "fig5c", 4) if kind == "chain" else corpus.refined_graph(kind)
-    assert_paths_agree(g)
+    assert_paths_agree(g, answered=False)
+
+
+def test_banded_rank_hands_off_a_long_path_before_any_sweep(monkeypatch):
+    # the path's n - e structural zeros alone fill half the columns
+    g = zigzag_path(400)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+
+    def no_sweep(n, p):
+        raise AssertionError(f"a block of {p} vectors was started")
+
+    monkeypatch.setattr(rigidity, "_hashed_block", no_sweep)
+    assert rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL) is None
+    report = analyze_rigidity(g)
+    assert (report.rank, report.internal_flexes) == (g.edge_count, g.vertex_count - 2)
 
 
 def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
