@@ -54,7 +54,7 @@ RING_PLAN = {
 def sweep(plan_path: str) -> list[list[str]]:
     """The argument lists of the sweep, in the order they run."""
     commands = [["catalog", "--json"]]
-    for name in corpus.CORPUS_NAMES:
+    for name in corpus.corpus_names():
         commands += [
             ["verify", name, "--json"],
             ["verify", name, "--raw", "--json"],

@@ -70,15 +70,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(ref: str) -> EmbeddedGraph:
-    """Load a graph from a segment file path or a bundled corpus name."""
-    if Path(ref).exists():
-        try:
-            return graph_from_text(_read_text(ref))
-        except ValueError as exc:
-            raise _UsageError(f"{ref}: {exc}")
-    if ref in corpus.corpus_names():
-        return corpus.load_graph(ref)
-    raise _UsageError(f"{ref}: no such file or corpus graph")
+    """Load a graph from a segment file path or a corpus name; errors name ``ref``."""
+    is_path = Path(ref).exists()
+    if not is_path and ref not in corpus.corpus_names():
+        raise _UsageError(f"{ref}: no such file or corpus graph")
+    try:
+        return graph_from_text(_read_text(ref)) if is_path else corpus.load_graph(ref)
+    except ValueError as exc:
+        raise _UsageError(f"{ref}: {exc}")
 
 
 def _converged(result: RefineResult) -> EmbeddedGraph:
@@ -198,7 +197,8 @@ def _certify_and_write(g: EmbeddedGraph, output: str | None, as_json: bool) -> i
             document["output"] = output
         _print_json(document)
     else:
-        print(f"built: {g.name} ({g.vertex_count} vertices, {g.edge_count} edges)")
+        print(f"built: {g.name or '(unnamed)'} "
+              f"({g.vertex_count} vertices, {g.edge_count} edges)")
         print(f"classification: {report.classification}, {g.vertex_count} vertices")
         if output:
             print(f"wrote {output}")
@@ -263,7 +263,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     ``--json`` prints the text of ``json.dumps(cert.to_json_dict(), indent=2)``."""
     try:
         cert = theorem1_coverage(args.max)
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise _UsageError(f"--max {args.max}: too many counts to check in memory")
     if args.json:
         head = json.dumps(replace(cert, witnesses={}).to_json_dict(), indent=2)
@@ -293,8 +293,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
              f"{'flexes':>6s} status"]
     certified = True
     for name in corpus.corpus_names():
-        sf = corpus.load_segments(name)
-        g = build_graph(sf)
+        try:
+            sf = corpus.load_segments(name)
+            g = build_graph(sf)
+        except ValueError as exc:
+            raise _UsageError(f"{name}: {exc}")
         claimed_rigidity = sf.metadata.get("claimed_rigidity", "unknown")
         cert = certify(g)
         rig = cert.rigidity

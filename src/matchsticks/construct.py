@@ -12,8 +12,8 @@ one before); one solve then closes every glue gap
 (``refine`` moves each glued group of vertices as one, and brings the edges
 of unrefined parts to unit length), and only then are vertex indices merged.
 Long chains are not solved whole: ``chain_extend`` solves a base chain of
-four or five spacers and repeats its two-spacer period, falling back to the
-whole solve if the result misses the target.  Certification is deliberately
+four or five spacers and repeats its two-spacer period, polishing the result
+with ``refine`` if it misses the target.  Certification is deliberately
 separate: callers pass the result to ``pipeline.certify``.
 """
 
@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .corpus import refined_graph
 from .model import EmbeddedGraph, _components, edge_lengths
 from .refine import RefineOptions, refine
 
@@ -115,16 +116,14 @@ def validate_plan(plan: CompositionPlan) -> None:
         raise PlanError("identification graph over parts is not connected")
 
 
-def ring_plan(parts: Sequence[PartSpec | EmbeddedGraph], name: str | None = None) -> CompositionPlan:
+def ring_plan(parts: Sequence[PartSpec]) -> CompositionPlan:
     """Cycle composition: part i's slot 1 glued to part i+1's slot 0 (mod k)."""
-    specs = tuple(p if isinstance(p, PartSpec) else PartSpec(p) for p in parts)
-    k = len(specs)
+    k = len(parts)
     if k < 2:
         raise PlanError("a ring needs at least 2 parts")
     idents = tuple((i, 1, (i + 1) % k, 0) for i in range(k))
-    if name is None:
-        name = "ring(" + ",".join(s.display_label for s in specs) + ")"
-    return CompositionPlan(specs, idents, name)
+    name = "ring(" + ",".join(s.display_label for s in parts) + ")"
+    return CompositionPlan(parts, idents, name)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class ChainSpec:
     neighbor, and each identification merges two vertices into one, so the
     chain has v_left + v_right + 5n - 2(n+1) vertices; every spacer adds 3
     net vertices.
-    ``spacer=None`` selects the bundled 5-vertex corpus part.
+    ``spacer=None`` selects the corpus's 5-vertex part fig5b, refined.
     """
 
     left: PartSpec
@@ -152,8 +151,6 @@ def chain_plan(spec: ChainSpec) -> CompositionPlan:
     """Expand a ChainSpec into an explicit plan (left + spacers + right)."""
     spacer = spec.spacer
     if spacer is None:
-        from .corpus import refined_graph  # deferred: corpus is optional here
-
         spacer = refined_graph("fig5b")
     _spacer_port_pairs(spacer)  # raises PlanError if the shape is not a spacer
     parts: list[PartSpec] = [spec.left]
@@ -214,10 +211,13 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     as often as needed and shift the rest of the base along.  Vertex and edge order
     are those ``realize`` gives the whole chain.  Edges where one copy meets
     the next are unit only as far as the base is periodic, so if any edge of
-    the tiled chain misses ``RefineOptions().target_residual`` the whole
-    chain is glue-solved instead.  Chains of up to five spacers are always
-    solved whole.  The chain has one flex, and the tiled chain may sit at
-    another point on it than the whole solve would.
+    the tiled chain misses ``RefineOptions().target_residual`` the tiled
+    chain is polished by ``refine``; RealizationFailedError if that does not
+    converge, as at about 10,000 spacers, where float64 rounding of
+    coordinates near 1e4 alone leaves edges about 2e-12 off unit length.
+    Chains of up to five spacers are always solved whole.  The chain has one
+    flex, and the tiled chain may sit at another point on it than the whole
+    solve would.
     """
     n = spec.spacer_count
     base_count = 4 + n % 2
@@ -245,9 +245,14 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
         [edges[:e1], (edges[e0:e1] + copies * shift).reshape(-1, 2), edges[e1:] + m * shift]
     )
     tiled = EmbeddedGraph(tiled_coords, tiled_edges, name=_chain_name(spec))
-    if np.abs(edge_lengths(tiled) - 1.0).max() > RefineOptions().target_residual:
-        return realize(chain_plan(spec))
-    return tiled
+    if np.abs(edge_lengths(tiled) - 1.0).max() <= RefineOptions().target_residual:
+        return tiled
+    result = refine(tiled)
+    if not result.converged:
+        raise RealizationFailedError(
+            f"tiled chain did not polish (edge residual {result.final_residual:.3e})"
+        )
+    return result.graph
 
 
 # -- plan reading -------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Access to the bundled corpus of figure drawings.
+"""Access to the corpus of figure drawings: one directory of ``.seg`` files.
 
 Twenty-one segment files ship with the package (fig1a..fig5c), each carrying
 the claimed vertex count, degree profile, and rigidity of its graph as
-metadata.  Set the environment variable MATCHSTICKS_CORPUS to a directory of
-``.seg`` files to substitute a different corpus.
+metadata.  They are the corpus unless the environment variable
+MATCHSTICKS_CORPUS names another directory of ``.seg`` files, which is then
+read in their place by the same code.
 """
 
 from __future__ import annotations
@@ -15,52 +16,42 @@ from pathlib import Path
 
 from .ingest import SegmentFile, build_graph, parse_segment_file
 from .model import EmbeddedGraph
+from .refine import refine
 
 CORPUS_ENV = "MATCHSTICKS_CORPUS"
-
-#: bundled figure names, in figure order
-CORPUS_NAMES = (
-    "fig1a", "fig1b", "fig1c", "fig1d",
-    "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2g", "fig2h",
-    "fig3a", "fig3b",
-    "fig4a", "fig4b", "fig4c", "fig4d",
-    "fig5a", "fig5b", "fig5c",
-)
 
 
 class CorpusError(ValueError):
     """Unknown corpus graph name, or a corpus override that is not a directory."""
 
 
-def _override_dir() -> Path | None:
+def _directory() -> resources.abc.Traversable:
+    """MATCHSTICKS_CORPUS when set, else the bundled drawings."""
     path = os.environ.get(CORPUS_ENV)
-    if path and not Path(path).is_dir():
+    if not path:
+        return resources.files(__package__) / "corpus"
+    if not Path(path).is_dir():
         raise CorpusError(f"{CORPUS_ENV}={path} is not a directory")
-    return Path(path) if path else None
+    return Path(path)
 
 
 def corpus_names() -> tuple[str, ...]:
-    """Names available in the active corpus (env override or bundled)."""
-    override = _override_dir()
-    if override is not None:
-        return tuple(sorted(p.stem for p in override.glob("*.seg")))
-    return CORPUS_NAMES
+    """Names of the corpus's ``.seg`` files, sorted (figure order for the bundled ones)."""
+    files = (p.name for p in _directory().iterdir())
+    return tuple(sorted(f.removesuffix(".seg") for f in files if f.endswith(".seg")))
 
 
 def load_segments(name: str) -> SegmentFile:
     """The raw segment file for a corpus graph."""
-    return parse_segment_file(_read_text(_override_dir(), name))
+    return parse_segment_file(_read_text(name))
 
 
-def _read_text(override: Path | None, name: str) -> str:
-    if override is not None:
-        path = override / f"{name}.seg"
-        if not path.exists():
-            raise CorpusError(f"no corpus file {path}")
-        return path.read_text()
-    if name not in CORPUS_NAMES:
+def _read_text(name: str) -> str:
+    """The text of ``<directory>/<name>.seg``; a name with a directory part is refused."""
+    path = _directory() / f"{name}.seg"
+    if Path(name).name != name or not path.is_file():
         raise CorpusError(f"unknown corpus graph {name!r}")
-    return resources.files(__package__).joinpath(f"corpus/{name}.seg").read_text()
+    return path.read_text()
 
 
 def load_graph(name: str) -> EmbeddedGraph:
@@ -77,13 +68,11 @@ def refined_graph(name: str) -> EmbeddedGraph:
     Raises RuntimeError if the corpus data does not converge, which would mean
     the bundled files are corrupt.
     """
-    return _refined_graph(name, _read_text(_override_dir(), name))
+    return _refined_graph(name, _read_text(name))
 
 
 @lru_cache(maxsize=None)
 def _refined_graph(name: str, text: str) -> EmbeddedGraph:
-    from .refine import refine  # deferred to keep imports acyclic
-
     result = refine(build_graph(parse_segment_file(text)))
     if not result.converged:
         raise RuntimeError(

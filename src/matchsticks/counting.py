@@ -33,12 +33,6 @@ class Inventory:
             raise ValueError(f"part sizes must be >= 3, got {sizes[0]}")
         object.__setattr__(self, "part_sizes", sizes)
 
-    def __len__(self) -> int:
-        return len(self.part_sizes)
-
-    def __iter__(self):
-        return iter(self.part_sizes)
-
 
 @dataclass(frozen=True)
 class CoverageTable:
@@ -96,9 +90,9 @@ def combinations_table(inv: Inventory, parts: int) -> CoverageTable:
 
     Each multiset of inventory entries contributes one combination to row
     v = (sum of sizes) - parts; the number of multisets is
-    C(len(inv) + parts - 1, parts).  Entries count by position, so a size
-    listed twice gives two entries.  The multisets are counted by total size,
-    one entry at a time, rather than listed.  Raises ValueError, before
+    C(len(inv.part_sizes) + parts - 1, parts).  Entries count by position, so
+    a size listed twice gives two entries.  The multisets are counted by total
+    size, one entry at a time, rather than listed.  Raises ValueError, before
     counting anything, when the counts could take more than a million
     entries.
     """

@@ -117,6 +117,11 @@ def test_acceptance_02_coverage_certificate_complete_to_10000():
     assert time.perf_counter() - start < 1.0
 
 
+def test_bundled_corpus_lists_the_claimed_drawings_in_figure_order(monkeypatch):
+    monkeypatch.delenv(corpus.CORPUS_ENV, raising=False)
+    assert corpus.corpus_names() == tuple(CORPUS_CLAIMS)
+
+
 def test_acceptance_03_corpus_graphs_certify():
     tol = Tolerances(eps_separation=1e-4)
     for name, (vertices, kind) in CORPUS_CLAIMS.items():

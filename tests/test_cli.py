@@ -185,6 +185,9 @@ def _binary_file(path):
         # a mark per count is 1e15 bytes, beyond the address space, so the allocation fails at once
         (lambda tmp: ["coverage", "--max", "1000000000000000"], None,
          "--max 1000000000000000: too many counts to check in memory"),
+        # 1e20 marks do not fit a machine-sized length at all
+        (lambda tmp: ["coverage", "--max", "100000000000000000000"], None,
+         "--max 100000000000000000000: too many counts to check in memory"),
         # the 3.47 EiB tiling exceeds the address space, so it too fails at once
         (lambda tmp: ["construct", "chain", "fig5a", "fig5c", "--spacers", "1000000000000000000"],
          None, "--spacers 1000000000000000000: too many spacers to build in memory"),
@@ -194,7 +197,7 @@ def _binary_file(path):
          "unwritable-construct-output", "deeply-nested-plan", "plan-not-json",
          "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
          "plan-cycle-two-joints", "plan-spacer-entered-one-side", "chain-end-without-ports",
-         "coverage-max-beyond-memory",
+         "coverage-max-beyond-memory", "coverage-max-beyond-index-size",
          "chain-spacers-beyond-memory"],
 )
 def test_hostile_input_is_a_usage_error(
@@ -206,6 +209,28 @@ def test_hostile_input_is_a_usage_error(
     assert code == 2
     assert err.startswith("error:")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"0 0 1 0\n1 0 1 1\n1 1 0\n", "bad: line 3: expected 4 coordinates, got 3"),
+        (b"\xff\xfe\x00garbage", "bad: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["malformed", "not-utf8"],
+)
+@pytest.mark.parametrize(
+    "argv", [["verify", "bad"], ["catalog"], ["construct", "chain", "bad", "bad"]],
+    ids=lambda argv: argv[0],
+)
+def test_corpus_drawing_errors_name_the_drawing(
+    argv, content, message, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "bad.seg").write_bytes(content)
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_corpus_errors_print_unquoted(tmp_path, monkeypatch, capsys):
@@ -451,6 +476,13 @@ def test_construct_mirror_with_a_vertex_on_the_axis_fails_verification(tmp_path,
     assert "not-a-matchstick-graph" in out
 
 
+def test_construct_from_plan_without_a_name_prints_unnamed(tmp_path, capsys):
+    plan = {"parts": ["fig2a"] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
+    code, out, _ = run(capsys, "construct", "from-plan", _plan_file(tmp_path, json.dumps(plan)))
+    assert code == 0
+    assert out.splitlines()[0] == "built: (unnamed) (63 vertices, 126 edges)"
+
+
 def test_construct_from_plan_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "from-plan", str(tmp_path / "nope.json"))
     assert code == 2
@@ -583,7 +615,7 @@ def test_catalog_rows_agree_with_certify(catalog_json):
 
 def test_catalog_json_has_a_row_per_corpus_graph(catalog_json):
     _, rows = catalog_json
-    assert [row["graph"]["name"] for row in rows] == list(corpus.CORPUS_NAMES)
+    assert [row["graph"]["name"] for row in rows] == list(corpus.corpus_names())
     for row in rows:
         assert 0 < row["raw_deviation"] < 1e-3
         clearances = row["clearances"]

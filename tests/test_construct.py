@@ -287,11 +287,11 @@ def mirror_of_fig2d(mode: str) -> EmbeddedGraph:
 @pytest.mark.parametrize(
     "build, vertices",
     [
-        (lambda: realize(ring_plan([corpus.refined_graph(n) for n in ("fig2a", "fig2d", "fig2h")])),
-         94),
-        (lambda: realize(ring_plan([corpus.load_graph("fig2b")] * 4)), 116),  # as drawn
-        (lambda: realize(ring_plan([corpus.refined_graph("fig5a"), corpus.refined_graph("fig5c")])),
-         95),
+        (lambda: realize(ring_plan([PartSpec(corpus.refined_graph(n))
+                                    for n in ("fig2a", "fig2d", "fig2h")])), 94),
+        (lambda: realize(ring_plan([PartSpec(corpus.load_graph("fig2b"))] * 4)), 116),  # as drawn
+        (lambda: realize(ring_plan([PartSpec(corpus.refined_graph("fig5a")),
+                                    PartSpec(corpus.refined_graph("fig5c"))])), 95),
         (lambda: chain_extend(end_spec("fig5a", "fig5c", 20)), 155),  # the base alone
         (lambda: mirror_of_fig2d("line"), 66),
         (lambda: mirror_of_fig2d("point"), 66),
@@ -366,7 +366,7 @@ def test_long_chains_glue_solve_only_their_base(monkeypatch, left, right):
     assert glued == [10, 10, 10]
 
 
-def test_tiling_falls_back_to_the_whole_solve_when_the_base_is_off(monkeypatch):
+def test_tiling_polishes_a_chain_whose_base_is_off(monkeypatch):
     spec = end_spec("fig5a", "fig5c", 20)
     solved = []
     real_realize = construct.realize
@@ -383,9 +383,27 @@ def test_tiling_falls_back_to_the_whole_solve_when_the_base_is_off(monkeypatch):
     monkeypatch.setattr(construct, "realize", perturbed_realize)
     g = chain_extend(spec)
     expected = real_realize(chain_plan(spec))
-    assert solved == [4, 20]
+    assert solved == [4]
+    assert g.name == expected.name
     np.testing.assert_array_equal(g.edges, expected.edges)
-    assert np.array_equal(g.vertices, expected.vertices)
+    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
+
+
+def test_a_short_tiled_chain_that_misses_is_polished_not_solved_whole(monkeypatch):
+    # the 5-spacer base tiled to 7 spacers misses the target by rounding alone
+    solved = []
+    real_realize = construct.realize
+
+    def recording_realize(plan):
+        solved.append(len(plan.parts) - 2)
+        return real_realize(plan)
+
+    monkeypatch.setattr(construct, "realize", recording_realize)
+    spec = end_spec("fig5a", "fig5c", 7)
+    g = chain_extend(spec)
+    assert solved == [5]
+    assert g.vertex_count == merged_vertex_count(chain_plan(spec))
+    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
 def test_chain_rejects_non_spacer_interior():
@@ -454,9 +472,8 @@ def test_chain_plan_structure():
 
 
 def test_plan_json_reads_a_ring_plan():
-    plan = ring_plan(
-        [PartSpec(corpus.refined_graph("fig2a"), label="fig2a")] * 3, name="r63"
-    )
+    plan = replace(ring_plan([PartSpec(corpus.refined_graph("fig2a"), label="fig2a")] * 3),
+                   name="r63")
     doc = {
         "name": "r63",
         "parts": [{"part": "fig2a"}, "fig2a", {"part": "fig2a"}],

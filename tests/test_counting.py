@@ -78,8 +78,6 @@ WITHOUT_94_FAMILY = dataclasses.replace(
 def test_inventory_sorts_and_validates():
     inv = Inventory((30, 22, 41))
     assert inv.part_sizes == (22, 30, 41)
-    assert len(inv) == 3
-    assert list(inv) == [22, 30, 41]
     with pytest.raises(ValueError):
         Inventory(())
     with pytest.raises(ValueError):
@@ -185,7 +183,7 @@ def test_table_of_sixty_parts_counts_every_multiset():
 @given(inventories, st.integers(min_value=1, max_value=6))
 def test_table_total_is_multiset_count(inv, parts):
     table = combinations_table(inv, parts)
-    assert table.total() == math.comb(len(inv) + parts - 1, parts)
+    assert table.total() == math.comb(len(inv.part_sizes) + parts - 1, parts)
 
 
 @given(inventories, st.integers(min_value=1, max_value=4))
@@ -208,8 +206,8 @@ def test_adding_a_part_never_shrinks_a_row(inv, extra, parts):
 def test_table_vertex_range_endpoints(inv, parts):
     table = combinations_table(inv, parts)
     lo, hi = min(table.rows), max(table.rows)
-    assert lo == min(inv) * parts - parts
-    assert hi == max(inv) * parts - parts
+    assert lo == min(inv.part_sizes) * parts - parts
+    assert hi == max(inv.part_sizes) * parts - parts
     assert table.rows[lo] == 1 and table.rows[hi] == 1
 
 
@@ -327,7 +325,7 @@ def test_coverage_is_monotone_in_its_sources(data):
     doubles = sorted(DEFAULT_COVERAGE.mirror_doubles)
     graphs = sorted(DEFAULT_COVERAGE.corpus_graphs)
     offsets = [f.offset for f in DEFAULT_COVERAGE.families]
-    sizes = list(DEFAULT_COVERAGE.inventory)
+    sizes = list(DEFAULT_COVERAGE.inventory.part_sizes)
     removals = {
         "doubles": data.draw(st.sets(st.sampled_from(doubles))),
         "graphs": data.draw(st.sets(st.sampled_from(graphs))),

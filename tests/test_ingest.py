@@ -340,6 +340,28 @@ def test_unknown_corpus_name():
         corpus.load_segments("fig9z")
 
 
+def test_override_refuses_a_name_outside_its_directory(tmp_path, monkeypatch):
+    (tmp_path / "x.seg").write_text(GOOD)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path / "sub"))
+    with pytest.raises(corpus.CorpusError):
+        corpus.load_segments("../x")
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["bundled", "override"])
+@pytest.mark.parametrize("name", ["../corpus/fig2a", "./fig2a"])
+def test_a_name_with_a_path_separator_is_refused(override, name, tmp_path, monkeypatch):
+    # each name leads to a file in both modes, so only the separator refuses it
+    if override:
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "fig2a.seg").write_text(GOOD)
+        monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path / "corpus"))
+    else:
+        monkeypatch.delenv(corpus.CORPUS_ENV, raising=False)
+    with pytest.raises(corpus.CorpusError, match="unknown corpus graph"):
+        corpus.refined_graph(name)
+
+
 def test_corpus_directory_override(tmp_path, monkeypatch):
     (tmp_path / "custom.seg").write_text(GOOD)
     monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))

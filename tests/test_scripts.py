@@ -58,7 +58,7 @@ def test_cli_digest_prints_the_same_digests_twice():
     assert codes.pop("refine fig2h --max-iterations 1") == "3"
     assert codes.pop("construct mirror fig2a --ports 10,99 --json") == "2"
     wide = {"fig1d", "fig3b", "fig4a", "fig5b"}  # every clearance 0.5 or more
-    for name in corpus.CORPUS_NAMES:
+    for name in corpus.corpus_names():
         code = codes.pop(f"verify {name} --eps-separation 0.3 --json")
         assert code == ("0" if name in wide else "1")
     assert codes.pop("refine fig2h --max-iterations 1 --json") == "3"
