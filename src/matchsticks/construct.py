@@ -212,9 +212,11 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     are those ``realize`` gives the whole chain.  Edges where one copy meets
     the next are unit only as far as the base is periodic, so if any edge of
     the tiled chain misses ``RefineOptions().target_residual`` the tiled
-    chain is polished by ``refine``; RealizationFailedError if that does not
-    converge, as at about 10,000 spacers, where float64 rounding of
-    coordinates near 1e4 alone leaves edges about 2e-12 off unit length.
+    chain is moved to its centroid and polished by ``refine``;
+    RealizationFailedError if that does not converge.  The move halves the
+    largest coordinate, and so float64's rounding of lengths there: at
+    10,000 spacers, coordinates near 1e4 alone leave edges about 2e-12 off
+    unit length, and near 5e3 the polish reaches the target.
     Chains of up to five spacers are always solved whole.  The chain has one
     flex, and the tiled chain may sit at another point on it than the whole
     solve would.
@@ -247,7 +249,7 @@ def chain_extend(spec: ChainSpec) -> EmbeddedGraph:
     tiled = EmbeddedGraph(tiled_coords, tiled_edges, name=_chain_name(spec))
     if np.abs(edge_lengths(tiled) - 1.0).max() <= RefineOptions().target_residual:
         return tiled
-    result = refine(tiled)
+    result = refine(replace(tiled, vertices=tiled_coords - tiled_coords.mean(axis=0)))
     if not result.converged:
         raise RealizationFailedError(
             f"tiled chain did not polish (edge residual {result.final_residual:.3e})"

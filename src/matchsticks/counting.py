@@ -210,6 +210,7 @@ class WitnessTable(Mapping[int, str]):
         self._explicit = dict(sorted(explicit.items()))
         self._explicit_counts = list(self._explicit)
         self._families = families
+        self._affixes = [(f.offset, f.stride, *f.witness_affixes()) for f in families]
         self._marks = marks  # marks[v - 63] is nonzero iff v is covered
         self._len = len(marks) - marks.count(0)
 
@@ -223,10 +224,10 @@ class WitnessTable(Mapping[int, str]):
         if isinstance(v, int) and 63 <= v <= self._max_check:
             if v in self._explicit:
                 return self._explicit[v]
-            for f in self._families:
-                if n := f.members(v, v + 1):
-                    before, after = f.witness_affixes()
-                    return f"{before}{n[0]}{after}"
+            for offset, stride, before, after in self._affixes:
+                n, r = divmod(v - offset, stride)
+                if n >= 0 and not r:
+                    return f"{before}{n}{after}"
         raise KeyError(v)
 
     def rows(

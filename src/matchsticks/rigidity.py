@@ -21,12 +21,17 @@ inverses, a back substitution, a CholeskyQR orthonormalization and the
 eigenvalues of a p x p Gram matrix, which only decide whether to stop.  The
 singular values of the tall product J V are taken once per block size.
 Memory and time grow linearly in the vertex count for long, thin drawings.
+
+The verdict iterates only until the values below the cutoff mu have
+settled; the reported tail of the ten smallest singular values takes its
+own pass, which also waits for those ten, and only when it is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +42,7 @@ DEFAULT_RANK_TOL = 1e-8
 _BANDED_FROM = 150  # vertices; measured crossover of the dense and banded paths
 _SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
 _MAX_SWEEPS = 50
+_REPORTED = 10  # singular values in the reported tail
 # a sweep's Gram estimates of the Ritz values have settled when they move by less
 # than this times the sigma_max bound, beyond rounding
 _SETTLED = 1e-15
@@ -51,14 +57,30 @@ class RigidityReport:
     """Numerical rank audit of the rigidity matrix.
 
     internal_flexes = (2v - 3) - rank counts independent first-order motions
-    that preserve all edge lengths but are not rigid-body motions.
+    that preserve all edge lengths but are not rigid-body motions.  The
+    report keeps the analyzed graph and tolerance; its singular-value tail
+    is computed on first read, by the path the verdict took (a graph's
+    arrays are read-only, so the tail cannot go stale).
     """
 
     rank: int
     dof_bound: int
     internal_flexes: int
     classification: str  # "rigid" | "flexible"
-    smallest_singular_values: tuple[float, ...]  # ascending; at least min(10, all) of them
+    graph: EmbeddedGraph = field(repr=False, compare=False)
+    rank_tol_factor: float
+    banded: bool  # whether the verdict took the banded path (it may have handed off)
+    #: the dense SVD's singular values (descending), when the verdict took it
+    _dense_sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def smallest_singular_values(self) -> tuple[float, ...]:
+        """Ascending; at least min(10, all) of them; computed once, when first read."""
+        found = _banded_values(self.graph, self.rank_tol_factor, _REPORTED) if self.banded else None
+        if found is not None:
+            return tuple(found[0].tolist())
+        sigma = _singular_values(self.graph) if self._dense_sigma is None else self._dense_sigma
+        return tuple(sigma[::-1].tolist())
 
     @property
     def rigid(self) -> bool:
@@ -96,7 +118,8 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     rank is right.  A first-order flex ("flexible") only fails to prove
     rigidity: a symmetric framework can be rigid yet still show an
     infinitesimal flex, so a nonzero flex count for a supposedly rigid graph
-    warrants looking at the singular-value tail.
+    warrants looking at the singular-value tail, which the report computes
+    when it is first read.
     rank_tol_factor must lie strictly between 0 and 1 (ValueError otherwise).
     """
     if not 0.0 < rank_tol_factor < 1.0:  # also refuses NaN
@@ -105,13 +128,12 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         raise ValueError("rigidity analysis needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    banded = _banded_rank(g, rank_tol_factor) if g.vertex_count >= _BANDED_FROM else None
-    if banded is None:
-        sigma = np.linalg.svd(residual_jacobian(g), compute_uv=False)
+    banded = g.vertex_count >= _BANDED_FROM
+    rank = _banded_rank(g, rank_tol_factor) if banded else None
+    sigma = None
+    if rank is None:
+        sigma = _singular_values(g)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
-        tail = sigma[::-1]
-    else:
-        rank, tail = banded
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -119,13 +141,48 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         dof_bound=dof_bound,
         internal_flexes=flexes,
         classification="rigid" if flexes == 0 else "flexible",
-        smallest_singular_values=tuple(tail.tolist()),
+        graph=g,
+        rank_tol_factor=rank_tol_factor,
+        banded=banded,
+        _dense_sigma=sigma,
     )
 
 
-def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndarray] | None:
-    """Rank and the smallest singular values (ascending), without a dense matrix.
+def _singular_values(g: EmbeddedGraph) -> np.ndarray:
+    """All singular values of the rigidity matrix, descending, by a dense SVD."""
+    return np.linalg.svd(residual_jacobian(g), compute_uv=False)
 
+
+def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> int | None:
+    """The rank from the singular values below mu (``_banded_values``), or None.
+
+    Every value at or above mu is above the cutoff, as mu >= 2
+    rank_tol_factor sigma_max, so only those below mu are found.  A value t
+    between rank_tol_factor times the bounds on sigma_max (the square roots
+    of the largest diagonal entry and of the Gershgorin bound) takes one
+    inertia count: t is zero exactly when J^T J - (t / rank_tol_factor)^2 I
+    has fewer than n negative eigenvalues.
+    """
+    found = _banded_values(g, rank_tol_factor, 0)
+    if found is None:
+        return None
+    tail, system, lo, hi = found
+    n, e = 2 * g.vertex_count, g.edge_count
+    zero = tail < rank_tol_factor * lo
+    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
+        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
+        zero[i] = system.factor(-m * m).negative_count() < n
+    return min(e, n) - int(np.count_nonzero(zero))
+
+
+def _banded_values(
+    g: EmbeddedGraph, rank_tol_factor: float, reported: int
+) -> tuple[np.ndarray, _NormalEquations, float, float] | None:
+    """The smallest singular values (ascending), without a dense matrix.
+
+    They are every singular value below mu = max(1e-6 lo, 2 rank_tol_factor
+    hi), where lo <= sigma_max <= hi, and at least the ``reported`` smallest;
+    they come with the assembled system, lo and hi.  None on a hand-off.
     J^T J is assembled in the block-tridiagonal form that ``refine`` solves
     with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a fixed
     block of p vectors V towards the eigenvectors of the smallest
@@ -138,16 +195,12 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
     floor).  The first sweep has no estimate, so the earliest stop is the
     third sweep, compared with the second.  Once a block size stops, the
     Ritz values are taken once, without squaring, as the singular values of
-    the e x p product J V; they give the tail, the count below mu and the
-    rank.
+    the e x p product J V; they give the values and the count below mu.
     Every singular value below mu must be among them: Sylvester's law of
     inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
     as many Ritz values lie below mu.  It hands off from half the columns:
     once p would reach n / 2, it returns None for the dense SVD.  Below
-    that, e > p.  A tail value t between rank_tol_factor times the bounds
-    on sigma_max (the square roots of the largest diagonal entry and of the
-    Gershgorin bound) takes one inertia count: t is zero exactly when
-    J^T J - (t / rank_tol_factor)^2 I has fewer than n negative eigenvalues.
+    that, e > p.
     """
     coords = g.vertices
     links = g.edges
@@ -170,10 +223,10 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
         jv = product(v)
         return np.linalg.eigvalsh(jv.T @ jv)
 
-    p = structural + 3 + 10 + 8  # rigid motions, reported values, spares
+    p = structural + 3 + _REPORTED + 8  # rigid motions, reported values, spares
     while 2 * p < n:
         v = _orthonormal(_hashed_block(n, p))
-        watch = min(p, max(small, structural + 10))  # the values reported or counted
+        watch = min(p, max(small, structural + reported))  # the values counted or reported
         previous = np.full(watch, np.inf)
         for sweep in range(_MAX_SWEEPS):
             v = _orthonormal(inverse.solve(v))
@@ -197,13 +250,7 @@ def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, np.ndar
         p *= 2
     else:
         return None
-    tail = theta[structural:watch]
-    zero = tail < rank_tol_factor * lo
-    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
-        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.factor(-m * m).negative_count() < n
-    rank = min(e, n) - int(np.count_nonzero(zero))
-    return rank, tail
+    return theta[structural:watch], system, lo, hi
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:

@@ -406,6 +406,15 @@ def test_a_short_tiled_chain_that_misses_is_polished_not_solved_whole(monkeypatc
     assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
+def test_a_ten_thousand_spacer_chain_is_polished_about_its_centroid():
+    # tiled from x = 0, its coordinates reach about 1e4, where float64 rounding
+    # alone leaves edges about 2e-12 off unit length; centred, the polish converges
+    spec = end_spec("fig5c", "fig5c", 10_000)
+    g = chain_extend(spec)
+    assert g.vertex_count == merged_vertex_count(chain_plan(spec)) == 30_096
+    assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
+
+
 def test_chain_rejects_non_spacer_interior():
     g5a = corpus.refined_graph("fig5a")
     with pytest.raises(PlanError):

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
@@ -150,9 +150,10 @@ def test_rank_tolerance_outside_the_unit_interval_is_rejected(factor):
 # -- the banded path against the dense SVD ------------------------------------
 
 
-def dense_and_banded(g):
+def dense_and_banded(g, rank_tol_factor=rigidity.DEFAULT_RANK_TOL):
     """Reports from the dense SVD and from the banded path, whatever g's size,
-    and whether ``_banded_rank`` answered or handed g back to the dense SVD."""
+    and whether ``_banded_rank`` answered or handed g back to the dense SVD.
+    Each report's tail is read later, by the path its verdict took."""
     banded_rank, answered = rigidity._banded_rank, []
 
     def recorded(*args):
@@ -162,10 +163,10 @@ def dense_and_banded(g):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", math.inf)
-        dense = analyze_rigidity(g)
+        dense = analyze_rigidity(g, rank_tol_factor)
         mp.setattr(rigidity, "_BANDED_FROM", 0)
         mp.setattr(rigidity, "_banded_rank", recorded)
-        banded = analyze_rigidity(g)
+        banded = analyze_rigidity(g, rank_tol_factor)
     assert len(answered) == 1
     return dense, banded, answered[0]
 
@@ -185,6 +186,11 @@ def assert_paths_agree(g, answered=True):
 def chain(left: str, right: str, spacers: int) -> EmbeddedGraph:
     parts = (PartSpec(corpus.refined_graph(left)), PartSpec(corpus.refined_graph(right)))
     return chain_extend(ChainSpec(*parts, spacers))
+
+
+@lru_cache(maxsize=None)
+def ring(parts: tuple[str, ...]) -> EmbeddedGraph:
+    return realize(ring_plan([PartSpec(corpus.refined_graph(p)) for p in parts]))
 
 
 def flat_rhombus_ladder(k: int) -> EmbeddedGraph:
@@ -227,18 +233,76 @@ def test_banded_rank_matches_dense_on_the_corpus(name):
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
 def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     # the second singular value sits within the bracket on sigma_max times the
-    # rank tolerance, so it takes one inertia count besides the one at -mu^2
+    # rank tolerance, so the verdict takes one inertia count besides the one at -mu^2
+    g = corpus.refined_graph(name)
     negative_count, counts = refine._BlockFactor.negative_count, []
 
     def counted(self):
         counts.append(self)
         return negative_count(self)
 
-    monkeypatch.setattr(refine._BlockFactor, "negative_count", counted)
-    banded = assert_paths_agree(corpus.refined_graph(name))
+    with monkeypatch.context() as mp:
+        mp.setattr(rigidity, "_BANDED_FROM", 0)
+        mp.setattr(refine._BlockFactor, "negative_count", counted)
+        banded = analyze_rigidity(g)
     assert len(counts) == 2
     assert banded.internal_flexes == 1
     assert 1e-9 < banded.singular_tail(2)[1] < 1e-7
+    assert_paths_agree(g)
+
+
+def test_banded_verdict_leaves_the_tail_until_it_is_read(monkeypatch):
+    g = chain("fig5a", "fig5c", 150)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    banded_values, reported = rigidity._banded_values, []
+
+    def counted(g, rank_tol_factor, count):
+        reported.append(count)
+        return banded_values(g, rank_tol_factor, count)
+
+    monkeypatch.setattr(rigidity, "_banded_values", counted)
+    report = analyze_rigidity(g)
+    assert report.internal_flexes == 1
+    assert reported == [0]  # the verdict's pass watches no reported value
+    tail = report.singular_tail(10)
+    assert reported == [0, rigidity._REPORTED]
+    assert report.singular_tail(10) == tail and len(tail) == 10
+    assert reported == [0, rigidity._REPORTED]  # computed once
+
+
+@pytest.mark.parametrize("ends", [("fig5a", "fig5c"), ("fig5c", "fig5c")])
+def test_banded_verdict_takes_fewer_sweeps_than_the_tail(ends, monkeypatch):
+    # each sweep orthonormalizes its block once, as does each block's start
+    orthonormal, calls = rigidity._orthonormal, []
+
+    def counted(w):
+        calls.append(w.shape[1])
+        return orthonormal(w)
+
+    monkeypatch.setattr(rigidity, "_orthonormal", counted)
+    report = analyze_rigidity(chain(*ends, 150))
+    verdict = len(calls)
+    report.singular_tail()
+    assert 0 < verdict < len(calls) - verdict
+
+
+@given(
+    st.sampled_from(["fig2g", "fig2h", "ring", "chain"]),
+    st.integers(4, 50),
+    st.floats(-12, -3).map(lambda e: 10.0**e),
+)
+@example("fig2g", 4, 1e-12)
+@example("chain", 50, 1e-3)
+@settings(max_examples=30, deadline=None)
+def test_banded_verdict_agrees_with_dense_across_tolerances(kind, spacers, rank_tol_factor):
+    if kind == "ring":
+        g = ring(("fig2a", "fig2g", "fig2h"))
+    elif kind == "chain":
+        g = chain("fig5a", "fig5c", spacers)
+    else:
+        g = corpus.refined_graph(kind)
+    dense, banded, _ = dense_and_banded(g, rank_tol_factor)
+    assert (banded.rank, banded.internal_flexes) == (dense.rank, dense.internal_flexes)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +310,7 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     [("fig2g",) * 3, ("fig2h",) * 3, ("fig2a", "fig2g", "fig2h"), ("fig2f", "fig2g", "fig2g")],
 )
 def test_banded_rank_matches_dense_on_rings(parts):
-    assert_paths_agree(realize(ring_plan([PartSpec(corpus.refined_graph(p)) for p in parts])))
+    assert_paths_agree(ring(parts))
 
 
 @given(
@@ -347,11 +411,13 @@ def test_banded_rank_hands_off_a_long_path_before_any_sweep(monkeypatch):
 
 
 def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
-    # a dense SVD of the 1,990 x 1,990 rigidity matrix peaks above 30 MB
+    # a dense SVD of the 1,990 x 1,990 rigidity matrix peaks above 30 MB;
+    # the verdict's pass and the tail's pass each stay far below it
     assert long_chain.vertex_count >= rigidity._BANDED_FROM
     tracemalloc.start()
     try:
         report = analyze_rigidity(long_chain)
+        assert len(report.singular_tail(10)) == 10
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
