@@ -37,7 +37,7 @@ def _directory() -> resources.abc.Traversable:
 
 def corpus_names() -> tuple[str, ...]:
     """Names of the corpus's ``.seg`` files, sorted (figure order for the bundled ones)."""
-    files = (p.name for p in _directory().iterdir())
+    files = (p.name for p in _directory().iterdir() if p.is_file())
     return tuple(sorted(f.removesuffix(".seg") for f in files if f.endswith(".seg")))
 
 

@@ -11,20 +11,23 @@ coordinates blur the small singular values that separate flexes from noise.
 Only the smallest singular values and the largest one matter to the rank.
 Small graphs take a dense SVD.  From ``_BANDED_FROM`` vertices on, where the
 dense SVD's cubic cost overtakes it, they come from block inverse iteration
-on J^T J in the block-tridiagonal storage of ``refine``'s solver, which
-hands off from half the columns: a graph whose block would need that many
-vectors takes the dense SVD after all.  Sylvester inertia counts on the
-same factorization make sure no small singular value is missed, plus one
-inertia count per undecided value.  The shifted matrix is factored once;
-each sweep costs a forward sweep, one batched product with the pivots'
-inverses, a back substitution, a CholeskyQR orthonormalization and the
-eigenvalues of a p x p Gram matrix, which only decide whether to stop.  The
-singular values of the tall product J V are taken once per block size.
-Memory and time grow linearly in the vertex count for long, thin drawings.
+on J^T J in the block-tridiagonal storage of ``refine``'s solver.  A
+Sylvester inertia count on the same factorization says how many small
+singular values there are, which sizes the one block of vectors and makes
+sure none is missed, plus one inertia count per undecided value.  The
+shifted matrix is factored once; each sweep costs a forward sweep, one
+batched product with the pivots' inverses, a back substitution, a
+CholeskyQR orthonormalization and the eigenvalues of a p x p Gram matrix,
+which only decide whether to stop.  The singular values of the tall product
+J V are taken once, after the last sweep.  The iteration hands the graph to
+the dense SVD when its block would need half the columns, when the sweeps
+run out, or when the block misses a small singular value.  Memory and time
+grow linearly in the vertex count for long, thin drawings.
 
 The verdict iterates only until the values below the cutoff mu have
-settled; the reported tail of the ten smallest singular values takes its
-own pass, which also waits for those ten, and only when it is first read.
+settled; the reported tail of the ten smallest singular values is computed
+only when it is first read: from the verdict's dense SVD when it took one,
+else by its own pass, which also waits for those ten.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ class RigidityReport:
     internal_flexes = (2v - 3) - rank counts independent first-order motions
     that preserve all edge lengths but are not rigid-body motions.  The
     report keeps the analyzed graph and tolerance; its singular-value tail
-    is computed on first read, by the path the verdict took (a graph's
-    arrays are read-only, so the tail cannot go stale).
+    is computed on first read, from the verdict's dense SVD when it took
+    one, else by a banded pass of its own (a graph's arrays are read-only,
+    so the tail cannot go stale).
     """
 
     rank: int
@@ -69,17 +73,18 @@ class RigidityReport:
     classification: str  # "rigid" | "flexible"
     graph: EmbeddedGraph = field(repr=False, compare=False)
     rank_tol_factor: float
-    banded: bool  # whether the verdict took the banded path (it may have handed off)
     #: the dense SVD's singular values (descending), when the verdict took it
     _dense_sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def smallest_singular_values(self) -> tuple[float, ...]:
         """Ascending; at least min(10, all) of them; computed once, when first read."""
-        found = _banded_values(self.graph, self.rank_tol_factor, _REPORTED) if self.banded else None
-        if found is not None:
-            return tuple(found[0].tolist())
-        sigma = _singular_values(self.graph) if self._dense_sigma is None else self._dense_sigma
+        sigma = self._dense_sigma
+        if sigma is None:
+            found = _banded(self.graph, self.rank_tol_factor, _REPORTED)
+            if found is not None:
+                return tuple(found[1].tolist())
+            sigma = _singular_values(self.graph)
         return tuple(sigma[::-1].tolist())
 
     @property
@@ -128,12 +133,12 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         raise ValueError("rigidity analysis needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    banded = g.vertex_count >= _BANDED_FROM
-    rank = _banded_rank(g, rank_tol_factor) if banded else None
-    sigma = None
-    if rank is None:
+    found = _banded(g, rank_tol_factor, 0) if g.vertex_count >= _BANDED_FROM else None
+    if found is None:
         sigma = _singular_values(g)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
+    else:
+        rank, sigma = found[0], None
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -143,7 +148,6 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         classification="rigid" if flexes == 0 else "flexible",
         graph=g,
         rank_tol_factor=rank_tol_factor,
-        banded=banded,
         _dense_sigma=sigma,
     )
 
@@ -153,39 +157,21 @@ def _singular_values(g: EmbeddedGraph) -> np.ndarray:
     return np.linalg.svd(residual_jacobian(g), compute_uv=False)
 
 
-def _banded_rank(g: EmbeddedGraph, rank_tol_factor: float) -> int | None:
-    """The rank from the singular values below mu (``_banded_values``), or None.
-
-    Every value at or above mu is above the cutoff, as mu >= 2
-    rank_tol_factor sigma_max, so only those below mu are found.  A value t
-    between rank_tol_factor times the bounds on sigma_max (the square roots
-    of the largest diagonal entry and of the Gershgorin bound) takes one
-    inertia count: t is zero exactly when J^T J - (t / rank_tol_factor)^2 I
-    has fewer than n negative eigenvalues.
-    """
-    found = _banded_values(g, rank_tol_factor, 0)
-    if found is None:
-        return None
-    tail, system, lo, hi = found
-    n, e = 2 * g.vertex_count, g.edge_count
-    zero = tail < rank_tol_factor * lo
-    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
-        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.factor(-m * m).negative_count() < n
-    return min(e, n) - int(np.count_nonzero(zero))
-
-
-def _banded_values(
+def _banded(
     g: EmbeddedGraph, rank_tol_factor: float, reported: int
-) -> tuple[np.ndarray, _NormalEquations, float, float] | None:
-    """The smallest singular values (ascending), without a dense matrix.
+) -> tuple[int, np.ndarray] | None:
+    """The rank and the smallest singular values (ascending), without a dense matrix.
 
-    They are every singular value below mu = max(1e-6 lo, 2 rank_tol_factor
-    hi), where lo <= sigma_max <= hi, and at least the ``reported`` smallest;
-    they come with the assembled system, lo and hi.  None on a hand-off.
-    J^T J is assembled in the block-tridiagonal form that ``refine`` solves
-    with.  Inverse subspace iteration with (J^T J + delta I)^-1 turns a fixed
-    block of p vectors V towards the eigenvectors of the smallest
+    The values are every singular value below mu = max(1e-6 lo, 2
+    rank_tol_factor hi), where lo and hi, the square roots of the largest
+    diagonal entry of J^T J and of its Gershgorin bound, bracket sigma_max,
+    and at least the ``reported`` smallest.  Every value at or above mu is
+    above the rank cutoff, so only those below it decide the rank.  J^T J is
+    assembled in the block-tridiagonal form that ``refine`` solves with.
+    Sylvester's law of inertia counts its eigenvalues below mu^2
+    (``small``), which sizes the one block of p = max(structural + 21,
+    small + 17) vectors.  Inverse subspace iteration with (J^T J + delta
+    I)^-1 turns the block V towards the eigenvectors of the smallest
     eigenvalues, orthonormalizing V after each solve (``_orthonormal``).
     Each sweep estimates the Ritz values theta from the eigenvalues of the
     p x p Gram matrix (J V)^T (J V), whose absolute rounding is about eps
@@ -193,28 +179,33 @@ def _banded_values(
     moved by at most _SETTLED * hi plus that rounding, or by no more than
     the Gram can resolve (theta^2 below 8 eps theta_max^2 counts as that
     floor).  The first sweep has no estimate, so the earliest stop is the
-    third sweep, compared with the second.  Once a block size stops, the
-    Ritz values are taken once, without squaring, as the singular values of
-    the e x p product J V; they give the values and the count below mu.
-    Every singular value below mu must be among them: Sylvester's law of
-    inertia counts the eigenvalues of J^T J below mu^2, and p doubles until
-    as many Ritz values lie below mu.  It hands off from half the columns:
-    once p would reach n / 2, it returns None for the dense SVD.  Below
-    that, e > p.
+    third sweep, compared with the second.  The Ritz values are then taken
+    once, without squaring, as the singular values of the e x p product
+    J V.  A value t between rank_tol_factor times lo and hi takes one more
+    inertia count: t is zero exactly when J^T J - (t / rank_tol_factor)^2 I
+    has fewer than n negative eigenvalues.
+
+    None hands the graph to the dense SVD, in three cases: the block would
+    reach half the columns (2p >= n, decided before the shifted matrix is
+    factored), the sweeps run out before the watched values settle, or the
+    number of Ritz values below mu is not ``small``.  Otherwise e > p.
     """
-    coords = g.vertices
-    links = g.edges
+    coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
-    rows = system.position[_link_columns(links)]
-    values = _link_values(coords, links)
     top, gershgorin = system.bounds()
     lo, hi = math.sqrt(top), math.sqrt(gershgorin)
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
     small = system.factor(-mu * mu).negative_count()
-    inverse = system.factor(_SHIFT * top)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
+    # rigid motions, reported values and spares, or the small values and spares
+    p = max(structural + 3 + _REPORTED + 8, small + 17)
+    if 2 * p >= n:
+        return None
+    rows = system.position[_link_columns(links)]
+    values = _link_values(coords, links)
+    inverse = system.factor(_SHIFT * top)
 
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
         return np.einsum("rk,rkp->rp", values, v[rows])
@@ -223,34 +214,34 @@ def _banded_values(
         jv = product(v)
         return np.linalg.eigvalsh(jv.T @ jv)
 
-    p = structural + 3 + _REPORTED + 8  # rigid motions, reported values, spares
-    while 2 * p < n:
-        v = _orthonormal(_hashed_block(n, p))
-        watch = min(p, max(small, structural + reported))  # the values counted or reported
-        previous = np.full(watch, np.inf)
-        for sweep in range(_MAX_SWEEPS):
-            v = _orthonormal(inverse.solve(v))
-            if sweep == 0:
-                continue
-            estimates = squares(v)
-            rounding = np.finfo(float).eps * estimates[-1]  # absolute, in each theta^2
-            floor = 8 * rounding  # theta^2 below this is not resolved
-            theta = np.sqrt(np.maximum(estimates[:watch], floor))
-            # a move times theta is a change of theta^2: settled within _SETTLED * hi
-            # plus two Grams' rounding, or within what the Gram cannot resolve
-            change = np.abs(theta - previous) * theta
-            bound = np.maximum(_SETTLED * hi * theta + rounding, floor)
-            settled = bool(np.all(change <= bound))
-            if settled:
-                break
-            previous = theta
-        theta = np.linalg.svd(product(v), compute_uv=False)[::-1]
-        if settled and np.count_nonzero(theta < mu) == small:
+    v = _orthonormal(_hashed_block(n, p))
+    watch = max(small, structural + reported)  # the values counted or reported
+    previous = np.full(watch, np.inf)
+    for sweep in range(_MAX_SWEEPS):
+        v = _orthonormal(inverse.solve(v))
+        if sweep == 0:
+            continue
+        estimates = squares(v)
+        rounding = np.finfo(float).eps * estimates[-1]  # absolute, in each theta^2
+        floor = 8 * rounding  # theta^2 below this is not resolved
+        theta = np.sqrt(np.maximum(estimates[:watch], floor))
+        # a move times theta is a change of theta^2: settled within _SETTLED * hi
+        # plus two Grams' rounding, or within what the Gram cannot resolve
+        change = np.abs(theta - previous) * theta
+        if np.all(change <= np.maximum(_SETTLED * hi * theta + rounding, floor)):
             break
-        p *= 2
+        previous = theta
     else:
         return None
-    return theta[structural:watch], system, lo, hi
+    theta = np.linalg.svd(product(v), compute_uv=False)[::-1]
+    if np.count_nonzero(theta < mu) != small:
+        return None
+    tail = theta[structural:watch]
+    zero = tail < rank_tol_factor * lo
+    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
+        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
+        zero[i] = system.factor(-m * m).negative_count() < n
+    return min(e, n) - int(np.count_nonzero(zero)), tail
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:

@@ -654,6 +654,18 @@ def test_catalog_json_writes_an_empty_clearance_as_null(tmp_path, monkeypatch, c
     assert row["clearances"]["vertex_vertex"] == pytest.approx(1.0)
 
 
+def test_catalog_skips_a_directory_named_like_a_drawing(tmp_path, monkeypatch, capsys):
+    (tmp_path / "fig2a.seg").write_text(
+        resources.files("matchsticks").joinpath("corpus/fig2a.seg").read_text()
+    )
+    (tmp_path / "zz.seg").mkdir()
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    assert corpus.corpus_names() == ("fig2a",)
+    code, out, _ = run(capsys, "catalog", "--json")
+    assert code == 0
+    assert [row["graph"]["name"] for row in json.loads(out)["corpus"]] == ["fig2a"]
+
+
 # -- one JSON shape -----------------------------------------------------------
 
 

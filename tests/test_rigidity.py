@@ -152,12 +152,12 @@ def test_rank_tolerance_outside_the_unit_interval_is_rejected(factor):
 
 def dense_and_banded(g, rank_tol_factor=rigidity.DEFAULT_RANK_TOL):
     """Reports from the dense SVD and from the banded path, whatever g's size,
-    and whether ``_banded_rank`` answered or handed g back to the dense SVD.
+    and whether ``_banded`` answered or handed g back to the dense SVD.
     Each report's tail is read later, by the path its verdict took."""
-    banded_rank, answered = rigidity._banded_rank, []
+    banded, answered = rigidity._banded, []
 
     def recorded(*args):
-        result = banded_rank(*args)
+        result = banded(*args)
         answered.append(result is not None)
         return result
 
@@ -165,7 +165,7 @@ def dense_and_banded(g, rank_tol_factor=rigidity.DEFAULT_RANK_TOL):
         mp.setattr(rigidity, "_BANDED_FROM", math.inf)
         dense = analyze_rigidity(g, rank_tol_factor)
         mp.setattr(rigidity, "_BANDED_FROM", 0)
-        mp.setattr(rigidity, "_banded_rank", recorded)
+        mp.setattr(rigidity, "_banded", recorded)
         banded = analyze_rigidity(g, rank_tol_factor)
     assert len(answered) == 1
     return dense, banded, answered[0]
@@ -254,13 +254,13 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
 def test_banded_verdict_leaves_the_tail_until_it_is_read(monkeypatch):
     g = chain("fig5a", "fig5c", 150)
     assert g.vertex_count >= rigidity._BANDED_FROM
-    banded_values, reported = rigidity._banded_values, []
+    banded, reported = rigidity._banded, []
 
     def counted(g, rank_tol_factor, count):
         reported.append(count)
-        return banded_values(g, rank_tol_factor, count)
+        return banded(g, rank_tol_factor, count)
 
-    monkeypatch.setattr(rigidity, "_banded_values", counted)
+    monkeypatch.setattr(rigidity, "_banded", counted)
     report = analyze_rigidity(g)
     assert report.internal_flexes == 1
     assert reported == [0]  # the verdict's pass watches no reported value
@@ -284,6 +284,50 @@ def test_banded_verdict_takes_fewer_sweeps_than_the_tail(ends, monkeypatch):
     verdict = len(calls)
     report.singular_tail()
     assert 0 < verdict < len(calls) - verdict
+
+
+def test_handed_off_verdict_reuses_its_dense_values_for_the_tail(monkeypatch):
+    # the ladder's flexes size a block of half its columns or more, so the
+    # verdict takes the dense SVD, and the tail reads its values
+    g = flat_rhombus_ladder(80)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    banded, svd, calls = rigidity._banded, np.linalg.svd, []
+
+    def counted_banded(*args):
+        calls.append("banded")
+        return banded(*args)
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(rigidity, "_banded", counted_banded)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    report = analyze_rigidity(g)
+    assert calls == ["banded", "svd"]
+    assert len(report.singular_tail(10)) == 10
+    assert calls == ["banded", "svd"]
+    assert report.internal_flexes == g.vertex_count - 2
+
+
+def test_banded_verdict_takes_the_dense_tail_when_the_tail_pass_hands_off(monkeypatch):
+    g = chain("fig5a", "fig5c", 50)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    singular_values, dense_calls = rigidity._singular_values, []
+
+    def counted(g):
+        dense_calls.append(g)
+        return singular_values(g)
+
+    monkeypatch.setattr(rigidity, "_singular_values", counted)
+    report = analyze_rigidity(g)
+    assert dense_calls == []  # the verdict was answered by the banded pass
+    monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)  # the tail pass cannot settle
+    tail = report.singular_tail(10)
+    assert dense_calls == [g]
+    monkeypatch.setattr(rigidity, "_BANDED_FROM", math.inf)
+    dense = analyze_rigidity(g).singular_tail(10)
+    np.testing.assert_allclose(tail, dense, rtol=0, atol=1e-12)
 
 
 @given(
@@ -341,7 +385,7 @@ def test_banded_rank_matches_dense_on_the_rhombus():
 @given(st.integers(25, 45))
 @settings(max_examples=8)
 def test_banded_rank_hands_off_for_many_flexes(k):
-    # the flexes outnumber the first block, and its double reaches half the columns
+    # the flexes outnumber 2v - e + 21, and the block they size reaches half the columns
     g = flat_rhombus_ladder(k)
     banded = assert_paths_agree(g, answered=False)
     assert banded.internal_flexes == g.vertex_count - 2
@@ -350,19 +394,30 @@ def test_banded_rank_hands_off_for_many_flexes(k):
 
 @given(st.integers(25, 46))
 @settings(max_examples=8)
-def test_banded_rank_doubles_its_block_for_many_flexes(flat):
-    # the flexes outnumber the first block, and its double, 48, stays below
-    # half the strip's 304 columns
+def test_banded_sizes_its_one_block_by_the_inertia_count(flat):
+    # the flexes outnumber 2v - e + 21, so the inertia count at -mu^2 sizes the
+    # block, which stays below half the strip's 304 columns
     g = bent_strip(150, flat)
-    banded = assert_paths_agree(g)
-    assert banded.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    hashed_block, sizes = rigidity._hashed_block, []
+
+    def counted(n, p):
+        sizes.append(p)
+        return hashed_block(n, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_hashed_block", counted)
+        report = analyze_rigidity(g)
+    assert len(sizes) == 1
+    assert sizes[0] > report.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
+    assert_paths_agree(g)
 
 
-@pytest.mark.parametrize("kind, block_sizes", [("chain", 1), ("ladder", 1), ("bent-strip", 2)])
+@pytest.mark.parametrize("kind, block_sizes", [("chain", 1), ("ladder", 0), ("bent-strip", 1)])
 def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkeypatch):
     # sweeps settle on the eigenvalues of a p x p Gram matrix; the singular
-    # values of the tall e x p product J V are taken once a block size stops.
-    # The ladder's second block would reach half its columns, so it hands off.
+    # values of the tall e x p product J V are taken once, after the last sweep.
+    # The ladder's block would reach half its columns, so it hands off first.
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "ladder": lambda: flat_rhombus_ladder(50),
@@ -381,7 +436,7 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(rigidity, "_hashed_block", counted_block)
-    answer = rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL)
+    answer = rigidity._banded(g, rigidity.DEFAULT_RANK_TOL, 0)
     assert (answer is None) == (kind == "ladder")
     assert len(sizes) == block_sizes
     assert tall == [True] * block_sizes
@@ -389,8 +444,7 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
 
 @pytest.mark.parametrize("kind", ["chain", "fig2g"])
 def test_banded_rank_hands_off_when_sweeps_run_out(kind, monkeypatch):
-    # two sweeps never settle (the first has no Ritz estimate), so p doubles
-    # until the block would reach half the columns, and the dense SVD answers
+    # two sweeps never settle (the first has no Ritz estimate), so the dense SVD answers
     monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)
     g = chain("fig5a", "fig5c", 4) if kind == "chain" else corpus.refined_graph(kind)
     assert_paths_agree(g, answered=False)
@@ -405,7 +459,7 @@ def test_banded_rank_hands_off_a_long_path_before_any_sweep(monkeypatch):
         raise AssertionError(f"a block of {p} vectors was started")
 
     monkeypatch.setattr(rigidity, "_hashed_block", no_sweep)
-    assert rigidity._banded_rank(g, rigidity.DEFAULT_RANK_TOL) is None
+    assert rigidity._banded(g, rigidity.DEFAULT_RANK_TOL, 0) is None
     report = analyze_rigidity(g)
     assert (report.rank, report.internal_flexes) == (g.edge_count, g.vertex_count - 2)
 
