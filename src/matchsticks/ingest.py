@@ -6,10 +6,11 @@ each).  Figure drawings repeat each vertex once per incident segment with
 coordinates rounded to 4 decimals, so building a graph means clustering
 endpoints that agree to within a merge radius and estimating which drawing
 length counts as one matchstick; graphs come out scaled to that unit.
-Endpoint pairs within the merge radius come from verify's uniform-grid broad
-phase, and clusters are the connected components of those pairs, so for
-drawings of bounded density time and memory grow linearly with the number of
-segments.
+Endpoint pairs within the merge radius come from verify's sweep-and-prune
+broad phase, and clusters are the connected components of those pairs, so
+time and memory grow linearly with the number of segments for long, thin
+drawings; an axis-aligned 4,900-vertex triangular-lattice patch took 104 ms
+and 150 MB traced peak.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def max_unit_deviation(segments: np.ndarray) -> float:
 def _cluster_endpoints(points: np.ndarray, eps: float) -> np.ndarray:
     """Join points within eps of each other; returns a cluster label per point.
 
-    Candidates come from verify's grid broad phase with margin eps, and the
+    Candidates come from verify's broad phase with margin eps, and the
     label is the smallest point index in the cluster.  Transitive chains are
     possible in principle; the caller rejects any clustering whose centroids
     end up suspiciously close.
@@ -166,13 +167,15 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     duplicate segments collapse to one edge.  The graph comes back in
     matchstick units: centroids divided by the unit, the median segment
     length.  Raises AmbiguousMergeError when two distinct cluster centers
-    come within twice the merge radius (the clustering cannot be trusted), and
-    DegenerateSegmentError when a segment's endpoints coincide.
+    come within twice the merge radius (the clustering cannot be trusted),
+    DegenerateSegmentError when a segment's endpoints coincide, and
+    SegmentFileError when the unit or the scaled centroids overflow float64.
     """
     segs = sf.segments
     s = len(segs)
     eps = _MERGE_RADIUS
-    unit = estimate_unit(segs)
+    with np.errstate(over="ignore"):  # an infinite unit is refused below
+        unit = estimate_unit(segs)
     if not eps < 0.1 * unit:
         raise AmbiguousMergeError(f"merge radius {eps} is not small against the unit {unit:.6g}")
     endpoints = np.concatenate([segs[:, 0:2], segs[:, 2:4]])  # (2s, 2): starts then ends
@@ -185,8 +188,12 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     vertex_of[found[np.argsort(first)]] = np.arange(len(found))
     ends = vertex_of[labels]
     centroids = np.zeros((len(found), 2))
-    np.add.at(centroids, ends, endpoints)  # summed in endpoint order
-    centroids /= np.bincount(ends)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(centroids, ends, endpoints)  # summed in endpoint order
+        centroids /= np.bincount(ends)[:, None]
+        scaled = centroids / unit
+    if not (np.isfinite(unit) and np.isfinite(scaled).all()):
+        raise SegmentFileError("the drawing's coordinates overflow float64 when merged or scaled")
 
     ci, cj = _near_pairs(centroids, centroids, 2 * eps)
     d = centroids[ci] - centroids[cj]
@@ -208,7 +215,7 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     edges = np.column_stack([lo[keep], hi[keep]])
 
     name = sf.metadata.get("name")
-    return EmbeddedGraph(centroids / unit, edges, name=str(name) if name is not None else None)
+    return EmbeddedGraph(scaled, edges, name=str(name) if name is not None else None)
 
 
 def graph_from_text(text: str) -> EmbeddedGraph:

@@ -8,14 +8,14 @@ overlap beyond their shared endpoint), and no two vertices or vertex/edge
 pairs closer than eps_separation.  Violations are reported as data, never
 raised.
 
-Candidate pairs for the separation checks come from one uniform-grid broad
-phase query per graph over the axis-aligned boxes of all edges and vertices
-(with an eps margin).  Each box meets only the later boxes of its own cell
-and the boxes of the four cells after it, so every pair is found once, and
-the box test runs on per-axis 1-D arrays; only candidates reach the exact
-distance kernel, which measures a vertex as a stick of zero length.  Every
-stick has unit length, so cells are about one unit wide and, for drawings of
-bounded density, time and memory grow linearly with the size of the graph.
+Candidate pairs for the separation checks come from one sweep-and-prune
+query per graph over the boxes of all edges and vertices (with an eps
+margin); only candidates reach the exact distance kernel, which measures a
+vertex as a stick of zero length.  Time and memory grow linearly for long,
+thin drawings, such as every chain, ring and mirror double the package
+builds, and as about n**1.5 on a square patch of n sticks: on a 4,900-vertex
+triangular-lattice patch a check took 99-178 ms and 126-202 MB traced peak
+(turned by 0.3 rad and axis-aligned; best of 3 on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np
     """Distance from point(s) to segment(s), broadcasting over leading axes."""
     scale = _scale(p, s0, s1)
     p, s0, s1 = p / scale, s0 / scale, s1 / scale
-    d = s1 - s0
-    dd = np.sum(d * d, axis=-1)
-    t = np.sum((p - s0) * d, axis=-1) / np.where(dd > 0, dd, 1.0)
+    d, r = s1 - s0, p - s0
+    dr = _scale(d, r)  # else their squares underflow where coordinates dwarf the stick
+    ds, rs = d / dr, r / dr
+    dd = np.sum(ds * ds, axis=-1)
+    t = np.sum(rs * ds, axis=-1) / np.where(dd > 0, dd, 1.0)
     gap = p - (s0 + np.clip(t, 0.0, 1.0)[..., None] * d)
     return np.hypot(gap[..., 0], gap[..., 1]) * scale[..., 0]
 
@@ -262,49 +264,26 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, margin: float) -> tuple[np.ndarr
     """Index pairs (i, j), i < j, whose boxes come within margin on both axes.
 
     Boxes are (n, 2) arrays of lower and upper corners; a point is a box of
-    zero extent.  The broad phase is a uniform grid keyed by the cell of each
-    box's lower corner.  A cell is at least the largest box extent plus the
-    margin, so boxes within the margin of each other have lower corners in
-    the same or adjacent cells.  Each box pairs with the later boxes of its
-    own cell and with every box of the four cells after it in key order
-    (half of the surrounding 3x3 stencil), so each candidate pair is found
-    once, and the exact box test on per-axis 1-D arrays selects every near
-    pair.  For drawings
-    of bounded density the work and memory are linear in the number of
-    boxes.  Pairs come in no particular order.
+    zero extent.  The broad phase is a sweep and prune along the axis of
+    larger extent: with the boxes sorted by their lower corner on that axis,
+    each box meets the later boxes whose lower corner is at most its upper
+    corner plus the margin, and the two comparisons on the other axis select
+    the near pairs.  These are the box test's own comparisons, so rounding
+    cannot lose a pair.  Work and memory are linear for drawings long and
+    thin along that axis.  Pairs come in no particular order.
     """
     if len(lo) < 2:
         none = np.zeros(0, dtype=np.intp)
         return none, none
-    origin = lo.min(axis=0)
-    span = float((hi.max(axis=0) - origin).max())
-    extent = float((hi - lo).max())
-    scale = float(np.maximum(np.abs(lo), np.abs(hi)).max())
-    # The slack covers rounding in the box test, which grows with the
-    # coordinates, and in the keys, which grows with the span.  The floor
-    # at span / 2**20 keeps cell indices, and so the int64 keys, small.
-    cell = max(extent + margin, span / 2**20) * (1 + 2**-20) + scale * 2**-40
-    if 0 < cell < math.inf:
-        k = np.floor((lo - origin) / cell).astype(np.int64) + 1
-    else:  # an infinite margin, a span beyond the float range, or all boxes
-        # one point at the origin with no margin: one cell
-        k = np.ones(lo.shape, dtype=np.int64)
-    width = int(k[:, 1].max()) + 2
-    keys = k[:, 0] * width + k[:, 1]
-    order = np.argsort(keys, kind="stable")  # within a cell, ascending index
-    keys = keys[order]
-    own_end = np.searchsorted(keys, keys, side="right")
-    forward = keys[:, None] + np.array([1, width - 1, width, width + 1])
-    start = np.column_stack([np.arange(1, len(keys) + 1), np.searchsorted(keys, forward)])
-    end = np.column_stack([own_end, np.searchsorted(keys, forward, side="right")])
-    count = end - start  # per box and cell
-    p = np.repeat(np.arange(len(keys)), count.sum(axis=1))
-    count = count.ravel()
-    q = np.repeat(start.ravel() - np.cumsum(count) + count, count) + np.arange(len(p))
+    axis = int(np.argmax(hi.max(axis=0) / 2 - lo.min(axis=0) / 2))  # halves cannot overflow
+    order = np.argsort(lo[:, axis], kind="stable")
+    first = np.arange(1, len(lo) + 1)
+    count = np.searchsorted(lo[order, axis], hi[order, axis] + margin, side="right") - first
+    p = np.repeat(np.arange(len(lo)), count)
+    q = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(p))
     a, b = order[p], order[q]
-    x0, y0 = lo[:, 0], lo[:, 1]
-    x1, y1 = hi[:, 0] + margin, hi[:, 1] + margin
-    near = (x0[a] <= x1[b]) & (x0[b] <= x1[a]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+    y0, y1 = lo[:, 1 - axis], hi[:, 1 - axis] + margin
+    near = (y0[a] <= y1[b]) & (y0[b] <= y1[a])
     a, b = a[near], b[near]
     return np.minimum(a, b), np.maximum(a, b)
 

@@ -64,6 +64,16 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
     return EmbeddedGraph(coords, tuple(sorted(edges)), name="random")
 
 
+def turned_upright(g: EmbeddedGraph) -> EmbeddedGraph:
+    """g turned by 90 degrees and moved to about (1e4, -1e4).
+
+    A drawing long along x comes out long along y, so a broad phase that
+    sweeps along x only would meet nearly every pair of its sticks.
+    """
+    x, y = g.vertices.T
+    return EmbeddedGraph(np.column_stack([1e4 - y, x - 1e4]), g.edges, name=g.name)
+
+
 @pytest.fixture(scope="session")
 def long_chain() -> EmbeddedGraph:
     """fig5a + 300 spacers + fig5c: 995 vertices, built once per session.

@@ -119,6 +119,21 @@ def test_verify_unparseable_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_file_whose_merged_coordinates_overflow(tmp_path):
+    # every coordinate is finite, but the median length and the centroid sums are not
+    path = tmp_path / "huge.seg"
+    path.write_text("! name x\n0 0 1e308 0\n1e308 0 1e308 1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchsticks.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {path}: the drawing's coordinates overflow float64 when merged or scaled\n"
+    )
+
+
 def _plan_file(tmp_path, text):
     path = tmp_path / "plan.json"
     path.write_text(text)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import turned_upright
 from matchsticks import corpus
 from matchsticks.ingest import (
     AmbiguousMergeError,
@@ -401,11 +402,13 @@ def test_refined_graph_cache_follows_file_contents(tmp_path, monkeypatch):
     assert corpus.refined_graph("part").vertex_count == 30
 
 
-def test_build_graph_memory_is_linear_on_a_long_chain(long_chain):
+@pytest.mark.parametrize("turned", [False, True], ids=["as-built", "turned"])
+def test_build_graph_memory_is_linear_on_a_long_chain(long_chain, turned):
     # a dense v x v centroid check over these 995 vertices peaks above 20 MB
+    drawn = turned_upright(long_chain) if turned else long_chain
     tracemalloc.start()
     try:
-        g = graph_from_text(emit_segments(long_chain))
+        g = graph_from_text(emit_segments(drawn))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_rhombus, unit_triangle
+from conftest import turned_upright, unit_rhombus, unit_triangle
 from matchsticks import corpus
 from matchsticks.model import EmbeddedGraph, degree_profile
 from matchsticks.refine import refine
@@ -513,6 +513,16 @@ def test_vertex_near_a_stick_of_huge_extent_is_reported():
     assert float(distance) == float(point) == 5e-5
 
 
+def test_vertex_on_a_short_stick_far_out_is_on_it():
+    # scaled by the pair, the stick's squared length (~1e-600) underflows
+    coords = np.array([[1e300, -1.0], [1e300, 1.0], [1e300, 0.0]])
+    with np.errstate(over="raise", invalid="raise"):
+        point = _point_segment_distance(coords[2], coords[0], coords[1])
+        report = verify_matchstick(EmbeddedGraph(coords, ((0, 1),)))
+    assert float(point) == 0.0
+    assert report.clearance_violations == (("vertex-edge", 2, 0, 0.0),)
+
+
 # Each pair is shifted in steps smaller than its gap over more than one
 # vertex cell (about eps wide), so some shifts place it across a boundary.
 SHIFTS = [0.5 + k * 2e-5 for k in range(10)]
@@ -539,11 +549,13 @@ def test_folded_adjacent_sticks_cross_at_zero(x):
     assert report.classification == "not-a-matchstick-graph"
 
 
-def test_verify_memory_is_linear_on_a_long_chain(long_chain):
+@pytest.mark.parametrize("turned", [False, True], ids=["as-built", "turned"])
+def test_verify_memory_is_linear_on_a_long_chain(long_chain, turned):
     # all-pairs arrays over 995 vertices and 1,990 sticks peak above 200 MB
+    g = turned_upright(long_chain) if turned else long_chain
     tracemalloc.start()
     try:
-        report = verify_matchstick(long_chain)
+        report = verify_matchstick(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
