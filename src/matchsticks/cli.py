@@ -23,7 +23,6 @@ from pathlib import Path
 from . import corpus
 from .construct import (
     ChainSpec,
-    ConstructError,
     PartSpec,
     RealizationFailedError,
     chain_extend,
@@ -432,10 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_NumericalError, RealizationFailedError) as exc:  # before its base ConstructError
+    except (_NumericalError, RealizationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (_UsageError, ValueError, ConstructError) as exc:
+    except (_UsageError, ValueError) as exc:
         # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
         # DisconnectedGraphError
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,19 +31,11 @@ from .model import EmbeddedGraph, _components, edge_lengths
 from .refine import RefineOptions, refine
 
 
-class ConstructError(RuntimeError):
-    """Construction could not be carried out."""
-
-
-class WrongDegreeError(ConstructError):
-    """A designated join vertex does not have degree 2."""
-
-
 class PlanError(ValueError):
     """Composition plan violates its invariants."""
 
 
-class RealizationFailedError(ConstructError):
+class RealizationFailedError(RuntimeError):
     """Layout or glue solving failed; the plan may be geometrically infeasible."""
 
 
@@ -69,51 +61,50 @@ class CompositionPlan:
     Each identification is (part a, slot a, part b, slot b), where a slot
     indexes the part's degree-2 vertices in vertex-index order.  Every listed
     port may appear in exactly one identification and the identification
-    graph over parts must be connected.
+    graph over parts must be connected; PlanError otherwise.
+    ``vertex_identifications`` holds them with each slot resolved to its vertex.
     """
 
     parts: tuple[PartSpec, ...]
     identifications: tuple[tuple[int, int, int, int], ...]
     name: str | None = None
+    vertex_identifications: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(
-            self,
-            "identifications",
-            tuple(tuple(int(x) for x in ident) for ident in self.identifications),
-        )
-        validate_plan(self)
+        idents = tuple(tuple(int(x) for x in ident) for ident in self.identifications)
+        object.__setattr__(self, "identifications", idents)
+        k = len(self.parts)
+        if k == 0:
+            raise PlanError("plan has no parts")
+        ports = [degree2_vertices(spec.graph) for spec in self.parts]
+        used: set[tuple[int, int]] = set()
+        for a, sa, b, sb in idents:
+            for part, slot in ((a, sa), (b, sb)):
+                if not 0 <= part < k:
+                    raise PlanError(f"part index {part} out of range")
+                if not 0 <= slot < len(ports[part]):
+                    raise PlanError(
+                        f"part {part} has {len(ports[part])} degree-2 vertices, no slot {slot}"
+                    )
+                if (part, slot) in used:
+                    raise PlanError(f"port (part {part}, slot {slot}) used twice")
+                used.add((part, slot))
+            if a == b:
+                raise PlanError(f"identification joins part {a} to itself")
+        links = np.array(idents, dtype=np.intp).reshape(-1, 4)
+        if _components(k, links[:, 0], links[:, 2]).any():
+            raise PlanError("identification graph over parts is not connected")
+        resolved = tuple((a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in idents)
+        object.__setattr__(self, "vertex_identifications", resolved)
 
 
 def degree2_vertices(g: EmbeddedGraph) -> tuple[int, ...]:
     """Indices of the degree-2 vertices, ascending; these are the glue ports."""
     deg = g.degrees()
     return tuple(int(i) for i in np.nonzero(deg == 2)[0])
-
-
-def validate_plan(plan: CompositionPlan) -> None:
-    k = len(plan.parts)
-    if k == 0:
-        raise PlanError("plan has no parts")
-    ports = [degree2_vertices(spec.graph) for spec in plan.parts]
-    used: set[tuple[int, int]] = set()
-    for a, sa, b, sb in plan.identifications:
-        for part, slot in ((a, sa), (b, sb)):
-            if not 0 <= part < k:
-                raise PlanError(f"part index {part} out of range")
-            if not 0 <= slot < len(ports[part]):
-                raise PlanError(
-                    f"part {part} has {len(ports[part])} degree-2 vertices, no slot {slot}"
-                )
-            if (part, slot) in used:
-                raise PlanError(f"port (part {part}, slot {slot}) used twice")
-            used.add((part, slot))
-        if a == b:
-            raise PlanError(f"identification joins part {a} to itself")
-    links = np.array(plan.identifications, dtype=np.intp).reshape(-1, 4)
-    if _components(k, links[:, 0], links[:, 2]).any():
-        raise PlanError("identification graph over parts is not connected")
 
 
 def ring_plan(parts: Sequence[PartSpec]) -> CompositionPlan:
@@ -153,18 +144,14 @@ def chain_plan(spec: ChainSpec) -> CompositionPlan:
     if spacer is None:
         spacer = refined_graph("fig5b")
     _spacer_port_pairs(spacer)  # raises PlanError if the shape is not a spacer
-    parts: list[PartSpec] = [spec.left]
-    parts += [PartSpec(spacer, label=spacer.name) for _ in range(spec.spacer_count)]
-    parts.append(spec.right)
     n = spec.spacer_count
-    exits = [_end_slots(spec.left, exit_side=True)]
-    exits += [_facing_slots(spacer, exit_side=True)] * n
-    entries = [_facing_slots(spacer, exit_side=False)] * n
-    entries.append(_end_slots(spec.right, exit_side=False))
-    idents: list[tuple[int, int, int, int]] = []
-    for t in range(len(parts) - 1):
-        idents.append((t, exits[t][0], t + 1, entries[t][0]))
-        idents.append((t, exits[t][1], t + 1, entries[t][1]))
+    middle = PartSpec(spacer, label=spacer.name)
+    parts = [spec.left, *[middle] * n, spec.right]
+    exits = [_facing_slots(spec.left, exit_side=True)]
+    exits += [_facing_slots(middle, exit_side=True)] * n
+    entries = [_facing_slots(middle, exit_side=False)] * n
+    entries.append(_facing_slots(spec.right, exit_side=False))
+    idents = [(t, exits[t][i], t + 1, entries[t][i]) for t in range(n + 1) for i in (0, 1)]
     return CompositionPlan(tuple(parts), tuple(idents), _chain_name(spec))
 
 
@@ -175,28 +162,23 @@ def _chain_name(spec: ChainSpec) -> str:
     )
 
 
-def _end_slots(end: PartSpec, exit_side: bool) -> tuple[int, int]:
-    """``_facing_slots`` of a chain end, which has two ports or a spacer's shape."""
-    try:
-        return _facing_slots(end.graph, exit_side)
-    except PlanError:
-        ports = len(degree2_vertices(end.graph))
-        raise PlanError(
-            f"chain end {end.display_label} has {ports} ports (degree-2 vertices); "
-            "it needs 2, or the spacer's shape"
-        ) from None
-
-
-def _facing_slots(g: EmbeddedGraph, exit_side: bool) -> tuple[int, int]:
+def _facing_slots(part: PartSpec, exit_side: bool) -> tuple[int, int]:
     """Which two slots of a chain part face a given neighbor.
 
-    End parts have exactly two ports (both face their only neighbor); spacers
-    offer one port pair per side, in pair order (entry = pair 0, exit = 1).
+    A part with exactly two ports faces its only neighbor with both; spacers
+    and spacer-shaped ends offer one port pair per side, in pair order (entry
+    = pair 0, exit = 1).  PlanError names any other part as a chain end.
     """
-    ports = degree2_vertices(g)
+    ports = degree2_vertices(part.graph)
     if len(ports) == 2:
         return 0, 1
-    pairs = _spacer_port_pairs(g)
+    try:
+        pairs = _spacer_port_pairs(part.graph)
+    except PlanError:
+        raise PlanError(
+            f"chain end {part.display_label} has {len(ports)} ports (degree-2 vertices); "
+            "it needs 2, or the spacer's shape"
+        ) from None
     pair = pairs[1] if exit_side else pairs[0]
     return ports.index(pair[0]), ports.index(pair[1])
 
@@ -318,20 +300,18 @@ def mirror_double(
     about their midpoint.  The result has 2v - 2 vertices; when g is
     (2,4)-regular with exactly these two degree-2 vertices it is 4-regular.
     The output is not verified here (a vertex on the mirror axis lands on
-    its own copy): certify it separately.
+    its own copy): certify it separately.  PlanError names a join vertex
+    that is not one of g's degree-2 vertices, or is passed twice.
     """
     a, b = int(axis_vertex_a), int(axis_vertex_b)
-    deg = g.degrees()
+    ports = degree2_vertices(g)
     for vtx in (a, b):
-        if not 0 <= vtx < g.vertex_count:
-            raise WrongDegreeError(f"vertex {vtx} out of range for {g.vertex_count} vertices")
-        if deg[vtx] != 2:
-            raise WrongDegreeError(f"vertex {vtx} has degree {deg[vtx]}, need 2")
+        if vtx not in ports:
+            raise PlanError(f"join vertex {vtx} is not one of the degree-2 vertices {list(ports)}")
     if a == b:
-        raise WrongDegreeError("join vertices must be distinct")
+        raise PlanError(f"join vertex {a} is passed twice")
     if mode not in ("line", "point"):
         raise ValueError(f"mode must be 'line' or 'point', got {mode!r}")
-    ports = degree2_vertices(g)
     sa, sb = ports.index(a), ports.index(b)
     copy_a, copy_b = (sa, sb) if mode == "line" else (sb, sa)
     part = PartSpec(g)
@@ -359,22 +339,16 @@ def realize(plan: CompositionPlan) -> EmbeddedGraph:
     the refinement target but deliberately unverified.
     """
     parts = [spec.graph for spec in plan.parts]
-    ports = [degree2_vertices(g) for g in parts]
-    idents = [
-        (a, ports[a][sa], b, ports[b][sb]) for a, sa, b, sb in plan.identifications
-    ]
-    order, joints, closed = _walk_parts(len(parts), idents)
+    order, joints, closed = _walk_parts(plan)
     layout = _layout_cycle if closed else _layout_chain
     placed = layout(parts, order, joints)
-    return _solve_and_merge(plan, placed, idents)
+    return _solve_and_merge(plan, placed)
 
 
 _Joints = dict[tuple[int, int], list[tuple[int, int]]]
 
 
-def _walk_parts(
-    k: int, idents: list[tuple[int, int, int, int]]
-) -> tuple[list[int], _Joints, bool]:
+def _walk_parts(plan: CompositionPlan) -> tuple[list[int], _Joints, bool]:
     """Order the parts along the path or cycle their joints form.
 
     ``joints[a, b]`` lists the (port of a, port of b) pairs glued between
@@ -383,8 +357,9 @@ def _walk_parts(
     first joint.  Plans are connected, so with at most two neighbors per
     part the walk reaches every part.
     """
+    k = len(plan.parts)
     joints: _Joints = {}
-    for a, va, b, vb in idents:
+    for a, va, b, vb in plan.vertex_identifications:
         joints.setdefault((a, b), []).append((va, vb))
         joints.setdefault((b, a), []).append((vb, va))
     neighbors: list[list[int]] = [[] for _ in range(k)]
@@ -580,17 +555,13 @@ def _layout_chain(
 # -- glue solving and merging -------------------------------------------------
 
 
-def _solve_and_merge(
-    plan: CompositionPlan,
-    placed: list[np.ndarray],
-    idents: list[tuple[int, int, int, int]],
-) -> EmbeddedGraph:
+def _solve_and_merge(plan: CompositionPlan, placed: list[np.ndarray]) -> EmbeddedGraph:
     offsets = np.cumsum([0] + [len(c) for c in placed[:-1]])
     union_coords = np.concatenate(placed)
     union_edges = np.concatenate(
         [spec.graph.edges + off for spec, off in zip(plan.parts, offsets)]
     )
-    pairs = [(offsets[a] + va, offsets[b] + vb) for a, va, b, vb in idents]
+    pairs = [(offsets[a] + va, offsets[b] + vb) for a, va, b, vb in plan.vertex_identifications]
 
     union = EmbeddedGraph(union_coords, union_edges, name=plan.name)
     result = refine(union, coincidences=pairs)

@@ -14,7 +14,7 @@ dense SVD's cubic cost overtakes it, they come from block inverse iteration
 on J^T J in the block-tridiagonal storage of ``refine``'s solver.  A
 Sylvester inertia count on the same factorization says how many small
 singular values there are, which sizes the one block of vectors and makes
-sure none is missed, plus one inertia count per undecided value.  The
+sure none is missed; the verdict takes one more per undecided value.  The
 shifted matrix is factored once; each sweep costs a forward sweep, one
 batched product with the pivots' inverses, a back substitution, a
 CholeskyQR orthonormalization and the eigenvalues of a p x p Gram matrix,
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         sigma = _singular_values(g)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
     else:
-        rank, sigma = found[0], None
+        rank, sigma = found[0](), None
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -159,7 +160,7 @@ def _singular_values(g: EmbeddedGraph) -> np.ndarray:
 
 def _banded(
     g: EmbeddedGraph, rank_tol_factor: float, reported: int
-) -> tuple[int, np.ndarray] | None:
+) -> tuple[Callable[[], int], np.ndarray] | None:
     """The rank and the smallest singular values (ascending), without a dense matrix.
 
     The values are every singular value below mu = max(1e-6 lo, 2
@@ -181,9 +182,9 @@ def _banded(
     floor).  The first sweep has no estimate, so the earliest stop is the
     third sweep, compared with the second.  The Ritz values are then taken
     once, without squaring, as the singular values of the e x p product
-    J V.  A value t between rank_tol_factor times lo and hi takes one more
-    inertia count: t is zero exactly when J^T J - (t / rank_tol_factor)^2 I
-    has fewer than n negative eigenvalues.
+    J V.  The rank comes back as a function; a call takes one inertia count
+    per value t between rank_tol_factor times lo and hi, and t is zero when
+    J^T J - (t / rank_tol_factor)^2 I has fewer than n negative eigenvalues.
 
     None hands the graph to the dense SVD, in three cases: the block would
     reach half the columns (2p >= n, decided before the shifted matrix is
@@ -237,11 +238,15 @@ def _banded(
     if np.count_nonzero(theta < mu) != small:
         return None
     tail = theta[structural:watch]
-    zero = tail < rank_tol_factor * lo
-    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
-        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.factor(-m * m).negative_count() < n
-    return min(e, n) - int(np.count_nonzero(zero)), tail
+
+    def rank() -> int:  # the verdict's; a tail read takes none of its inertia counts
+        zero = tail < rank_tol_factor * lo
+        for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
+            m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
+            zero[i] = system.factor(-m * m).negative_count() < n
+        return min(e, n) - int(np.count_nonzero(zero))
+
+    return rank, tail
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:

@@ -361,12 +361,18 @@ def test_construct_mirror_bad_ports(capsys):
     assert "--ports expects two comma-separated vertex indices" in err
 
 
-@pytest.mark.parametrize("ports", ["10,99", "10,-1"])
+@pytest.mark.parametrize("ports", ["10,99", "10,-1", "0,10", "10,10"])
 def test_construct_mirror_ports_out_of_range(capsys, ports):
+    # fig2a's degree-2 vertices are 10 and 21; its vertex 0 has degree 4
     code, out, err = run(capsys, "construct", "mirror", "fig2a", "--ports", ports)
     assert code == 2 and out == ""
-    bad = ports.split(",")[1]
-    assert err == f"error: vertex {bad} out of range for 22 vertices\n"
+    expected = {
+        "10,99": "join vertex 99 is not one of the degree-2 vertices [10, 21]",
+        "10,-1": "join vertex -1 is not one of the degree-2 vertices [10, 21]",
+        "0,10": "join vertex 0 is not one of the degree-2 vertices [10, 21]",
+        "10,10": "join vertex 10 is passed twice",
+    }[ports]
+    assert err == f"error: {expected}\n"
 
 
 def test_construct_ring(capsys):

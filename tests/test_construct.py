@@ -15,7 +15,6 @@ from matchsticks.construct import (
     PartSpec,
     PlanError,
     RealizationFailedError,
-    WrongDegreeError,
     chain_extend,
     chain_plan,
     degree2_vertices,
@@ -92,10 +91,10 @@ def test_chain_spec_arithmetic():
 
 def test_mirror_double_requires_degree2_join_vertices():
     g = corpus.refined_graph("fig2a")
-    with pytest.raises(WrongDegreeError):
+    with pytest.raises(PlanError, match="join vertex 0 is not one of the degree-2 vertices"):
         mirror_double(g, 0, 1)  # generic interior vertices have degree 4
     ports = degree2_vertices(g)
-    with pytest.raises(WrongDegreeError):
+    with pytest.raises(PlanError, match=f"join vertex {ports[0]} is passed twice"):
         mirror_double(g, ports[0], ports[0])
 
 
@@ -104,7 +103,7 @@ def test_mirror_double_rejects_join_vertices_out_of_range(bad):
     g = corpus.refined_graph("fig2a")  # 22 vertices
     port = degree2_vertices(g)[0]
     for a, b in ((port, bad), (bad, port)):
-        with pytest.raises(WrongDegreeError, match=f"vertex {bad} out of range for 22 vertices"):
+        with pytest.raises(PlanError, match=f"join vertex {bad} is not one of the degree-2"):
             mirror_double(g, a, b)
 
 
@@ -475,6 +474,38 @@ def test_chain_plan_structure():
     assert len(plan.parts) == 4
     assert len(plan.identifications) == 2 * 3
     assert merged_vertex_count(plan) == 100
+
+
+def mirror_plan(monkeypatch, g, a, b, mode):
+    """The plan ``mirror_double`` hands to ``realize``."""
+    plans = []
+    monkeypatch.setattr(construct, "realize", plans.append)
+    mirror_double(g, a, b, mode)
+    (plan,) = plans
+    return plan
+
+
+@pytest.mark.parametrize("kind", ["ring", "chain", "mirror-line", "mirror-point"])
+def test_plan_resolves_each_slot_to_its_degree2_vertex(kind, monkeypatch):
+    g2a, g5c = corpus.refined_graph("fig2a"), corpus.refined_graph("fig5c")
+    a, b = degree2_vertices(g2a)
+    ring_parts = [PartSpec(corpus.refined_graph(n)) for n in ("fig2a", "fig2d", "fig2h")]
+    plan = {
+        "ring": lambda: ring_plan(ring_parts),
+        "chain": lambda: chain_plan(ChainSpec(PartSpec(g5c), PartSpec(g2a), 3)),
+        "mirror-line": lambda: mirror_plan(monkeypatch, g2a, a, b, "line"),
+        "mirror-point": lambda: mirror_plan(monkeypatch, g2a, a, b, "point"),
+    }[kind]()
+    assert len(plan.vertex_identifications) == len(plan.identifications)
+    for slots, vertices in zip(plan.identifications, plan.vertex_identifications):
+        assert vertices[::2] == slots[::2]  # the same two parts
+        for part, slot, vertex in zip(slots[::2], slots[1::2], vertices[1::2]):
+            g = plan.parts[part].graph
+            assert g.degrees()[vertex] == 2
+            assert vertex == degree2_vertices(g)[slot]
+    if kind.startswith("mirror"):
+        copies = (a, b) if kind == "mirror-line" else (b, a)
+        assert plan.vertex_identifications == ((0, a, 1, copies[0]), (0, b, 1, copies[1]))
 
 
 # -- plan serialization -------------------------------------------------------

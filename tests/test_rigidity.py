@@ -233,7 +233,8 @@ def test_banded_rank_matches_dense_on_the_corpus(name):
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
 def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     # the second singular value sits within the bracket on sigma_max times the
-    # rank tolerance, so the verdict takes one inertia count besides the one at -mu^2
+    # rank tolerance, so the verdict takes one inertia count besides the one at
+    # -mu^2; the tail pass decides no rank and takes only the one at -mu^2
     g = corpus.refined_graph(name)
     negative_count, counts = refine._BlockFactor.negative_count, []
 
@@ -241,11 +242,17 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
         counts.append(self)
         return negative_count(self)
 
+    def no_dense(g):
+        raise AssertionError("the banded path handed off")
+
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", 0)
         mp.setattr(refine._BlockFactor, "negative_count", counted)
+        mp.setattr(rigidity, "_singular_values", no_dense)
         banded = analyze_rigidity(g)
-    assert len(counts) == 2
+        assert len(counts) == 2
+        banded.singular_tail(10)
+        assert len(counts) == 3
     assert banded.internal_flexes == 1
     assert 1e-9 < banded.singular_tail(2)[1] < 1e-7
     assert_paths_agree(g)
