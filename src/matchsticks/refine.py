@@ -332,10 +332,19 @@ class _NormalEquations:
         sums[:-1] += below.sum(axis=1)
         return top, float(sums.max())
 
-    def factor(self, shift: float) -> "_BlockFactor":
-        """J^T J + shift I, to be solved or to have its inertia counted."""
+    def factor(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> "_BlockFactor":
+        """J^T J + shift I, to be solved or to have its inertia counted.
+
+        With ``pins``, flat coordinates, ``weight`` is added to their
+        diagonal entries, on a copy of the storage.
+        """
         s, nb = self.size, self.count
-        return _BlockFactor(self._hessian.reshape(2 * nb - 1, s, s), shift, len(self.unknowns))
+        hessian = self._hessian
+        if pins:
+            at = self.position[list(pins)]
+            hessian = hessian.copy()
+            hessian[(2 * (at // s) * s + at % s) * s + at % s] += weight
+        return _BlockFactor(hessian.reshape(2 * nb - 1, s, s), shift, len(self.unknowns))
 
 
 class _BlockFactor:

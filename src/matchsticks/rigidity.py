@@ -14,7 +14,10 @@ dense SVD's cubic cost overtakes it, they come from block inverse iteration
 on J^T J in the block-tridiagonal storage of ``refine``'s solver.  A
 Sylvester inertia count on the same factorization says how many small
 singular values there are, which sizes the one block of vectors and makes
-sure none is missed; the verdict takes one more per undecided value.  The
+sure none is missed; the verdict takes one more per undecided value.  When
+the count finds only the three rigid motions, one more factorization, with
+the three ``default_pins`` coordinates held by a penalty, confirms it, and
+the verdict is rigid without any sweep or SVD.  Otherwise the
 shifted matrix is factored once; each sweep costs a forward sweep, one
 batched product with the pivots' inverses, a back substitution, a
 CholeskyQR orthonormalization and the eigenvalues of a p x p Gram matrix,
@@ -27,7 +30,10 @@ grow linearly in the vertex count for long, thin drawings.
 The verdict iterates only until the values below the cutoff mu have
 settled; the reported tail of the ten smallest singular values is computed
 only when it is first read: from the verdict's dense SVD when it took one,
-else by its own pass, which also waits for those ten.
+else by its own pass, which also waits for those ten.  That pass starts at
+``_BANDED_TAIL_FROM`` vertices, later than the verdict's: it cannot stop at
+the count, and waits for ten values where a verdict waits for those below
+mu, so its crossover with the dense SVD lies higher.
 """
 
 from __future__ import annotations
@@ -40,10 +46,13 @@ from typing import Callable
 import numpy as np
 
 from .model import EmbeddedGraph, _components
-from .refine import _link_columns, _link_values, _NormalEquations, residual_jacobian
+from .refine import _link_columns, _link_values, _NormalEquations, default_pins, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
-_BANDED_FROM = 150  # vertices; measured crossover of the dense and banded paths
+_BANDED_FROM = 60  # vertices; measured crossover of the dense and banded verdicts
+# vertices; the banded tail pass overtakes the dense SVD near 110-125, and below
+# 150 every reported tail stays the dense SVD's, bit for bit
+_BANDED_TAIL_FROM = 150
 _SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
 _MAX_SWEEPS = 50
 _REPORTED = 10  # singular values in the reported tail
@@ -82,7 +91,9 @@ class RigidityReport:
         """Ascending; at least min(10, all) of them; computed once, when first read."""
         sigma = self._dense_sigma
         if sigma is None:
-            found = _banded(self.graph, self.rank_tol_factor, _REPORTED)
+            found = None
+            if self.graph.vertex_count >= _BANDED_TAIL_FROM:
+                found = _banded(self.graph, self.rank_tol_factor, _REPORTED)
             if found is not None:
                 return tuple(found[1].tolist())
             sigma = _singular_values(self.graph)
@@ -126,12 +137,21 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     infinitesimal flex, so a nonzero flex count for a supposedly rigid graph
     warrants looking at the singular-value tail, which the report computes
     when it is first read.
-    rank_tol_factor must lie strictly between 0 and 1 (ValueError otherwise).
+    rank_tol_factor must lie strictly between 0 and 1, and at or above 2v
+    eps (ValueError otherwise): below that floor the rounding of the rigid
+    motions, measured at up to 0.05 v eps sigma_max on the drawings, rings
+    and chains, could count towards the rank.
     """
     if not 0.0 < rank_tol_factor < 1.0:  # also refuses NaN
         raise ValueError(f"rank tolerance must lie in (0, 1), got {rank_tol_factor}")
     if g.vertex_count < 2:
         raise ValueError("rigidity analysis needs at least 2 vertices")
+    floor = 2 * g.vertex_count * np.finfo(float).eps  # n eps, n = 2v columns
+    if rank_tol_factor < floor:
+        raise ValueError(
+            f"rank tolerance {rank_tol_factor:g} is below the rounding floor {floor:.2g} "
+            f"(2v eps) of the rigid motions of a {g.vertex_count}-vertex graph"
+        )
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
     found = _banded(g, rank_tol_factor, 0) if g.vertex_count >= _BANDED_FROM else None
@@ -170,8 +190,18 @@ def _banded(
     above the rank cutoff, so only those below it decide the rank.  J^T J is
     assembled in the block-tridiagonal form that ``refine`` solves with.
     Sylvester's law of inertia counts its eigenvalues below mu^2
-    (``small``), which sizes the one block of p = max(structural + 21,
-    small + 17) vectors.  Inverse subspace iteration with (J^T J + delta
+    (``small``).  When a verdict (``reported`` zero) counts only the three
+    rigid motions, the same storage is factored once more at -mu^2 with
+    ``top`` added on the diagonal at the three ``default_pins``
+    coordinates, which turns J into J_pin, J with three rows that hold
+    those coordinates.  If that factor has no negative pivot eigenvalue,
+    J_pin^T J_pin - mu^2 I is positive definite, and a block LDL^T is
+    stable on a positive definite matrix, so sigma_min(J_pin) >= mu.
+    Deleting three rows moves each singular value down by at most three
+    places (interlacing), so J's 2v - 3 largest are at least mu, above the
+    rank cutoff: the rank is 2v - 3, and no block is needed.  Otherwise
+    ``small`` sizes the one block of p = max(structural + 21, small + 17)
+    vectors.  Inverse subspace iteration with (J^T J + delta
     I)^-1 turns the block V towards the eigenvectors of the smallest
     eigenvalues, orthonormalizing V after each solve (``_orthonormal``).
     Each sweep estimates the Ritz values theta from the eigenvalues of the
@@ -189,7 +219,8 @@ def _banded(
     None hands the graph to the dense SVD, in three cases: the block would
     reach half the columns (2p >= n, decided before the shifted matrix is
     factored), the sweeps run out before the watched values settle, or the
-    number of Ritz values below mu is not ``small``.  Otherwise e > p.
+    number of Ritz values below mu is not ``small``.  Otherwise e > p.  A
+    verdict answered by the count comes back with an empty tail.
     """
     coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
@@ -199,6 +230,10 @@ def _banded(
     lo, hi = math.sqrt(top), math.sqrt(gershgorin)
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
     small = system.factor(-mu * mu).negative_count()
+    if small == 3 and not reported:  # only the rigid motions lie below mu
+        pins = [2 * vertex + axis for vertex, axis in default_pins(g)]
+        if system.factor(-mu * mu, pins, top).negative_count() == 0:
+            return (lambda: n - 3), np.empty(0)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
     # rigid motions, reported values and spares, or the small values and spares
     p = max(structural + 3 + _REPORTED + 8, small + 17)

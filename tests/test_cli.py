@@ -206,6 +206,9 @@ def _binary_file(path):
         # the 3.47 EiB tiling exceeds the address space, so it too fails at once
         (lambda tmp: ["construct", "chain", "fig5a", "fig5c", "--spacers", "1000000000000000000"],
          None, "--spacers 1000000000000000000: too many spacers to build in memory"),
+        # below 2v eps the rigid motions' rounding would count towards the rank
+        (lambda tmp: ["rigidity", "fig3a", "--rank-tol", "1e-16"], None,
+         "error: rank tolerance 1e-16 is below the rounding floor 2.8e-14"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
@@ -213,7 +216,7 @@ def _binary_file(path):
          "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
          "plan-cycle-two-joints", "plan-spacer-entered-one-side", "chain-end-without-ports",
          "coverage-max-beyond-memory", "coverage-max-beyond-index-size",
-         "chain-spacers-beyond-memory"],
+         "chain-spacers-beyond-memory", "rank-tolerance-below-rounding"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -147,6 +148,33 @@ def test_rank_tolerance_outside_the_unit_interval_is_rejected(factor):
         analyze_rigidity(unit_triangle(), factor)
 
 
+@pytest.mark.parametrize("name", ["fig3a", "fig5a"])
+def test_rank_tolerance_below_the_rounding_floor_is_rejected(name):
+    # below rounding, the rigid motions count towards the rank: fig3a read
+    # "rank 126 of 125" and fig5a "rigid" at 1e-16
+    g = corpus.refined_graph(name)
+    floor = 2 * g.vertex_count * np.finfo(float).eps
+    for factor in (1e-16, floor * (1 - 1e-9)):
+        with pytest.raises(ValueError, match=f"below the rounding floor {floor:.2g}"):
+            analyze_rigidity(g, factor)
+    assert analyze_rigidity(g, floor).internal_flexes == analyze_rigidity(g).internal_flexes
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_rounding_floor_lies_above_the_rigid_motions(name):
+    # J applied to the orthonormal rigid motions (two translations and the
+    # rotation about the centroid) is rounding, far below 2v eps sigma_max
+    g = corpus.refined_graph(name)
+    centered = g.vertices - g.vertices.mean(axis=0)
+    motions = np.zeros((2 * g.vertex_count, 3))
+    motions[0::2, 0] = motions[1::2, 1] = 1.0
+    motions[0::2, 2], motions[1::2, 2] = -centered[:, 1], centered[:, 0]
+    jacobian = refine.residual_jacobian(g)
+    moved = np.linalg.norm(jacobian @ np.linalg.qr(motions)[0], 2)
+    floor = 2 * g.vertex_count * np.finfo(float).eps
+    assert moved < floor * np.linalg.norm(jacobian, 2) / 10
+
+
 # -- the banded path against the dense SVD ------------------------------------
 
 
@@ -226,8 +254,9 @@ def zigzag_path(v: int) -> EmbeddedGraph:
 
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_banded_rank_matches_dense_on_the_corpus(name):
-    # fig2a and fig5b need a block of half their columns or more
-    assert_paths_agree(corpus.refined_graph(name), answered=name not in ("fig2a", "fig5b"))
+    # fig5b needs a block of half its columns or more; the rigid fig2a would
+    # too, but its confirmed inertia count answers before any block is sized
+    assert_paths_agree(corpus.refined_graph(name), answered=name != "fig5b")
 
 
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
@@ -247,6 +276,7 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", 0)
+        mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
         mp.setattr(refine._BlockFactor, "negative_count", counted)
         mp.setattr(rigidity, "_singular_values", no_dense)
         banded = analyze_rigidity(g)
@@ -364,6 +394,121 @@ def test_banded_rank_matches_dense_on_rings(parts):
     assert_paths_agree(ring(parts))
 
 
+# -- the confirmed inertia count -------------------------------------------------
+
+RING_PARTS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2g", "fig2h")
+CHAIN_ENDS = (("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c"))
+RIGID_RINGS = [("fig2a",) * 3, ("fig2a", "fig2d", "fig2e"), ("fig2b", "fig2c", "fig2f"), ("fig2f",) * 3]
+
+
+def verdict_sweep() -> list[tuple[str, EmbeddedGraph]]:
+    """The 21 drawings, the 120 three-part rings of fig2a-fig2h, the 8 rings
+    of four equal parts, and the three end pairs' chains at 0-5, 10, 20 and
+    50 spacers, each with a label."""
+    graphs = [(name, corpus.refined_graph(name)) for name in corpus.corpus_names()]
+    rings = [*combinations_with_replacement(RING_PARTS, 3), *((part,) * 4 for part in RING_PARTS)]
+    graphs += [("+".join(parts), ring(parts)) for parts in rings]
+    graphs += [
+        (f"{left}-{spacers}-{right}", chain(left, right, spacers))
+        for left, right in CHAIN_ENDS
+        for spacers in (*range(6), 10, 20, 50)
+    ]
+    return graphs
+
+
+@pytest.mark.parametrize("rank_tol_factor", [1e-8, 1e-5, 1e-11])
+def test_banded_verdicts_match_dense_on_the_sweep(rank_tol_factor):
+    verdict = lambda report: (report.rank, report.internal_flexes, report.classification)
+    for label, g in verdict_sweep():
+        dense, banded, _ = dense_and_banded(g, rank_tol_factor)
+        assert verdict(banded) == verdict(dense), label
+
+
+def counted_calls(monkeypatch, calls, owner, name):
+    """Record each call of owner.name in ``calls`` and pass it through."""
+    function = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("parts", RIGID_RINGS)
+def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
+    g = ring(parts)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    calls = []
+    with monkeypatch.context() as mp:
+        counted_calls(mp, calls, rigidity, "_orthonormal")
+        counted_calls(mp, calls, np.linalg, "svd")
+        report = analyze_rigidity(g)
+    assert report.rigid and calls == []
+    # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
+    assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
+
+
+def test_flexible_ring_verdict_takes_the_sweeps(monkeypatch):
+    g = ring(("fig2a", "fig2a", "fig2g"))
+    assert rigidity._BANDED_FROM <= g.vertex_count < rigidity._BANDED_TAIL_FROM
+    calls = []
+    with monkeypatch.context() as mp:
+        counted_calls(mp, calls, rigidity, "_orthonormal")
+        counted_calls(mp, calls, np.linalg, "svd")
+        counted_calls(mp, calls, rigidity, "_singular_values")
+        report = analyze_rigidity(g)
+    assert report.internal_flexes == 1
+    assert calls.count("_orthonormal") > 2 and calls.count("svd") == 1  # the tall J V
+    assert "_singular_values" not in calls
+    assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
+
+
+@pytest.mark.parametrize("kind", ["fig5a", "ring"])
+def test_confirmation_refuses_a_flexible_graph_counted_as_rigid(kind, monkeypatch):
+    # the plain count is forced to find only the three rigid motions below mu;
+    # the penalized factor still sees the flex, so the verdict stays flexible
+    g = corpus.refined_graph("fig5a") if kind == "fig5a" else ring(("fig2a", "fig2a", "fig2g"))
+    negative_count, counts = refine._BlockFactor.negative_count, []
+
+    def forced(self):
+        counts.append(self)
+        return 3 if len(counts) == 1 else negative_count(self)
+
+    monkeypatch.setattr(rigidity, "_BANDED_FROM", math.inf)
+    dense = analyze_rigidity(g)
+    monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
+    monkeypatch.setattr(refine._BlockFactor, "negative_count", forced)
+    report = analyze_rigidity(g)
+    assert len(counts) >= 2  # the plain count and its confirmation
+    assert report.classification == "flexible"
+    assert (report.rank, report.internal_flexes) == (dense.rank, dense.internal_flexes)
+    assert dense.internal_flexes == 1
+
+
+@pytest.mark.parametrize(
+    "kind, factorizations",
+    [("chain", 2), ("fig2g", 3), ("fig5a", 2), ("ring", 2), ("ladder", 1), ("bent-strip", 2)],
+)
+def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatch):
+    # the counts the banded verdict took before it had a confirmed count: the
+    # inertia count at -mu^2, the shifted factor (unless the block would reach
+    # half the columns) and one count per undecided value (fig2g has one)
+    g = {
+        "chain": lambda: chain("fig5a", "fig5c", 150),
+        "fig2g": lambda: corpus.refined_graph("fig2g"),
+        "fig5a": lambda: corpus.refined_graph("fig5a"),
+        "ring": lambda: ring(("fig2b", "fig2g", "fig2g")),
+        "ladder": lambda: flat_rhombus_ladder(80),
+        "bent-strip": lambda: bent_strip(150, 30),
+    }[kind]()
+    calls = []
+    monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
+    counted_calls(monkeypatch, calls, refine, "_BlockFactor")
+    assert not analyze_rigidity(g).rigid
+    assert len(calls) == factorizations
+
+
 @given(
     st.sampled_from([("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c")]),
     st.integers(0, 50),
@@ -379,10 +524,15 @@ def test_banded_rank_matches_dense_on_strips(n):
     assert_paths_agree(triangle_strip(n))
 
 
-def test_banded_rank_hands_off_short_strips():
-    # a strip of n triangles has 2n + 4 columns and a first block of 24 vectors
+def test_banded_rank_answers_short_strips_by_the_count(monkeypatch):
+    # a strip of n triangles has 2n + 4 columns and would need a first block
+    # of 24 vectors, but it is rigid: the confirmed inertia count answers it
+    def no_block(n, p):
+        raise AssertionError(f"a block of {p} vectors was started")
+
+    monkeypatch.setattr(rigidity, "_hashed_block", no_block)
     for n in range(1, 23):
-        assert_paths_agree(triangle_strip(n), answered=False)
+        assert assert_paths_agree(triangle_strip(n)).rigid
 
 
 def test_banded_rank_matches_dense_on_the_rhombus():
