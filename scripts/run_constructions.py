@@ -36,7 +36,7 @@ def summary(cert: Certificate, expected_vertices: int) -> str:
     """One report line for a certified 4-regular graph; exits on any failure."""
     g, result = cert.graph, cert.refinement
     if not (cert.certified and g.vertex_count == expected_vertices
-            and degree_profile(g).is_4_regular()):
+            and set(degree_profile(g)) == {4}):
         raise SystemExit(
             f"FAILED: {g.name}: v={g.vertex_count} (want {expected_vertices}), "
             f"converged={result.converged}, "

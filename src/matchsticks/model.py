@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -136,41 +136,10 @@ class EmbeddedGraph:
         return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Histogram of vertex degrees: degree -> number of vertices."""
-
-    counts: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", dict(self.counts))
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.counts.values())
-
-    def degree2_count(self) -> int:
-        return self.counts.get(2, 0)
-
-    def is_4_regular(self) -> bool:
-        return set(self.counts) <= {4} and self.vertex_count > 0
-
-    def is_24_regular(self) -> bool:
-        """Every vertex has degree 2 or 4 (degree-4-only graphs qualify)."""
-        return set(self.counts) <= {2, 4} and self.vertex_count > 0
-
-    def sorted_items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.counts.items()))
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{d}: {c}" for d, c in self.sorted_items()) + "}"
-
-
-def degree_profile(g: EmbeddedGraph) -> DegreeProfile:
-    """Exact degree histogram of g."""
-    deg = g.degrees()
-    values, counts = np.unique(deg, return_counts=True)
-    return DegreeProfile({int(d): int(c) for d, c in zip(values, counts)})
+def degree_profile(g: EmbeddedGraph) -> dict[int, int]:
+    """Exact degree histogram of g, {degree: vertex count}, ascending by degree."""
+    values, counts = np.unique(g.degrees(), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def edge_lengths(g: EmbeddedGraph) -> np.ndarray:

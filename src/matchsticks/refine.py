@@ -30,6 +30,7 @@ import numpy as np
 from .model import EmbeddedGraph, _components
 
 _TINY = 1e-12  # lengths below this count as degenerate
+_DAMPING = 1e-6  # the first step's damping
 _DAMPING_FLOOR = 1e-12
 _DAMPING_CEIL = 1e14
 
@@ -47,11 +48,12 @@ class RefineOptions:
     ``pinned`` holds (vertex, coordinate) pairs fixed during solving to remove
     the three rigid-body degrees of freedom; None selects a default gauge
     (vertex 0 fully, plus one coordinate of the vertex farthest from it).
+    The damping is no option: every solve starts at ``_DAMPING`` and adapts
+    it within ``_DAMPING_FLOOR`` and ``_DAMPING_CEIL``.
     """
 
     max_iterations: int = 200
     target_residual: float = 1e-12
-    damping: float = 1e-6
     pinned: tuple[Pin, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -59,8 +61,6 @@ class RefineOptions:
             raise ValueError("max_iterations must be >= 1")
         if not self.target_residual > 0:
             raise ValueError("target_residual must be positive")
-        if not self.damping > 0:
-            raise ValueError("damping must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def refine(
 
     r = full_residual(coords)
     initial_residual, extra0 = maxima(r)
-    lam = opts.damping
+    lam = _DAMPING
     iterations = 0
     converged = max(initial_residual, extra0) <= opts.target_residual
     system: _NormalEquations | None = None  # built on the first iteration only
@@ -416,14 +416,18 @@ class _BlockFactor:
         An eigenvalue within rounding of zero may count either way.  A
         singular pivot does not raise: the count is then that of the matrix
         shifted up by n eps times its largest entry, so that eigenvalues
-        within that distance of zero count as non-negative.
+        within that distance of zero count as non-negative.  A count leaves
+        the factor unsolved, so that its next solve is the backward-stable
+        first one, not the reuse of inverse pivots.
         """
-        if self._pivots is None:
+        pivots = self._pivots
+        if pivots is None:
             try:
                 self.solve(np.zeros((self._n, 0)))
             except np.linalg.LinAlgError:
                 largest = max(np.abs(self._diagonal).max(), np.abs(self._below).max(initial=0.0))
                 nudge = self._n * np.finfo(float).eps * largest
                 return _BlockFactor(self._blocks, self._shift + nudge, self._n).negative_count()
-        eigenvalues = np.linalg.eigvalsh(self._pivots)
+            pivots, self._pivots, self._gains = self._pivots, None, None
+        eigenvalues = np.linalg.eigvalsh(pivots)
         return int(np.count_nonzero(eigenvalues < 0)) - self._negative_padding

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -159,7 +158,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         sigma = _singular_values(g)
         rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
     else:
-        rank, sigma = found[0](), None
+        rank, sigma = found[0], None
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -180,7 +179,7 @@ def _singular_values(g: EmbeddedGraph) -> np.ndarray:
 
 def _banded(
     g: EmbeddedGraph, rank_tol_factor: float, reported: int
-) -> tuple[Callable[[], int], np.ndarray] | None:
+) -> tuple[int | None, np.ndarray] | None:
     """The rank and the smallest singular values (ascending), without a dense matrix.
 
     The values are every singular value below mu = max(1e-6 lo, 2
@@ -212,9 +211,10 @@ def _banded(
     floor).  The first sweep has no estimate, so the earliest stop is the
     third sweep, compared with the second.  The Ritz values are then taken
     once, without squaring, as the singular values of the e x p product
-    J V.  The rank comes back as a function; a call takes one inertia count
-    per value t between rank_tol_factor times lo and hi, and t is zero when
-    J^T J - (t / rank_tol_factor)^2 I has fewer than n negative eigenvalues.
+    J V.  A verdict's rank takes one inertia count per value t between
+    rank_tol_factor times lo and hi, and t is zero when J^T J - (t /
+    rank_tol_factor)^2 I has fewer than n negative eigenvalues.  A tail pass
+    (``reported`` nonzero) takes none of those counts and its rank is None.
 
     None hands the graph to the dense SVD, in three cases: the block would
     reach half the columns (2p >= n, decided before the shifted matrix is
@@ -233,7 +233,7 @@ def _banded(
     if small == 3 and not reported:  # only the rigid motions lie below mu
         pins = [2 * vertex + axis for vertex, axis in default_pins(g)]
         if system.factor(-mu * mu, pins, top).negative_count() == 0:
-            return (lambda: n - 3), np.empty(0)
+            return n - 3, np.empty(0)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
     # rigid motions, reported values and spares, or the small values and spares
     p = max(structural + 3 + _REPORTED + 8, small + 17)
@@ -273,15 +273,13 @@ def _banded(
     if np.count_nonzero(theta < mu) != small:
         return None
     tail = theta[structural:watch]
-
-    def rank() -> int:  # the verdict's; a tail read takes none of its inertia counts
-        zero = tail < rank_tol_factor * lo
-        for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
-            m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-            zero[i] = system.factor(-m * m).negative_count() < n
-        return min(e, n) - int(np.count_nonzero(zero))
-
-    return rank, tail
+    if reported:
+        return None, tail
+    zero = tail < rank_tol_factor * lo
+    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
+        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
+        zero[i] = system.factor(-m * m).negative_count() < n
+    return min(e, n) - int(np.count_nonzero(zero)), tail
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DegreeProfile, EmbeddedGraph, degree_profile, edge_lengths
+from .model import EmbeddedGraph, degree_profile, edge_lengths
 
 Segment = Sequence[float]  # (x1, y1, x2, y2)
 
@@ -61,7 +61,7 @@ class VerificationReport:
     crossing_violations: tuple[tuple[int, int, float], ...]
     vertex_clearance_ok: bool
     clearance_violations: tuple[tuple[str, int, int, float], ...]
-    profile: DegreeProfile
+    profile: dict[int, int]  # degree -> vertex count, ascending
     classification: str
 
     @property
@@ -84,7 +84,7 @@ class VerificationReport:
                 {"kind": kind, "a": a, "b": b, "distance": d}
                 for kind, a, b, d in self.clearance_violations
             ],
-            "profile": {str(d): c for d, c in self.profile.sorted_items()},
+            "profile": {str(d): c for d, c in self.profile.items()},
             "classification": self.classification,
         }
 
@@ -240,10 +240,10 @@ def verify_matchstick(g: EmbeddedGraph, tol: Tolerances = Tolerances()) -> Verif
     ok = unit_ok and crossing_ok and clearance_ok
     if not ok:
         classification = "not-a-matchstick-graph"
-    elif profile.is_4_regular():
+    elif set(profile) == {4}:
         classification = "4-regular matchstick"
-    elif profile.is_24_regular():
-        classification = f"(2,4)-regular matchstick with {profile.degree2_count()} degree-2 vertices"
+    elif profile and set(profile) <= {2, 4}:
+        classification = f"(2,4)-regular matchstick with {profile.get(2, 0)} degree-2 vertices"
     else:
         classification = "matchstick (other profile)"
 

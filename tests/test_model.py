@@ -149,7 +149,7 @@ def graphs(draw):
 
 @given(graphs())
 def test_degree_profile_sums_to_vertex_count(g):
-    assert degree_profile(g).vertex_count == g.vertex_count
+    assert sum(degree_profile(g).values()) == g.vertex_count
 
 
 @given(graphs())
@@ -163,19 +163,22 @@ def test_profile_and_length_multiset_are_permutation_invariant(g, seed):
     perm = rng.permutation(g.vertex_count)
     inverse = np.argsort(perm)
     relabeled = EmbeddedGraph(g.vertices[perm], inverse[g.edges])
-    assert degree_profile(relabeled).counts == degree_profile(g).counts
+    assert degree_profile(relabeled) == degree_profile(g)
     np.testing.assert_allclose(
         np.sort(edge_lengths(relabeled)), np.sort(edge_lengths(g)), rtol=1e-12
     )
 
 
-def test_degree_profile_flags():
-    p = degree_profile(unit_rhombus())
-    assert p.counts == {2: 4}
-    assert p.is_24_regular()
-    assert not p.is_4_regular()
-    assert p.degree2_count() == 4
-    assert str(p) == "{2: 4}"
+def test_degree_profile_is_an_ascending_dict():
+    assert degree_profile(unit_rhombus()) == {2: 4}
+    # a path with a pendant: vertex 1 has degree 3, its three neighbours degree 1
+    g = EmbeddedGraph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
+                      ((1, 2), (0, 1), (1, 3)))
+    profile = degree_profile(g)
+    assert profile == {1: 3, 3: 1} and list(profile) == [1, 3]
+    assert all(type(x) is int for x in (*profile, *profile.values()))
+    assert str(profile) == "{1: 3, 3: 1}"  # the catalog's profile column
+    assert degree_profile(EmbeddedGraph(np.zeros((0, 2)))) == {}
 
 
 def test_edge_length_is_in_units():

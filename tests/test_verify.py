@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import turned_upright, unit_rhombus, unit_triangle
 from matchsticks import corpus
-from matchsticks.model import EmbeddedGraph, degree_profile
+from matchsticks.model import EmbeddedGraph
 from matchsticks.refine import refine
 from matchsticks.verify import (
     Tolerances,
@@ -367,14 +367,16 @@ def all_pairs_reference(g: EmbeddedGraph, tol: Tolerances = Tolerances()):
     clearance += [("vertex-edge", int(i), int(k), float(pv[i, k]))
                   for i, k in zip(*np.nonzero(pv < eps))]
 
-    profile = degree_profile(g)
+    degrees = np.bincount(eidx.ravel(), minlength=v)
+    profile = {d: int(c) for d, c in enumerate(np.bincount(degrees)) if c}
     ok = worst_dev <= tol.eps_length and not crossing and not clearance
     if not ok:
         classification = "not-a-matchstick-graph"
-    elif profile.is_4_regular():
+    elif v and (degrees == 4).all():
         classification = "4-regular matchstick"
-    elif profile.is_24_regular():
-        classification = f"(2,4)-regular matchstick with {profile.degree2_count()} degree-2 vertices"
+    elif v and ((degrees == 2) | (degrees == 4)).all():
+        count = int(np.count_nonzero(degrees == 2))
+        classification = f"(2,4)-regular matchstick with {count} degree-2 vertices"
     else:
         classification = "matchstick (other profile)"
     report = VerificationReport(
