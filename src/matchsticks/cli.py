@@ -33,7 +33,7 @@ from .construct import (
     ring_plan,
 )
 from .counting import PART_INVENTORY, Inventory, combinations_table, theorem1_coverage
-from .ingest import build_graph, emit_segments, graph_from_text, max_unit_deviation
+from .ingest import build_graph, emit_segments, max_unit_deviation, parse_segment_file
 from .model import EmbeddedGraph
 from .pipeline import _graph_json, certify
 from .refine import RefineOptions, RefineResult, refine
@@ -74,7 +74,7 @@ def _load_graph(ref: str) -> EmbeddedGraph:
     if not is_path and ref not in corpus.corpus_names():
         raise _UsageError(f"{ref}: no such file or corpus graph")
     try:
-        return graph_from_text(_read_text(ref)) if is_path else corpus.load_graph(ref)
+        return build_graph(parse_segment_file(_read_text(ref))) if is_path else corpus.load_graph(ref)
     except ValueError as exc:
         raise _UsageError(f"{ref}: {exc}")
 

@@ -37,14 +37,6 @@ class SegmentFileError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class AmbiguousMergeError(ValueError):
-    """Endpoint clusters too close together for the merge radius to be trusted."""
-
-
-class DegenerateSegmentError(ValueError):
-    """A segment's endpoints merged into the same vertex."""
-
-
 @dataclass(frozen=True)
 class SegmentFile:
     """Parsed segment file: metadata map plus an (s, 4) array of segments."""
@@ -166,10 +158,10 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     becomes one vertex at the cluster centroid (first appearance order);
     duplicate segments collapse to one edge.  The graph comes back in
     matchstick units: centroids divided by the unit, the median segment
-    length.  Raises AmbiguousMergeError when two distinct cluster centers
-    come within twice the merge radius (the clustering cannot be trusted),
-    DegenerateSegmentError when a segment's endpoints coincide, and
-    SegmentFileError when the unit or the scaled centroids overflow float64.
+    length.  Raises SegmentFileError when two distinct cluster centers come
+    within twice the merge radius (the clustering cannot be trusted), when a
+    segment's endpoints coincide, or when the unit or the scaled centroids
+    overflow float64.
     """
     segs = sf.segments
     s = len(segs)
@@ -177,7 +169,7 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     with np.errstate(over="ignore"):  # an infinite unit is refused below
         unit = estimate_unit(segs)
     if not eps < 0.1 * unit:
-        raise AmbiguousMergeError(f"merge radius {eps} is not small against the unit {unit:.6g}")
+        raise SegmentFileError(f"merge radius {eps} is not small against the unit {unit:.6g}")
     endpoints = np.concatenate([segs[:, 0:2], segs[:, 2:4]])  # (2s, 2): starts then ends
     labels = _cluster_endpoints(endpoints, eps)
 
@@ -199,7 +191,7 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     d = centroids[ci] - centroids[cj]
     mind = float(np.hypot(d[:, 0], d[:, 1]).min(initial=np.inf))
     if mind < 2 * eps:
-        raise AmbiguousMergeError(
+        raise SegmentFileError(
             f"two merged vertices are only {mind:.6g} apart "
             f"(< 2 x merge radius = {2 * eps:.6g})"
         )
@@ -208,7 +200,7 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
     degenerate = np.flatnonzero(u == v)
     if len(degenerate):
         k = degenerate[0]
-        raise DegenerateSegmentError(f"segment {k} endpoints merged into vertex {u[k]}")
+        raise SegmentFileError(f"segment {k} endpoints merged into vertex {u[k]}")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     _, first = np.unique(lo * len(found) + hi, return_index=True)
     keep = np.sort(first)
@@ -216,8 +208,3 @@ def build_graph(sf: SegmentFile) -> EmbeddedGraph:
 
     name = sf.metadata.get("name")
     return EmbeddedGraph(scaled, edges, name=str(name) if name is not None else None)
-
-
-def graph_from_text(text: str) -> EmbeddedGraph:
-    """Convenience: parse + build in one step."""
-    return build_graph(parse_segment_file(text))

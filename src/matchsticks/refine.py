@@ -317,21 +317,6 @@ class _NormalEquations:
         weights = (vals * r[:, None]).ravel()[self._grad_keep]
         self.rhs = -np.bincount(self._grad_index, weights, minlength=len(self.unknowns))
 
-    def bounds(self) -> tuple[float, float]:
-        """Largest diagonal entry and largest absolute row sum of J^T J.
-
-        Both bound the largest eigenvalue, from below and from above
-        (Gershgorin).  Padding rows are zero and change neither.
-        """
-        s, nb = self.size, self.count
-        blocks = self._hessian.reshape(2 * nb - 1, s, s)
-        top = float(blocks[0::2].diagonal(axis1=1, axis2=2).max())
-        sums = np.abs(blocks[0::2]).sum(axis=2)
-        below = np.abs(blocks[1::2])
-        sums[1:] += below.sum(axis=2)
-        sums[:-1] += below.sum(axis=1)
-        return top, float(sums.max())
-
     def factor(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> "_BlockFactor":
         """J^T J + shift I, to be solved or to have its inertia counted.
 

@@ -8,11 +8,12 @@ reaches that rank.  Rank is decided numerically from the singular values, so
 refined input (edges near unit length) is recommended: figure-accuracy
 coordinates blur the small singular values that separate flexes from noise.
 
-Only the smallest singular values and the largest one matter to the rank.
-Small graphs take a dense SVD.  From ``_BANDED_FROM`` vertices on, where the
-dense SVD's cubic cost overtakes it, they come from block inverse iteration
-on J^T J in the block-tridiagonal storage of ``refine``'s solver.  A
-Sylvester inertia count on the same factorization says how many small
+Only the smallest singular values and the largest one, which the vertex
+degrees bound, matter to the rank.  Small graphs take a dense SVD.  From
+``_BANDED_FROM`` vertices on, where the dense SVD's cubic cost overtakes it,
+they come from block inverse iteration on J^T J in the block-tridiagonal
+storage of ``refine``'s solver.
+A Sylvester inertia count on the same factorization says how many small
 singular values there are, which sizes the one block of vectors and makes
 sure none is missed; the verdict takes one more per undecided value.  When
 the count finds only the three rigid motions, one more factorization, with
@@ -177,15 +178,23 @@ def _singular_values(g: EmbeddedGraph) -> np.ndarray:
     return np.linalg.svd(residual_jacobian(g), compute_uv=False)
 
 
+def _bracket(g: EmbeddedGraph, columns: np.ndarray, values: np.ndarray) -> tuple[float, ...]:
+    """``_banded``'s top, lo and hi, from J's entries ``values`` at ``columns``."""
+    top = float(np.bincount(columns.ravel(), (values * values).ravel()).max())
+    return top, math.sqrt(top), math.sqrt(g.degrees()[g.edges].sum(axis=1).max())
+
+
 def _banded(
     g: EmbeddedGraph, rank_tol_factor: float, reported: int
 ) -> tuple[int | None, np.ndarray] | None:
     """The rank and the smallest singular values (ascending), without a dense matrix.
 
     The values are every singular value below mu = max(1e-6 lo, 2
-    rank_tol_factor hi), where lo and hi, the square roots of the largest
-    diagonal entry of J^T J and of its Gershgorin bound, bracket sigma_max,
-    and at least the ``reported`` smallest.  Every value at or above mu is
+    rank_tol_factor hi), and at least the ``reported`` smallest.  lo and hi
+    bracket sigma_max (``_bracket``): lo^2 = top, the largest diagonal entry
+    of J^T J, and hi^2 is the largest d_u + d_v over the edges uv.  J's rows
+    are unit vectors, so J^T J <= L (x) I_2 <= hi^2 I for the graph's
+    Laplacian L (Anderson & Morley 1985).  Every value at or above mu is
     above the rank cutoff, so only those below it decide the rank.  J^T J is
     assembled in the block-tridiagonal form that ``refine`` solves with.
     Sylvester's law of inertia counts its eigenvalues below mu^2
@@ -224,10 +233,10 @@ def _banded(
     """
     coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
+    columns, values = _link_columns(links), _link_values(coords, links)
+    top, lo, hi = _bracket(g, columns, values)
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
-    top, gershgorin = system.bounds()
-    lo, hi = math.sqrt(top), math.sqrt(gershgorin)
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
     small = system.factor(-mu * mu).negative_count()
     if small == 3 and not reported:  # only the rigid motions lie below mu
@@ -239,8 +248,7 @@ def _banded(
     p = max(structural + 3 + _REPORTED + 8, small + 17)
     if 2 * p >= n:
         return None
-    rows = system.position[_link_columns(links)]
-    values = _link_values(coords, links)
+    rows = system.position[columns]
     inverse = system.factor(_SHIFT * top)
 
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p

@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import triangle_strip, unit_triangle
 from matchsticks import cli, construct, corpus, pipeline
 from matchsticks.cli import main
 from matchsticks.construct import (
@@ -35,6 +36,7 @@ from matchsticks.counting import (
     Inventory,
     theorem1_coverage,
 )
+from matchsticks.ingest import emit_segments
 from matchsticks.refine import refine
 from matchsticks.rigidity import analyze_rigidity
 from matchsticks.verify import Tolerances, verify_matchstick
@@ -412,6 +414,14 @@ def test_construct_ring_mismatched_parts_is_numerical_failure(capsys):
     code, _, err = run(capsys, "construct", "ring", "fig2a", "fig2b")
     assert code == 3
     assert "error:" in err
+
+
+def test_construct_ring_with_unsupported_proportions_is_numerical_failure(tmp_path, capsys):
+    strip, tri = tmp_path / "strip.seg", tmp_path / "triangle.seg"
+    strip.write_text(emit_segments(triangle_strip(4)))
+    tri.write_text(emit_segments(unit_triangle()))
+    code, out, err = run(capsys, "construct", "ring", str(strip), str(tri), str(tri), str(tri))
+    assert (code, out, err) == (3, "", "error: cycle layout unsupported for these proportions\n")
 
 
 def test_construct_chain(capsys):

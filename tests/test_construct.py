@@ -23,7 +23,7 @@ from matchsticks.construct import (
     realize,
     ring_plan,
 )
-from matchsticks.ingest import emit_segments, graph_from_text
+from matchsticks.ingest import build_graph, emit_segments, parse_segment_file
 from matchsticks.model import EmbeddedGraph, degree_profile, edge_lengths
 from matchsticks.pipeline import certify
 from matchsticks.rigidity import analyze_rigidity
@@ -241,8 +241,17 @@ def test_plan_neither_cycle_nor_chain_fails():
 def test_cycle_violating_triangle_inequality_fails():
     long_part = PartSpec(triangle_strip(8))  # port gap about 4.58
     tri = PartSpec(unit_triangle())
-    with pytest.raises(RealizationFailedError):
+    with pytest.raises(RealizationFailedError, match="cycle cannot close"):
         realize(ring_plan([long_part, tri, tri]))
+
+
+def test_cycle_layout_refuses_a_circumcentre_outside_the_polygon():
+    # 2 max < sum, so the cycle closes, but the long side's circumcentre lies
+    # outside the polygon, a case the layout does not handle
+    strip, tri = PartSpec(triangle_strip(4)), PartSpec(unit_triangle())
+    with pytest.raises(RealizationFailedError) as refused:
+        realize(ring_plan([strip, tri, tri, tri]))
+    assert str(refused.value) == "cycle layout unsupported for these proportions"
 
 
 # -- chains -------------------------------------------------------------------
@@ -531,7 +540,9 @@ def test_plan_json_part_files_are_refined_by_realize(tmp_path):
     path = tmp_path / "part.seg"
     path.write_text(emit_segments(corpus.load_graph("fig2a")))
     doc = {"parts": [str(path)] * 3, "identifications": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 0, 0]]}
-    plan = plan_from_json(json.dumps(doc), lambda ref: graph_from_text(Path(ref).read_text()))
+    plan = plan_from_json(
+        json.dumps(doc), lambda ref: build_graph(parse_segment_file(Path(ref).read_text()))
+    )
     part = plan.parts[0].graph
     assert np.abs(edge_lengths(part) - 1.0).max() > 1e-6  # resolved as drawn, not refined
     assert certified(realize(plan)).vertex_count == 63

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from conftest import turned_upright
 from matchsticks import corpus
 from matchsticks.ingest import (
-    AmbiguousMergeError,
-    DegenerateSegmentError,
     SegmentFile,
     SegmentFileError,
     build_graph,
     emit_segments,
     estimate_unit,
-    graph_from_text,
     max_unit_deviation,
     parse_segment_file,
 )
@@ -69,7 +66,7 @@ def test_parse_rejects_bad_lines_with_line_number(line):
 
 
 def test_build_graph_merges_square():
-    g = graph_from_text(GOOD)
+    g = build_graph(parse_segment_file(GOOD))
     assert g.vertex_count == 4
     assert g.edge_count == 4
     assert degree_profile(g) == {2: 4}
@@ -88,7 +85,7 @@ def test_build_graph_merges_jittered_endpoints():
 
 
 def test_vertex_order_is_first_appearance():
-    g = graph_from_text(GOOD)
+    g = build_graph(parse_segment_file(GOOD))
     np.testing.assert_allclose(g.vertices[0], [0, 0], atol=2e-2)
     np.testing.assert_allclose(g.vertices[1], [1, 0], atol=2e-2)
 
@@ -97,19 +94,19 @@ def test_ambiguous_merge_when_clusters_almost_touch():
     # two endpoint clusters 1.5 eps apart: merged or not depending on hashing,
     # so the builder must refuse
     text = "! name ambiguous\n0 0 1 0\n0 0.015 1 1\n"
-    with pytest.raises(AmbiguousMergeError):
+    with pytest.raises(SegmentFileError, match="two merged vertices are only"):
         build_graph(parse_segment_file(text))
 
 
 def test_ambiguous_merge_when_unit_close_to_epsilon():
     text = "! name tiny\n0 0 0.05 0\n0.05 0 0.05 0.05\n"
-    with pytest.raises(AmbiguousMergeError):
+    with pytest.raises(SegmentFileError, match="merge radius 0.01 is not small against the unit"):
         build_graph(parse_segment_file(text))
 
 
 def test_degenerate_segment_rejected():
     text = "! name degenerate\n0 0 1 0\n2 2 2.001 2\n"
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(SegmentFileError, match="endpoints merged into vertex"):
         build_graph(parse_segment_file(text))
 
 
@@ -159,14 +156,14 @@ def spread_graphs(draw):
 @given(spread_graphs())
 @settings(max_examples=60)
 def test_emit_then_build_round_trips(g):
-    rebuilt = graph_from_text(emit_segments(g))
+    rebuilt = build_graph(parse_segment_file(emit_segments(g)))
     assert rebuilt.vertex_count == g.vertex_count
     assert rebuilt.edge_count == g.edge_count
     assert degree_profile(rebuilt) == degree_profile(g)
 
 
 def test_emit_records_name():
-    g = graph_from_text(GOOD)
+    g = build_graph(parse_segment_file(GOOD))
     assert "! name square" in emit_segments(g)
 
 
@@ -185,7 +182,7 @@ def cell_loop_build_graph(sf: SegmentFile, eps: float) -> EmbeddedGraph:
     segs = sf.segments
     unit = estimate_unit(segs)
     if not eps < 0.1 * unit:
-        raise AmbiguousMergeError(f"merge radius {eps} is not small against the unit {unit:.6g}")
+        raise SegmentFileError(f"merge radius {eps} is not small against the unit {unit:.6g}")
     points = np.concatenate([segs[:, 0:2], segs[:, 2:4]])
     parent = list(range(len(points)))
 
@@ -224,7 +221,7 @@ def cell_loop_build_graph(sf: SegmentFile, eps: float) -> EmbeddedGraph:
         np.fill_diagonal(dist, np.inf)
         mind = float(dist.min())
         if mind < 2 * eps:
-            raise AmbiguousMergeError(
+            raise SegmentFileError(
                 f"two merged vertices are only {mind:.6g} apart "
                 f"(< 2 x merge radius = {2 * eps:.6g})"
             )
@@ -232,7 +229,7 @@ def cell_loop_build_graph(sf: SegmentFile, eps: float) -> EmbeddedGraph:
     for s in range(len(segs)):
         u, v = order[labels[s]], order[labels[s + len(segs)]]
         if u == v:
-            raise DegenerateSegmentError(f"segment {s} endpoints merged into vertex {u}")
+            raise SegmentFileError(f"segment {s} endpoints merged into vertex {u}")
         if (min(u, v), max(u, v)) not in edges:
             edges.append((min(u, v), max(u, v)))
     return EmbeddedGraph(centroids / unit, tuple(edges), name=str(sf.metadata["name"]))
@@ -241,7 +238,7 @@ def cell_loop_build_graph(sf: SegmentFile, eps: float) -> EmbeddedGraph:
 def build_outcome(build, sf: SegmentFile):
     try:
         g = build(sf)
-    except (AmbiguousMergeError, DegenerateSegmentError) as exc:
+    except SegmentFileError as exc:
         return type(exc).__name__, str(exc)
     return g.vertices.tobytes(), g.edges.tolist()
 
@@ -407,7 +404,7 @@ def test_build_graph_memory_is_linear_on_a_long_chain(long_chain, turned):
     drawn = turned_upright(long_chain) if turned else long_chain
     tracemalloc.start()
     try:
-        g = graph_from_text(emit_segments(drawn))
+        g = build_graph(parse_segment_file(emit_segments(drawn)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -542,8 +542,8 @@ def test_block_factor_repeated_solves_match_dense_linear_algebra(case, of_top, a
     coords, links = eliminated(*case)[:2]
     system = banded_system(*case)
     system.assemble(coords, np.zeros(len(links)))
-    shift = of_top * system.bounds()[0] + absolute
     J = dense_jacobian(coords, links)[:, system.unknowns]
+    shift = of_top * (J.T @ J).diagonal().max() + absolute
     matrix = J.T @ J + shift * np.eye(J.shape[1])
     bound = len(matrix) * np.linalg.cond(matrix) * np.finfo(float).eps
     factor = system.factor(shift)

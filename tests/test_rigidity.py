@@ -424,6 +424,58 @@ def test_banded_verdicts_match_dense_on_the_sweep(rank_tol_factor):
         assert verdict(banded) == verdict(dense), label
 
 
+# -- the bracket on sigma_max ----------------------------------------------------
+
+
+def assert_bracketed(g: EmbeddedGraph) -> None:
+    """top <= sigma_max^2 <= max(d_u + d_v), with top, lo and hi taken as
+    ``_banded`` takes them and sigma_max from the dense SVD.  Both sides hold
+    up to rounding: the SVD's, and that of J's unit rows."""
+    columns, values = refine._link_columns(g.edges), refine._link_values(g.vertices, g.edges)
+    top, lo, hi = rigidity._bracket(g, columns, values)
+    pairs, degree = g.edges.tolist(), [0] * g.vertex_count
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    assert lo == math.sqrt(top)
+    assert hi == math.sqrt(max(degree[u] + degree[v] for u, v in pairs))
+    square = rigidity._singular_values(g)[0] ** 2
+    slack = 1 + 8 * np.finfo(float).eps
+    assert top <= square * slack
+    assert square <= hi * hi * slack
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_sigma_max_is_bracketed_on_the_drawings(name):
+    assert_bracketed(corpus.refined_graph(name))
+
+
+def test_sigma_max_is_bracketed_on_the_three_part_rings():
+    for parts in combinations_with_replacement(RING_PARTS, 3):
+        assert_bracketed(ring(parts))
+
+
+@pytest.mark.parametrize("ends", CHAIN_ENDS, ids="-".join)
+def test_sigma_max_is_bracketed_on_the_chains(ends):
+    for spacers in range(4, 21):
+        assert_bracketed(chain(*ends, spacers))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30)
+def test_sigma_max_is_bracketed_on_random_graphs(seed):
+    # the rows are unit vectors whatever the edge lengths
+    rng = np.random.default_rng(seed)
+    assert_bracketed(random_connected_graph(rng, int(rng.integers(2, 12))))
+
+
+def test_degree_bound_is_attained_by_a_single_bar():
+    # sigma_max^2 = d_u + d_v = 2: the bound is tight, so the check keeps its slack
+    bar = EmbeddedGraph(np.array([[0.0, 0.0], [1.0, 0.0]]), ((0, 1),))
+    assert_bracketed(bar)
+    assert rigidity._singular_values(bar)[0] ** 2 == pytest.approx(2.0, rel=1e-15)
+
+
 def counted_calls(monkeypatch, calls, owner, name):
     """Record each call of owner.name in ``calls`` and pass it through."""
     function = getattr(owner, name)
