@@ -407,7 +407,8 @@ def _closed_polygon(sides: list[float]) -> np.ndarray:
     """Vertices of a counterclockwise closed polygon with the given side lengths.
 
     Three sides use the direct triangle; more sides use the polygon inscribed
-    in a circle (side i subtends central angle 2 asin(d_i / 2R); the radius
+    in a circle (side i subtends central angle 2 asin(d_i / 2R), or 2 pi
+    minus that for the longest side when the centre lies outside; the radius
     solving "angles sum to a full turn" is found by bisection).  Raises on
     infeasible side lists, e.g. one side longer than the rest combined.
     """
@@ -425,23 +426,30 @@ def _closed_polygon(sides: list[float]) -> np.ndarray:
             raise RealizationFailedError("triangle layout degenerate")
         return np.array([[0.0, 0.0], [d[0], 0.0], [x, math.sqrt(y_sq)]])
 
-    def half_angle_sum(radius: float) -> float:
-        return sum(math.asin(min(1.0, s / (2 * radius))) for s in d) - math.pi
+    # the centre lies outside when the half-angles fall short of pi at the least radius
+    longest, lo = d.index(max(d)), max(d) / 2
+    outside = sum(math.asin(min(1.0, s / (2 * lo))) for s in d) < math.pi
 
-    lo = max(d) / 2
-    if half_angle_sum(lo * (1 + 1e-15)) < 0:
-        # circumcenter would fall outside the polygon; not needed for the
-        # compositions this library builds
-        raise RealizationFailedError("cycle layout unsupported for these proportions")
+    def half_angles(radius: float) -> list[float]:
+        half = [math.asin(min(1.0, s / (2 * radius))) for s in d]
+        if outside:
+            half[longest] = math.pi - half[longest]
+        return half
+
+    def excess(radius: float) -> float:  # positive below the radius, negative above it
+        return (-1.0 if outside else 1.0) * (sum(half_angles(radius)) - math.pi)
+
     hi = sum(d)
+    while excess(hi) > 0:
+        hi *= 2
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if half_angle_sum(mid) > 0:
+        if excess(mid) > 0:
             lo = mid
         else:
             hi = mid
     radius = 0.5 * (lo + hi)
-    angles = np.cumsum([0.0] + [2 * math.asin(min(1.0, s / (2 * radius))) for s in d[:-1]])
+    angles = np.cumsum([0.0] + [2 * h for h in half_angles(radius)[:-1]])
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 

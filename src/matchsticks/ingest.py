@@ -30,10 +30,9 @@ _MERGE_RADIUS = 1e-2  # drawing units: endpoints this close are one vertex
 
 
 class SegmentFileError(ValueError):
-    """Malformed segment file; carries the offending line number when known."""
+    """Malformed segment file; the message names the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 

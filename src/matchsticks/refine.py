@@ -269,10 +269,11 @@ class _NormalEquations:
     rows whose damping term keeps it nonsingular.
 
     Every row is a length row touching four coordinates.  The pattern is
-    fixed at construction; ``assemble`` scatters the current values and
-    ``factor`` factors the matrix for one damping, or any other shift of the
-    diagonal.  ``position`` maps each flat coordinate to its place in the
-    ordering (-1 when not free).
+    fixed at construction; ``assemble`` scatters the current values,
+    ``factor`` factors the matrix at one shift of the diagonal, such as a
+    damping, and ``negative_count`` counts its inertia at another.
+    ``position`` maps each flat coordinate to its place in the ordering (-1
+    when not free).
     """
 
     def __init__(self, coords: np.ndarray, links: np.ndarray, free: np.ndarray) -> None:
@@ -317,48 +318,87 @@ class _NormalEquations:
         weights = (vals * r[:, None]).ravel()[self._grad_keep]
         self.rhs = -np.bincount(self._grad_index, weights, minlength=len(self.unknowns))
 
-    def factor(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> "_BlockFactor":
-        """J^T J + shift I, to be solved or to have its inertia counted.
-
-        With ``pins``, flat coordinates, ``weight`` is added to their
-        diagonal entries, on a copy of the storage.
-        """
+    def factor(self, shift: float) -> "_BlockFactor":
+        """J^T J + shift I, to be solved."""
         s, nb = self.size, self.count
+        blocks = self._hessian.reshape(2 * nb - 1, s, s)
+        return _BlockFactor(blocks[0::2] + shift * np.eye(s), blocks[1::2], len(self.unknowns))
+
+    def negative_count(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> int:
+        """How many eigenvalues of J^T J + shift I are negative (Sylvester's law of inertia).
+
+        ``weight`` is added on the diagonal at ``pins``, flat coordinates, in
+        a copy of the storage.  No factor is kept.  An eigenvalue within
+        rounding of zero may count either way.  A singular pivot does not
+        raise: the count is then that of the matrix shifted up by n eps times
+        its largest entry, so that eigenvalues within that distance of zero
+        count as non-negative.
+        """
+        s, nb, n = self.size, self.count, len(self.unknowns)
         hessian = self._hessian
         if pins:
             at = self.position[list(pins)]
             hessian = hessian.copy()
             hessian[(2 * (at // s) * s + at % s) * s + at % s] += weight
-        return _BlockFactor(hessian.reshape(2 * nb - 1, s, s), shift, len(self.unknowns))
+        blocks = hessian.reshape(2 * nb - 1, s, s)
+        below = blocks[1::2]
+        while True:
+            diagonal = blocks[0::2] + shift * np.eye(s)
+            try:
+                pivots = _eliminate(diagonal, below, np.zeros((nb, s, 0)))[0]
+                break
+            except np.linalg.LinAlgError:
+                largest = max(np.abs(diagonal).max(), np.abs(below).max(initial=0.0))
+                shift += n * np.finfo(float).eps * largest
+        # padded rows hold the shift alone, so they sit below zero when it does
+        padding = nb * s - n if shift < 0 else 0
+        return int(np.count_nonzero(np.linalg.eigvalsh(pivots) < 0)) - padding
+
+
+def _eliminate(diagonal: np.ndarray, below: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pivot blocks P_k and gains G_k = P_k^-1 B_k^T of a block L D L^T.
+
+    ``diagonal`` and ``below`` hold the shifted matrix's diagonal blocks and
+    the blocks B_k below them.  The right-hand sides ``y`` (nb, s, q) are
+    carried through the same elimination, with ``np.linalg.solve`` on each
+    pivot, and overwritten with D^-1 L^-1 y.  Raises LinAlgError when a
+    pivot block is singular.
+    """
+    nb, s = diagonal.shape[:2]
+    pivots, gains = [], []
+    pivot = diagonal[0]
+    for k in range(nb - 1):
+        solved = np.linalg.solve(pivot, np.concatenate([below[k].T, y[k]], axis=1))
+        pivots.append(pivot)
+        gains.append(solved[:, :s])
+        y[k] = solved[:, s:]
+        update = below[k] @ solved
+        pivot = diagonal[k + 1] - update[:, :s]
+        y[k + 1] -= update[:, s:]
+    pivots.append(pivot)
+    y[-1] = np.linalg.solve(pivot, y[-1])
+    return np.stack(pivots), np.array(gains).reshape(nb - 1, s, s)  # also for a single block
 
 
 class _BlockFactor:
     """L D L^T of a shifted block-tridiagonal matrix.
 
     D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
-    the gain G_k = P_k^-1 B_k^T.  The first solve forms them, carrying its
-    right-hand sides through the same elimination with ``np.linalg.solve``
-    on each pivot, so it is backward stable however close to singular the
-    shifted matrix is; it is the only solve that ``refine`` and the inertia
-    counts make.  Later solves reuse the gains, sweeping forward with G_k^T,
-    and apply the pivots as inverse products, formed in one batch on the
-    first reuse.  Their forward error is about the condition number times
-    eps, which suits a positive shift such as that of ``rigidity``'s inverse
-    iteration (condition up to about 1e9): its values come from J V, not
-    from the solve.
+    the gain G_k = P_k^-1 B_k^T.  The first solve forms them by
+    ``_eliminate``, which carries its right-hand sides through the
+    elimination, so it is backward stable however close to singular the
+    shifted matrix is; it is the only solve that ``refine`` makes.  Later
+    solves reuse the gains, sweeping forward with G_k^T, and apply the
+    pivots as inverse products, formed in one batch on the first reuse.
+    Their forward error is about the condition number times eps, which
+    suits a positive shift such as that of ``rigidity``'s inverse iteration
+    (condition up to about 1e9): its values come from J V, not from the
+    solve.
     """
 
-    def __init__(self, blocks: np.ndarray, shift: float, n: int) -> None:
-        self._blocks, self._shift = blocks, shift
-        self._diagonal = blocks[0::2] + shift * np.eye(blocks.shape[1])
-        self._below = blocks[1::2]
-        self._n = n
-        # padded rows hold the shift alone, so they sit below zero when it does
-        padding = len(self._diagonal) * blocks.shape[1] - n
-        self._negative_padding = padding if shift < 0 else 0
-        self._pivots: np.ndarray | None = None
-        self._gains: np.ndarray | None = None
-        self._inverses: np.ndarray | None = None
+    def __init__(self, diagonal: np.ndarray, below: np.ndarray, n: int) -> None:
+        self._diagonal, self._below, self._n = diagonal, below, n
+        self._pivots = self._gains = self._inverses = None  # formed by the first solve
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         """The solution for one right-hand side (n,) or several (n, p).
@@ -371,20 +411,7 @@ class _BlockFactor:
         y[: self._n] = x.reshape(self._n, q)
         y = y.reshape(nb, s, q)
         if self._pivots is None:
-            pivots, gains = [], []
-            pivot = self._diagonal[0]
-            for k in range(nb - 1):
-                solved = np.linalg.solve(pivot, np.concatenate([self._below[k].T, y[k]], axis=1))
-                pivots.append(pivot)
-                gains.append(solved[:, :s])
-                y[k] = solved[:, s:]
-                update = self._below[k] @ solved
-                pivot = self._diagonal[k + 1] - update[:, :s]
-                y[k + 1] -= update[:, s:]
-            pivots.append(pivot)
-            self._pivots = np.stack(pivots)
-            self._gains = np.array(gains).reshape(nb - 1, s, s)  # also for a single block
-            y[-1] = np.linalg.solve(pivot, y[-1])
+            self._pivots, self._gains = _eliminate(self._diagonal, self._below, y)
         else:
             for k in range(nb - 1):
                 y[k + 1] -= self._gains[k].T @ y[k]
@@ -394,25 +421,3 @@ class _BlockFactor:
         for k in range(nb - 2, -1, -1):
             y[k] -= self._gains[k] @ y[k + 1]
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
-
-    def negative_count(self) -> int:
-        """How many eigenvalues are negative (Sylvester's law of inertia).
-
-        An eigenvalue within rounding of zero may count either way.  A
-        singular pivot does not raise: the count is then that of the matrix
-        shifted up by n eps times its largest entry, so that eigenvalues
-        within that distance of zero count as non-negative.  A count leaves
-        the factor unsolved, so that its next solve is the backward-stable
-        first one, not the reuse of inverse pivots.
-        """
-        pivots = self._pivots
-        if pivots is None:
-            try:
-                self.solve(np.zeros((self._n, 0)))
-            except np.linalg.LinAlgError:
-                largest = max(np.abs(self._diagonal).max(), np.abs(self._below).max(initial=0.0))
-                nudge = self._n * np.finfo(float).eps * largest
-                return _BlockFactor(self._blocks, self._shift + nudge, self._n).negative_count()
-            pivots, self._pivots, self._gains = self._pivots, None, None
-        eigenvalues = np.linalg.eigvalsh(pivots)
-        return int(np.count_nonzero(eigenvalues < 0)) - self._negative_padding

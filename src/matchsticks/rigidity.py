@@ -12,13 +12,12 @@ Only the smallest singular values and the largest one, which the vertex
 degrees bound, matter to the rank.  Small graphs take a dense SVD.  From
 ``_BANDED_FROM`` vertices on, where the dense SVD's cubic cost overtakes it,
 they come from block inverse iteration on J^T J in the block-tridiagonal
-storage of ``refine``'s solver.
-A Sylvester inertia count on the same factorization says how many small
-singular values there are, which sizes the one block of vectors and makes
-sure none is missed; the verdict takes one more per undecided value.  When
-the count finds only the three rigid motions, one more factorization, with
-the three ``default_pins`` coordinates held by a penalty, confirms it, and
-the verdict is rigid without any sweep or SVD.  Otherwise the
+storage of ``refine``'s solver.  A Sylvester inertia count of that
+storage, with the three ``default_pins`` coordinates held by a penalty,
+bounds how many small singular values there are, which sizes the one block
+of vectors and makes sure none is missed; the verdict takes one more per
+undecided value.  When that count finds none besides the three rigid
+motions, the verdict is rigid without any sweep or SVD.  Otherwise the
 shifted matrix is factored once; each sweep costs a forward sweep, one
 batched product with the pivots' inverses, a back substitution, a
 CholeskyQR orthonormalization and the eigenvalues of a p x p Gram matrix,
@@ -196,20 +195,17 @@ def _banded(
     are unit vectors, so J^T J <= L (x) I_2 <= hi^2 I for the graph's
     Laplacian L (Anderson & Morley 1985).  Every value at or above mu is
     above the rank cutoff, so only those below it decide the rank.  J^T J is
-    assembled in the block-tridiagonal form that ``refine`` solves with.
-    Sylvester's law of inertia counts its eigenvalues below mu^2
-    (``small``).  When a verdict (``reported`` zero) counts only the three
-    rigid motions, the same storage is factored once more at -mu^2 with
-    ``top`` added on the diagonal at the three ``default_pins``
-    coordinates, which turns J into J_pin, J with three rows that hold
-    those coordinates.  If that factor has no negative pivot eigenvalue,
-    J_pin^T J_pin - mu^2 I is positive definite, and a block LDL^T is
-    stable on a positive definite matrix, so sigma_min(J_pin) >= mu.
-    Deleting three rows moves each singular value down by at most three
-    places (interlacing), so J's 2v - 3 largest are at least mu, above the
-    rank cutoff: the rank is 2v - 3, and no block is needed.  Otherwise
-    ``small`` sizes the one block of p = max(structural + 21, small + 17)
-    vectors.  Inverse subspace iteration with (J^T J + delta
+    assembled in the block-tridiagonal form that ``refine`` solves with;
+    ``top`` added on its diagonal at the three ``default_pins`` coordinates
+    makes it J_pin^T J_pin, J_pin being J with three rows that hold those
+    coordinates.  Sylvester's law of inertia counts its eigenvalues below
+    mu^2; ``small``, three more, bounds those of J^T J (Weyl's inequalities:
+    the penalty has rank three).  A verdict (``reported`` zero) with small =
+    3 is rigid: block LDL^T is stable on the positive definite J_pin^T J_pin
+    - mu^2 I, so sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3
+    largest singular values are at least mu, above the rank cutoff.
+    Otherwise ``small`` sizes the one block of p = max(structural + 21,
+    small + 17) vectors.  Inverse subspace iteration with (J^T J + delta
     I)^-1 turns the block V towards the eigenvectors of the smallest
     eigenvalues, orthonormalizing V after each solve (``_orthonormal``).
     Each sweep estimates the Ritz values theta from the eigenvalues of the
@@ -238,11 +234,10 @@ def _banded(
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
-    small = system.factor(-mu * mu).negative_count()
+    pins = [2 * vertex + axis for vertex, axis in default_pins(g)]
+    small = 3 + system.negative_count(-mu * mu, pins, top)
     if small == 3 and not reported:  # only the rigid motions lie below mu
-        pins = [2 * vertex + axis for vertex, axis in default_pins(g)]
-        if system.factor(-mu * mu, pins, top).negative_count() == 0:
-            return n - 3, np.empty(0)
+        return n - 3, np.empty(0)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
     # rigid motions, reported values and spares, or the small values and spares
     p = max(structural + 3 + _REPORTED + 8, small + 17)
@@ -286,7 +281,7 @@ def _banded(
     zero = tail < rank_tol_factor * lo
     for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
         m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.factor(-m * m).negative_count() < n
+        zero[i] = system.negative_count(-m * m) < n
     return min(e, n) - int(np.count_nonzero(zero)), tail
 
 

@@ -416,12 +416,16 @@ def test_construct_ring_mismatched_parts_is_numerical_failure(capsys):
     assert "error:" in err
 
 
-def test_construct_ring_with_unsupported_proportions_is_numerical_failure(tmp_path, capsys):
+def test_construct_ring_with_a_circumcentre_outside_is_no_matchstick_graph(tmp_path, capsys):
+    # the long strip's circumcentre lies outside the ring's polygon: the ring
+    # realizes, and its triangles overlap the strip
     strip, tri = tmp_path / "strip.seg", tmp_path / "triangle.seg"
     strip.write_text(emit_segments(triangle_strip(4)))
     tri.write_text(emit_segments(unit_triangle()))
     code, out, err = run(capsys, "construct", "ring", str(strip), str(tri), str(tri), str(tri))
-    assert (code, out, err) == (3, "", "error: cycle layout unsupported for these proportions\n")
+    assert (code, err) == (1, "")
+    assert "(11 vertices, 18 edges)" in out
+    assert "classification: not-a-matchstick-graph, 11 vertices" in out
 
 
 def test_construct_chain(capsys):

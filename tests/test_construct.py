@@ -245,13 +245,37 @@ def test_cycle_violating_triangle_inequality_fails():
         realize(ring_plan([long_part, tri, tri]))
 
 
-def test_cycle_layout_refuses_a_circumcentre_outside_the_polygon():
-    # 2 max < sum, so the cycle closes, but the long side's circumcentre lies
-    # outside the polygon, a case the layout does not handle
+def test_cycle_layout_places_a_circumcentre_outside_the_polygon():
+    # 2 max < sum, so the cycle closes; the long side's circumcentre lies
+    # outside the polygon, so that side takes the reflex central angle.  The
+    # ring realizes, but its triangles overlap the strip
     strip, tri = PartSpec(triangle_strip(4)), PartSpec(unit_triangle())
-    with pytest.raises(RealizationFailedError) as refused:
-        realize(ring_plan([strip, tri, tri, tri]))
-    assert str(refused.value) == "cycle layout unsupported for these proportions"
+    g = realize(ring_plan([strip, tri, tri, tri]))
+    assert (g.vertex_count, g.edge_count) == (11, 18)
+    assert np.abs(edge_lengths(g) - 1).max() < 1e-12
+    assert verify_matchstick(g).classification == "not-a-matchstick-graph"
+
+
+def test_cycle_layout_closes_every_closable_polygon():
+    # random 4-9-gons, a third of them near-degenerate: the longest side falls
+    # short of the others' sum by 1e-6 to 1e-1 of it, and the centre lies
+    # outside, often beyond the sum of the sides
+    rng = np.random.default_rng(7)
+    outside = beyond = 0
+    for trial in range(600):
+        d = rng.uniform(0.05, 5.0, int(rng.integers(4, 10)))
+        if trial % 3 == 0:
+            i = int(rng.integers(len(d)))
+            d[i] = (d.sum() - d[i]) * (1 - 10.0 ** rng.uniform(-6, -1))
+        if 2 * d.max() >= d.sum():
+            continue
+        polygon = construct._closed_polygon(d.tolist())
+        edges = np.roll(polygon, -1, axis=0) - polygon
+        np.testing.assert_allclose(np.hypot(*edges.T), d, rtol=0, atol=1e-11 * d.max())
+        assert np.sum(polygon[:, 0] * edges[:, 1] - polygon[:, 1] * edges[:, 0]) > 0  # ccw
+        outside += np.arcsin(d / d.max()).sum() < np.pi
+        beyond += np.hypot(*polygon[0]) > d.sum()
+    assert outside > 100 and beyond > 50
 
 
 # -- chains -------------------------------------------------------------------

@@ -471,20 +471,22 @@ def test_refine_step_matches_dense_normal_equations(
     st.integers(0, 2),
     st.sampled_from([-1.0, -0.05, 1e-8, 1.0]),
     st.sampled_from([None, 1, 5]),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 1e-8, 1.0]),
 )
-@example(*SOLVER_EXAMPLES[1], -0.05, 5)
-@example(*SOLVER_EXAMPLES[2], -1.0, None)  # padded last block, negative shift
+@example(*SOLVER_EXAMPLES[1], -0.05, 5, 3, 1.0)
+@example(*SOLVER_EXAMPLES[2], -1.0, None, 2, 1e-8)  # padded last block, negative shift
 # a degree-1 vertex makes J^T J - I singular; its first pivot is singular
-@example("random", 9, 113861, True, 2, 0, -1.0, None)
+@example("random", 9, 113861, True, 2, 0, -1.0, None, 0, 0.0)
 # J^T J - I singular to rounding without a singular pivot: the factor counts
 # an eigenvalue that eigvalsh puts at +1.9e-16 as negative
-@example("random", 9, 3730109489, True, 1, 1, -1.0, None)
+@example("random", 9, 3730109489, True, 1, 1, -1.0, None, 0, 0.0)
 # J^T J - I with ten negative eigenvalues and a pivot of condition 1.8e5: a
 # solve that reused the count's pivots as inverses missed the bound (8e-9)
-@example("strip", 14, 4236441, False, 0, 0, -1.0, None)
+@example("strip", 14, 4236441, False, 0, 0, -1.0, None, 3, 1.0)
 @settings(max_examples=60)
 def test_block_factor_matches_dense_linear_algebra(
-    kind, n, seed, middle_pin, coincidence_count, distance_count, shift, columns
+    kind, n, seed, middle_pin, coincidence_count, distance_count, shift, columns, pinned, of_top
 ):
     if kind == "random":
         n = min(n, 9)
@@ -496,18 +498,24 @@ def test_block_factor_matches_dense_linear_algebra(
     system.assemble(coords, np.zeros(len(links)))
     J = dense_jacobian(coords, links)[:, system.unknowns]
     matrix = J.T @ J + shift * np.eye(J.shape[1])
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    # an eigenvalue within rounding of zero may count either way
-    rounding = len(matrix) * np.finfo(float).eps * np.abs(matrix).max()
-    below, near = (int(np.count_nonzero(eigenvalues < t)) for t in (-rounding, rounding))
-    factor = system.factor(shift)
-    count = factor.negative_count()  # the inertia needs no solve first
+    rng = np.random.default_rng(seed)
+    # up to three distinct unknowns held by a penalty of weight 0, 1e-8 top or top
+    pins = rng.choice(len(matrix), min(pinned, len(matrix)), replace=False)
+    weight = of_top * (J.T @ J).diagonal().max()
+    penalized = matrix + weight * np.diag(np.isin(np.arange(len(matrix)), pins).astype(float))
+
+    def window(m):  # an eigenvalue within rounding of zero may count either way
+        eigenvalues, rounding = np.linalg.eigvalsh(m), len(m) * np.finfo(float).eps * np.abs(m).max()
+        return tuple(int(np.count_nonzero(eigenvalues < t)) for t in (-rounding, rounding))
+
+    below, near = window(matrix)
+    count = system.negative_count(shift)  # the inertia needs no factor
     assert below <= count <= near
-    rhs = np.random.default_rng(seed).standard_normal(
-        (J.shape[1],) if columns is None else (J.shape[1], columns)
-    )
+    pinned_below, pinned_near = window(penalized)
+    assert pinned_below <= system.negative_count(shift, system.unknowns[pins].tolist(), weight) <= pinned_near
+    rhs = rng.standard_normal((J.shape[1],) if columns is None else (J.shape[1], columns))
     try:
-        got = factor.solve(rhs)
+        got = system.factor(shift).solve(rhs)
     except np.linalg.LinAlgError:
         # a singular pivot: the count took eigenvalues within rounding of zero as non-negative
         assert count == below
@@ -521,15 +529,17 @@ def test_block_factor_matches_dense_linear_algebra(
 @pytest.mark.parametrize("case", SOLVER_EXAMPLES, ids=["one-block", "several-blocks", "padded"])
 @pytest.mark.parametrize("shift", [-1.0, 1e-8])
 def test_block_factor_solves_alike_after_a_count(case, shift):
-    # a count leaves the factor unsolved: the solve after it is a first solve
+    # a count keeps no factor and a pinned count works on a copy of the
+    # storage: the solve after them is bit for bit a fresh system's
     case = solver_case(*case)
     coords, links = eliminated(*case)[:2]
-    system = banded_system(*case)
-    system.assemble(coords, np.zeros(len(links)))
-    rhs = np.random.default_rng(0).standard_normal((len(system.unknowns), 3))
-    counted = system.factor(shift)
-    counted.negative_count()
-    assert counted.solve(rhs).tobytes() == system.factor(shift).solve(rhs).tobytes()
+    counted, fresh = banded_system(*case), banded_system(*case)
+    for system in (counted, fresh):
+        system.assemble(coords, np.zeros(len(links)))
+    rhs = np.random.default_rng(0).standard_normal((len(counted.unknowns), 3))
+    counted.negative_count(shift, counted.unknowns[:3].tolist(), 1.0)
+    counted.negative_count(shift)
+    assert counted.factor(shift).solve(rhs).tobytes() == fresh.factor(shift).solve(rhs).tobytes()
 
 
 @pytest.mark.parametrize("case", SOLVER_EXAMPLES, ids=["one-block", "several-blocks", "padded"])

@@ -255,21 +255,21 @@ def zigzag_path(v: int) -> EmbeddedGraph:
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_banded_rank_matches_dense_on_the_corpus(name):
     # fig5b needs a block of half its columns or more; the rigid fig2a would
-    # too, but its confirmed inertia count answers before any block is sized
+    # too, but its pinned inertia count answers before any block is sized
     assert_paths_agree(corpus.refined_graph(name), answered=name != "fig5b")
 
 
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
 def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     # the second singular value sits within the bracket on sigma_max times the
-    # rank tolerance, so the verdict takes one inertia count besides the one at
-    # -mu^2; the tail pass decides no rank and takes only the one at -mu^2
+    # rank tolerance, so the verdict takes one inertia count besides the pinned
+    # one at -mu^2; the tail pass decides no rank and takes only the pinned one
     g = corpus.refined_graph(name)
-    negative_count, counts = refine._BlockFactor.negative_count, []
+    negative_count, counts = refine._NormalEquations.negative_count, []
 
-    def counted(self):
-        counts.append(self)
-        return negative_count(self)
+    def counted(self, *args):
+        counts.append(args)
+        return negative_count(self, *args)
 
     def no_dense(g):
         raise AssertionError("the banded path handed off")
@@ -277,7 +277,7 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", 0)
         mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
-        mp.setattr(refine._BlockFactor, "negative_count", counted)
+        mp.setattr(refine._NormalEquations, "negative_count", counted)
         mp.setattr(rigidity, "_singular_values", no_dense)
         banded = analyze_rigidity(g)
         assert len(counts) == 2
@@ -394,7 +394,7 @@ def test_banded_rank_matches_dense_on_rings(parts):
     assert_paths_agree(ring(parts))
 
 
-# -- the confirmed inertia count -------------------------------------------------
+# -- the pinned inertia count ----------------------------------------------------
 
 RING_PARTS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2g", "fig2h")
 CHAIN_ENDS = (("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c"))
@@ -495,8 +495,10 @@ def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
     with monkeypatch.context() as mp:
         counted_calls(mp, calls, rigidity, "_orthonormal")
         counted_calls(mp, calls, np.linalg, "svd")
+        counted_calls(mp, calls, refine._NormalEquations, "factor")
+        counted_calls(mp, calls, refine._NormalEquations, "negative_count")
         report = analyze_rigidity(g)
-    assert report.rigid and calls == []
+    assert report.rigid and calls == ["negative_count"]  # the pinned count alone
     # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
     assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
 
@@ -516,26 +518,32 @@ def test_flexible_ring_verdict_takes_the_sweeps(monkeypatch):
     assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
 
 
-@pytest.mark.parametrize("kind", ["fig5a", "ring"])
-def test_confirmation_refuses_a_flexible_graph_counted_as_rigid(kind, monkeypatch):
-    # the plain count is forced to find only the three rigid motions below mu;
-    # the penalized factor still sees the flex, so the verdict stays flexible
-    g = corpus.refined_graph("fig5a") if kind == "fig5a" else ring(("fig2a", "fig2a", "fig2g"))
-    negative_count, counts = refine._BlockFactor.negative_count, []
+@pytest.mark.parametrize("kind", ["fig5a", "ring", "chain", "rigid-ring"])
+def test_pinned_count_is_the_dense_count_less_the_rigid_motions(kind, monkeypatch):
+    # the verdict's one inertia count, at -mu^2 with the three default pins
+    # held, finds every eigenvalue of J^T J below mu^2 but the rigid motions
+    g = {
+        "fig5a": lambda: corpus.refined_graph("fig5a"),
+        "ring": lambda: ring(("fig2a", "fig2a", "fig2g")),
+        "chain": lambda: chain("fig5a", "fig5c", 150),
+        "rigid-ring": lambda: ring(RIGID_RINGS[0]),
+    }[kind]()
+    negative_count, counts = refine._NormalEquations.negative_count, []
 
-    def forced(self):
-        counts.append(self)
-        return 3 if len(counts) == 1 else negative_count(self)
+    def recorded(self, *args):
+        counts.append((args, negative_count(self, *args)))
+        return counts[-1][1]
 
-    monkeypatch.setattr(rigidity, "_BANDED_FROM", math.inf)
-    dense = analyze_rigidity(g)
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
-    monkeypatch.setattr(refine._BlockFactor, "negative_count", forced)
+    monkeypatch.setattr(refine._NormalEquations, "negative_count", recorded)
     report = analyze_rigidity(g)
-    assert len(counts) >= 2  # the plain count and its confirmation
-    assert report.classification == "flexible"
-    assert (report.rank, report.internal_flexes) == (dense.rank, dense.internal_flexes)
-    assert dense.internal_flexes == 1
+    (shift, pins, weight), pinned = counts[0]
+    assert sorted(pins) == sorted(2 * vertex + axis for vertex, axis in refine.default_pins(g))
+    assert weight == pytest.approx((refine.residual_jacobian(g) ** 2).sum(axis=0).max())  # top
+    sigma = rigidity._singular_values(g)
+    structural = 2 * g.vertex_count - len(sigma)  # zero eigenvalues of J^T J besides sigma's
+    assert pinned == structural + np.count_nonzero(sigma < math.sqrt(-shift)) - 3
+    assert (pinned == 0) == (kind == "rigid-ring") == report.rigid
 
 
 @pytest.mark.parametrize(
@@ -543,9 +551,9 @@ def test_confirmation_refuses_a_flexible_graph_counted_as_rigid(kind, monkeypatc
     [("chain", 2), ("fig2g", 3), ("fig5a", 2), ("ring", 2), ("ladder", 1), ("bent-strip", 2)],
 )
 def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatch):
-    # the counts the banded verdict took before it had a confirmed count: the
-    # inertia count at -mu^2, the shifted factor (unless the block would reach
-    # half the columns) and one count per undecided value (fig2g has one)
+    # the pinned inertia count at -mu^2, the shifted factor (unless the block
+    # would reach half the columns) and one count per undecided value (fig2g
+    # has one): as many as before the count was pinned
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "fig2g": lambda: corpus.refined_graph("fig2g"),
@@ -556,7 +564,8 @@ def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatc
     }[kind]()
     calls = []
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
-    counted_calls(monkeypatch, calls, refine, "_BlockFactor")
+    counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
+    counted_calls(monkeypatch, calls, refine._NormalEquations, "negative_count")
     assert not analyze_rigidity(g).rigid
     assert len(calls) == factorizations
 
@@ -578,7 +587,7 @@ def test_banded_rank_matches_dense_on_strips(n):
 
 def test_banded_rank_answers_short_strips_by_the_count(monkeypatch):
     # a strip of n triangles has 2n + 4 columns and would need a first block
-    # of 24 vectors, but it is rigid: the confirmed inertia count answers it
+    # of 24 vectors, but it is rigid: the pinned inertia count answers it
     def no_block(n, p):
         raise AssertionError(f"a block of {p} vectors was started")
 
