@@ -271,7 +271,9 @@ class _NormalEquations:
     Every row is a length row touching four coordinates.  The pattern is
     fixed at construction; ``assemble`` scatters the current values,
     ``factor`` factors the matrix at one shift of the diagonal, such as a
-    damping, and ``negative_count`` counts its inertia at another.
+    damping, ``negative_count`` counts its inertia at another, and
+    ``negative_space`` takes one inverse iteration step with that count's
+    factor.
     ``position`` maps each flat coordinate to its place in the ordering (-1
     when not free).
     """
@@ -328,11 +330,12 @@ class _NormalEquations:
         """How many eigenvalues of J^T J + shift I are negative (Sylvester's law of inertia).
 
         ``weight`` is added on the diagonal at ``pins``, flat coordinates, in
-        a copy of the storage.  No factor is kept.  An eigenvalue within
-        rounding of zero may count either way.  A singular pivot does not
-        raise: the count is then that of the matrix shifted up by n eps times
-        its largest entry, so that eigenvalues within that distance of zero
-        count as non-negative.
+        a copy of the storage.  The count's factor is kept until the next
+        count, for ``negative_space``.  An eigenvalue within rounding of zero
+        may count either way.  A singular pivot does not raise: the count is
+        then that of the matrix shifted up by n eps times its largest entry,
+        so that eigenvalues within that distance of zero count as
+        non-negative, and no factor is kept.
         """
         s, nb, n = self.size, self.count, len(self.unknowns)
         hessian = self._hessian
@@ -342,17 +345,52 @@ class _NormalEquations:
             hessian[(2 * (at // s) * s + at % s) * s + at % s] += weight
         blocks = hessian.reshape(2 * nb - 1, s, s)
         below = blocks[1::2]
+        singular = False
         while True:
             diagonal = blocks[0::2] + shift * np.eye(s)
             try:
-                pivots = _eliminate(diagonal, below, np.zeros((nb, s, 0)))[0]
+                pivots, gains = _eliminate(diagonal, below, np.zeros((nb, s, 0)))
                 break
             except np.linalg.LinAlgError:
                 largest = max(np.abs(diagonal).max(), np.abs(below).max(initial=0.0))
                 shift += n * np.finfo(float).eps * largest
+                singular = True
+        eigenvalues = np.linalg.eigvalsh(pivots)
+        self._kept = None if singular else (pivots, gains, eigenvalues)
         # padded rows hold the shift alone, so they sit below zero when it does
         padding = nb * s - n if shift < 0 else 0
-        return int(np.count_nonzero(np.linalg.eigvalsh(pivots) < 0)) - padding
+        return int(np.count_nonzero(eigenvalues < 0)) - padding
+
+    def negative_space(self) -> np.ndarray | None:
+        """One inverse iteration step on the negative space of the last count's factor.
+
+        With that count's matrix A = L D L^T, Z holds the eigenvectors of D's
+        negative eigenvalues, each within its pivot block, so that A is
+        negative definite on the span of L^-T Z (the Rayleigh quotients are
+        Z^T D Z).  Returns A^-1 L^-T Z, one column per negative eigenvalue, in
+        the order of the unknowns: a back sweep with the gains, a forward
+        sweep, one solve per pivot block (backward stable however indefinite
+        the pivots are) and a back sweep.  None when the count kept no
+        factor.
+        """
+        if self._kept is None:
+            return None
+        pivots, gains, eigenvalues = self._kept
+        s, nb, n = self.size, self.count, len(self.unknowns)
+        rest = n - (nb - 1) * s  # the last block's rows that are not padding
+        at = np.flatnonzero((eigenvalues < 0).any(axis=1))  # the blocks with a negative eigenvalue
+        blocks = pivots[at]
+        if at.size and at[-1] == nb - 1:
+            blocks[-1, rest:, rest:] = np.eye(s - rest)  # keeps the padding out of the negatives
+        values, vectors = np.linalg.eigh(blocks)
+        block, column = np.nonzero(values < 0)
+        y = np.zeros((nb, s, len(block)))
+        y[at[block], :, np.arange(len(block))] = vectors[block, :, column]
+        _back_sweep(gains, y)
+        _forward_sweep(gains, y)
+        y = np.linalg.solve(pivots, y)
+        _back_sweep(gains, y)
+        return y.reshape(nb * s, -1)[:n]
 
 
 def _eliminate(diagonal: np.ndarray, below: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -413,11 +451,21 @@ class _BlockFactor:
         if self._pivots is None:
             self._pivots, self._gains = _eliminate(self._diagonal, self._below, y)
         else:
-            for k in range(nb - 1):
-                y[k + 1] -= self._gains[k].T @ y[k]
+            _forward_sweep(self._gains, y)
             if self._inverses is None:
                 self._inverses = np.linalg.inv(self._pivots)
             y = self._inverses @ y
-        for k in range(nb - 2, -1, -1):
-            y[k] -= self._gains[k] @ y[k + 1]
+        _back_sweep(self._gains, y)
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
+
+
+def _forward_sweep(gains: np.ndarray, y: np.ndarray) -> None:
+    """y <- L^-1 y in place, for the unit block lower factor L with gains G_k."""
+    for k in range(len(gains)):
+        y[k + 1] -= gains[k].T @ y[k]
+
+
+def _back_sweep(gains: np.ndarray, y: np.ndarray) -> None:
+    """y <- L^-T y in place."""
+    for k in range(len(gains) - 1, -1, -1):
+        y[k] -= gains[k] @ y[k + 1]

@@ -14,18 +14,23 @@ degrees bound, matter to the rank.  Small graphs take a dense SVD.  From
 they come from block inverse iteration on J^T J in the block-tridiagonal
 storage of ``refine``'s solver.  A Sylvester inertia count of that
 storage, with the three ``default_pins`` coordinates held by a penalty,
-bounds how many small singular values there are, which sizes the one block
-of vectors and makes sure none is missed; the verdict takes one more per
-undecided value.  When that count finds none besides the three rigid
-motions, the verdict is rigid without any sweep or SVD.  Otherwise the
-shifted matrix is factored once; each sweep costs a forward sweep, one
-batched product with the pivots' inverses, a back substitution, a
-CholeskyQR orthonormalization and the eigenvalues of a p x p Gram matrix,
-which only decide whether to stop.  The singular values of the tall product
-J V are taken once, after the last sweep.  The iteration hands the graph to
-the dense SVD when its block would need half the columns, when the sweeps
-run out, or when the block misses a small singular value.  Memory and time
-grow linearly in the vertex count for long, thin drawings.
+bounds how many small singular values there are.  When that count finds
+none besides the three rigid motions, the verdict is rigid without any
+sweep or SVD.  When it finds k more, one inverse iteration step with the
+count's own factor gives k vectors, and the Ritz values of J on their span
+and the rigid motions' (a thin QR and an SVD of a 3 + k column product)
+bound the smallest singular values from above: when they all lie below
+the rank cutoff, the flexible verdict needs nothing more.  Otherwise the
+count sizes the one block of vectors and makes sure none is missed; the
+verdict takes one more count per undecided value.  The shifted matrix is
+factored once; each sweep costs a forward sweep, one batched product with
+the pivots' inverses, a back substitution, a CholeskyQR orthonormalization
+and the eigenvalues of a p x p Gram matrix, which only decide whether to
+stop.  The singular values of the tall product J V are taken once, after
+the last sweep.  The iteration hands the graph to the dense SVD when its
+block would need half the columns, when the sweeps run out, or when the
+block misses a small singular value.  Memory and time grow linearly in the
+vertex count for long, thin drawings.
 
 The verdict iterates only until the values below the cutoff mu have
 settled; the reported tail of the ten smallest singular values is computed
@@ -39,6 +44,7 @@ mu, so its crossover with the dense SVD lies higher.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -204,6 +210,24 @@ def _banded(
     3 is rigid: block LDL^T is stable on the positive definite J_pin^T J_pin
     - mu^2 I, so sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3
     largest singular values are at least mu, above the rank cutoff.
+
+    A verdict with k = small - 3 > 0 whose block would stay below half the
+    columns is first certified from the count's own factor.  ``_ritz_values``
+    gives J's Ritz values theta on the span of the rigid motions and of k
+    vectors from one inverse iteration step with that factor.  By
+    Courant-Fischer the i-th smallest theta is at least J^T J's i-th
+    smallest eigenvalue's square root, so when the largest theta plus its
+    rounding allowance lies below rank_tol_factor lo, J^T J has at least
+    ``small`` eigenvalues below (rank_tol_factor lo)^2, none of them above
+    the rank cutoff, and the count allows no more below mu^2: the rank is n -
+    small (the n - e structural zeros of a graph with e < n are among them).
+    With k = 0 the span is the rigid motions', which J maps to rounding far
+    below the 2v eps floor of ``analyze_rigidity``, so the rigid verdict
+    above is the same test without its Ritz step.  The certificate fails
+    when a singular value lies between the cutoff and mu (the theta cannot
+    fall below it), when the count met a singular pivot, and always on a
+    tail pass; those go on as below with the same ``small``.
+
     Otherwise ``small`` sizes the one block of p = max(structural + 21,
     small + 17) vectors.  Inverse subspace iteration with (J^T J + delta
     I)^-1 turns the block V towards the eigenvectors of the smallest
@@ -225,7 +249,8 @@ def _banded(
     reach half the columns (2p >= n, decided before the shifted matrix is
     factored), the sweeps run out before the watched values settle, or the
     number of Ritz values below mu is not ``small``.  Otherwise e > p.  A
-    verdict answered by the count comes back with an empty tail.
+    verdict answered by the count or its certificate comes back with an
+    empty tail.
     """
     coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
@@ -244,10 +269,16 @@ def _banded(
     if 2 * p >= n:
         return None
     rows = system.position[columns]
-    inverse = system.factor(_SHIFT * top)
 
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
         return np.einsum("rk,rkp->rp", values, v[rows])
+
+    ritz = None if reported else _ritz_values(g, system, product, hi)
+    if ritz is not None:
+        theta, rounding = ritz
+        if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
+            return n - small, np.empty(0)
+    inverse = system.factor(_SHIFT * top)
 
     def squares(v: np.ndarray) -> np.ndarray:  # ascending theta^2; J V is not kept past the call
         jv = product(v)
@@ -283,6 +314,37 @@ def _banded(
         m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
         zero[i] = system.negative_count(-m * m) < n
     return min(e, n) - int(np.count_nonzero(zero)), tail
+
+
+def _ritz_values(
+    g: EmbeddedGraph, system: _NormalEquations, product: Callable[[np.ndarray], np.ndarray], hi: float
+) -> tuple[np.ndarray, float] | None:
+    """J's Ritz values on the rigid motions and the last count's negative space.
+
+    Returns the Ritz values theta (descending) on the span of the two
+    translations, the rotation about the centroid and the k vectors of
+    ``system.negative_space()``, and how far each computed theta may lie
+    below the exact one: eps (n theta_max + 8 hi sqrt(3 + k)).  The span's
+    basis Q comes from a Householder QR and the theta are the singular
+    values of the e x (3 + k) product J Q (``product``, in the order of the
+    unknowns).  Q is orthonormal to within about n eps, and the SVD is
+    backward stable, which the relative term covers.  Each entry of J Q sums
+    four products, so its rounding is at most 4.01 eps (|J| |Q|), of norm
+    below 6 eps hi sqrt(3 + k): the rows of |J| are unit vectors, so
+    |||J|||^2 <= 2 max d_v < 2 hi^2, and |||Q||| is at most Q's Frobenius
+    norm.  None when the count kept no factor.
+    """
+    flexes = system.negative_space()
+    if flexes is None:
+        return None
+    centered = g.vertices - g.vertices.mean(axis=0)
+    motions = np.zeros((2 * g.vertex_count, 3))
+    motions[0::2, 0] = motions[1::2, 1] = 1.0
+    motions[0::2, 2], motions[1::2, 2] = -centered[:, 1], centered[:, 0]
+    basis = np.linalg.qr(np.hstack([motions[system.unknowns], flexes]))[0]
+    theta = np.linalg.svd(product(basis), compute_uv=False)
+    eps = np.finfo(float).eps
+    return theta, eps * (len(basis) * theta[0] + 8 * hi * math.sqrt(len(theta)))
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:

@@ -199,8 +199,8 @@ def dense_and_banded(g, rank_tol_factor=rigidity.DEFAULT_RANK_TOL):
     return dense, banded, answered[0]
 
 
-def assert_paths_agree(g, answered=True):
-    dense, banded, banded_answered = dense_and_banded(g)
+def assert_paths_agree(g, answered=True, rank_tol_factor=rigidity.DEFAULT_RANK_TOL):
+    dense, banded, banded_answered = dense_and_banded(g, rank_tol_factor)
     assert banded_answered == answered
     assert (banded.rank, banded.internal_flexes, banded.classification) == (
         dense.rank, dense.internal_flexes, dense.classification
@@ -309,7 +309,9 @@ def test_banded_verdict_leaves_the_tail_until_it_is_read(monkeypatch):
 
 @pytest.mark.parametrize("ends", [("fig5a", "fig5c"), ("fig5c", "fig5c")])
 def test_banded_verdict_takes_fewer_sweeps_than_the_tail(ends, monkeypatch):
-    # each sweep orthonormalizes its block once, as does each block's start
+    # each sweep orthonormalizes its block once, as does each block's start; at
+    # rank tolerance 1e-4 a singular value lies between the cutoff and mu, so
+    # the Ritz step cannot certify the verdict and it takes the sweeps
     orthonormal, calls = rigidity._orthonormal, []
 
     def counted(w):
@@ -317,7 +319,7 @@ def test_banded_verdict_takes_fewer_sweeps_than_the_tail(ends, monkeypatch):
         return orthonormal(w)
 
     monkeypatch.setattr(rigidity, "_orthonormal", counted)
-    report = analyze_rigidity(chain(*ends, 150))
+    report = analyze_rigidity(chain(*ends, 150), UNCERTIFIED_TOL["chain"])
     verdict = len(calls)
     report.singular_tail()
     assert 0 < verdict < len(calls) - verdict
@@ -399,6 +401,9 @@ def test_banded_rank_matches_dense_on_rings(parts):
 RING_PARTS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2g", "fig2h")
 CHAIN_ENDS = (("fig5a", "fig5a"), ("fig5a", "fig5c"), ("fig5c", "fig5c"))
 RIGID_RINGS = [("fig2a",) * 3, ("fig2a", "fig2d", "fig2e"), ("fig2b", "fig2c", "fig2f"), ("fig2f",) * 3]
+# rank tolerances at which a singular value of these graphs lies between the
+# cutoff and mu, so that the Ritz step cannot certify their flexible verdicts
+UNCERTIFIED_TOL = {"chain": 1e-4, "fig5a": 1e-2, "ring": 1e-2, "bent-strip": 1e-4}
 
 
 def verdict_sweep() -> list[tuple[str, EmbeddedGraph]]:
@@ -504,6 +509,8 @@ def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
 
 
 def test_flexible_ring_verdict_takes_the_sweeps(monkeypatch):
+    # at rank tolerance 1e-2 a singular value lies between the cutoff and mu,
+    # so the Ritz step cannot certify the verdict and it takes the sweeps
     g = ring(("fig2a", "fig2a", "fig2g"))
     assert rigidity._BANDED_FROM <= g.vertex_count < rigidity._BANDED_TAIL_FROM
     calls = []
@@ -511,9 +518,10 @@ def test_flexible_ring_verdict_takes_the_sweeps(monkeypatch):
         counted_calls(mp, calls, rigidity, "_orthonormal")
         counted_calls(mp, calls, np.linalg, "svd")
         counted_calls(mp, calls, rigidity, "_singular_values")
-        report = analyze_rigidity(g)
+        report = analyze_rigidity(g, UNCERTIFIED_TOL["ring"])
     assert report.internal_flexes == 1
-    assert calls.count("_orthonormal") > 2 and calls.count("svd") == 1  # the tall J V
+    # the Ritz step's product of 3 + k columns, then the tall J V
+    assert calls.count("_orthonormal") > 2 and calls.count("svd") == 2
     assert "_singular_values" not in calls
     assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
 
@@ -551,9 +559,12 @@ def test_pinned_count_is_the_dense_count_less_the_rigid_motions(kind, monkeypatc
     [("chain", 2), ("fig2g", 3), ("fig5a", 2), ("ring", 2), ("ladder", 1), ("bent-strip", 2)],
 )
 def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatch):
-    # the pinned inertia count at -mu^2, the shifted factor (unless the block
-    # would reach half the columns) and one count per undecided value (fig2g
-    # has one): as many as before the count was pinned
+    # verdicts that the Ritz step does not certify (UNCERTIFIED_TOL; fig2g's
+    # flex lies between the cutoff and mu at the default tolerance, and the
+    # ladder hands off first) take the pinned inertia count at -mu^2, the
+    # shifted factor (unless the block would reach half the columns) and one
+    # count per undecided value (fig2g has one): as many as before the count
+    # was pinned
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "fig2g": lambda: corpus.refined_graph("fig2g"),
@@ -566,8 +577,98 @@ def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatc
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
     counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
     counted_calls(monkeypatch, calls, refine._NormalEquations, "negative_count")
-    assert not analyze_rigidity(g).rigid
+    assert not analyze_rigidity(g, UNCERTIFIED_TOL.get(kind, rigidity.DEFAULT_RANK_TOL)).rigid
     assert len(calls) == factorizations
+
+
+# -- the Ritz certificate of flexible verdicts -------------------------------------
+
+
+@lru_cache(maxsize=None)
+def certificate_graphs() -> tuple[tuple[str, EmbeddedGraph, np.ndarray], ...]:
+    """The drawings of 60 vertices or more, the 120 three-part rings, the three
+    end pairs' chains at 0-40 spacers and eight random connected graphs of
+    60-95 vertices, each with a label and the square roots of J^T J's
+    eigenvalues, ascending: n - e structural zeros, then J's singular values
+    from the dense SVD."""
+    graphs = [(name, corpus.refined_graph(name)) for name in corpus.corpus_names()]
+    graphs = [(label, g) for label, g in graphs if g.vertex_count >= 60]
+    graphs += [("+".join(parts), ring(parts)) for parts in combinations_with_replacement(RING_PARTS, 3)]
+    graphs += [
+        (f"{left}-{spacers}-{right}", chain(left, right, spacers))
+        for left, right in CHAIN_ENDS
+        for spacers in range(41)
+    ]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        graphs.append((f"random-{seed}", random_connected_graph(rng, 60 + 5 * seed)))
+    found = []
+    for label, g in graphs:
+        sigma = rigidity._singular_values(g)[::-1]
+        found.append((label, g, np.concatenate([np.zeros(2 * g.vertex_count - len(sigma)), sigma])))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("rank_tol_factor", [1e-11, 1e-8, 1e-5])
+def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monkeypatch):
+    # every Ritz value is at least the matching singular value, less the
+    # rounding allowance; a verdict certified by them (no shifted factor) has
+    # the dense SVD's rank
+    ritz_values, seen, calls = rigidity._ritz_values, [], []
+
+    def recorded(*args):
+        seen.append(ritz_values(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
+    monkeypatch.setattr(rigidity, "_ritz_values", recorded)
+    counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
+    certified = 0
+    for label, g, sigma in certificate_graphs():
+        seen.clear()
+        calls.clear()
+        report = analyze_rigidity(g, rank_tol_factor)
+        if not seen:  # rigid by the count alone, or handed off first
+            continue
+        theta, rounding = seen[0]
+        assert np.all(theta[::-1] + rounding >= sigma[: len(theta)]), label
+        if not calls:
+            certified += 1
+            dense_rank = int(np.sum(sigma > rank_tol_factor * sigma[-1]))
+            assert report.rank == dense_rank and not report.rigid, label
+    assert certified >= 100
+
+
+def test_flexible_ring_and_chain_verdicts_are_certified(monkeypatch):
+    # at the default tolerance every flexible verdict on the three-part rings
+    # and the chains of 50 and 150 spacers takes the Ritz step and no sweep
+    graphs = [ring(parts) for parts in combinations_with_replacement(RING_PARTS, 3)]
+    graphs += [chain(*ends, spacers) for ends in CHAIN_ENDS for spacers in (50, 150)]
+    calls, flexible = [], 0
+    counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
+    counted_calls(monkeypatch, calls, rigidity, "_ritz_values")
+    for g in graphs:
+        calls.clear()
+        if not analyze_rigidity(g).rigid:
+            flexible += 1
+            assert calls == ["_ritz_values"], g.name
+    assert flexible == 64 + 6  # the rings with a fig2g or fig2h part, and the chains
+
+
+@pytest.mark.parametrize("kind", ["ring", "chain"])
+def test_certified_flexible_verdict_takes_one_count_and_no_sweep(kind, monkeypatch):
+    g = ring(("fig2a", "fig2a", "fig2g")) if kind == "ring" else chain("fig5a", "fig5c", 150)
+    assert g.vertex_count >= rigidity._BANDED_FROM
+    calls = []
+    with monkeypatch.context() as mp:
+        counted_calls(mp, calls, refine._NormalEquations, "negative_count")
+        counted_calls(mp, calls, refine._NormalEquations, "factor")
+        for name in ["_orthonormal", "_hashed_block", "_singular_values"]:
+            counted_calls(mp, calls, rigidity, name)
+        report = analyze_rigidity(g)
+    assert report.internal_flexes == 1 and calls == ["negative_count"]
+    if kind == "ring":  # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
+        assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
 
 
 @given(
@@ -614,7 +715,9 @@ def test_banded_rank_hands_off_for_many_flexes(k):
 @settings(max_examples=8)
 def test_banded_sizes_its_one_block_by_the_inertia_count(flat):
     # the flexes outnumber 2v - e + 21, so the inertia count at -mu^2 sizes the
-    # block, which stays below half the strip's 304 columns
+    # block, which stays below half the strip's 304 columns; at rank tolerance
+    # 3e-3 singular values lie between the cutoff and mu, so the Ritz step
+    # cannot certify the verdict
     g = bent_strip(150, flat)
     assert g.vertex_count >= rigidity._BANDED_FROM
     hashed_block, sizes = rigidity._hashed_block, []
@@ -625,7 +728,7 @@ def test_banded_sizes_its_one_block_by_the_inertia_count(flat):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity, "_hashed_block", counted)
-        report = analyze_rigidity(g)
+        report = analyze_rigidity(g, 3e-3)
     assert len(sizes) == 1
     assert sizes[0] > report.internal_flexes > 2 * g.vertex_count - g.edge_count + 21
     assert_paths_agree(g)
@@ -636,6 +739,8 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
     # sweeps settle on the eigenvalues of a p x p Gram matrix; the singular
     # values of the tall e x p product J V are taken once, after the last sweep.
     # The ladder's block would reach half its columns, so it hands off first.
+    # The others' verdicts are not certified (UNCERTIFIED_TOL): the Ritz step
+    # takes one more SVD, of a product of fewer columns than the block.
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "ladder": lambda: flat_rhombus_ladder(50),
@@ -645,7 +750,7 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
     tall, sizes = [], []
 
     def counted_svd(a, *args, **kwargs):
-        tall.append(a.shape[0] > a.shape[1])
+        tall.append((a.shape[0] > a.shape[1], a.shape[1]))
         return svd(a, *args, **kwargs)
 
     def counted_block(n, p):
@@ -654,18 +759,23 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(rigidity, "_hashed_block", counted_block)
-    answer = rigidity._banded(g, rigidity.DEFAULT_RANK_TOL, 0)
+    answer = rigidity._banded(g, UNCERTIFIED_TOL.get(kind, rigidity.DEFAULT_RANK_TOL), 0)
     assert (answer is None) == (kind == "ladder")
     assert len(sizes) == block_sizes
-    assert tall == [True] * block_sizes
+    assert [is_tall for is_tall, columns in tall if columns in sizes] == [True] * block_sizes
+    assert all(columns < min(sizes, default=0) for _, columns in tall[:-block_sizes or None])
 
 
 @pytest.mark.parametrize("kind", ["chain", "fig2g"])
 def test_banded_rank_hands_off_when_sweeps_run_out(kind, monkeypatch):
-    # two sweeps never settle (the first has no Ritz estimate), so the dense SVD answers
+    # two sweeps never settle (the first has no Ritz estimate), so the dense
+    # SVD answers verdicts that the Ritz step does not certify: the short
+    # chain's at rank tolerance 1e-2, fig2g's at the default
     monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)
-    g = chain("fig5a", "fig5c", 4) if kind == "chain" else corpus.refined_graph(kind)
-    assert_paths_agree(g, answered=False)
+    if kind == "chain":
+        assert_paths_agree(chain("fig5a", "fig5c", 4), answered=False, rank_tol_factor=1e-2)
+    else:
+        assert_paths_agree(corpus.refined_graph(kind), answered=False)
 
 
 def test_banded_rank_hands_off_a_long_path_before_any_sweep(monkeypatch):
