@@ -22,7 +22,7 @@ CORPUS_ENV = "MATCHSTICKS_CORPUS"
 
 
 class CorpusError(ValueError):
-    """Unknown corpus graph name, or a corpus override that is not a directory."""
+    """Unknown graph name, override that is not a directory, or drawing that does not load."""
 
 
 def _directory() -> resources.abc.Traversable:
@@ -65,18 +65,23 @@ def refined_graph(name: str) -> EmbeddedGraph:
     The cache is keyed on the file's text as well as the name, so neither a
     change of MATCHSTICKS_CORPUS nor a rewritten file serves a stale graph,
     and an unchanged file gives back the same object every time.
-    Raises RuntimeError if the corpus data does not converge, which would mean
-    the bundled files are corrupt.
+    Raises CorpusError naming the drawing if it cannot be decoded, parsed,
+    built or refined.
     """
-    return _refined_graph(name, _read_text(name))
+    try:
+        text = _read_text(name)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"corpus graph {name}: {exc}") from exc
+    return _refined_graph(name, text)
 
 
 @lru_cache(maxsize=None)
 def _refined_graph(name: str, text: str) -> EmbeddedGraph:
-    result = refine(build_graph(parse_segment_file(text)))
+    try:
+        result = refine(build_graph(parse_segment_file(text)))
+    except ValueError as exc:
+        raise CorpusError(f"corpus graph {name}: {exc}") from exc
     if not result.converged:
-        raise RuntimeError(
-            f"corpus graph {name} did not refine "
-            f"(final residual {result.final_residual:.3e})"
-        )
+        residual = result.final_residual
+        raise CorpusError(f"corpus graph {name} did not refine (final residual {residual:.3e})")
     return result.graph

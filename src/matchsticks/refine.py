@@ -269,11 +269,10 @@ class _NormalEquations:
     rows whose damping term keeps it nonsingular.
 
     Every row is a length row touching four coordinates.  The pattern is
-    fixed at construction; ``assemble`` scatters the current values,
-    ``factor`` factors the matrix at one shift of the diagonal, such as a
-    damping, ``negative_count`` counts its inertia at another, and
-    ``negative_space`` takes one inverse iteration step with that count's
-    factor.
+    fixed at construction; ``assemble`` scatters the current values, and
+    ``factor`` shifts the diagonal, by a damping for instance, and may add a
+    penalty at some coordinates.  Each caller solves with or counts the
+    factor it made (``_BlockFactor``).
     ``position`` maps each flat coordinate to its place in the ordering (-1
     when not free).
     """
@@ -320,77 +319,14 @@ class _NormalEquations:
         weights = (vals * r[:, None]).ravel()[self._grad_keep]
         self.rhs = -np.bincount(self._grad_index, weights, minlength=len(self.unknowns))
 
-    def factor(self, shift: float) -> "_BlockFactor":
-        """J^T J + shift I, to be solved."""
+    def factor(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> "_BlockFactor":
+        """J^T J + shift I, plus ``weight`` on the diagonal at flat coordinates ``pins``."""
         s, nb = self.size, self.count
         blocks = self._hessian.reshape(2 * nb - 1, s, s)
-        return _BlockFactor(blocks[0::2] + shift * np.eye(s), blocks[1::2], len(self.unknowns))
-
-    def negative_count(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> int:
-        """How many eigenvalues of J^T J + shift I are negative (Sylvester's law of inertia).
-
-        ``weight`` is added on the diagonal at ``pins``, flat coordinates, in
-        a copy of the storage.  The count's factor is kept until the next
-        count, for ``negative_space``.  An eigenvalue within rounding of zero
-        may count either way.  A singular pivot does not raise: the count is
-        then that of the matrix shifted up by n eps times its largest entry,
-        so that eigenvalues within that distance of zero count as
-        non-negative, and no factor is kept.
-        """
-        s, nb, n = self.size, self.count, len(self.unknowns)
-        hessian = self._hessian
-        if pins:
-            at = self.position[list(pins)]
-            hessian = hessian.copy()
-            hessian[(2 * (at // s) * s + at % s) * s + at % s] += weight
-        blocks = hessian.reshape(2 * nb - 1, s, s)
-        below = blocks[1::2]
-        singular = False
-        while True:
-            diagonal = blocks[0::2] + shift * np.eye(s)
-            try:
-                pivots, gains = _eliminate(diagonal, below, np.zeros((nb, s, 0)))
-                break
-            except np.linalg.LinAlgError:
-                largest = max(np.abs(diagonal).max(), np.abs(below).max(initial=0.0))
-                shift += n * np.finfo(float).eps * largest
-                singular = True
-        eigenvalues = np.linalg.eigvalsh(pivots)
-        self._kept = None if singular else (pivots, gains, eigenvalues)
-        # padded rows hold the shift alone, so they sit below zero when it does
-        padding = nb * s - n if shift < 0 else 0
-        return int(np.count_nonzero(eigenvalues < 0)) - padding
-
-    def negative_space(self) -> np.ndarray | None:
-        """One inverse iteration step on the negative space of the last count's factor.
-
-        With that count's matrix A = L D L^T, Z holds the eigenvectors of D's
-        negative eigenvalues, each within its pivot block, so that A is
-        negative definite on the span of L^-T Z (the Rayleigh quotients are
-        Z^T D Z).  Returns A^-1 L^-T Z, one column per negative eigenvalue, in
-        the order of the unknowns: a back sweep with the gains, a forward
-        sweep, one solve per pivot block (backward stable however indefinite
-        the pivots are) and a back sweep.  None when the count kept no
-        factor.
-        """
-        if self._kept is None:
-            return None
-        pivots, gains, eigenvalues = self._kept
-        s, nb, n = self.size, self.count, len(self.unknowns)
-        rest = n - (nb - 1) * s  # the last block's rows that are not padding
-        at = np.flatnonzero((eigenvalues < 0).any(axis=1))  # the blocks with a negative eigenvalue
-        blocks = pivots[at]
-        if at.size and at[-1] == nb - 1:
-            blocks[-1, rest:, rest:] = np.eye(s - rest)  # keeps the padding out of the negatives
-        values, vectors = np.linalg.eigh(blocks)
-        block, column = np.nonzero(values < 0)
-        y = np.zeros((nb, s, len(block)))
-        y[at[block], :, np.arange(len(block))] = vectors[block, :, column]
-        _back_sweep(gains, y)
-        _forward_sweep(gains, y)
-        y = np.linalg.solve(pivots, y)
-        _back_sweep(gains, y)
-        return y.reshape(nb * s, -1)[:n]
+        diagonal, at = blocks[0::2].copy(), self.position[list(pins)]
+        diagonal[at // s, at % s, at % s] += weight
+        diagonal += shift * np.eye(s)
+        return _BlockFactor(diagonal, blocks[1::2], len(self.unknowns))
 
 
 def _eliminate(diagonal: np.ndarray, below: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -419,27 +355,82 @@ def _eliminate(diagonal: np.ndarray, below: np.ndarray, y: np.ndarray) -> tuple[
 
 
 class _BlockFactor:
-    """L D L^T of a shifted block-tridiagonal matrix.
+    """L D L^T of one matrix A from ``_NormalEquations.factor``, to be counted or solved.
 
     D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
-    the gain G_k = P_k^-1 B_k^T.  The first solve forms them by
-    ``_eliminate``, which carries its right-hand sides through the
-    elimination, so it is backward stable however close to singular the
-    shifted matrix is; it is the only solve that ``refine`` makes.  Later
-    solves reuse the gains, sweeping forward with G_k^T, and apply the
-    pivots as inverse products, formed in one batch on the first reuse.
-    Their forward error is about the condition number times eps, which
-    suits a positive shift such as that of ``rigidity``'s inverse iteration
-    (condition up to about 1e9): its values come from J V, not from the
-    solve.
+    the gain G_k = P_k^-1 B_k^T.  ``negative_count`` forms them by an
+    elimination without right-hand sides and keeps them for
+    ``negative_space``.  The first solve forms them by ``_eliminate``, which
+    carries its right-hand sides through the elimination, so it is backward
+    stable however close to singular A is; it is the only solve that
+    ``refine`` makes.  Later solves reuse the gains, sweeping forward with
+    G_k^T, and apply the pivots as inverse products, formed in one batch on
+    the first reuse.  Their forward error is about the condition number
+    times eps, which suits a positive shift such as that of ``rigidity``'s
+    inverse iteration (condition up to about 1e9): its values come from J
+    V, not from the solve.
     """
 
     def __init__(self, diagonal: np.ndarray, below: np.ndarray, n: int) -> None:
         self._diagonal, self._below, self._n = diagonal, below, n
-        self._pivots = self._gains = self._inverses = None  # formed by the first solve
+        self._pivots = self._gains = self._inverses = self._eigenvalues = None
+
+    def negative_count(self) -> int:
+        """How many eigenvalues of A are negative (Sylvester's law of inertia).
+
+        An eigenvalue within rounding of zero may count either way.  A
+        singular pivot does not raise: the count is then that of A shifted
+        up by n eps times its largest entry, so that eigenvalues within that
+        distance of zero count as non-negative, and nothing is kept for
+        ``negative_space``.
+        """
+        nb, s = self._diagonal.shape[:2]
+        diagonal = self._diagonal
+        while True:
+            try:
+                pivots, gains = _eliminate(diagonal, self._below, np.zeros((nb, s, 0)))
+                break
+            except np.linalg.LinAlgError:
+                largest = max(np.abs(diagonal).max(), np.abs(self._below).max(initial=0.0))
+                diagonal = diagonal + self._n * np.finfo(float).eps * largest * np.eye(s)
+        eigenvalues = np.linalg.eigvalsh(pivots)
+        if diagonal is self._diagonal:  # A itself was eliminated
+            self._pivots, self._gains, self._eigenvalues = pivots, gains, eigenvalues
+        # padded rows hold the shift alone, each an eigenvalue of the last pivot
+        padding = diagonal[-1].diagonal()[self._n - (nb - 1) * s :]
+        return int(np.count_nonzero(eigenvalues < 0) - np.count_nonzero(padding < 0))
+
+    def negative_space(self) -> np.ndarray | None:
+        """One inverse iteration step on the negative space of the counted A.
+
+        With A = L D L^T, Z holds the eigenvectors of D's negative
+        eigenvalues, each within its pivot block, so that A is negative
+        definite on the span of L^-T Z (the Rayleigh quotients are Z^T D Z).
+        Returns A^-1 L^-T Z, one column per negative eigenvalue, in the order
+        of the unknowns: a back sweep with the gains, a forward sweep, one
+        solve per pivot block (backward stable however indefinite the pivots
+        are) and a back sweep.  None when the count met a singular pivot.
+        """
+        if self._eigenvalues is None:
+            return None
+        nb, s = self._pivots.shape[:2]
+        rest = self._n - (nb - 1) * s  # the last block's rows that are not padding
+        at = np.flatnonzero((self._eigenvalues < 0).any(axis=1))  # the blocks with a negative eigenvalue
+        blocks = self._pivots[at]
+        if at.size and at[-1] == nb - 1:
+            blocks[-1, rest:, rest:] = np.eye(s - rest)  # keeps the padding out of the negatives
+        values, vectors = np.linalg.eigh(blocks)
+        block, column = np.nonzero(values < 0)
+        y = np.zeros((nb, s, len(block)))
+        y[at[block], :, np.arange(len(block))] = vectors[block, :, column]
+        _back_sweep(self._gains, y)
+        _forward_sweep(self._gains, y)
+        y = np.linalg.solve(self._pivots, y)
+        _back_sweep(self._gains, y)
+        return y.reshape(nb * s, -1)[: self._n]
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """The solution for one right-hand side (n,) or several (n, p).
+        """A^-1 x for one right-hand side (n,) or several (n, p).
 
         Raises LinAlgError when a pivot block is singular.
         """

@@ -51,7 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import EmbeddedGraph, _components
-from .refine import _link_columns, _link_values, _NormalEquations, default_pins, residual_jacobian
+from .refine import _BlockFactor, _link_columns, _link_values, _NormalEquations
+from .refine import default_pins, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
 _BANDED_FROM = 60  # vertices; measured crossover of the dense and banded verdicts
@@ -205,16 +206,17 @@ def _banded(
     ``top`` added on its diagonal at the three ``default_pins`` coordinates
     makes it J_pin^T J_pin, J_pin being J with three rows that hold those
     coordinates.  Sylvester's law of inertia counts its eigenvalues below
-    mu^2; ``small``, three more, bounds those of J^T J (Weyl's inequalities:
-    the penalty has rank three).  A verdict (``reported`` zero) with small =
-    3 is rigid: block LDL^T is stable on the positive definite J_pin^T J_pin
-    - mu^2 I, so sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3
-    largest singular values are at least mu, above the rank cutoff.
+    mu^2 on its factor at -mu^2, ``pinned``; ``small``, three more, bounds
+    those of J^T J (Weyl's inequalities: the penalty has rank three).  A
+    verdict (``reported`` zero) with small = 3 is rigid: block LDL^T is
+    stable on the positive definite J_pin^T J_pin - mu^2 I, so
+    sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3 largest singular
+    values are at least mu, above the rank cutoff.
 
     A verdict with k = small - 3 > 0 whose block would stay below half the
-    columns is first certified from the count's own factor.  ``_ritz_values``
+    columns is first certified from the counted factor.  ``_ritz_values``
     gives J's Ritz values theta on the span of the rigid motions and of k
-    vectors from one inverse iteration step with that factor.  By
+    vectors from one inverse iteration step with it.  By
     Courant-Fischer the i-th smallest theta is at least J^T J's i-th
     smallest eigenvalue's square root, so when the largest theta plus its
     rounding allowance lies below rank_tol_factor lo, J^T J has at least
@@ -240,7 +242,7 @@ def _banded(
     floor).  The first sweep has no estimate, so the earliest stop is the
     third sweep, compared with the second.  The Ritz values are then taken
     once, without squaring, as the singular values of the e x p product
-    J V.  A verdict's rank takes one inertia count per value t between
+    J V.  A verdict's rank counts one factor per value t between
     rank_tol_factor times lo and hi, and t is zero when J^T J - (t /
     rank_tol_factor)^2 I has fewer than n negative eigenvalues.  A tail pass
     (``reported`` nonzero) takes none of those counts and its rank is None.
@@ -259,8 +261,8 @@ def _banded(
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
-    pins = [2 * vertex + axis for vertex, axis in default_pins(g)]
-    small = 3 + system.negative_count(-mu * mu, pins, top)
+    pinned = system.factor(-mu * mu, [2 * vertex + axis for vertex, axis in default_pins(g)], top)
+    small = 3 + pinned.negative_count()
     if small == 3 and not reported:  # only the rigid motions lie below mu
         return n - 3, np.empty(0)
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
@@ -273,7 +275,7 @@ def _banded(
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
         return np.einsum("rk,rkp->rp", values, v[rows])
 
-    ritz = None if reported else _ritz_values(g, system, product, hi)
+    ritz = None if reported else _ritz_values(g, system.unknowns, pinned, product, hi)
     if ritz is not None:
         theta, rounding = ritz
         if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
@@ -312,36 +314,36 @@ def _banded(
     zero = tail < rank_tol_factor * lo
     for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
         m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.negative_count(-m * m) < n
+        zero[i] = system.factor(-m * m).negative_count() < n
     return min(e, n) - int(np.count_nonzero(zero)), tail
 
 
 def _ritz_values(
-    g: EmbeddedGraph, system: _NormalEquations, product: Callable[[np.ndarray], np.ndarray], hi: float
+    g: EmbeddedGraph, unknowns: np.ndarray, counted: _BlockFactor, product: Callable[..., np.ndarray], hi: float
 ) -> tuple[np.ndarray, float] | None:
-    """J's Ritz values on the rigid motions and the last count's negative space.
+    """J's Ritz values on the rigid motions and the negative space of a counted factor.
 
     Returns the Ritz values theta (descending) on the span of the two
     translations, the rotation about the centroid and the k vectors of
-    ``system.negative_space()``, and how far each computed theta may lie
+    ``counted.negative_space()``, and how far each computed theta may lie
     below the exact one: eps (n theta_max + 8 hi sqrt(3 + k)).  The span's
-    basis Q comes from a Householder QR and the theta are the singular
-    values of the e x (3 + k) product J Q (``product``, in the order of the
-    unknowns).  Q is orthonormal to within about n eps, and the SVD is
+    basis Q, its rows in the order ``unknowns``, comes from a Householder QR
+    and the theta are the singular values of the e x (3 + k) product J Q
+    (``product``).  Q is orthonormal to within about n eps, and the SVD is
     backward stable, which the relative term covers.  Each entry of J Q sums
     four products, so its rounding is at most 4.01 eps (|J| |Q|), of norm
     below 6 eps hi sqrt(3 + k): the rows of |J| are unit vectors, so
     |||J|||^2 <= 2 max d_v < 2 hi^2, and |||Q||| is at most Q's Frobenius
-    norm.  None when the count kept no factor.
+    norm.  None when the count met a singular pivot.
     """
-    flexes = system.negative_space()
+    flexes = counted.negative_space()
     if flexes is None:
         return None
     centered = g.vertices - g.vertices.mean(axis=0)
     motions = np.zeros((2 * g.vertex_count, 3))
     motions[0::2, 0] = motions[1::2, 1] = 1.0
     motions[0::2, 2], motions[1::2, 2] = -centered[:, 1], centered[:, 0]
-    basis = np.linalg.qr(np.hstack([motions[system.unknowns], flexes]))[0]
+    basis = np.linalg.qr(np.hstack([motions[unknowns], flexes]))[0]
     theta = np.linalg.svd(product(basis), compute_uv=False)
     eps = np.finfo(float).eps
     return theta, eps * (len(basis) * theta[0] + 8 * hi * math.sqrt(len(theta)))

@@ -147,6 +147,11 @@ def _binary_file(path):
     return str(path)
 
 
+def _segment_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv,corpus_dir,message",
     [
@@ -211,6 +216,23 @@ def _binary_file(path):
         # below 2v eps the rigid motions' rounding would count towards the rank
         (lambda tmp: ["rigidity", "fig3a", "--rank-tol", "1e-16"], None,
          "error: rank tolerance 1e-16 is below the rounding floor 2.8e-14"),
+        (lambda tmp: ["construct", "ring", "fig2a"], None,
+         "error: a ring needs at least 2 parts\n"),
+        (lambda tmp: ["construct", "mirror", "fig5b"], None,
+         "error: graph has 4 degree-2 vertices; pass --ports a,b\n"),
+        (lambda tmp: ["construct", "from-plan",
+                      _plan_file(tmp, '{"parts": [], "identifications": []}')], None,
+         "error: plan has no parts\n"),
+        (lambda tmp: ["construct", "from-plan", _plan_file(tmp, json.dumps(
+            {"parts": ["fig2a", "fig2a"], "identifications": [[0, 1, 5, 0]]}))],
+         None, "error: part index 5 out of range\n"),
+        (lambda tmp: ["verify", _segment_file(tmp / "bare.seg",
+                                              "! name x\n! claimed_vertices\n0 0 1 0\n")],
+         None, "bare.seg: line 2: metadata line needs a key and a value\n"),
+        (lambda tmp: ["verify", _segment_file(tmp / "empty.seg", "! name x\n")], None,
+         "empty.seg: no data lines\n"),
+        (lambda tmp: ["verify", _segment_file(tmp / "nan.seg", "! name x\n0 0 nan 0\n")], None,
+         "nan.seg: non-finite coordinate\n"),
     ],
     ids=["parts-not-objects", "part-without-name", "identifications-not-a-list", "unknown-part",
          "directory-as-graph", "missing-corpus-directory", "unwritable-refine-output",
@@ -218,7 +240,9 @@ def _binary_file(path):
          "plan-not-utf8", "graph-not-utf8", "plan-chain-one-joint", "plan-part-three-neighbors",
          "plan-cycle-two-joints", "plan-spacer-entered-one-side", "chain-end-without-ports",
          "coverage-max-beyond-memory", "coverage-max-beyond-index-size",
-         "chain-spacers-beyond-memory", "rank-tolerance-below-rounding"],
+         "chain-spacers-beyond-memory", "rank-tolerance-below-rounding", "ring-of-one",
+         "mirror-without-ports", "plan-without-parts", "plan-part-out-of-range",
+         "bare-metadata-key", "no-data-lines", "nan-coordinate"],
 )
 def test_hostile_input_is_a_usage_error(
     argv, corpus_dir, message, tmp_path, monkeypatch, capsys
@@ -259,6 +283,72 @@ def test_corpus_errors_print_unquoted(tmp_path, monkeypatch, capsys):
     code, _, err = run(capsys, "catalog")
     assert code == 2
     assert err == f"error: {corpus.CORPUS_ENV}={missing} is not a directory\n"
+
+
+# the six unit edges of K4, which no unit-distance drawing has: it does not refine
+K4 = """\
+! name fig5b
+0 0  1 0
+1 0  0.5 0.8660254037844386
+0.5 0.8660254037844386  0 0
+0 0  0.5 0.2886751345948129
+1 0  0.5 0.2886751345948129
+0.5 0.8660254037844386  0.5 0.2886751345948129
+"""
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (K4.encode(), "error: corpus graph fig5b did not refine (final residual "),
+        (b"! name fig5b\n0 0 1 0\n1 0 1\n",
+         "error: corpus graph fig5b: line 3: expected 4 coordinates, got 3\n"),
+        (b"\xff\xfe\x00garbage",
+         "error: corpus graph fig5b: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["does-not-refine", "malformed", "not-utf8"],
+)
+def test_default_spacer_that_does_not_load_is_named(
+    content, message, tmp_path, monkeypatch, capsys
+):
+    # the chain's default spacer is the corpus's refined fig5b
+    for name in ("fig5a", "fig5c"):
+        (tmp_path / f"{name}.seg").write_text(
+            resources.files("matchsticks").joinpath(f"corpus/{name}.seg").read_text()
+        )
+    (tmp_path / "fig5b.seg").write_bytes(content)
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    code, _, err = run(capsys, "construct", "chain", "fig5a", "fig5c", "--spacers", "2")
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+# a second unit triangle on vertex (0, 0), turned by 10 degrees: its sticks cross the first's
+BOWTIE = TRIANGLE.replace("! name tri", "! name bowtie") + """\
+0 0  0.984807753012208 0.17364817766693033
+0.984807753012208 0.17364817766693033  0.3420201433256688 0.9396926207859083
+0.3420201433256688 0.9396926207859083  0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, code, status",
+    [
+        (BOWTIE, 1, "verification failed"),
+        (TRIANGLE.replace("! name tri\n", "! name tri\n! claimed_rigidity flexible\n"), 0,
+         "no flex found"),
+    ],
+    ids=["fails-verification", "claimed-flexible-but-rigid"],
+)
+def test_catalog_reports_the_deviations_of_an_override_corpus(
+    text, code, status, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "drawing.seg").write_text(text)
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    got, out, _ = run(capsys, "catalog")
+    assert got == code
+    (row,) = out.splitlines()[1:]
+    assert row.startswith("drawing ") and row.endswith(f" {status}")
 
 
 @pytest.mark.parametrize(

@@ -438,6 +438,19 @@ def test_a_short_tiled_chain_that_misses_is_polished_not_solved_whole(monkeypatc
     assert np.abs(edge_lengths(g) - 1.0).max() <= 1e-12
 
 
+def test_a_tiled_chain_whose_polish_fails_is_a_realization_failure(monkeypatch):
+    # the 7-spacer tiling misses the target by rounding and is polished (above)
+    real_refine = construct.refine
+
+    def unconverged(g, opts=construct.RefineOptions(), coincidences=(), distance_constraints=()):
+        result = real_refine(g, opts, coincidences, distance_constraints)
+        return result if len(coincidences) else replace(result, converged=False)
+
+    monkeypatch.setattr(construct, "refine", unconverged)
+    with pytest.raises(RealizationFailedError, match=r"^tiled chain did not polish \(edge residual "):
+        chain_extend(end_spec("fig5a", "fig5c", 7))
+
+
 def test_a_ten_thousand_spacer_chain_is_polished_about_its_centroid():
     # tiled from x = 0, its coordinates reach about 1e4, where float64 rounding
     # alone leaves edges about 2e-12 off unit length; centred, the polish converges

@@ -109,8 +109,13 @@ def test_non_integral_edge_indices_rejected():
 
 @pytest.mark.parametrize(
     "edges, shown",
-    [([(0, 1), (0, 1, 2)], "(0, 1, 2)"), ([0, 1, 1, 2], "0"), (np.array([0, 1, 1, 2]), "0")],
-    ids=["three-entries", "flat-list", "flat-array"],
+    [
+        ([(0, 1), (0, 1, 2)], "(0, 1, 2)"),
+        ([0, 1, 1, 2], "0"),
+        (np.array([0, 1, 1, 2]), "0"),
+        ([(0, 1), (0, (1, 2))], "(0, (1, 2))"),
+    ],
+    ids=["three-entries", "flat-list", "flat-array", "ragged-row"],
 )
 def test_rows_that_are_not_pairs_rejected(edges, shown):
     # a flat sequence of indices must not be re-paired into edges
@@ -126,6 +131,23 @@ def test_indices_beyond_int64_are_out_of_range():
     big = np.array([[0, 2**64 - 1]], dtype=np.uint64)
     with pytest.raises(ModelError, match=rf"^edge \(0, {2**64 - 1}\) out of range"):
         EmbeddedGraph(coords, big)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (0, 10**400)], rf"^edge \(0, {10**400}\) out of range for 3 vertices$"),
+        ([(0, 1), (-(10**400), 2)], rf"^edge \({-(10**400)}, 2\) out of range for 3 vertices$"),
+        # numpy makes a row with text all text
+        ([(0, 1), ("a", 2)], r"^edge \('a', '2'\) has a non-integral vertex index$"),
+        ([(0, 1), (None, 2)], r"^edge \(None, 2\) has a non-integral vertex index$"),
+    ],
+    ids=["beyond-float-range", "below-float-range", "text", "none"],
+)
+def test_edge_entries_beyond_floats_or_not_numbers_rejected(edges, message):
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ModelError, match=message):
+        EmbeddedGraph(coords, edges)
 
 
 def test_nonfinite_coordinates_rejected():

@@ -140,6 +140,68 @@ def test_options_validation():
         RefineOptions(target_residual=-1.0)
 
 
+def test_default_pins_of_a_single_vertex_hold_it_fully():
+    assert default_pins(EmbeddedGraph(np.array([[3.0, 4.0]]))) == ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 9), (-1, 2)], ids=["self", "beyond", "negative"])
+def test_bad_coincidence_pairs_are_refused(pair):
+    with pytest.raises(ValueError, match=rf"^bad coincidence pair \({pair[0]}, {pair[1]}\)$"):
+        refine(triangle_strip(2), coincidences=[pair])
+
+
+@pytest.mark.parametrize("pin", [(0, 2), (9, 0), (-1, 0)], ids=["axis", "beyond", "negative"])
+def test_bad_pins_are_refused(pin):
+    with pytest.raises(ValueError, match=rf"^bad pin \({pin[0]}, {pin[1]}\)$"):
+        refine(triangle_strip(2), RefineOptions(pinned=(pin,)))
+
+
+def recorded_dampings(monkeypatch) -> list[float]:
+    """The shift of each factor that refine makes, in order."""
+    factor, shifts = _NormalEquations.factor, []
+
+    def recorded(self, shift, *args):
+        shifts.append(shift)
+        return factor(self, shift, *args)
+
+    monkeypatch.setattr(_NormalEquations, "factor", recorded)
+    return shifts
+
+
+def test_a_singular_pivot_raises_the_damping_and_refine_still_converges(monkeypatch):
+    g = corpus.load_graph("fig2a")  # figure accuracy: several steps to converge
+    shifts = recorded_dampings(monkeypatch)
+    solve = refine_module._BlockFactor.solve
+
+    def singular_once(self, x):
+        if len(shifts) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(self, x)
+
+    monkeypatch.setattr(refine_module._BlockFactor, "solve", singular_once)
+    result = refine(g)
+    assert result.converged
+    assert shifts[:2] == [refine_module._DAMPING, 10 * refine_module._DAMPING]
+
+
+def test_a_trial_step_that_collapses_an_edge_raises_the_damping(monkeypatch):
+    g = corpus.load_graph("fig2a")
+    shifts = recorded_dampings(monkeypatch)
+    lengths, calls = refine_module._lengths, []
+
+    def collapsing(coords, links, row_name=None):
+        if row_name is not None:  # the residual of the start, then of each trial step
+            calls.append(row_name)
+            if len(calls) == 2:
+                raise ZeroLengthEdgeError("edge 0 (vertices 0, 1) has length 0.000e+00")
+        return lengths(coords, links, row_name)
+
+    monkeypatch.setattr(refine_module, "_lengths", collapsing)
+    result = refine(g)
+    assert result.converged
+    assert shifts[:2] == [refine_module._DAMPING, 10 * refine_module._DAMPING]
+
+
 def test_distance_constraint_flexes_rhombus():
     g = unit_rhombus()
     target = 1.2  # diagonal 0-2 is reachable by the one internal flex
@@ -509,10 +571,11 @@ def test_block_factor_matches_dense_linear_algebra(
         return tuple(int(np.count_nonzero(eigenvalues < t)) for t in (-rounding, rounding))
 
     below, near = window(matrix)
-    count = system.negative_count(shift)  # the inertia needs no factor
+    count = system.factor(shift).negative_count()  # the inertia needs no right-hand side
     assert below <= count <= near
     pinned_below, pinned_near = window(penalized)
-    assert pinned_below <= system.negative_count(shift, system.unknowns[pins].tolist(), weight) <= pinned_near
+    pinned = system.factor(shift, system.unknowns[pins].tolist(), weight).negative_count()
+    assert pinned_below <= pinned <= pinned_near
     rhs = rng.standard_normal((J.shape[1],) if columns is None else (J.shape[1], columns))
     try:
         got = system.factor(shift).solve(rhs)
@@ -529,7 +592,7 @@ def test_block_factor_matches_dense_linear_algebra(
 @pytest.mark.parametrize("case", SOLVER_EXAMPLES, ids=["one-block", "several-blocks", "padded"])
 @pytest.mark.parametrize("shift", [-1.0, 1e-8])
 def test_block_factor_solves_alike_after_a_count(case, shift):
-    # a count keeps no factor and a pinned count works on a copy of the
+    # a count's factor is its own and a pinned factor works on a copy of the
     # storage: the solve after them is bit for bit a fresh system's
     case = solver_case(*case)
     coords, links = eliminated(*case)[:2]
@@ -537,9 +600,26 @@ def test_block_factor_solves_alike_after_a_count(case, shift):
     for system in (counted, fresh):
         system.assemble(coords, np.zeros(len(links)))
     rhs = np.random.default_rng(0).standard_normal((len(counted.unknowns), 3))
-    counted.negative_count(shift, counted.unknowns[:3].tolist(), 1.0)
-    counted.negative_count(shift)
+    counted.factor(shift, counted.unknowns[:3].tolist(), 1.0).negative_count()
+    counted.factor(shift).negative_count()
     assert counted.factor(shift).solve(rhs).tobytes() == fresh.factor(shift).solve(rhs).tobytes()
+
+
+def test_a_count_that_meets_a_singular_pivot_leaves_no_negative_space():
+    # J^T J of one horizontal stick has zero rows in its y coordinates, so its
+    # pivot at shift 0 is singular: the count takes it as shifted up by rounding
+    coords = np.array([[0.0, 0.0], [1.0, 0.0]])
+    system = _NormalEquations(coords, np.array([[0, 1]]), np.ones(4, dtype=bool))
+    system.assemble(coords, np.zeros(1))
+    singular = system.factor(0.0)
+    assert singular.negative_count() == 0 and singular.negative_space() is None
+    with pytest.raises(np.linalg.LinAlgError):
+        system.factor(0.0).solve(np.ones(4))
+    # at -1 the three zero eigenvalues are negative and span the negative space
+    below = system.factor(-1.0)
+    assert below.negative_count() == 3
+    flexes = below.negative_space()
+    assert flexes.shape == (4, 3) and np.linalg.matrix_rank(flexes) == 3
 
 
 @pytest.mark.parametrize("case", SOLVER_EXAMPLES, ids=["one-block", "several-blocks", "padded"])

@@ -55,6 +55,10 @@ def test_disconnected_graph_rejected():
         analyze_rigidity(g)
 
 
+def test_an_empty_graph_is_not_connected():
+    assert not is_connected(EmbeddedGraph(np.zeros((0, 2))))
+
+
 def test_tiny_graphs_rejected():
     g = EmbeddedGraph(np.array([[0.0, 0.0]]), ())
     with pytest.raises(ValueError):
@@ -265,11 +269,11 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     # rank tolerance, so the verdict takes one inertia count besides the pinned
     # one at -mu^2; the tail pass decides no rank and takes only the pinned one
     g = corpus.refined_graph(name)
-    negative_count, counts = refine._NormalEquations.negative_count, []
+    negative_count, counts = refine._BlockFactor.negative_count, []
 
-    def counted(self, *args):
-        counts.append(args)
-        return negative_count(self, *args)
+    def counted(self):
+        counts.append(self)
+        return negative_count(self)
 
     def no_dense(g):
         raise AssertionError("the banded path handed off")
@@ -277,7 +281,7 @@ def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", 0)
         mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
-        mp.setattr(refine._NormalEquations, "negative_count", counted)
+        mp.setattr(refine._BlockFactor, "negative_count", counted)
         mp.setattr(rigidity, "_singular_values", no_dense)
         banded = analyze_rigidity(g)
         assert len(counts) == 2
@@ -500,8 +504,8 @@ def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
     with monkeypatch.context() as mp:
         counted_calls(mp, calls, rigidity, "_orthonormal")
         counted_calls(mp, calls, np.linalg, "svd")
-        counted_calls(mp, calls, refine._NormalEquations, "factor")
-        counted_calls(mp, calls, refine._NormalEquations, "negative_count")
+        counted_calls(mp, calls, refine._BlockFactor, "solve")
+        counted_calls(mp, calls, refine._BlockFactor, "negative_count")
         report = analyze_rigidity(g)
     assert report.rigid and calls == ["negative_count"]  # the pinned count alone
     # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
@@ -536,16 +540,22 @@ def test_pinned_count_is_the_dense_count_less_the_rigid_motions(kind, monkeypatc
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "rigid-ring": lambda: ring(RIGID_RINGS[0]),
     }[kind]()
-    negative_count, counts = refine._NormalEquations.negative_count, []
+    factor, negative_count = refine._NormalEquations.factor, refine._BlockFactor.negative_count
+    factors, counts = [], []
 
-    def recorded(self, *args):
-        counts.append((args, negative_count(self, *args)))
-        return counts[-1][1]
+    def recorded_factor(self, *args):
+        factors.append(args)
+        return factor(self, *args)
+
+    def recorded_count(self):
+        counts.append(negative_count(self))
+        return counts[-1]
 
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
-    monkeypatch.setattr(refine._NormalEquations, "negative_count", recorded)
+    monkeypatch.setattr(refine._NormalEquations, "factor", recorded_factor)
+    monkeypatch.setattr(refine._BlockFactor, "negative_count", recorded_count)
     report = analyze_rigidity(g)
-    (shift, pins, weight), pinned = counts[0]
+    (shift, pins, weight), pinned = factors[0], counts[0]  # the first factor is the pinned one
     assert sorted(pins) == sorted(2 * vertex + axis for vertex, axis in refine.default_pins(g))
     assert weight == pytest.approx((refine.residual_jacobian(g) ** 2).sum(axis=0).max())  # top
     sigma = rigidity._singular_values(g)
@@ -561,10 +571,11 @@ def test_pinned_count_is_the_dense_count_less_the_rigid_motions(kind, monkeypatc
 def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatch):
     # verdicts that the Ritz step does not certify (UNCERTIFIED_TOL; fig2g's
     # flex lies between the cutoff and mu at the default tolerance, and the
-    # ladder hands off first) take the pinned inertia count at -mu^2, the
-    # shifted factor (unless the block would reach half the columns) and one
-    # count per undecided value (fig2g has one): as many as before the count
-    # was pinned
+    # ladder hands off first) factor for the pinned inertia count at -mu^2,
+    # for the sweeps at +delta (unless the block would reach half the
+    # columns) and for one count per undecided value (fig2g has one): as
+    # many as before the count was pinned.  Each factor is eliminated once,
+    # to be counted or solved
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
         "fig2g": lambda: corpus.refined_graph("fig2g"),
@@ -576,7 +587,6 @@ def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatc
     calls = []
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
     counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
-    counted_calls(monkeypatch, calls, refine._NormalEquations, "negative_count")
     assert not analyze_rigidity(g, UNCERTIFIED_TOL.get(kind, rigidity.DEFAULT_RANK_TOL)).rigid
     assert len(calls) == factorizations
 
@@ -612,8 +622,8 @@ def certificate_graphs() -> tuple[tuple[str, EmbeddedGraph, np.ndarray], ...]:
 @pytest.mark.parametrize("rank_tol_factor", [1e-11, 1e-8, 1e-5])
 def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monkeypatch):
     # every Ritz value is at least the matching singular value, less the
-    # rounding allowance; a verdict certified by them (no shifted factor) has
-    # the dense SVD's rank
+    # rounding allowance; a verdict certified by them (no factor solved, so
+    # no sweep) has the dense SVD's rank
     ritz_values, seen, calls = rigidity._ritz_values, [], []
 
     def recorded(*args):
@@ -622,7 +632,7 @@ def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monke
 
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
     monkeypatch.setattr(rigidity, "_ritz_values", recorded)
-    counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
+    counted_calls(monkeypatch, calls, refine._BlockFactor, "solve")
     certified = 0
     for label, g, sigma in certificate_graphs():
         seen.clear()
@@ -645,7 +655,7 @@ def test_flexible_ring_and_chain_verdicts_are_certified(monkeypatch):
     graphs = [ring(parts) for parts in combinations_with_replacement(RING_PARTS, 3)]
     graphs += [chain(*ends, spacers) for ends in CHAIN_ENDS for spacers in (50, 150)]
     calls, flexible = [], 0
-    counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
+    counted_calls(monkeypatch, calls, refine._BlockFactor, "solve")
     counted_calls(monkeypatch, calls, rigidity, "_ritz_values")
     for g in graphs:
         calls.clear()
@@ -661,14 +671,49 @@ def test_certified_flexible_verdict_takes_one_count_and_no_sweep(kind, monkeypat
     assert g.vertex_count >= rigidity._BANDED_FROM
     calls = []
     with monkeypatch.context() as mp:
-        counted_calls(mp, calls, refine._NormalEquations, "negative_count")
-        counted_calls(mp, calls, refine._NormalEquations, "factor")
+        counted_calls(mp, calls, refine._BlockFactor, "negative_count")
+        counted_calls(mp, calls, refine._BlockFactor, "solve")
         for name in ["_orthonormal", "_hashed_block", "_singular_values"]:
             counted_calls(mp, calls, rigidity, name)
         report = analyze_rigidity(g)
     assert report.internal_flexes == 1 and calls == ["negative_count"]
     if kind == "ring":  # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
         assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
+
+
+@pytest.mark.parametrize("kind", ["ring", "chain"])
+def test_pinned_count_that_meets_a_singular_pivot_goes_on_into_the_sweeps(kind, monkeypatch):
+    # the count then leaves no negative space, so the Ritz step has nothing to
+    # certify: the verdict sweeps with the same count and still has the dense rank
+    g = ring(("fig2a", "fig2a", "fig2g")) if kind == "ring" else chain("fig5a", "fig5c", 150)
+    negative_count, eliminate = refine._BlockFactor.negative_count, refine._eliminate
+    ritz_values, counts, ritz, calls = rigidity._ritz_values, [], [], []
+
+    def recorded_count(self):
+        counts.append(negative_count(self))
+        return counts[-1]
+
+    def recorded_ritz(*args):
+        ritz.append(ritz_values(*args))
+        return ritz[-1]
+
+    def singular_once(diagonal, below, y):
+        calls.append("eliminate")
+        if len(calls) == 1:  # the pinned count's first elimination
+            raise np.linalg.LinAlgError("Singular matrix")
+        return eliminate(diagonal, below, y)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(refine._BlockFactor, "negative_count", recorded_count)
+        natural = analyze_rigidity(g)
+        mp.setattr(refine, "_eliminate", singular_once)
+        mp.setattr(rigidity, "_ritz_values", recorded_ritz)
+        counted_calls(mp, calls, refine._BlockFactor, "solve")
+        report = analyze_rigidity(g)
+    assert counts[0] == counts[1] and ritz == [None]
+    assert calls.count("solve") > 2  # the sweeps
+    dense = rigidity._singular_values(g)
+    assert report.rank == natural.rank == int(np.sum(dense > rigidity.DEFAULT_RANK_TOL * dense[0]))
 
 
 @given(
