@@ -6,8 +6,8 @@ Every graph command's ``--json`` prints sections of ``Certificate.to_json_dict``
 
 Output is deterministic (no timestamps, floats at 12 significant digits) so
 runs are reproducible and diffable.  Exit codes: 0 success, 1 domain failure
-(verification or coverage failed), 2 usage or input parse error, 3 numerical
-failure (a solver did not converge).
+(verification or coverage failed), 2 usage or input parse error, or input
+too large for memory, 3 numerical failure (a solver did not converge).
 """
 
 from __future__ import annotations
@@ -438,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError covers ModelError, PlanError, ZeroLengthEdgeError and
         # DisconnectedGraphError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # input too large for this machine; numpy's names the array
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
 
 

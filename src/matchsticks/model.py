@@ -52,7 +52,7 @@ def _canonical_edges(edges: Iterable[Sequence[int]] | np.ndarray, n: int) -> np.
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if bad.any() or len(repeats):
         k = int(min(np.flatnonzero(bad).min(initial=len(raw)), repeats.min(initial=len(raw))))
-        u, v = (_index_text(x) for x in raw[k])
+        u, v = (_index_text(x) for x in rows[k])  # as given: numpy makes a row with text all text
         if values[k, 0] > values[k, 1]:
             u, v = v, u
         if fraction[k]:

@@ -10,35 +10,32 @@ coordinates blur the small singular values that separate flexes from noise.
 
 Only the smallest singular values and the largest one, which the vertex
 degrees bound, matter to the rank.  Small graphs take a dense SVD.  From
-``_BANDED_FROM`` vertices on, where the dense SVD's cubic cost overtakes it,
-they come from block inverse iteration on J^T J in the block-tridiagonal
-storage of ``refine``'s solver.  A Sylvester inertia count of that
-storage, with the three ``default_pins`` coordinates held by a penalty,
-bounds how many small singular values there are.  When that count finds
-none besides the three rigid motions, the verdict is rigid without any
-sweep or SVD.  When it finds k more, one inverse iteration step with the
-count's own factor gives k vectors, and the Ritz values of J on their span
-and the rigid motions' (a thin QR and an SVD of a 3 + k column product)
-bound the smallest singular values from above: when they all lie below
-the rank cutoff, the flexible verdict needs nothing more.  Otherwise the
-count sizes the one block of vectors and makes sure none is missed; the
-verdict takes one more count per undecided value.  The shifted matrix is
-factored once; each sweep costs a forward sweep, one batched product with
-the pivots' inverses, a back substitution, a CholeskyQR orthonormalization
-and the eigenvalues of a p x p Gram matrix, which only decide whether to
-stop.  The singular values of the tall product J V are taken once, after
-the last sweep.  The iteration hands the graph to the dense SVD when its
-block would need half the columns, when the sweeps run out, or when the
-block misses a small singular value.  Memory and time grow linearly in the
-vertex count for long, thin drawings.
+``_BANDED_FROM`` vertices on, a Sylvester inertia count of ``refine``'s
+block-tridiagonal J^T J, with the three ``default_pins`` coordinates held
+by a penalty, bounds how many small singular values there are.  When it
+finds none besides the three rigid motions, the verdict is rigid without
+any sweep or SVD.  When it finds k more, one inverse iteration step with
+the count's own factor gives k vectors, and the Ritz values of J on their
+span and the rigid motions' (a thin QR and an SVD of a 3 + k column
+product) bound the smallest singular values from above: when they all lie
+below the rank cutoff, the flexible verdict needs nothing more.
 
-The verdict iterates only until the values below the cutoff mu have
-settled; the reported tail of the ten smallest singular values is computed
-only when it is first read: from the verdict's dense SVD when it took one,
-else by its own pass, which also waits for those ten.  That pass starts at
-``_BANDED_TAIL_FROM`` vertices, later than the verdict's: it cannot stop at
-the count, and waits for ten values where a verdict waits for those below
-mu, so its crossover with the dense SVD lies higher.
+A verdict left open takes the dense SVD below ``_BANDED_TAIL_FROM``
+vertices, and from there on block inverse iteration on J^T J, its one
+block sized by the count so that no small value is missed.  The shifted
+matrix is factored once; each sweep costs a forward sweep, one batched
+product with the pivots' inverses, a back substitution, a CholeskyQR
+orthonormalization and the eigenvalues of a p x p Gram matrix, which only
+decide when the values below mu and the ten reported ones have settled.
+The singular values of the tall product J V are taken once, after
+the last sweep.  The graph goes to the dense SVD when the block would need
+half the columns, when the sweeps run out or miss a small value, or when
+a value lies where sigma_max's bounds leave it on either side of the rank
+cutoff.  Memory and time grow linearly for long, thin drawings.
+
+A report keeps the values its verdict found; otherwise the tail is
+computed when first read, by the sweeps from ``_BANDED_TAIL_FROM``
+vertices on, else by the dense SVD.
 """
 
 from __future__ import annotations
@@ -56,8 +53,8 @@ from .refine import default_pins, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
 _BANDED_FROM = 60  # vertices; measured crossover of the dense and banded verdicts
-# vertices; the banded tail pass overtakes the dense SVD near 110-125, and below
-# 150 every reported tail stays the dense SVD's, bit for bit
+# vertices; sweeps that wait for the ten reported values overtake the dense SVD
+# near 110-125, and below 150 every reported tail stays the dense SVD's, bit for bit
 _BANDED_TAIL_FROM = 150
 _SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
 _MAX_SWEEPS = 50
@@ -77,10 +74,9 @@ class RigidityReport:
 
     internal_flexes = (2v - 3) - rank counts independent first-order motions
     that preserve all edge lengths but are not rigid-body motions.  The
-    report keeps the analyzed graph and tolerance; its singular-value tail
-    is computed on first read, from the verdict's dense SVD when it took
-    one, else by a banded pass of its own (a graph's arrays are read-only,
-    so the tail cannot go stale).
+    report keeps the analyzed graph and tolerance, and the singular values
+    that its verdict found; without those, its tail is computed on first
+    read (a graph's arrays are read-only, so the tail cannot go stale).
     """
 
     rank: int
@@ -89,21 +85,20 @@ class RigidityReport:
     classification: str  # "rigid" | "flexible"
     graph: EmbeddedGraph = field(repr=False, compare=False)
     rank_tol_factor: float
-    #: the dense SVD's singular values (descending), when the verdict took it
-    _dense_sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: the smallest singular values (ascending) that the verdict found: all of
+    #: its dense SVD's, or its sweeps' tail; None when it took neither
+    _known: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def smallest_singular_values(self) -> tuple[float, ...]:
         """Ascending; at least min(10, all) of them; computed once, when first read."""
-        sigma = self._dense_sigma
-        if sigma is None:
+        known = self._known
+        if known is None:
             found = None
             if self.graph.vertex_count >= _BANDED_TAIL_FROM:
-                found = _banded(self.graph, self.rank_tol_factor, _REPORTED)
-            if found is not None:
-                return tuple(found[1].tolist())
-            sigma = _singular_values(self.graph)
-        return tuple(sigma[::-1].tolist())
+                found = _banded(self.graph, self.rank_tol_factor, True)
+            known = _singular_values(self.graph)[::-1] if found is None else found[1]
+        return tuple(known.tolist())
 
     @property
     def rigid(self) -> bool:
@@ -160,12 +155,12 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         )
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    found = _banded(g, rank_tol_factor, 0) if g.vertex_count >= _BANDED_FROM else None
+    found = _banded(g, rank_tol_factor, False) if g.vertex_count >= _BANDED_FROM else None
     if found is None:
         sigma = _singular_values(g)
-        rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
+        rank, known = int(np.sum(sigma > rank_tol_factor * sigma[0])), sigma[::-1]
     else:
-        rank, sigma = found[0], None
+        rank, known = found
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -175,7 +170,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         classification="rigid" if flexes == 0 else "flexible",
         graph=g,
         rank_tol_factor=rank_tol_factor,
-        _dense_sigma=sigma,
+        _known=known,
     )
 
 
@@ -191,12 +186,12 @@ def _bracket(g: EmbeddedGraph, columns: np.ndarray, values: np.ndarray) -> tuple
 
 
 def _banded(
-    g: EmbeddedGraph, rank_tol_factor: float, reported: int
-) -> tuple[int | None, np.ndarray] | None:
+    g: EmbeddedGraph, rank_tol_factor: float, reported: bool
+) -> tuple[int, np.ndarray | None] | None:
     """The rank and the smallest singular values (ascending), without a dense matrix.
 
     The values are every singular value below mu = max(1e-6 lo, 2
-    rank_tol_factor hi), and at least the ``reported`` smallest.  lo and hi
+    rank_tol_factor hi), and at least the ten smallest.  lo and hi
     bracket sigma_max (``_bracket``): lo^2 = top, the largest diagonal entry
     of J^T J, and hi^2 is the largest d_u + d_v over the edges uv.  J's rows
     are unit vectors, so J^T J <= L (x) I_2 <= hi^2 I for the graph's
@@ -208,7 +203,7 @@ def _banded(
     coordinates.  Sylvester's law of inertia counts its eigenvalues below
     mu^2 on its factor at -mu^2, ``pinned``; ``small``, three more, bounds
     those of J^T J (Weyl's inequalities: the penalty has rank three).  A
-    verdict (``reported`` zero) with small = 3 is rigid: block LDL^T is
+    verdict (``reported`` false) with small = 3 is rigid: block LDL^T is
     stable on the positive definite J_pin^T J_pin - mu^2 I, so
     sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3 largest singular
     values are at least mu, above the rank cutoff.
@@ -227,32 +222,33 @@ def _banded(
     below the 2v eps floor of ``analyze_rigidity``, so the rigid verdict
     above is the same test without its Ritz step.  The certificate fails
     when a singular value lies between the cutoff and mu (the theta cannot
-    fall below it), when the count met a singular pivot, and always on a
-    tail pass; those go on as below with the same ``small``.
+    fall below it), when the count met a singular pivot, and always for a
+    tail read (``reported`` true).  Below ``_BANDED_TAIL_FROM`` vertices
+    those go to the dense SVD; from there on they sweep as below.
 
-    Otherwise ``small`` sizes the one block of p = max(structural + 21,
-    small + 17) vectors.  Inverse subspace iteration with (J^T J + delta
-    I)^-1 turns the block V towards the eigenvectors of the smallest
-    eigenvalues, orthonormalizing V after each solve (``_orthonormal``).
-    Each sweep estimates the Ritz values theta from the eigenvalues of the
-    p x p Gram matrix (J V)^T (J V), whose absolute rounding is about eps
-    times the largest theta^2, and stops once the watched ones settle: each
-    moved by at most _SETTLED * hi plus that rounding, or by no more than
-    the Gram can resolve (theta^2 below 8 eps theta_max^2 counts as that
-    floor).  The first sweep has no estimate, so the earliest stop is the
-    third sweep, compared with the second.  The Ritz values are then taken
+    ``small`` sizes the one block of p = max(structural + 21, small + 17)
+    vectors.  Inverse subspace iteration with (J^T J + delta I)^-1 turns the
+    block V towards the eigenvectors of the smallest eigenvalues,
+    orthonormalizing V after each solve (``_orthonormal``).  Each sweep
+    estimates the Ritz values theta from the eigenvalues of the p x p Gram
+    matrix (J V)^T (J V), whose absolute rounding is about eps times the
+    largest theta^2, and stops once the ``small`` ones and the ten reported
+    (past the structural zeros) settle: each moved by at most _SETTLED * hi
+    plus that rounding, or by no more than the Gram can resolve (theta^2
+    below 8 eps theta_max^2 counts as that floor).  The first sweep has no
+    estimate, so the earliest stop is the third sweep, compared with the
+    second.  The Ritz values are then taken
     once, without squaring, as the singular values of the e x p product
-    J V.  A verdict's rank counts one factor per value t between
-    rank_tol_factor times lo and hi, and t is zero when J^T J - (t /
-    rank_tol_factor)^2 I has fewer than n negative eigenvalues.  A tail pass
-    (``reported`` nonzero) takes none of those counts and its rank is None.
+    J V; those below rank_tol_factor lo are zero, those above
+    rank_tol_factor hi are not.
 
-    None hands the graph to the dense SVD, in three cases: the block would
-    reach half the columns (2p >= n, decided before the shifted matrix is
-    factored), the sweeps run out before the watched values settle, or the
-    number of Ritz values below mu is not ``small``.  Otherwise e > p.  A
-    verdict answered by the count or its certificate comes back with an
-    empty tail.
+    None hands the graph to the dense SVD: the block would reach half the
+    columns (2p >= n, decided before the Ritz step), the verdict is left
+    open below ``_BANDED_TAIL_FROM`` vertices, the sweeps run out before
+    the watched values settle, the number of Ritz values below mu is not
+    ``small``, or a value lies between rank_tol_factor lo and hi, where the
+    bracket leaves it on either side of the cutoff.  Otherwise e > p.  A
+    verdict answered by the count or its certificate comes with no values.
     """
     coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
@@ -264,7 +260,7 @@ def _banded(
     pinned = system.factor(-mu * mu, [2 * vertex + axis for vertex, axis in default_pins(g)], top)
     small = 3 + pinned.negative_count()
     if small == 3 and not reported:  # only the rigid motions lie below mu
-        return n - 3, np.empty(0)
+        return n - 3, None
     structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
     # rigid motions, reported values and spares, or the small values and spares
     p = max(structural + 3 + _REPORTED + 8, small + 17)
@@ -279,7 +275,9 @@ def _banded(
     if ritz is not None:
         theta, rounding = ritz
         if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
-            return n - small, np.empty(0)
+            return n - small, None
+    if g.vertex_count < _BANDED_TAIL_FROM:
+        return None
     inverse = system.factor(_SHIFT * top)
 
     def squares(v: np.ndarray) -> np.ndarray:  # ascending theta^2; J V is not kept past the call
@@ -287,7 +285,7 @@ def _banded(
         return np.linalg.eigvalsh(jv.T @ jv)
 
     v = _orthonormal(_hashed_block(n, p))
-    watch = max(small, structural + reported)  # the values counted or reported
+    watch = max(small, structural + _REPORTED)  # the values counted and reported
     previous = np.full(watch, np.inf)
     for sweep in range(_MAX_SWEEPS):
         v = _orthonormal(inverse.solve(v))
@@ -309,13 +307,9 @@ def _banded(
     if np.count_nonzero(theta < mu) != small:
         return None
     tail = theta[structural:watch]
-    if reported:
-        return None, tail
-    zero = tail < rank_tol_factor * lo
-    for i in np.flatnonzero(~zero & (tail <= rank_tol_factor * hi)):
-        m = tail[i] / rank_tol_factor  # t is zero exactly when sigma_max >= m
-        zero[i] = system.factor(-m * m).negative_count() < n
-    return min(e, n) - int(np.count_nonzero(zero)), tail
+    if np.any((tail >= rank_tol_factor * lo) & (tail <= rank_tol_factor * hi)):
+        return None  # sigma_max's bracket leaves this value on either side of the cutoff
+    return min(e, n) - int(np.count_nonzero(tail < rank_tol_factor * lo)), tail
 
 
 def _ritz_values(

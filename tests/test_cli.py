@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import triangle_strip, unit_triangle
-from matchsticks import cli, construct, corpus, pipeline
+from matchsticks import cli, construct, corpus, pipeline, rigidity
 from matchsticks.cli import main
 from matchsticks.construct import (
     ChainSpec,
@@ -420,6 +420,25 @@ def test_rigidity_rejects_rank_tolerance_outside_the_unit_interval(tol, capsys):
     assert code == 2
     assert out == ""
     assert "rank tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [("Unable to allocate 9.76 GiB for an array with shape (36190, 36190) and data type float64",
+      "error: out of memory: Unable to allocate 9.76 GiB for an array with shape (36190, 36190) "
+      "and data type float64\n"),
+     ("", "error: out of memory\n")],
+    ids=["numpy", "bare"],
+)
+def test_a_dense_svd_out_of_memory_is_a_usage_error(message, shown, capsys, monkeypatch):
+    # a chain beyond the sweeps' reach hands its rigidity to the dense SVD,
+    # whose matrix may not fit in memory: one error line, no traceback
+    def no_memory(g):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(rigidity, "_singular_values", no_memory)
+    code, out, err = run(capsys, "construct", "chain", "fig5a", "fig5c", "--spacers", "4", "--json")
+    assert (code, out, err) == (2, "", shown)
 
 
 def test_rigidity_json(capsys):

@@ -1,5 +1,7 @@
 """First-order rigidity: rank computation, invariances, realized compositions."""
 
+import contextlib
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, triangle_strip, unit_rhombus, unit_triangle
-from matchsticks import corpus, refine, rigidity
+from matchsticks import cli, corpus, refine, rigidity
 from matchsticks.construct import ChainSpec, PartSpec, chain_extend, realize, ring_plan
 from matchsticks.model import EmbeddedGraph
 from matchsticks.rigidity import DisconnectedGraphError, analyze_rigidity, is_connected
@@ -259,74 +261,83 @@ def zigzag_path(v: int) -> EmbeddedGraph:
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_banded_rank_matches_dense_on_the_corpus(name):
     # fig5b needs a block of half its columns or more; the rigid fig2a would
-    # too, but its pinned inertia count answers before any block is sized
-    assert_paths_agree(corpus.refined_graph(name), answered=name != "fig5b")
+    # too, but its pinned inertia count answers before any block is sized.
+    # fig2g's and fig2h's flexes lie between the cutoff and mu, so the Ritz
+    # step cannot certify them, and below 150 vertices nothing sweeps
+    assert_paths_agree(corpus.refined_graph(name), answered=name not in ("fig5b", "fig2g", "fig2h"))
 
 
 @pytest.mark.parametrize("name", ["fig2g", "fig2h"])
 def test_banded_path_keeps_the_near_threshold_flex(name, monkeypatch):
-    # the second singular value sits within the bracket on sigma_max times the
-    # rank tolerance, so the verdict takes one inertia count besides the pinned
-    # one at -mu^2; the tail pass decides no rank and takes only the pinned one
+    # swept at any size, the second singular value sits within the bracket on
+    # sigma_max times the rank tolerance, so the verdict takes the pinned
+    # inertia count alone and hands the graph to the dense SVD, whose values
+    # the tail then reads
     g = corpus.refined_graph(name)
-    negative_count, counts = refine._BlockFactor.negative_count, []
-
-    def counted(self):
-        counts.append(self)
-        return negative_count(self)
-
-    def no_dense(g):
-        raise AssertionError("the banded path handed off")
-
+    calls = []
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_FROM", 0)
         mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
-        mp.setattr(refine._BlockFactor, "negative_count", counted)
-        mp.setattr(rigidity, "_singular_values", no_dense)
+        for owner, function in [(refine._BlockFactor, "negative_count"), (rigidity, "_hashed_block"),
+                                (rigidity, "_singular_values"), (refine._NormalEquations, "factor")]:
+            counted_calls(mp, calls, owner, function)
         banded = analyze_rigidity(g)
-        assert len(counts) == 2
+        assert calls == ["factor", "negative_count", "factor", "_hashed_block", "_singular_values"]
         banded.singular_tail(10)
-        assert len(counts) == 3
+        assert len(calls) == 5
     assert banded.internal_flexes == 1
     assert 1e-9 < banded.singular_tail(2)[1] < 1e-7
-    assert_paths_agree(g)
+    assert_paths_agree(g, answered=False)
 
 
 def test_banded_verdict_leaves_the_tail_until_it_is_read(monkeypatch):
+    # the Ritz step certifies the verdict, which sweeps no block; the first
+    # read of the tail sweeps one, and later reads none
     g = chain("fig5a", "fig5c", 150)
-    assert g.vertex_count >= rigidity._BANDED_FROM
-    banded, reported = rigidity._banded, []
+    assert g.vertex_count >= rigidity._BANDED_TAIL_FROM
+    banded, reported, calls = rigidity._banded, [], []
 
-    def counted(g, rank_tol_factor, count):
-        reported.append(count)
-        return banded(g, rank_tol_factor, count)
+    def counted(g, rank_tol_factor, tail):
+        reported.append(tail)
+        return banded(g, rank_tol_factor, tail)
 
     monkeypatch.setattr(rigidity, "_banded", counted)
+    counted_calls(monkeypatch, calls, rigidity, "_hashed_block")
     report = analyze_rigidity(g)
     assert report.internal_flexes == 1
-    assert reported == [0]  # the verdict's pass watches no reported value
+    assert reported == [False] and calls == []
     tail = report.singular_tail(10)
-    assert reported == [0, rigidity._REPORTED]
+    assert reported == [False, True] and calls == ["_hashed_block"]
     assert report.singular_tail(10) == tail and len(tail) == 10
-    assert reported == [0, rigidity._REPORTED]  # computed once
+    assert reported == [False, True] and calls == ["_hashed_block"]  # computed once
 
 
-@pytest.mark.parametrize("ends", [("fig5a", "fig5c"), ("fig5c", "fig5c")])
-def test_banded_verdict_takes_fewer_sweeps_than_the_tail(ends, monkeypatch):
-    # each sweep orthonormalizes its block once, as does each block's start; at
-    # rank tolerance 1e-4 a singular value lies between the cutoff and mu, so
-    # the Ritz step cannot certify the verdict and it takes the sweeps
-    orthonormal, calls = rigidity._orthonormal, []
-
-    def counted(w):
-        calls.append(w.shape[1])
-        return orthonormal(w)
-
-    monkeypatch.setattr(rigidity, "_orthonormal", counted)
-    report = analyze_rigidity(chain(*ends, 150), UNCERTIFIED_TOL["chain"])
-    verdict = len(calls)
-    report.singular_tail()
-    assert 0 < verdict < len(calls) - verdict
+@pytest.mark.parametrize("kind", ["chain-5a-5a", "chain-5a-5c", "chain-5c-5c", "bent-strip", "ladder"])
+def test_swept_verdict_keeps_its_tail_for_the_report(kind, monkeypatch):
+    # a report sweeps at most one block, and the tail that a swept verdict
+    # found is the one read: reading it factors nothing and takes no SVD.
+    # The count and the Ritz step leave these verdicts open; the ladder's
+    # block would reach half its columns, so it hands off before any sweep
+    g, rank_tol_factor = {
+        "chain-5a-5a": lambda: (chain("fig5a", "fig5a", 150), UNCERTIFIED_TOL["chain"]),
+        "chain-5a-5c": lambda: (chain("fig5a", "fig5c", 150), UNCERTIFIED_TOL["chain"]),
+        "chain-5c-5c": lambda: (chain("fig5c", "fig5c", 150), UNCERTIFIED_TOL["chain"]),
+        "bent-strip": lambda: (bent_strip(150, 30), UNCERTIFIED_TOL["bent-strip"]),
+        "ladder": lambda: (flat_rhombus_ladder(80), rigidity.DEFAULT_RANK_TOL),
+    }[kind]()
+    assert g.vertex_count >= rigidity._BANDED_TAIL_FROM
+    calls = []
+    for owner, function in [(rigidity, "_hashed_block"), (rigidity, "_singular_values"),
+                            (refine._NormalEquations, "factor")]:
+        counted_calls(monkeypatch, calls, owner, function)
+    report = analyze_rigidity(g, rank_tol_factor)
+    swept = calls.count("_hashed_block")
+    calls.clear()
+    assert len(report.singular_tail(10)) == 10
+    assert swept + calls.count("_hashed_block") <= 1
+    assert swept == (kind != "ladder")
+    if swept:
+        assert calls == []
 
 
 def test_handed_off_verdict_reuses_its_dense_values_for_the_tail(monkeypatch):
@@ -496,6 +507,16 @@ def counted_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
+def workload_graphs() -> list[EmbeddedGraph]:
+    """The benchmark's graphs of 60 vertices or more: the refined drawings,
+    the 120 three-part rings of fig2a-fig2h and the three end pairs' chains
+    at 50 and 150 spacers."""
+    graphs = [corpus.refined_graph(name) for name in corpus.corpus_names()]
+    graphs = [g for g in graphs if g.vertex_count >= rigidity._BANDED_FROM]
+    graphs += [ring(parts) for parts in combinations_with_replacement(RING_PARTS, 3)]
+    return graphs + [chain(*ends, spacers) for ends in CHAIN_ENDS for spacers in (50, 150)]
+
+
 @pytest.mark.parametrize("parts", RIGID_RINGS)
 def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
     g = ring(parts)
@@ -506,28 +527,42 @@ def test_rigid_ring_verdicts_take_no_sweep_and_no_svd(parts, monkeypatch):
         counted_calls(mp, calls, np.linalg, "svd")
         counted_calls(mp, calls, refine._BlockFactor, "solve")
         counted_calls(mp, calls, refine._BlockFactor, "negative_count")
+        counted_calls(mp, calls, rigidity, "_singular_values")
+        counted_calls(mp, calls, rigidity, "_hashed_block")
         report = analyze_rigidity(g)
     assert report.rigid and calls == ["negative_count"]  # the pinned count alone
     # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
     assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
 
 
-def test_flexible_ring_verdict_takes_the_sweeps(monkeypatch):
-    # at rank tolerance 1e-2 a singular value lies between the cutoff and mu,
-    # so the Ritz step cannot certify the verdict and it takes the sweeps
-    g = ring(("fig2a", "fig2a", "fig2g"))
-    assert rigidity._BANDED_FROM <= g.vertex_count < rigidity._BANDED_TAIL_FROM
+def test_open_verdicts_below_150_vertices_take_the_dense_svd_once(monkeypatch):
+    # verdicts that the count and the Ritz step leave open under
+    # _BANDED_TAIL_FROM vertices take one dense SVD, which their tail reads,
+    # and sweep no block: the 64 rings with a fig2g or fig2h part at rank
+    # tolerances 1e-9 and 1e-11, and the command-line runs of the digest
+    # sweep with such verdicts (raw fig1d, fig3b and fig4a, and compositions
+    # of fig2g and fig2h)
+    rings = [parts for parts in combinations_with_replacement(RING_PARTS, 3) if {"fig2g", "fig2h"} & set(parts)]
+    assert len(rings) == 64
     calls = []
-    with monkeypatch.context() as mp:
-        counted_calls(mp, calls, rigidity, "_orthonormal")
-        counted_calls(mp, calls, np.linalg, "svd")
-        counted_calls(mp, calls, rigidity, "_singular_values")
-        report = analyze_rigidity(g, UNCERTIFIED_TOL["ring"])
-    assert report.internal_flexes == 1
-    # the Ritz step's product of 3 + k columns, then the tall J V
-    assert calls.count("_orthonormal") > 2 and calls.count("svd") == 2
-    assert "_singular_values" not in calls
-    assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
+    counted_calls(monkeypatch, calls, rigidity, "_hashed_block")
+    counted_calls(monkeypatch, calls, rigidity, "_singular_values")
+    for rank_tol_factor in (1e-9, 1e-11):
+        for parts in rings:
+            g = ring(parts)
+            assert rigidity._BANDED_FROM <= g.vertex_count < rigidity._BANDED_TAIL_FROM
+            calls.clear()
+            analyze_rigidity(g, rank_tol_factor).singular_tail(10)
+            assert calls == ["_singular_values"], parts
+    commands = [["rigidity", name, "--raw", "--json"] for name in ("fig1d", "fig3b", "fig4a")]
+    commands += [["construct", "ring", "fig2g", "fig2g", "fig2g", "--json"]]
+    commands += [["construct", "mirror", name, "--json"] for name in ("fig2g", "fig2h")]
+    for argv in commands:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert "singular_value_tail" in out.getvalue()
+        assert calls == ["_singular_values"], argv
 
 
 @pytest.mark.parametrize("kind", ["fig5a", "ring", "chain", "rigid-ring"])
@@ -566,19 +601,16 @@ def test_pinned_count_is_the_dense_count_less_the_rigid_motions(kind, monkeypatc
 
 @pytest.mark.parametrize(
     "kind, factorizations",
-    [("chain", 2), ("fig2g", 3), ("fig5a", 2), ("ring", 2), ("ladder", 1), ("bent-strip", 2)],
+    [("chain", 2), ("fig5a", 2), ("ring", 2), ("ladder", 1), ("bent-strip", 2)],
 )
 def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatch):
-    # verdicts that the Ritz step does not certify (UNCERTIFIED_TOL; fig2g's
-    # flex lies between the cutoff and mu at the default tolerance, and the
-    # ladder hands off first) factor for the pinned inertia count at -mu^2,
-    # for the sweeps at +delta (unless the block would reach half the
-    # columns) and for one count per undecided value (fig2g has one): as
-    # many as before the count was pinned.  Each factor is eliminated once,
-    # to be counted or solved
+    # verdicts that the Ritz step does not certify (UNCERTIFIED_TOL; the
+    # ladder hands off first), swept at any size, factor for the pinned
+    # inertia count at -mu^2 and for the sweeps at +delta (unless the block
+    # would reach half the columns).  Each factor is eliminated once, to be
+    # counted or solved
     g = {
         "chain": lambda: chain("fig5a", "fig5c", 150),
-        "fig2g": lambda: corpus.refined_graph("fig2g"),
         "fig5a": lambda: corpus.refined_graph("fig5a"),
         "ring": lambda: ring(("fig2b", "fig2g", "fig2g")),
         "ladder": lambda: flat_rhombus_ladder(80),
@@ -586,6 +618,7 @@ def test_flexible_verdicts_factor_no_more_often(kind, factorizations, monkeypatc
     }[kind]()
     calls = []
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
+    monkeypatch.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
     counted_calls(monkeypatch, calls, refine._NormalEquations, "factor")
     assert not analyze_rigidity(g, UNCERTIFIED_TOL.get(kind, rigidity.DEFAULT_RANK_TOL)).rigid
     assert len(calls) == factorizations
@@ -623,7 +656,7 @@ def certificate_graphs() -> tuple[tuple[str, EmbeddedGraph, np.ndarray], ...]:
 def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monkeypatch):
     # every Ritz value is at least the matching singular value, less the
     # rounding allowance; a verdict certified by them (no factor solved, so
-    # no sweep) has the dense SVD's rank
+    # no sweep, and no dense SVD) has the dense SVD's rank
     ritz_values, seen, calls = rigidity._ritz_values, [], []
 
     def recorded(*args):
@@ -633,8 +666,9 @@ def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monke
     monkeypatch.setattr(rigidity, "_BANDED_FROM", 0)
     monkeypatch.setattr(rigidity, "_ritz_values", recorded)
     counted_calls(monkeypatch, calls, refine._BlockFactor, "solve")
+    counted_calls(monkeypatch, calls, rigidity, "_singular_values")
     certified = 0
-    for label, g, sigma in certificate_graphs():
+    for label, g, sigma in certificate_graphs():  # their dense SVDs, taken before the loop
         seen.clear()
         calls.clear()
         report = analyze_rigidity(g, rank_tol_factor)
@@ -650,19 +684,23 @@ def test_ritz_certificate_is_sound_and_its_verdicts_exact(rank_tol_factor, monke
 
 
 def test_flexible_ring_and_chain_verdicts_are_certified(monkeypatch):
-    # at the default tolerance every flexible verdict on the three-part rings
-    # and the chains of 50 and 150 spacers takes the Ritz step and no sweep
-    graphs = [ring(parts) for parts in combinations_with_replacement(RING_PARTS, 3)]
-    graphs += [chain(*ends, spacers) for ends in CHAIN_ENDS for spacers in (50, 150)]
+    # at the default tolerance every flexible verdict on the benchmark's graphs
+    # of 60 vertices or more takes the Ritz step, no sweep and no dense SVD,
+    # and every rigid one none of the three
     calls, flexible = [], 0
     counted_calls(monkeypatch, calls, refine._BlockFactor, "solve")
     counted_calls(monkeypatch, calls, rigidity, "_ritz_values")
-    for g in graphs:
+    counted_calls(monkeypatch, calls, rigidity, "_hashed_block")
+    counted_calls(monkeypatch, calls, rigidity, "_singular_values")
+    for g in workload_graphs():
         calls.clear()
         if not analyze_rigidity(g).rigid:
             flexible += 1
             assert calls == ["_ritz_values"], g.name
-    assert flexible == 64 + 6  # the rings with a fig2g or fig2h part, and the chains
+        else:
+            assert calls == [], g.name
+    # fig1d, fig3b and fig4a, the rings with a fig2g or fig2h part, and the chains
+    assert flexible == 3 + 64 + 6
 
 
 @pytest.mark.parametrize("kind", ["ring", "chain"])
@@ -676,15 +714,19 @@ def test_certified_flexible_verdict_takes_one_count_and_no_sweep(kind, monkeypat
         for name in ["_orthonormal", "_hashed_block", "_singular_values"]:
             counted_calls(mp, calls, rigidity, name)
         report = analyze_rigidity(g)
-    assert report.internal_flexes == 1 and calls == ["negative_count"]
-    if kind == "ring":  # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
-        assert report.smallest_singular_values == tuple(rigidity._singular_values(g)[::-1].tolist())
+        assert report.internal_flexes == 1 and calls == ["negative_count"]
+        if kind == "ring":  # under _BANDED_TAIL_FROM vertices the tail is the dense SVD's, bit for bit
+            tail = report.smallest_singular_values
+            assert calls == ["negative_count", "_singular_values"]  # and the tail's read counts nothing
+    if kind == "ring":
+        assert tail == tuple(rigidity._singular_values(g)[::-1].tolist())
 
 
 @pytest.mark.parametrize("kind", ["ring", "chain"])
 def test_pinned_count_that_meets_a_singular_pivot_goes_on_into_the_sweeps(kind, monkeypatch):
     # the count then leaves no negative space, so the Ritz step has nothing to
-    # certify: the verdict sweeps with the same count and still has the dense rank
+    # certify: the verdict, swept at any size, sweeps with the same count and
+    # still has the dense rank
     g = ring(("fig2a", "fig2a", "fig2g")) if kind == "ring" else chain("fig5a", "fig5c", 150)
     negative_count, eliminate = refine._BlockFactor.negative_count, refine._eliminate
     ritz_values, counts, ritz, calls = rigidity._ritz_values, [], [], []
@@ -704,6 +746,7 @@ def test_pinned_count_that_meets_a_singular_pivot_goes_on_into_the_sweeps(kind, 
         return eliminate(diagonal, below, y)
 
     with monkeypatch.context() as mp:
+        mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
         mp.setattr(refine._BlockFactor, "negative_count", recorded_count)
         natural = analyze_rigidity(g)
         mp.setattr(refine, "_eliminate", singular_once)
@@ -814,13 +857,17 @@ def test_banded_rank_takes_one_tall_svd_per_block_size(kind, block_sizes, monkey
 @pytest.mark.parametrize("kind", ["chain", "fig2g"])
 def test_banded_rank_hands_off_when_sweeps_run_out(kind, monkeypatch):
     # two sweeps never settle (the first has no Ritz estimate), so the dense
-    # SVD answers verdicts that the Ritz step does not certify: the short
-    # chain's at rank tolerance 1e-2, fig2g's at the default
+    # SVD answers verdicts that the Ritz step does not certify, swept at any
+    # size: the short chain's at rank tolerance 1e-2, fig2g's at the default
     monkeypatch.setattr(rigidity, "_MAX_SWEEPS", 2)
+    monkeypatch.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
+    runs_out = []
+    counted_calls(monkeypatch, runs_out, rigidity, "_hashed_block")
     if kind == "chain":
         assert_paths_agree(chain("fig5a", "fig5c", 4), answered=False, rank_tol_factor=1e-2)
     else:
         assert_paths_agree(corpus.refined_graph(kind), answered=False)
+    assert runs_out == ["_hashed_block"]  # the verdict swept, and its dense SVD gave the tail
 
 
 def test_banded_rank_hands_off_a_long_path_before_any_sweep(monkeypatch):
