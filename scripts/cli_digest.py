@@ -16,7 +16,8 @@ stdout and exit codes for every command in the sweep.  The sweep:
 - ``refine fig2h --json`` stopped after one iteration, and stalled short of
   an unreachable target, both of which exit 3;
 - three-part and four-part rings with ``construct ring --json``;
-- two spacer chains with ``construct chain --json``;
+- three spacer chains with ``construct chain --json``; the 1,000-spacer
+  one is a verdict that takes ``rigidity``'s inverse-iteration sweeps;
 - ``coverage --json`` at ``--max`` 2000, 63 and 50000, the last the
   benchmark's size;
 - ``construct mirror --json`` for the six line doubles, the fig2f point
@@ -72,6 +73,7 @@ def sweep(plan_path: str) -> list[list[str]]:
     commands += [
         ["construct", "chain", "fig5a", "fig5c", "--spacers", "20", "--json"],
         ["construct", "chain", "fig5a", "fig5a", "--spacers", "7", "--json"],
+        ["construct", "chain", "fig5a", "fig5c", "--spacers", "1000", "--json"],
         ["coverage", "--max", "2000", "--json"],
         ["coverage", "--max", "63", "--json"],
         ["coverage", "--max", "50000", "--json"],

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,7 +134,8 @@ def refine(
     A step is accepted only if it lowers the residual norm, so the last
     iterate is always the best one; a rejected step raises the damping
     tenfold and retries.  Non-convergence is reported, not raised: the last
-    iterate comes back with ``converged=False``.
+    iterate comes back with ``converged=False``, after no step when no row
+    touches a free coordinate.
     """
     coords = g.vertices.copy()
     v, e = g.vertex_count, g.edge_count
@@ -179,9 +181,10 @@ def refine(
     lam = _DAMPING
     iterations = 0
     converged = max(initial_residual, extra0) <= opts.target_residual
+    movable = bool(free[_link_columns(links)].any())  # else no step can change a residual
     system: _NormalEquations | None = None  # built on the first iteration only
 
-    while not converged and iterations < opts.max_iterations:
+    while not converged and movable and iterations < opts.max_iterations:
         if system is None:
             system = _NormalEquations(coords, links, free)
         system.assemble(coords, r)
@@ -265,8 +268,8 @@ class _NormalEquations:
     diagonal block or in the sub-diagonal block below it (the matrix is
     symmetric; the super-diagonal blocks are their transposes).  When fewer
     than two full blocks fit, a single block holds the whole matrix and the
-    step is one dense solve.  Otherwise the last block is padded with zero
-    rows whose damping term keeps it nonsingular.
+    step is one dense solve.  Otherwise the last block is padded with rows
+    that each factor sets to the identity, apart from the unknowns.
 
     Every row is a length row touching four coordinates.  The pattern is
     fixed at construction; ``assemble`` scatters the current values, and
@@ -320,143 +323,90 @@ class _NormalEquations:
         self.rhs = -np.bincount(self._grad_index, weights, minlength=len(self.unknowns))
 
     def factor(self, shift: float, pins: Sequence[int] = (), weight: float = 0.0) -> "_BlockFactor":
-        """J^T J + shift I, plus ``weight`` on the diagonal at flat coordinates ``pins``."""
+        """J^T J + shift I, plus ``weight`` on the diagonal at flat coordinates ``pins``.
+
+        Raises LinAlgError when a pivot block is singular (``_BlockFactor``).
+        """
         s, nb = self.size, self.count
         blocks = self._hessian.reshape(2 * nb - 1, s, s)
         diagonal, at = blocks[0::2].copy(), self.position[list(pins)]
         diagonal[at // s, at % s, at % s] += weight
         diagonal += shift * np.eye(s)
+        padding = np.arange(len(self.unknowns) - (nb - 1) * s, s)
+        diagonal[-1, padding, padding] = 1.0
         return _BlockFactor(diagonal, blocks[1::2], len(self.unknowns))
 
 
-def _eliminate(diagonal: np.ndarray, below: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pivot blocks P_k and gains G_k = P_k^-1 B_k^T of a block L D L^T.
-
-    ``diagonal`` and ``below`` hold the shifted matrix's diagonal blocks and
-    the blocks B_k below them.  The right-hand sides ``y`` (nb, s, q) are
-    carried through the same elimination, with ``np.linalg.solve`` on each
-    pivot, and overwritten with D^-1 L^-1 y.  Raises LinAlgError when a
-    pivot block is singular.
-    """
-    nb, s = diagonal.shape[:2]
-    pivots, gains = [], []
-    pivot = diagonal[0]
-    for k in range(nb - 1):
-        solved = np.linalg.solve(pivot, np.concatenate([below[k].T, y[k]], axis=1))
-        pivots.append(pivot)
-        gains.append(solved[:, :s])
-        y[k] = solved[:, s:]
-        update = below[k] @ solved
-        pivot = diagonal[k + 1] - update[:, :s]
-        y[k + 1] -= update[:, s:]
-    pivots.append(pivot)
-    y[-1] = np.linalg.solve(pivot, y[-1])
-    return np.stack(pivots), np.array(gains).reshape(nb - 1, s, s)  # also for a single block
-
-
 class _BlockFactor:
-    """L D L^T of one matrix A from ``_NormalEquations.factor``, to be counted or solved.
+    """Block L D L^T of one matrix A from ``_NormalEquations.factor``, to be counted or solved.
 
     D holds the pivot blocks P_k; L's block below P_k is B_k P_k^-1, kept as
-    the gain G_k = P_k^-1 B_k^T.  ``negative_count`` forms them by an
-    elimination without right-hand sides and keeps them for
-    ``negative_space``.  The first solve forms them by ``_eliminate``, which
-    carries its right-hand sides through the elimination, so it is backward
-    stable however close to singular A is; it is the only solve that
-    ``refine`` makes.  Later solves reuse the gains, sweeping forward with
-    G_k^T, and apply the pivots as inverse products, formed in one batch on
-    the first reuse.  Their forward error is about the condition number
-    times eps, which suits a positive shift such as that of ``rigidity``'s
-    inverse iteration (condition up to about 1e9): its values come from J
-    V, not from the solve.
+    the gain G_k = P_k^-1 B_k^T.  Both are formed once, by an elimination
+    with ``np.linalg.solve`` on each pivot, which raises LinAlgError when a
+    pivot block is singular, the last one included.  Every solve is the
+    same three steps (``_solve``): a forward sweep with G_k^T, one batched
+    solve with the pivots and a back sweep with G_k.  The pivot solves are
+    backward stable however indefinite the pivots are.  The pivots'
+    eigenvalues are computed when first counted.
     """
 
     def __init__(self, diagonal: np.ndarray, below: np.ndarray, n: int) -> None:
-        self._diagonal, self._below, self._n = diagonal, below, n
-        self._pivots = self._gains = self._inverses = self._eigenvalues = None
+        pivots, gains = [diagonal[0]], []
+        for k, block in enumerate(below):
+            gains.append(np.linalg.solve(pivots[k], block.T))
+            pivots.append(diagonal[k + 1] - block @ gains[k])
+        np.linalg.solve(pivots[-1], np.empty((len(pivots[-1]), 0)))  # raises if the last is singular
+        self._pivots, self._gains, self._n = np.stack(pivots), np.reshape(gains, below.shape), n
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of each pivot block, ascending; D's, which A's inertia shares."""
+        return np.linalg.eigvalsh(self._pivots)
 
     def negative_count(self) -> int:
         """How many eigenvalues of A are negative (Sylvester's law of inertia).
 
-        An eigenvalue within rounding of zero may count either way.  A
-        singular pivot does not raise: the count is then that of A shifted
-        up by n eps times its largest entry, so that eigenvalues within that
-        distance of zero count as non-negative, and nothing is kept for
-        ``negative_space``.
+        An eigenvalue within rounding of zero may count either way.
         """
-        nb, s = self._diagonal.shape[:2]
-        diagonal = self._diagonal
-        while True:
-            try:
-                pivots, gains = _eliminate(diagonal, self._below, np.zeros((nb, s, 0)))
-                break
-            except np.linalg.LinAlgError:
-                largest = max(np.abs(diagonal).max(), np.abs(self._below).max(initial=0.0))
-                diagonal = diagonal + self._n * np.finfo(float).eps * largest * np.eye(s)
-        eigenvalues = np.linalg.eigvalsh(pivots)
-        if diagonal is self._diagonal:  # A itself was eliminated
-            self._pivots, self._gains, self._eigenvalues = pivots, gains, eigenvalues
-        # padded rows hold the shift alone, each an eigenvalue of the last pivot
-        padding = diagonal[-1].diagonal()[self._n - (nb - 1) * s :]
-        return int(np.count_nonzero(eigenvalues < 0) - np.count_nonzero(padding < 0))
+        return int(np.count_nonzero(self._eigenvalues < 0))
 
-    def negative_space(self) -> np.ndarray | None:
-        """One inverse iteration step on the negative space of the counted A.
+    def negative_space(self) -> np.ndarray:
+        """One inverse iteration step on the negative space of A.
 
         With A = L D L^T, Z holds the eigenvectors of D's negative
         eigenvalues, each within its pivot block, so that A is negative
         definite on the span of L^-T Z (the Rayleigh quotients are Z^T D Z).
         Returns A^-1 L^-T Z, one column per negative eigenvalue, in the order
-        of the unknowns: a back sweep with the gains, a forward sweep, one
-        solve per pivot block (backward stable however indefinite the pivots
-        are) and a back sweep.  None when the count met a singular pivot.
+        of the unknowns: a back sweep with the gains, then a solve.
         """
-        if self._eigenvalues is None:
-            return None
         nb, s = self._pivots.shape[:2]
-        rest = self._n - (nb - 1) * s  # the last block's rows that are not padding
         at = np.flatnonzero((self._eigenvalues < 0).any(axis=1))  # the blocks with a negative eigenvalue
-        blocks = self._pivots[at]
-        if at.size and at[-1] == nb - 1:
-            blocks[-1, rest:, rest:] = np.eye(s - rest)  # keeps the padding out of the negatives
-        values, vectors = np.linalg.eigh(blocks)
+        values, vectors = np.linalg.eigh(self._pivots[at])
         block, column = np.nonzero(values < 0)
         y = np.zeros((nb, s, len(block)))
         y[at[block], :, np.arange(len(block))] = vectors[block, :, column]
         _back_sweep(self._gains, y)
-        _forward_sweep(self._gains, y)
-        y = np.linalg.solve(self._pivots, y)
-        _back_sweep(self._gains, y)
-        return y.reshape(nb * s, -1)[: self._n]
+        return self._solve(y).reshape(nb * s, -1)[: self._n]
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """A^-1 x for one right-hand side (n,) or several (n, p).
-
-        Raises LinAlgError when a pivot block is singular.
-        """
-        nb, s = self._diagonal.shape[:2]
+        """A^-1 x for one right-hand side (n,) or several (n, p)."""
+        nb, s = self._pivots.shape[:2]
         q = x.shape[1] if x.ndim > 1 else 1
         y = np.zeros((nb * s, q))
         y[: self._n] = x.reshape(self._n, q)
-        y = y.reshape(nb, s, q)
-        if self._pivots is None:
-            self._pivots, self._gains = _eliminate(self._diagonal, self._below, y)
-        else:
-            _forward_sweep(self._gains, y)
-            if self._inverses is None:
-                self._inverses = np.linalg.inv(self._pivots)
-            y = self._inverses @ y
-        _back_sweep(self._gains, y)
+        y = self._solve(y.reshape(nb, s, q))
         return y.reshape(nb * s, q)[: self._n].reshape(x.shape)
 
-
-def _forward_sweep(gains: np.ndarray, y: np.ndarray) -> None:
-    """y <- L^-1 y in place, for the unit block lower factor L with gains G_k."""
-    for k in range(len(gains)):
-        y[k + 1] -= gains[k].T @ y[k]
+    def _solve(self, y: np.ndarray) -> np.ndarray:
+        """A^-1 y for right-hand sides y (nb, s, q) in blocks, which it overwrites."""
+        for k, gain in enumerate(self._gains):
+            y[k + 1] -= gain.T @ y[k]
+        y = np.linalg.solve(self._pivots, y)
+        _back_sweep(self._gains, y)
+        return y
 
 
 def _back_sweep(gains: np.ndarray, y: np.ndarray) -> None:
-    """y <- L^-T y in place."""
+    """y <- L^-T y in place, for the unit block lower factor L with gains G_k."""
     for k in range(len(gains) - 1, -1, -1):
         y[k] -= gains[k] @ y[k + 1]

@@ -24,7 +24,7 @@ A verdict left open takes the dense SVD below ``_BANDED_TAIL_FROM``
 vertices, and from there on block inverse iteration on J^T J, its one
 block sized by the count so that no small value is missed.  The shifted
 matrix is factored once; each sweep costs a forward sweep, one batched
-product with the pivots' inverses, a back substitution, a CholeskyQR
+solve with the pivot blocks, a back substitution, a CholeskyQR
 orthonormalization and the eigenvalues of a p x p Gram matrix, which only
 decide when the values below mu and the ten reported ones have settled.
 The singular values of the tall product J V are taken once, after
@@ -222,9 +222,9 @@ def _banded(
     below the 2v eps floor of ``analyze_rigidity``, so the rigid verdict
     above is the same test without its Ritz step.  The certificate fails
     when a singular value lies between the cutoff and mu (the theta cannot
-    fall below it), when the count met a singular pivot, and always for a
-    tail read (``reported`` true).  Below ``_BANDED_TAIL_FROM`` vertices
-    those go to the dense SVD; from there on they sweep as below.
+    fall below it), and always for a tail read (``reported`` true).  Below
+    ``_BANDED_TAIL_FROM`` vertices those go to the dense SVD; from there on
+    they sweep as below.
 
     ``small`` sizes the one block of p = max(structural + 21, small + 17)
     vectors.  Inverse subspace iteration with (J^T J + delta I)^-1 turns the
@@ -242,7 +242,8 @@ def _banded(
     J V; those below rank_tol_factor lo are zero, those above
     rank_tol_factor hi are not.
 
-    None hands the graph to the dense SVD: the block would reach half the
+    None hands the graph to the dense SVD: the pinned factor meets a
+    singular pivot (no count is taken), the block would reach half the
     columns (2p >= n, decided before the Ritz step), the verdict is left
     open below ``_BANDED_TAIL_FROM`` vertices, the sweeps run out before
     the watched values settle, the number of Ritz values below mu is not
@@ -257,7 +258,10 @@ def _banded(
     system = _NormalEquations(coords, links, np.ones(n, dtype=bool))
     system.assemble(coords, np.zeros(e))
     mu = max(1e-6 * lo, 2 * rank_tol_factor * hi)
-    pinned = system.factor(-mu * mu, [2 * vertex + axis for vertex, axis in default_pins(g)], top)
+    try:
+        pinned = system.factor(-mu * mu, [2 * vertex + axis for vertex, axis in default_pins(g)], top)
+    except np.linalg.LinAlgError:  # a singular pivot: no count
+        return None
     small = 3 + pinned.negative_count()
     if small == 3 and not reported:  # only the rigid motions lie below mu
         return n - 3, None
@@ -271,9 +275,8 @@ def _banded(
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
         return np.einsum("rk,rkp->rp", values, v[rows])
 
-    ritz = None if reported else _ritz_values(g, system.unknowns, pinned, product, hi)
-    if ritz is not None:
-        theta, rounding = ritz
+    if not reported:
+        theta, rounding = _ritz_values(g, system.unknowns, pinned, product, hi)
         if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
             return n - small, None
     if g.vertex_count < _BANDED_TAIL_FROM:
@@ -314,7 +317,7 @@ def _banded(
 
 def _ritz_values(
     g: EmbeddedGraph, unknowns: np.ndarray, counted: _BlockFactor, product: Callable[..., np.ndarray], hi: float
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, float]:
     """J's Ritz values on the rigid motions and the negative space of a counted factor.
 
     Returns the Ritz values theta (descending) on the span of the two
@@ -328,11 +331,9 @@ def _ritz_values(
     four products, so its rounding is at most 4.01 eps (|J| |Q|), of norm
     below 6 eps hi sqrt(3 + k): the rows of |J| are unit vectors, so
     |||J|||^2 <= 2 max d_v < 2 hi^2, and |||Q||| is at most Q's Frobenius
-    norm.  None when the count met a singular pivot.
+    norm.
     """
     flexes = counted.negative_space()
-    if flexes is None:
-        return None
     centered = g.vertices - g.vertices.mean(axis=0)
     motions = np.zeros((2 * g.vertex_count, 3))
     motions[0::2, 0] = motions[1::2, 1] = 1.0

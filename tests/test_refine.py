@@ -133,6 +133,17 @@ def test_nonconvergence_reports_last_iterate(max_iterations):
     assert result.final_residual == np.abs(edge_lengths(result.graph) - 1).max()
 
 
+@pytest.mark.parametrize("extra", [[[5.0, 5.0]], []], ids=["untouched-free-vertex", "nothing-free"])
+def test_rows_that_touch_no_free_coordinate_are_reported_unconverged(extra):
+    # both ends of the only edge are pinned, so no step can change its residual:
+    # without a free coordinate on a row the solve gives up before it starts
+    g = EmbeddedGraph(np.array([[0.0, 0.0], [1.5, 0.0], *extra]), ((0, 1),))
+    result = refine(g, RefineOptions(pinned=((0, 0), (0, 1), (1, 0), (1, 1))))
+    assert not result.converged and result.iterations == 0
+    assert result.final_residual == result.initial_residual == 0.5
+    assert np.array_equal(result.graph.vertices, g.vertices)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         RefineOptions(max_iterations=0)
@@ -171,14 +182,14 @@ def recorded_dampings(monkeypatch) -> list[float]:
 def test_a_singular_pivot_raises_the_damping_and_refine_still_converges(monkeypatch):
     g = corpus.load_graph("fig2a")  # figure accuracy: several steps to converge
     shifts = recorded_dampings(monkeypatch)
-    solve = refine_module._BlockFactor.solve
+    eliminate = refine_module._BlockFactor.__init__
 
-    def singular_once(self, x):
+    def singular_once(self, *args):  # the first factor's elimination meets a singular pivot
         if len(shifts) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(self, x)
+        eliminate(self, *args)
 
-    monkeypatch.setattr(refine_module._BlockFactor, "solve", singular_once)
+    monkeypatch.setattr(refine_module._BlockFactor, "__init__", singular_once)
     result = refine(g)
     assert result.converged
     assert shifts[:2] == [refine_module._DAMPING, 10 * refine_module._DAMPING]
@@ -570,19 +581,26 @@ def test_block_factor_matches_dense_linear_algebra(
         eigenvalues, rounding = np.linalg.eigvalsh(m), len(m) * np.finfo(float).eps * np.abs(m).max()
         return tuple(int(np.count_nonzero(eigenvalues < t)) for t in (-rounding, rounding))
 
-    below, near = window(matrix)
-    count = system.factor(shift).negative_count()  # the inertia needs no right-hand side
-    assert below <= count <= near
-    pinned_below, pinned_near = window(penalized)
-    pinned = system.factor(shift, system.unknowns[pins].tolist(), weight).negative_count()
-    assert pinned_below <= pinned <= pinned_near
-    rhs = rng.standard_normal((J.shape[1],) if columns is None else (J.shape[1], columns))
-    try:
-        got = system.factor(shift).solve(rhs)
-    except np.linalg.LinAlgError:
-        # a singular pivot: the count took eigenvalues within rounding of zero as non-negative
-        assert count == below
+    def singular_leading_blocks(m):  # a leading submatrix of whole blocks is singular to rounding
+        s = system.size
+        return any(np.subtract(*window(m[:k, :k])) for k in range(s, len(m) + s, s))
+
+    def counted(m, held):  # the factor of m held at ``held``, or None at a singular pivot
+        try:
+            factor = system.factor(shift, held, weight)
+        except np.linalg.LinAlgError:
+            assert singular_leading_blocks(m)
+            return None
+        below, near = window(m)
+        assert below <= factor.negative_count() <= near
+        return factor
+
+    counted(penalized, system.unknowns[pins].tolist())
+    factor = counted(matrix, [])
+    if factor is None:
         return
+    rhs = rng.standard_normal((J.shape[1],) if columns is None else (J.shape[1], columns))
+    got = factor.solve(rhs)
     assert got.shape == rhs.shape
     # a backward-error check: it holds however close to singular the matrix is
     scale = np.abs(matrix).max() * np.abs(got).max()
@@ -605,16 +623,14 @@ def test_block_factor_solves_alike_after_a_count(case, shift):
     assert counted.factor(shift).solve(rhs).tobytes() == fresh.factor(shift).solve(rhs).tobytes()
 
 
-def test_a_count_that_meets_a_singular_pivot_leaves_no_negative_space():
+def test_a_factor_that_meets_a_singular_pivot_raises():
     # J^T J of one horizontal stick has zero rows in its y coordinates, so its
-    # pivot at shift 0 is singular: the count takes it as shifted up by rounding
+    # pivot at shift 0 is singular: the factor is neither counted nor solved
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     system = _NormalEquations(coords, np.array([[0, 1]]), np.ones(4, dtype=bool))
     system.assemble(coords, np.zeros(1))
-    singular = system.factor(0.0)
-    assert singular.negative_count() == 0 and singular.negative_space() is None
     with pytest.raises(np.linalg.LinAlgError):
-        system.factor(0.0).solve(np.ones(4))
+        system.factor(0.0)
     # at -1 the three zero eigenvalues are negative and span the negative space
     below = system.factor(-1.0)
     assert below.negative_count() == 3
@@ -626,8 +642,8 @@ def test_a_count_that_meets_a_singular_pivot_leaves_no_negative_space():
 @pytest.mark.parametrize("of_top, absolute", [(1e-8, 0.0), (0.0, 1.0)], ids=["1e-8-top", "1.0"])
 @pytest.mark.parametrize("columns", [1, 8])
 def test_block_factor_repeated_solves_match_dense_linear_algebra(case, of_top, absolute, columns):
-    # solves after the first apply the pivots as inverse products; at a
-    # positive shift their forward error stays within n * kappa * eps
+    # every solve of one factor sweeps with its gains and solves with its
+    # pivots; at a positive shift the forward error stays within n * kappa * eps
     case = solver_case(*case)
     coords, links = eliminated(*case)[:2]
     system = banded_system(*case)
@@ -638,7 +654,7 @@ def test_block_factor_repeated_solves_match_dense_linear_algebra(case, of_top, a
     bound = len(matrix) * np.linalg.cond(matrix) * np.finfo(float).eps
     factor = system.factor(shift)
     rng = np.random.default_rng(columns)
-    factor.solve(rng.standard_normal(len(matrix)))  # forms the pivots and gains
+    factor.solve(rng.standard_normal(len(matrix)))
     for _ in range(3):
         rhs = rng.standard_normal((len(matrix), columns))
         want = np.linalg.solve(matrix, rhs)

@@ -723,40 +723,28 @@ def test_certified_flexible_verdict_takes_one_count_and_no_sweep(kind, monkeypat
 
 
 @pytest.mark.parametrize("kind", ["ring", "chain"])
-def test_pinned_count_that_meets_a_singular_pivot_goes_on_into_the_sweeps(kind, monkeypatch):
-    # the count then leaves no negative space, so the Ritz step has nothing to
-    # certify: the verdict, swept at any size, sweeps with the same count and
-    # still has the dense rank
+def test_a_singular_pivot_in_the_pinned_count_hands_off_to_the_dense_svd(kind, monkeypatch):
+    # a singular pivot leaves nothing to count: the verdict, even one that
+    # would sweep, takes the dense SVD alone and has its rank
     g = ring(("fig2a", "fig2a", "fig2g")) if kind == "ring" else chain("fig5a", "fig5c", 150)
-    negative_count, eliminate = refine._BlockFactor.negative_count, refine._eliminate
-    ritz_values, counts, ritz, calls = rigidity._ritz_values, [], [], []
+    eliminate, calls = refine._BlockFactor.__init__, []
 
-    def recorded_count(self):
-        counts.append(negative_count(self))
-        return counts[-1]
-
-    def recorded_ritz(*args):
-        ritz.append(ritz_values(*args))
-        return ritz[-1]
-
-    def singular_once(diagonal, below, y):
+    def singular_once(self, *args):
         calls.append("eliminate")
-        if len(calls) == 1:  # the pinned count's first elimination
+        if len(calls) == 1:  # the pinned count's elimination
             raise np.linalg.LinAlgError("Singular matrix")
-        return eliminate(diagonal, below, y)
+        eliminate(self, *args)
 
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_BANDED_TAIL_FROM", 0)
-        mp.setattr(refine._BlockFactor, "negative_count", recorded_count)
-        natural = analyze_rigidity(g)
-        mp.setattr(refine, "_eliminate", singular_once)
-        mp.setattr(rigidity, "_ritz_values", recorded_ritz)
-        counted_calls(mp, calls, refine._BlockFactor, "solve")
+        mp.setattr(refine._BlockFactor, "__init__", singular_once)
+        for name in ["_ritz_values", "_hashed_block", "_singular_values"]:
+            counted_calls(mp, calls, rigidity, name)
         report = analyze_rigidity(g)
-    assert counts[0] == counts[1] and ritz == [None]
-    assert calls.count("solve") > 2  # the sweeps
+    assert calls == ["eliminate", "_singular_values"]
     dense = rigidity._singular_values(g)
-    assert report.rank == natural.rank == int(np.sum(dense > rigidity.DEFAULT_RANK_TOL * dense[0]))
+    assert report.rank == int(np.sum(dense > rigidity.DEFAULT_RANK_TOL * dense[0]))
+    assert report.internal_flexes == 1
 
 
 @given(
@@ -897,6 +885,26 @@ def test_banded_rigidity_memory_is_linear_on_a_long_chain(long_chain):
         tracemalloc.stop()
     assert report.internal_flexes == 1
     assert peak < 12e6
+
+
+def test_a_long_chain_verdict_sweeps_at_the_default_tolerance(monkeypatch):
+    # from about 1,000 spacers one inverse step leaves the flex's Ritz value
+    # above the cutoff, so the verdict itself sweeps; a dense J alone would
+    # take 306 MB
+    g = chain("fig5a", "fig5c", 1000)
+    assert g.vertex_count == 3095
+    calls = []
+    counted_calls(monkeypatch, calls, rigidity, "_hashed_block")
+    counted_calls(monkeypatch, calls, rigidity, "_singular_values")
+    tracemalloc.start()
+    try:
+        report = analyze_rigidity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == ["_hashed_block"]
+    assert report.internal_flexes == 1
+    assert peak < 40e6
 
 
 # -- orthonormalization of the iteration's blocks -------------------------------
