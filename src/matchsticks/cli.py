@@ -159,9 +159,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    if not args.raw:
-        g = _converged(refine(g))
+    g = _converged(refine(_load_graph(args.graph)))
     report = analyze_rigidity(g, args.rank_tol)
     if args.json:
         _print_json({"graph": _graph_json(g), "rigidity": report.to_json_dict()})
@@ -172,8 +170,8 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
               f"(2v-3 internal degrees of freedom)")
         print(f"internal flexes: {report.internal_flexes}")
         print(f"classification: {report.classification}")
-        tail = ", ".join(_fmt(s) for s in report.singular_tail(6))
-        print(f"smallest singular values: {tail}")
+        numbers = "".join(f", {key} {_fmt(x)}" for key, x in report.evidence.items() if key != "method")
+        print(f"evidence: {report.evidence['method']}{numbers}")
     return EXIT_OK
 
 
@@ -366,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigidity", help="first-order rigidity analysis")
     add_graph_arg(p)
-    p.add_argument("--raw", action="store_true", help="analyze without refining first")
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="singular values below this fraction of the largest count as zero")
     p.add_argument("--json", action="store_true")

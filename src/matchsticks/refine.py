@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -293,7 +293,8 @@ class _NormalEquations:
 
         self._links = links
         rows = pos[_link_columns(links)]
-        span = rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)
+        # elementwise over the four columns: faster than a reduction along them
+        span = reduce(np.maximum, rows.T) - reduce(np.minimum, np.where(rows >= 0, rows, n).T)
         bandwidth = max(1, int(span.max()))
         self.size, self.count = bandwidth, -(-n // bandwidth)
         if n // bandwidth < 2:

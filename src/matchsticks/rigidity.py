@@ -20,22 +20,22 @@ span and the rigid motions' (a thin QR and an SVD of a 3 + k column
 product) bound the smallest singular values from above: when they all lie
 below the rank cutoff, the flexible verdict needs nothing more.
 
-A verdict left open takes the dense SVD below ``_BANDED_TAIL_FROM``
-vertices, and from there on block inverse iteration on J^T J, its one
-block sized by the count so that no small value is missed.  The shifted
-matrix is factored once; each sweep costs a forward sweep, one batched
-solve with the pivot blocks, a back substitution, a CholeskyQR
-orthonormalization and the eigenvalues of a p x p Gram matrix, which only
-decide when the values below mu and the ten reported ones have settled.
-The singular values of the tall product J V are taken once, after
-the last sweep.  The graph goes to the dense SVD when the block would need
-half the columns, when the sweeps run out or miss a small value, or when
-a value lies where sigma_max's bounds leave it on either side of the rank
-cutoff.  Memory and time grow linearly for long, thin drawings.
+A verdict left open takes the dense SVD below ``_SWEEPS_FROM`` vertices,
+and from there on block inverse iteration on J^T J, its one block sized by
+the count so that no small value is missed.  The shifted matrix is
+factored once; each sweep costs a forward sweep, one batched solve with
+the pivot blocks, a back substitution, a CholeskyQR orthonormalization and
+the eigenvalues of a p x p Gram matrix, which only decide when the values
+below mu have settled.  The singular values of the tall product J V are
+taken once, after the last sweep.  The graph goes to the dense SVD when
+the block would need half the columns, when the sweeps run out or miss a
+small value, or when a value lies where sigma_max's bounds leave it on
+either side of the rank cutoff.  Memory and time grow linearly for long,
+thin drawings.
 
-A report keeps the values its verdict found; otherwise the tail is
-computed when first read, by the sweeps from ``_BANDED_TAIL_FROM``
-vertices on, else by the dense SVD.
+A report names the evidence that decided it (``RigidityReport.evidence``)
+and computes no singular values beyond it: ``singular_tail`` takes a dense
+SVD when asked, whose memory grows as v^2.
 """
 
 from __future__ import annotations
@@ -53,12 +53,9 @@ from .refine import default_pins, residual_jacobian
 
 DEFAULT_RANK_TOL = 1e-8
 _BANDED_FROM = 60  # vertices; measured crossover of the dense and banded verdicts
-# vertices; sweeps that wait for the ten reported values overtake the dense SVD
-# near 110-125, and below 150 every reported tail stays the dense SVD's, bit for bit
-_BANDED_TAIL_FROM = 150
+_SWEEPS_FROM = 150  # vertices; below this a verdict left open takes the dense SVD
 _SHIFT = 1e-8  # delta / largest diagonal entry; smaller shifts lose accuracy in the solves
 _MAX_SWEEPS = 50
-_REPORTED = 10  # singular values in the reported tail
 # a sweep's Gram estimates of the Ritz values have settled when they move by less
 # than this times the sigma_max bound, beyond rounding
 _SETTLED = 1e-15
@@ -73,10 +70,17 @@ class RigidityReport:
     """Numerical rank audit of the rigidity matrix.
 
     internal_flexes = (2v - 3) - rank counts independent first-order motions
-    that preserve all edge lengths but are not rigid-body motions.  The
-    report keeps the analyzed graph and tolerance, and the singular values
-    that its verdict found; without those, its tail is computed on first
-    read (a graph's arrays are read-only, so the tail cannot go stale).
+    that preserve all edge lengths but are not rigid-body motions.
+    ``evidence`` names the method that decided the verdict and the numbers it
+    compared, each to the digits the method supports.  ``dense_svd`` gives
+    the ``cutoff`` rank_tol_factor sigma_max to six significant digits: the
+    SVD's sigma_max moves in its last digits with the BLAS thread count.  The
+    banded methods (``_banded``), ``pinned_count``, ``ritz_step`` and
+    ``sweeps``, give the ``cutoff`` rank_tol_factor lo, ``mu`` and the
+    ``count`` k of the pinned factor's eigenvalues below mu^2, all exact: lo
+    and mu come from a bincount and the degrees.  ``ritz_step`` adds
+    ``ritz_max``, its largest Ritz value plus the rounding allowance, rounded
+    up to three significant digits; it lies below the cutoff.
     """
 
     rank: int
@@ -85,28 +89,21 @@ class RigidityReport:
     classification: str  # "rigid" | "flexible"
     graph: EmbeddedGraph = field(repr=False, compare=False)
     rank_tol_factor: float
-    #: the smallest singular values (ascending) that the verdict found: all of
-    #: its dense SVD's, or its sweeps' tail; None when it took neither
-    _known: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def smallest_singular_values(self) -> tuple[float, ...]:
-        """Ascending; at least min(10, all) of them; computed once, when first read."""
-        known = self._known
-        if known is None:
-            found = None
-            if self.graph.vertex_count >= _BANDED_TAIL_FROM:
-                found = _banded(self.graph, self.rank_tol_factor, True)
-            known = _singular_values(self.graph)[::-1] if found is None else found[1]
-        return tuple(known.tolist())
+    evidence: dict[str, str | int | float] = field(compare=False)  # a dict: left out of == and hash
 
     @property
     def rigid(self) -> bool:
         return self.internal_flexes == 0
 
     def singular_tail(self, count: int = 10) -> tuple[float, ...]:
-        """The smallest ``count`` singular values (ascending), for audit."""
-        return self.smallest_singular_values[:count]
+        """The smallest ``count`` singular values (ascending), for audit: a dense
+        SVD, whose memory grows as v^2, taken on the first call and kept (the
+        graph's arrays are read-only, so the values cannot go stale)."""
+        return self._spectrum[:count]
+
+    @cached_property
+    def _spectrum(self) -> tuple[float, ...]:
+        return tuple(_singular_values(self.graph)[::-1].tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,7 +112,7 @@ class RigidityReport:
             "dof_bound": self.dof_bound,
             "internal_flexes": self.internal_flexes,
             "classification": self.classification,
-            "singular_value_tail": list(self.singular_tail()),
+            "evidence": self.evidence,
         }
 
 
@@ -136,8 +133,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
     rank is right.  A first-order flex ("flexible") only fails to prove
     rigidity: a symmetric framework can be rigid yet still show an
     infinitesimal flex, so a nonzero flex count for a supposedly rigid graph
-    warrants looking at the singular-value tail, which the report computes
-    when it is first read.
+    warrants looking at the singular-value tail (``singular_tail``).
     rank_tol_factor must lie strictly between 0 and 1, and at or above 2v
     eps (ValueError otherwise): below that floor the rounding of the rigid
     motions, measured at up to 0.05 v eps sigma_max on the drawings, rings
@@ -155,12 +151,13 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         )
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    found = _banded(g, rank_tol_factor, False) if g.vertex_count >= _BANDED_FROM else None
+    found = _banded(g, rank_tol_factor) if g.vertex_count >= _BANDED_FROM else None
     if found is None:
         sigma = _singular_values(g)
-        rank, known = int(np.sum(sigma > rank_tol_factor * sigma[0])), sigma[::-1]
+        rank = int(np.sum(sigma > rank_tol_factor * sigma[0]))
+        evidence = {"method": "dense_svd", "cutoff": float(f"{rank_tol_factor * sigma[0]:.6g}")}
     else:
-        rank, known = found
+        rank, evidence = found
     dof_bound = 2 * g.vertex_count - 3
     flexes = dof_bound - rank
     return RigidityReport(
@@ -170,7 +167,7 @@ def analyze_rigidity(g: EmbeddedGraph, rank_tol_factor: float = DEFAULT_RANK_TOL
         classification="rigid" if flexes == 0 else "flexible",
         graph=g,
         rank_tol_factor=rank_tol_factor,
-        _known=known,
+        evidence=evidence,
     )
 
 
@@ -182,36 +179,40 @@ def _singular_values(g: EmbeddedGraph) -> np.ndarray:
 def _bracket(g: EmbeddedGraph, columns: np.ndarray, values: np.ndarray) -> tuple[float, ...]:
     """``_banded``'s top, lo and hi, from J's entries ``values`` at ``columns``."""
     top = float(np.bincount(columns.ravel(), (values * values).ravel()).max())
-    return top, math.sqrt(top), math.sqrt(g.degrees()[g.edges].sum(axis=1).max())
+    degrees = g.degrees()
+    return top, math.sqrt(top), math.sqrt((degrees[g.edges[:, 0]] + degrees[g.edges[:, 1]]).max())
 
 
-def _banded(
-    g: EmbeddedGraph, rank_tol_factor: float, reported: bool
-) -> tuple[int, np.ndarray | None] | None:
-    """The rank and the smallest singular values (ascending), without a dense matrix.
+def _round_up(x: float) -> float:
+    """x > 0 rounded up to three significant digits."""
+    scale = 10.0 ** (2 - math.floor(math.log10(x)))
+    return math.ceil(x * scale) / scale
 
-    The values are every singular value below mu = max(1e-6 lo, 2
-    rank_tol_factor hi), and at least the ten smallest.  lo and hi
-    bracket sigma_max (``_bracket``): lo^2 = top, the largest diagonal entry
-    of J^T J, and hi^2 is the largest d_u + d_v over the edges uv.  J's rows
-    are unit vectors, so J^T J <= L (x) I_2 <= hi^2 I for the graph's
-    Laplacian L (Anderson & Morley 1985).  Every value at or above mu is
-    above the rank cutoff, so only those below it decide the rank.  J^T J is
-    assembled in the block-tridiagonal form that ``refine`` solves with;
-    ``top`` added on its diagonal at the three ``default_pins`` coordinates
-    makes it J_pin^T J_pin, J_pin being J with three rows that hold those
-    coordinates.  Sylvester's law of inertia counts its eigenvalues below
-    mu^2 on its factor at -mu^2, ``pinned``; ``small``, three more, bounds
-    those of J^T J (Weyl's inequalities: the penalty has rank three).  A
-    verdict (``reported`` false) with small = 3 is rigid: block LDL^T is
-    stable on the positive definite J_pin^T J_pin - mu^2 I, so
-    sigma_min(J_pin) >= mu, and by interlacing J's 2v - 3 largest singular
-    values are at least mu, above the rank cutoff.
+
+def _banded(g: EmbeddedGraph, rank_tol_factor: float) -> tuple[int, dict[str, str | int | float]] | None:
+    """The rank and its evidence (``analyze_rigidity``), without a dense matrix.
+
+    Only the singular values below mu = max(1e-6 lo, 2 rank_tol_factor hi)
+    decide the rank.  lo and hi bracket sigma_max (``_bracket``): lo^2 =
+    top, the largest diagonal entry of J^T J, and hi^2 is the largest d_u +
+    d_v over the edges uv.  J's rows are unit vectors, so J^T J <= L (x) I_2
+    <= hi^2 I for the graph's Laplacian L (Anderson & Morley 1985).  Every
+    value at or above mu is above the rank cutoff.  J^T J is assembled in
+    the block-tridiagonal form that ``refine`` solves with; ``top`` added on
+    its diagonal at the three ``default_pins`` coordinates makes it J_pin^T
+    J_pin, J_pin being J with three rows that hold those coordinates.
+    Sylvester's law of inertia counts its eigenvalues below mu^2 on its
+    factor at -mu^2, ``pinned``; ``small``, three more, bounds those of J^T
+    J (Weyl's inequalities: the penalty has rank three).  With small = 3 the
+    verdict is rigid (``pinned_count``): block LDL^T is stable on the
+    positive definite J_pin^T J_pin - mu^2 I, so sigma_min(J_pin) >= mu, and
+    by interlacing J's 2v - 3 largest singular values are at least mu,
+    above the rank cutoff.
 
     A verdict with k = small - 3 > 0 whose block would stay below half the
-    columns is first certified from the counted factor.  ``_ritz_values``
-    gives J's Ritz values theta on the span of the rigid motions and of k
-    vectors from one inverse iteration step with it.  By
+    columns is first certified from the counted factor (``ritz_step``).
+    ``_ritz_values`` gives J's Ritz values theta on the span of the rigid
+    motions and of k vectors from one inverse iteration step with it.  By
     Courant-Fischer the i-th smallest theta is at least J^T J's i-th
     smallest eigenvalue's square root, so when the largest theta plus its
     rounding allowance lies below rank_tol_factor lo, J^T J has at least
@@ -222,34 +223,30 @@ def _banded(
     below the 2v eps floor of ``analyze_rigidity``, so the rigid verdict
     above is the same test without its Ritz step.  The certificate fails
     when a singular value lies between the cutoff and mu (the theta cannot
-    fall below it), and always for a tail read (``reported`` true).  Below
-    ``_BANDED_TAIL_FROM`` vertices those go to the dense SVD; from there on
-    they sweep as below.
+    fall below it).  Below ``_SWEEPS_FROM`` vertices such a verdict goes to
+    the dense SVD; from there on it sweeps as below (``sweeps``).
 
-    ``small`` sizes the one block of p = max(structural + 21, small + 17)
-    vectors.  Inverse subspace iteration with (J^T J + delta I)^-1 turns the
-    block V towards the eigenvectors of the smallest eigenvalues,
-    orthonormalizing V after each solve (``_orthonormal``).  Each sweep
-    estimates the Ritz values theta from the eigenvalues of the p x p Gram
-    matrix (J V)^T (J V), whose absolute rounding is about eps times the
-    largest theta^2, and stops once the ``small`` ones and the ten reported
-    (past the structural zeros) settle: each moved by at most _SETTLED * hi
-    plus that rounding, or by no more than the Gram can resolve (theta^2
-    below 8 eps theta_max^2 counts as that floor).  The first sweep has no
+    ``small`` sizes the one block of p = small + 17 vectors.  Inverse
+    subspace iteration with (J^T J + delta I)^-1 turns the block V towards
+    the eigenvectors of the smallest eigenvalues, orthonormalizing V after
+    each solve (``_orthonormal``).  Each sweep estimates the Ritz values
+    theta from the eigenvalues of the p x p Gram matrix (J V)^T (J V), whose
+    absolute rounding is about eps times the largest theta^2, and stops once
+    the ``small`` smallest settle: each moved by at most _SETTLED * hi plus
+    that rounding, or by no more than the Gram can resolve (theta^2 below 8
+    eps theta_max^2 counts as that floor).  The first sweep has no
     estimate, so the earliest stop is the third sweep, compared with the
-    second.  The Ritz values are then taken
-    once, without squaring, as the singular values of the e x p product
-    J V; those below rank_tol_factor lo are zero, those above
-    rank_tol_factor hi are not.
+    second.  The Ritz values are then taken once, without squaring, as the
+    singular values of the e x p product J V; those below rank_tol_factor
+    lo are zero, those above rank_tol_factor hi are not.
 
     None hands the graph to the dense SVD: the pinned factor meets a
     singular pivot (no count is taken), the block would reach half the
     columns (2p >= n, decided before the Ritz step), the verdict is left
-    open below ``_BANDED_TAIL_FROM`` vertices, the sweeps run out before
-    the watched values settle, the number of Ritz values below mu is not
+    open below ``_SWEEPS_FROM`` vertices, the sweeps run out before the
+    ``small`` values settle, the number of Ritz values below mu is not
     ``small``, or a value lies between rank_tol_factor lo and hi, where the
-    bracket leaves it on either side of the cutoff.  Otherwise e > p.  A
-    verdict answered by the count or its certificate comes with no values.
+    bracket leaves it on either side of the cutoff.  Otherwise e > p.
     """
     coords, links = g.vertices, g.edges
     n, e = 2 * g.vertex_count, len(links)
@@ -263,11 +260,10 @@ def _banded(
     except np.linalg.LinAlgError:  # a singular pivot: no count
         return None
     small = 3 + pinned.negative_count()
-    if small == 3 and not reported:  # only the rigid motions lie below mu
-        return n - 3, None
-    structural = max(n - e, 0)  # zero eigenvalues of J^T J that are not singular values of J
-    # rigid motions, reported values and spares, or the small values and spares
-    p = max(structural + 3 + _REPORTED + 8, small + 17)
+    counted = {"cutoff": rank_tol_factor * lo, "mu": mu, "count": small - 3}
+    if small == 3:  # only the rigid motions lie below mu
+        return n - 3, {"method": "pinned_count", **counted}
+    p = small + 17  # the small values and spares
     if 2 * p >= n:
         return None
     rows = system.position[columns]
@@ -275,11 +271,10 @@ def _banded(
     def product(v: np.ndarray) -> np.ndarray:  # J V, e x p
         return np.einsum("rk,rkp->rp", values, v[rows])
 
-    if not reported:
-        theta, rounding = _ritz_values(g, system.unknowns, pinned, product, hi)
-        if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
-            return n - small, None
-    if g.vertex_count < _BANDED_TAIL_FROM:
+    theta, rounding = _ritz_values(g, system.unknowns, pinned, product, hi)
+    if len(theta) == small and theta[0] + rounding < rank_tol_factor * lo:
+        return n - small, {"method": "ritz_step", **counted, "ritz_max": _round_up(theta[0] + rounding)}
+    if g.vertex_count < _SWEEPS_FROM:
         return None
     inverse = system.factor(_SHIFT * top)
 
@@ -288,8 +283,7 @@ def _banded(
         return np.linalg.eigvalsh(jv.T @ jv)
 
     v = _orthonormal(_hashed_block(n, p))
-    watch = max(small, structural + _REPORTED)  # the values counted and reported
-    previous = np.full(watch, np.inf)
+    previous = np.full(small, np.inf)
     for sweep in range(_MAX_SWEEPS):
         v = _orthonormal(inverse.solve(v))
         if sweep == 0:
@@ -297,7 +291,7 @@ def _banded(
         estimates = squares(v)
         rounding = np.finfo(float).eps * estimates[-1]  # absolute, in each theta^2
         floor = 8 * rounding  # theta^2 below this is not resolved
-        theta = np.sqrt(np.maximum(estimates[:watch], floor))
+        theta = np.sqrt(np.maximum(estimates[:small], floor))
         # a move times theta is a change of theta^2: settled within _SETTLED * hi
         # plus two Grams' rounding, or within what the Gram cannot resolve
         change = np.abs(theta - previous) * theta
@@ -309,10 +303,11 @@ def _banded(
     theta = np.linalg.svd(product(v), compute_uv=False)[::-1]
     if np.count_nonzero(theta < mu) != small:
         return None
-    tail = theta[structural:watch]
-    if np.any((tail >= rank_tol_factor * lo) & (tail <= rank_tol_factor * hi)):
+    small_values = theta[max(n - e, 0) : small]  # past the structural zeros of J^T J
+    if np.any((small_values >= rank_tol_factor * lo) & (small_values <= rank_tol_factor * hi)):
         return None  # sigma_max's bracket leaves this value on either side of the cutoff
-    return min(e, n) - int(np.count_nonzero(tail < rank_tol_factor * lo)), tail
+    rank = min(e, n) - int(np.count_nonzero(small_values < rank_tol_factor * lo))
+    return rank, {"method": "sweeps", **counted}
 
 
 def _ritz_values(

@@ -64,6 +64,17 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> EmbeddedGraph:
     return EmbeddedGraph(coords, tuple(sorted(edges)), name="random")
 
 
+def counted_calls(monkeypatch, calls, owner, name):
+    """Record each call of owner.name in ``calls`` and pass it through."""
+    function = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def turned_upright(g: EmbeddedGraph) -> EmbeddedGraph:
     """g turned by 90 degrees and moved to about (1e4, -1e4).
 

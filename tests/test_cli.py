@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import triangle_strip, unit_triangle
+from conftest import counted_calls, triangle_strip, unit_triangle
 from matchsticks import cli, construct, corpus, pipeline, rigidity
 from matchsticks.cli import main
 from matchsticks.construct import (
@@ -37,7 +37,7 @@ from matchsticks.counting import (
     theorem1_coverage,
 )
 from matchsticks.ingest import emit_segments
-from matchsticks.refine import refine
+from matchsticks.refine import _BlockFactor, refine
 from matchsticks.rigidity import analyze_rigidity
 from matchsticks.verify import Tolerances, verify_matchstick
 
@@ -405,7 +405,29 @@ def test_rigidity_text(capsys):
     assert "rank: 41 of 41" in out
     assert "internal flexes: 0" in out
     assert "classification: rigid" in out
-    assert "smallest singular values:" in out
+    assert "evidence: dense_svd, cutoff " in out
+    assert "singular values" not in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["rigidity", "fig3a"], ["construct", "ring", "fig2a", "fig2a", "fig2a", "--json"]]
+)
+def test_a_verdict_of_60_to_149_vertices_computes_only_the_verdict(argv, capsys, monkeypatch):
+    # one pinned inertia count decides each: no dense SVD for a tail, no sweep
+    calls = []
+    counted_calls(monkeypatch, calls, _BlockFactor, "negative_count")
+    counted_calls(monkeypatch, calls, rigidity, "_singular_values")
+    counted_calls(monkeypatch, calls, rigidity, "_hashed_block")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and calls == ["negative_count"]
+    assert "pinned_count" in out and "singular_value_tail" not in out
+
+
+def test_rigidity_has_no_raw_option(capsys):
+    # the raw verdict judged a bar framework whose lengths are not unit
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rigidity", "fig2a", "--raw"])
+    assert excinfo.value.code == 2
 
 
 def test_rigidity_flexible_graph(capsys):
@@ -431,13 +453,13 @@ def test_rigidity_rejects_rank_tolerance_outside_the_unit_interval(tol, capsys):
     ids=["numpy", "bare"],
 )
 def test_a_dense_svd_out_of_memory_is_a_usage_error(message, shown, capsys, monkeypatch):
-    # a chain beyond the sweeps' reach hands its rigidity to the dense SVD,
-    # whose matrix may not fit in memory: one error line, no traceback
+    # a verdict that the count and the Ritz step leave open takes the dense
+    # SVD, whose matrix may not fit in memory: one error line, no traceback
     def no_memory(g):
         raise MemoryError(message)
 
     monkeypatch.setattr(rigidity, "_singular_values", no_memory)
-    code, out, err = run(capsys, "construct", "chain", "fig5a", "fig5c", "--spacers", "4", "--json")
+    code, out, err = run(capsys, "construct", "ring", "fig2g", "fig2g", "fig2g", "--json")
     assert (code, out, err) == (2, "", shown)
 
 
